@@ -4,7 +4,9 @@ Cheating probabilities are computed two independent ways: a closed-form
 quadratic objective for Alice's aligned strategy family, and exhaustive
 branch enumeration through the state engine (every choice, coin outcome
 and verification branch with its exact probability). Monte Carlo sampling
-provides a third, statistical check on both.
+adds a statistical check: the protocol engine runs every trial through
+the state machine, while the kernel engine draws all trials' counts in one
+multinomial sample from the enumerated leaf probabilities.
 """
 
 from __future__ import annotations
@@ -79,13 +81,7 @@ def alice_objective(c: AliceCoefficients) -> float:
     ``(2*a00^2 + 2*a00*a01 + 2*a00*a10 + a01^2 + a10^2) / 4``; its maximum
     over the normalized nonnegative coefficients is 3/4.
     """
-    return (
-        2.0 * c.a00**2
-        + 2.0 * c.a00 * c.a01
-        + 2.0 * c.a00 * c.a10
-        + c.a01**2
-        + c.a10**2
-    ) / 4.0
+    return kernels._objective(c.a00, c.a01, c.a10)
 
 
 @dataclass(frozen=True)
@@ -210,34 +206,36 @@ def bob_branch_table(strategy: BobCheatStrategy) -> BobBranchTable:
     return BobBranchTable(p_result=p_result, choices=choices, p_bit0=p_bit0)
 
 
+def leaf_probabilities(strategy: AliceCheatStrategy | BobCheatStrategy) -> np.ndarray:
+    """Exact probabilities of the run's three leaves: heads, tails, abort."""
+    if isinstance(strategy, AliceCheatStrategy):
+        table = alice_branch_table(strategy)
+        passed = table.p_bit * table.p_pass
+        heads, tails = (0.5 * float(passed[0, b] + passed[1, b]) for b in (0, 1))
+        abort = 0.5 * float(np.sum(table.p_bit * (1.0 - table.p_pass)))
+    elif isinstance(strategy, BobCheatStrategy):
+        table = bob_branch_table(strategy)
+        heads = float(np.sum(table.p_result * table.p_bit0))
+        tails = float(np.sum(table.p_result * (1.0 - table.p_bit0)))
+        abort = 0.0
+    else:
+        raise StrategyRegisterMismatchError(f"not a strategy: {strategy!r}")
+    return np.array([heads, tails, abort])
+
+
 def exact_win_probability(
     strategy: AliceCheatStrategy | BobCheatStrategy, target: int
 ) -> BiasReport:
     """Deterministic branch enumeration of one strategy's win and abort mass."""
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
-    if isinstance(strategy, AliceCheatStrategy):
-        table = alice_branch_table(strategy)
-        p_win = 0.5 * float(
-            table.p_bit[0, target] * table.p_pass[0, target]
-            + table.p_bit[1, target] * table.p_pass[1, target]
-        )
-        p_abort = 0.5 * float(np.sum(table.p_bit * (1.0 - table.p_pass)))
-        party = "A"
-    elif isinstance(strategy, BobCheatStrategy):
-        table = bob_branch_table(strategy)
-        p_target = table.p_bit0 if target == 0 else 1.0 - table.p_bit0
-        p_win = float(np.sum(table.p_result * p_target))
-        p_abort = 0.0
-        party = "B"
-    else:
-        raise StrategyRegisterMismatchError(f"not a strategy: {strategy!r}")
+    leaves = leaf_probabilities(strategy)
     return BiasReport(
-        party=party,
+        party="A" if isinstance(strategy, AliceCheatStrategy) else "B",
         target=target,
         strategy_id=strategy.name,
-        p_win_exact=p_win,
-        p_abort_exact=p_abort,
+        p_win_exact=float(leaves[target]),
+        p_abort_exact=float(leaves[2]),
     )
 
 
@@ -264,10 +262,7 @@ class OptimizationResult:
 
 def _objective_at_angles(angles: Sequence[float]) -> float:
     a00, a01, a10, _ = kernels.angles_to_coefficients(*angles)
-    return float(
-        (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10)
-        / 4.0
-    )
+    return float(kernels._objective(a00, a01, a10))
 
 
 def optimize_alice(
@@ -458,12 +453,14 @@ def monte_carlo(
 ) -> MonteCarloReport:
     """Run `trials` independent protocol executions and tally outcomes.
 
-    The default engine samples every trial from the exactly-enumerated
-    branch distribution of the run (drawing the same choice / coin /
-    verification decisions a live run would make); ``engine="protocol"``
-    instead executes each trial through the full message-driven state
-    machine with a per-trial seed split from `root_seed`. Both are
-    deterministic given `root_seed` and agree in distribution.
+    The default engine draws the (heads, tails, abort) counts of all trials
+    at once, as one multinomial sample over the run's exact leaf
+    probabilities: O(1) time and memory for any `trials`. Leaves with less
+    than ``_BRANCH_ATOL`` mass count as impossible, so their count is exactly
+    0. ``engine="protocol"`` instead executes each trial through the full
+    message-driven state machine with a per-trial seed split from
+    `root_seed`. Both are deterministic given `root_seed` and agree in
+    distribution.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
@@ -473,23 +470,13 @@ def monte_carlo(
     label = strategy.name if run_kind != "honest" else "honest"
 
     if engine == "kernel":
-        rng = np.random.default_rng(root_seed)
-        if isinstance(strategy, AliceCheatStrategy):
-            table = alice_branch_table(strategy)
-            heads, tails, aborts = kernels.alice_trials(
-                table.p_bit[:, 0],
-                table.p_pass,
-                rng.random(trials),
-                rng.random(trials),
-                rng.random(trials),
-            )
-        else:
-            table = bob_branch_table(strategy)
-            cum = np.cumsum(table.p_result)
-            heads, tails = kernels.bob_trials(
-                cum, table.p_bit0, rng.random(trials), rng.random(trials)
-            )
-            aborts = 0
+        # One draw over the leaves with mass; the last of them takes the
+        # remainder, so a leaf whose exact mass is roundoff stays exactly 0.
+        leaves = leaf_probabilities(strategy)
+        live = leaves >= _BRANCH_ATOL
+        counts = np.zeros(3, dtype=np.int64)
+        counts[live] = np.random.default_rng(root_seed).multinomial(trials, leaves[live])
+        heads, tails, aborts = counts
     else:
         seeds = np.random.SeedSequence(root_seed).generate_state(trials, np.uint64)
         heads = tails = aborts = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import analysis
 from .protocol import run_cheating_alice, run_cheating_bob, run_honest
@@ -32,7 +33,7 @@ EXIT_INVARIANT = 4
 _EPILOG = """\
 exit codes:
   0  success
-  2  invalid arguments or configuration
+  2  invalid arguments or configuration, or an unwritable output path
   3  unknown strategy identifier
   4  internal invariant violation
 
@@ -45,11 +46,18 @@ an explicit --seed always wins.
 """
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("COINTOSS_SEED", "0"))
+def _seed(text: str) -> int:
+    """A seed: a nonnegative integer, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cointoss",
         description="Entanglement-based strong coin tossing: simulation and cheating analysis.",
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="also write the JSONL transcript of one run with this seed",
             )
-        sub.add_argument("--seed", type=int, default=None)
+        sub.add_argument("--seed", type=_seed, default=default_seed)
         sub.add_argument("--format", choices=("structured", "tabular"), default="structured")
         sub.add_argument("--out", metavar="PATH", default=None)
 
@@ -100,21 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     optimize = subparsers.add_parser("optimize", help="maximize Alice's objective")
     optimize.add_argument("--grid-resolution", type=int, default=100)
-    optimize.add_argument("--seed", type=int, default=None)
+    optimize.add_argument("--seed", type=_seed, default=default_seed)
     optimize.add_argument("--format", choices=("structured", "tabular"), default="structured")
     optimize.add_argument("--out", metavar="PATH", default=None)
 
     scan = subparsers.add_parser("scan", help="honest-to-optimal sensitivity scan")
     scan.add_argument("--steps", type=int, default=50)
-    scan.add_argument("--seed", type=int, default=None)
+    scan.add_argument("--seed", type=_seed, default=default_seed)
     scan.add_argument("--format", choices=("structured", "tabular"), default="structured")
     scan.add_argument("--out", metavar="PATH", default=None)
 
     return parser
 
 
-def _config_mapping(args: argparse.Namespace, seed: int) -> dict:
-    config = {"command": args.command, "seed": seed}
+def _config_mapping(args: argparse.Namespace) -> dict:
+    config = {"command": args.command, "seed": args.seed}
     for key in ("strategy", "target", "trials", "engine", "grid_resolution", "steps"):
         if hasattr(args, key):
             config[key] = getattr(args, key)
@@ -159,13 +167,11 @@ def _write_transcript(args: argparse.Namespace, run_kind: str, seed: int) -> Non
             _, transcript = run_cheating_alice(strategy, args.target, seed)
         else:
             _, transcript = run_cheating_bob(strategy, args.target, seed)
-    with open(args.transcript, "w", encoding="utf-8") as handle:
-        handle.write(transcript.to_jsonl())
+    Path(args.transcript).write_text(transcript.to_jsonl(), encoding="utf-8")
 
 
 def dispatch(args: argparse.Namespace) -> str:
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = _config_mapping(args, seed)
+    config = _config_mapping(args)
 
     if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
         if args.command == "montecarlo":
@@ -183,11 +189,11 @@ def dispatch(args: argparse.Namespace) -> str:
             strategy_id=strategy_id,
             target=args.target,
             trials=args.trials,
-            root_seed=seed,
+            root_seed=args.seed,
             engine=args.engine,
         )
         if args.transcript:
-            _write_transcript(args, run_kind, seed)
+            _write_transcript(args, run_kind, args.seed)
         return _render(config, report.as_mapping(), args.format)
 
     if args.command == "bias":
@@ -219,14 +225,18 @@ def dispatch(args: argparse.Namespace) -> str:
 
 def main(argv=None) -> int:
     try:
-        _default_seed()
-    except ValueError:
-        print("cointoss: COINTOSS_SEED must be an integer", file=sys.stderr)
+        default_seed = _seed(os.environ.get("COINTOSS_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        print(f"cointoss: COINTOSS_SEED {exc}", file=sys.stderr)
         return EXIT_PARSE
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(default_seed).parse_args(argv)
     try:
         body = dispatch(args)
+        if args.out:
+            Path(args.out).write_text(body, encoding="utf-8")
+    except OSError as exc:
+        print(f"cointoss: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     except UnknownStrategyError as exc:
         print(f"cointoss: unknown strategy: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_STRATEGY
@@ -236,10 +246,7 @@ def main(argv=None) -> int:
     except analysis.InvariantViolationError as exc:
         print(f"cointoss: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
-    else:
+    if not args.out:
         sys.stdout.write(body)
     return EXIT_OK
 

@@ -1,141 +1,14 @@
-"""Hot numeric kernels: batched trial sampling and the objective grid scan.
+"""Alice's cheating objective and its dense grid scan.
 
-Two interchangeable backends are provided. The numba backend JIT-compiles
-tight per-trial / per-grid-point loops; the numpy backend is a vectorized
-fallback with identical semantics. Selection is controlled by the
-``COINTOSS_KERNELS`` environment variable:
-
-    auto   (default) numba when importable, else numpy
-    numba  require numba, raise if unavailable
-    numpy  force the pure-numpy path
-
-Both trial samplers consume pre-drawn uniform variates, so for a fixed
-seed the two backends return identical counts. The grid scans agree to
-floating-point roundoff.
+The objective is evaluated in one place, `_objective`, by the closed form,
+the angle refinement and the grid scan alike, so all three round the same
+way. The grid scan walks the ``resolution^3`` polar-angle grid one t1 slab
+at a time, so it holds O(resolution^2) floats, never the whole cube.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend_name() -> str:
-    """Resolve the active backend from COINTOSS_KERNELS."""
-    choice = os.environ.get("COINTOSS_KERNELS", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"COINTOSS_KERNELS must be one of auto/numba/numpy, got {choice!r}"
-        )
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError("COINTOSS_KERNELS=numba but numba is not importable")
-    if choice == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    return choice
-
-
-# ---------------------------------------------------------------------------
-# Alice-side trials: branch on Bob's choice, his coin bit, then verification.
-# p_bit0[c] = P(coin bit 0 | choice c), p_pass[c, b] = P(verification passes).
-# Returns (heads, tails, abort) counts over all trials.
-# ---------------------------------------------------------------------------
-
-
-def _alice_trials_numpy(p_bit0, p_pass, u_choice, u_bit, u_pass):
-    choice = (u_choice >= 0.5).astype(np.int64)
-    bit = (u_bit >= p_bit0[choice]).astype(np.int64)
-    passed = u_pass < p_pass[choice, bit]
-    heads = int(np.count_nonzero(passed & (bit == 0)))
-    tails = int(np.count_nonzero(passed & (bit == 1)))
-    abort = int(u_choice.shape[0] - heads - tails)
-    return heads, tails, abort
-
-
-@njit(cache=True)
-def _alice_trials_numba(p_bit0, p_pass, u_choice, u_bit, u_pass):  # pragma: no cover
-    heads = 0
-    tails = 0
-    for i in range(u_choice.shape[0]):
-        c = 0 if u_choice[i] < 0.5 else 1
-        b = 0 if u_bit[i] < p_bit0[c] else 1
-        if u_pass[i] < p_pass[c, b]:
-            if b == 0:
-                heads += 1
-            else:
-                tails += 1
-    return heads, tails, u_choice.shape[0] - heads - tails
-
-
-def alice_trials(
-    p_bit0: np.ndarray,
-    p_pass: np.ndarray,
-    u_choice: np.ndarray,
-    u_bit: np.ndarray,
-    u_pass: np.ndarray,
-) -> tuple[int, int, int]:
-    p_bit0 = np.ascontiguousarray(p_bit0, dtype=np.float64)
-    p_pass = np.ascontiguousarray(p_pass, dtype=np.float64)
-    if backend_name() == "numba":
-        heads, tails, abort = _alice_trials_numba(p_bit0, p_pass, u_choice, u_bit, u_pass)
-        return int(heads), int(tails), int(abort)
-    return _alice_trials_numpy(p_bit0, p_pass, u_choice, u_bit, u_pass)
-
-
-# ---------------------------------------------------------------------------
-# Bob-side trials: branch on Bob's classical result m, then Alice's coin bit.
-# cum_m = cumulative P(m), p_bit0_m[m] = P(Alice reads 0 | m). Never aborts.
-# ---------------------------------------------------------------------------
-
-
-def _bob_trials_numpy(cum_m, p_bit0_m, u_result, u_bit):
-    m = np.searchsorted(cum_m, u_result, side="right")
-    np.clip(m, 0, cum_m.shape[0] - 1, out=m)
-    bit = u_bit >= p_bit0_m[m]
-    tails = int(np.count_nonzero(bit))
-    return int(u_result.shape[0] - tails), tails
-
-
-@njit(cache=True)
-def _bob_trials_numba(cum_m, p_bit0_m, u_result, u_bit):  # pragma: no cover
-    n_m = cum_m.shape[0]
-    tails = 0
-    for i in range(u_result.shape[0]):
-        m = np.searchsorted(cum_m, u_result[i], side="right")
-        if m >= n_m:
-            m = n_m - 1
-        if u_bit[i] >= p_bit0_m[m]:
-            tails += 1
-    return u_result.shape[0] - tails, tails
-
-
-def bob_trials(
-    cum_m: np.ndarray,
-    p_bit0_m: np.ndarray,
-    u_result: np.ndarray,
-    u_bit: np.ndarray,
-) -> tuple[int, int]:
-    cum_m = np.ascontiguousarray(cum_m, dtype=np.float64)
-    p_bit0_m = np.ascontiguousarray(p_bit0_m, dtype=np.float64)
-    if backend_name() == "numba":
-        heads, tails = _bob_trials_numba(cum_m, p_bit0_m, u_result, u_bit)
-        return int(heads), int(tails)
-    return _bob_trials_numpy(cum_m, p_bit0_m, u_result, u_bit)
 
 
 # ---------------------------------------------------------------------------
@@ -147,60 +20,30 @@ def bob_trials(
 # ---------------------------------------------------------------------------
 
 
-def _grid_angles(resolution: int) -> np.ndarray:
-    return np.linspace(0.0, np.pi / 2.0, resolution)
-
-
-def _grid_scan_numpy(resolution):
-    angles = _grid_angles(resolution)
-    t1, t2, t3 = np.meshgrid(angles, angles, angles, indexing="ij")
-    a00 = np.cos(t1)
-    s1 = np.sin(t1)
-    a01 = s1 * np.cos(t2)
-    s12 = s1 * np.sin(t2)
-    a10 = s12 * np.cos(t3)
-    value = (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
-    flat = int(np.argmax(value))
-    i1, i2, i3 = np.unravel_index(flat, value.shape)
-    return float(value[i1, i2, i3]), angles[i1], angles[i2], angles[i3]
-
-
-@njit(cache=True)
-def _grid_scan_numba(angles):  # pragma: no cover
-    best = -1.0
-    b1 = 0.0
-    b2 = 0.0
-    b3 = 0.0
-    n = angles.shape[0]
-    for i1 in range(n):
-        a00 = np.cos(angles[i1])
-        s1 = np.sin(angles[i1])
-        for i2 in range(n):
-            a01 = s1 * np.cos(angles[i2])
-            s12 = s1 * np.sin(angles[i2])
-            for i3 in range(n):
-                a10 = s12 * np.cos(angles[i3])
-                value = (
-                    2.0 * a00 * a00
-                    + 2.0 * a00 * a01
-                    + 2.0 * a00 * a10
-                    + a01 * a01
-                    + a10 * a10
-                ) / 4.0
-                if value > best:
-                    best = value
-                    b1 = angles[i1]
-                    b2 = angles[i2]
-                    b3 = angles[i3]
-    return best, b1, b2, b3
+def _objective(a00, a01, a10):
+    """Alice's success probability for target 0; accepts scalars or arrays."""
+    return (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
 
 
 def objective_grid_scan(resolution: int) -> tuple[float, float, float, float]:
-    """Best objective value and its three angles over the dense grid."""
-    if backend_name() == "numba":
-        best, t1, t2, t3 = _grid_scan_numba(_grid_angles(resolution))
-        return float(best), float(t1), float(t2), float(t3)
-    return _grid_scan_numpy(resolution)
+    """Best objective value and its three angles over the dense grid.
+
+    Ties resolve to the first grid point in (t1, t2, t3) row-major order: a
+    later slab replaces the best only when it is strictly greater.
+    """
+    angles = np.linspace(0.0, np.pi / 2.0, resolution)
+    cos, sin = np.cos(angles), np.sin(angles)
+    best, best_index = -np.inf, (0, 0, 0)
+    for i1 in range(resolution):
+        a01 = sin[i1] * cos[:, None]
+        a10 = (sin[i1] * sin[:, None]) * cos
+        value = _objective(cos[i1], a01, a10)
+        flat = int(np.argmax(value))
+        if value.flat[flat] > best:
+            best = float(value.flat[flat])
+            best_index = (i1, *np.unravel_index(flat, value.shape))
+    i1, i2, i3 = best_index
+    return best, float(angles[i1]), float(angles[i2]), float(angles[i3])
 
 
 def angles_to_coefficients(t1: float, t2: float, t3: float) -> np.ndarray:

@@ -52,6 +52,8 @@ class AliceCoefficients:
 
     def __post_init__(self) -> None:
         values = self.as_array()
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"coefficients must be finite, got {values.tolist()}")
         if np.any(values < 0):
             raise ValueError(f"coefficients must be nonnegative, got {tuple(values)}")
         total = float(np.sum(values**2))
@@ -361,7 +363,3 @@ def parse_strategy_id(
             announce_rule=strategy.announce_rule,
         )
     raise UnknownStrategyError(f"unknown strategy identifier {text!r}")
-
-
-def is_alice_strategy(strategy) -> bool:
-    return isinstance(strategy, AliceCheatStrategy)

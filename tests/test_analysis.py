@@ -1,5 +1,7 @@
 """Exact cheating probabilities, optimizer, scans, and Monte Carlo cross-checks."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,36 @@ class TestMonteCarlo:
     def test_counts_sum_to_trials(self):
         report = monte_carlo("cheat-alice", "optimal-alice", 0, 5000, 11)
         assert report.heads + report.tails + report.aborts == 5000
+
+    @pytest.mark.parametrize("trials", [5000, 10**12])
+    @pytest.mark.parametrize(
+        "run_kind,strategy_id",
+        [
+            ("honest", "honest"),
+            ("cheat-alice", "optimal-alice"),
+            ("cheat-alice", "coefficients:0.7,0.5,0.5,0.1"),
+            ("cheat-bob", "measure-and-pick"),
+            ("cheat-bob", "random-bob:7"),
+        ],
+    )
+    def test_counts_sum_to_trials_for_every_run(self, run_kind, strategy_id, trials):
+        report = monte_carlo(run_kind, strategy_id, 0, trials, 11)
+        assert report.heads + report.tails + report.aborts == trials
+
+    @pytest.mark.parametrize(
+        "run_kind,strategy_id",
+        [
+            ("honest", "honest"),
+            ("cheat-bob", "measure-and-pick"),
+            ("cheat-bob", "random-bob:7"),
+        ],
+    )
+    def test_impossible_aborts_stay_zero_in_constant_time(self, run_kind, strategy_id):
+        # Honest play's abort mass is roundoff; Bob's is 0 by construction.
+        start = time.perf_counter()
+        report = monte_carlo(run_kind, strategy_id, 0, 10**12, 3)
+        assert time.perf_counter() - start < 1.0
+        assert report.aborts == 0
 
     def test_trial_floor(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,9 @@ from cointoss.cli import (
 )
 
 
+SUBCOMMANDS = ("honest", "cheat-alice", "cheat-bob", "bias", "montecarlo", "optimize", "scan")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -70,6 +73,12 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "bias", "--strategy", "coefficients:0.6,0.8,0,0.1")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coefficients_are_parse_errors(self, capsys, value):
+        code, _, err = run_cli(capsys, "bias", "--strategy", f"coefficients:{value},0,0,1")
+        assert code == EXIT_PARSE
+        assert "must be finite" in err
+
     def test_help_documents_exit_codes(self):
         text = build_parser().format_help()
         for needle in ("exit codes", "2 ", "3 ", "4 "):
@@ -114,6 +123,21 @@ class TestSeeding:
         assert code == EXIT_PARSE
         assert "COINTOSS_SEED" in err
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_negative_seed_rejected_by_parser(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--seed", "-1"])
+        assert excinfo.value.code == EXIT_PARSE
+        assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_negative_env_seed_is_parse_error(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COINTOSS_SEED", "-1")
+        code, out, err = run_cli(capsys, command)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "cointoss: COINTOSS_SEED must be a nonnegative integer, got '-1'\n"
+
 
 class TestRunsAndFiles:
     def test_honest_runs_report(self, capsys):
@@ -131,6 +155,13 @@ class TestRunsAndFiles:
         assert code == EXIT_OK
         assert out == ""
         assert "result.p_win_exact: 0.75" in path.read_text()
+
+    @pytest.mark.parametrize("flag", ["--out", "--transcript"])
+    def test_unwritable_path_is_parse_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "x.txt"
+        code, _, err = run_cli(capsys, "honest", "--trials", "1000", flag, str(path))
+        assert code == EXIT_PARSE
+        assert err == f"cointoss: cannot write {path}: No such file or directory\n"
 
     def test_transcript_emission(self, capsys, tmp_path):
         path = tmp_path / "run.jsonl"
