@@ -1,42 +1,25 @@
 """Exact cheating probabilities, the 3/4 bound, and Monte Carlo cross-checks.
 
 Cheating probabilities are computed two independent ways: a closed-form
-quadratic objective for Alice's aligned strategy family, and exhaustive
-branch enumeration through the state engine (every choice, coin outcome
-and verification branch with its exact probability). Monte Carlo sampling
-adds a statistical check: the protocol engine runs every trial through
-the state machine, while the kernel engine draws all trials' counts in one
-multinomial sample from the enumerated leaf probabilities.
+quadratic objective for Alice's aligned strategy family, and sums over the
+leaves of the protocol's branch tree (every choice, coin outcome and
+verification branch with its exact probability). Monte Carlo sampling
+adds a statistical check: the protocol engine walks one root-to-leaf path
+of the tree per trial, while the kernel engine draws all trials' counts in
+one multinomial sample from the summed leaf probabilities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
-from .protocol import (
-    ProtocolOutcome,
-    coin_labels,
-    honest_preparation,
-    run_cheating_alice,
-    run_cheating_bob,
-    run_honest,
-    verification_labels,
-)
-from .qstate import (
-    ZeroNormError,
-    apply_unitary,
-    bob_ancilla,
-    branch_probabilities,
-    collapse,
-    make_state,
-    project_bell,
-    tensor,
-)
+from .protocol import ProtocolOutcome, ProtocolTree, build_tree, leaves, sample_path
 from .strategies import (
     AliceCheatStrategy,
     AliceCoefficients,
@@ -121,121 +104,38 @@ class BiasReport:
         }
 
 
-@dataclass(frozen=True)
-class AliceBranchTable:
-    """Exact branch probabilities of an Alice-side run.
+def leaf_probabilities(tree: ProtocolTree) -> np.ndarray:
+    """Exact probabilities of the run's three leaves: heads, tails, abort.
 
-    ``p_bit[c, b]`` is the probability Bob's coin measurement reads ``b``
-    given he chose pair ``c+1``; ``p_pass[c, b]`` the verification pass
-    probability on that branch.
+    Each is the sum of the masses of the tree's leaves with that outcome;
+    a dead branch counts toward none of them.
     """
-
-    p_bit: np.ndarray
-    p_pass: np.ndarray
-
-
-@dataclass(frozen=True)
-class BobBranchTable:
-    """Exact branch probabilities of a Bob-side run.
-
-    One row per classical result Bob can obtain: its probability, the
-    choice he then announces, and the probability Alice's coin
-    measurement reads 0.
-    """
-
-    p_result: np.ndarray
-    choices: np.ndarray
-    p_bit0: np.ndarray
+    sums = dict.fromkeys(ProtocolOutcome, 0.0)
+    for mass, leaf in leaves(tree):
+        if leaf.outcome is not None:
+            sums[leaf.outcome] += mass
+    return np.array(list(sums.values()))
 
 
-def alice_branch_table(strategy: AliceCheatStrategy) -> AliceBranchTable:
-    p_bit = np.zeros((2, 2))
-    p_pass = np.zeros((2, 2))
-    state = strategy.initial_state
-    for ci, choice in enumerate((1, 2)):
-        _, bob_coin = coin_labels(choice)
-        _, bob_keep = verification_labels(choice)
-        response = strategy.responses[choice]
-        p_bit[ci] = branch_probabilities(state, bob_coin)
-        for b in (0, 1):
-            if p_bit[ci, b] < _BRANCH_ATOL:
-                continue
-            _, posterior = collapse(state, bob_coin, b)
-            if response.operation is not None:
-                posterior = apply_unitary(
-                    posterior, response.operation.labels, response.operation.matrix
-                )
-            try:
-                p_pass[ci, b], _ = project_bell(posterior, (response.send, bob_keep))
-            except ZeroNormError:
-                p_pass[ci, b] = 0.0
-    return AliceBranchTable(p_bit=p_bit, p_pass=p_pass)
-
-
-def bob_branch_table(strategy: BobCheatStrategy) -> BobBranchTable:
-    state = honest_preparation()
-    if strategy.ancilla_count:
-        register = tuple(bob_ancilla(i) for i in range(strategy.ancilla_count))
-        zeros = np.zeros(2**strategy.ancilla_count)
-        zeros[0] = 1.0
-        state = tensor(state, make_state(register, zeros))
-    if strategy.operation is not None:
-        state = apply_unitary(state, strategy.operation.labels, strategy.operation.matrix)
-
-    branches = [(1.0, state, ())]
-    for label in strategy.measured:
-        grown = []
-        for probability, branch_state, outcomes in branches:
-            marginals = branch_probabilities(branch_state, label)
-            for b in (0, 1):
-                if marginals[b] < _BRANCH_ATOL:
-                    continue
-                _, posterior = collapse(branch_state, label, b)
-                grown.append((probability * marginals[b], posterior, outcomes + (b,)))
-        branches = grown
-
-    p_result = np.zeros(len(branches))
-    choices = np.zeros(len(branches), dtype=np.int64)
-    p_bit0 = np.zeros(len(branches))
-    for row, (probability, branch_state, outcomes) in enumerate(branches):
-        choice = strategy.announce(outcomes)
-        alice_coin, _ = coin_labels(choice)
-        p_result[row] = probability
-        choices[row] = choice
-        p_bit0[row], _ = branch_probabilities(branch_state, alice_coin)
-    return BobBranchTable(p_result=p_result, choices=choices, p_bit0=p_bit0)
-
-
-def leaf_probabilities(strategy: AliceCheatStrategy | BobCheatStrategy) -> np.ndarray:
-    """Exact probabilities of the run's three leaves: heads, tails, abort."""
+def _strategy_tree(strategy: AliceCheatStrategy | BobCheatStrategy, target: int) -> ProtocolTree:
     if isinstance(strategy, AliceCheatStrategy):
-        table = alice_branch_table(strategy)
-        passed = table.p_bit * table.p_pass
-        heads, tails = (0.5 * float(passed[0, b] + passed[1, b]) for b in (0, 1))
-        abort = 0.5 * float(np.sum(table.p_bit * (1.0 - table.p_pass)))
-    elif isinstance(strategy, BobCheatStrategy):
-        table = bob_branch_table(strategy)
-        heads = float(np.sum(table.p_result * table.p_bit0))
-        tails = float(np.sum(table.p_result * (1.0 - table.p_bit0)))
-        abort = 0.0
-    else:
-        raise StrategyRegisterMismatchError(f"not a strategy: {strategy!r}")
-    return np.array([heads, tails, abort])
+        return build_tree(strategy, None, target)
+    return build_tree(None, strategy, target)
 
 
 def exact_win_probability(
     strategy: AliceCheatStrategy | BobCheatStrategy, target: int
 ) -> BiasReport:
-    """Deterministic branch enumeration of one strategy's win and abort mass."""
+    """One strategy's exact win and abort mass, summed over its branch tree."""
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
-    leaves = leaf_probabilities(strategy)
+    exact = leaf_probabilities(_strategy_tree(strategy, target))
     return BiasReport(
         party="A" if isinstance(strategy, AliceCheatStrategy) else "B",
         target=target,
         strategy_id=strategy.name,
-        p_win_exact=float(leaves[target]),
-        p_abort_exact=float(leaves[2]),
+        p_win_exact=float(exact[target]),
+        p_abort_exact=float(exact[2]),
     )
 
 
@@ -276,8 +176,9 @@ def optimize_alice(
     reported argmax is canonicalized to ``a01 >= a10`` (the objective is
     symmetric under swapping them).
     """
-    if grid_resolution < 20:
-        raise ValueError(f"grid_resolution must be >= 20, got {grid_resolution}")
+    # The scan takes O(n^3) time: 2000^3 = 8e9 points is about two minutes.
+    if not 20 <= grid_resolution <= 2000:
+        raise ValueError(f"grid_resolution must be between 20 and 2000, got {grid_resolution}")
     best_value, t1, t2, t3 = kernels.objective_grid_scan(grid_resolution)
 
     half_pi = math.pi / 2.0
@@ -388,6 +289,8 @@ class MonteCarloReport:
     heads: int
     tails: int
     aborts: int
+    # The tree the run's transcript is walked from.
+    tree: ProtocolTree = field(compare=False, repr=False)
 
     @property
     def win_frequency(self) -> float:
@@ -426,25 +329,29 @@ class MonteCarloReport:
 RUN_KINDS = ("honest", "cheat-alice", "cheat-bob")
 
 
-def _resolve_run(run_kind: str, strategy_id: str, target: int):
-    if run_kind not in RUN_KINDS:
+def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[str, ProtocolTree]:
+    """The run kind and branch tree of the runs `monte_carlo` samples.
+
+    `strategy_id` is parsed once. A `run_kind` of None infers the kind:
+    ``honest`` is an all-honest run, any other id a run against the party
+    whose strategy it names.
+    """
+    if run_kind not in (None, *RUN_KINDS):
         raise ValueError(f"run_kind must be one of {RUN_KINDS}, got {run_kind!r}")
-    if run_kind == "honest":
-        return honest_alice()
+    if run_kind == "honest" or (run_kind is None and strategy_id == "honest"):
+        return "honest", build_tree(None, None, None)
     strategy = parse_strategy_id(strategy_id, target)
-    if run_kind == "cheat-alice" and not isinstance(strategy, AliceCheatStrategy):
+    kind = "cheat-alice" if isinstance(strategy, AliceCheatStrategy) else "cheat-bob"
+    if run_kind not in (None, kind):
+        owner, needed = ("an Alice", "Bob's") if kind == "cheat-alice" else ("a Bob", "Alice's")
         raise StrategyRegisterMismatchError(
-            f"{strategy_id!r} is a Bob strategy; run_kind cheat-alice needs Alice's"
+            f"{strategy_id!r} is {owner} strategy; run_kind {run_kind} needs {needed}"
         )
-    if run_kind == "cheat-bob" and not isinstance(strategy, BobCheatStrategy):
-        raise StrategyRegisterMismatchError(
-            f"{strategy_id!r} is an Alice strategy; run_kind cheat-bob needs Bob's"
-        )
-    return strategy
+    return kind, _strategy_tree(strategy, target)
 
 
 def monte_carlo(
-    run_kind: str,
+    run_kind: str | None,
     strategy_id: str = "honest",
     target: int = 0,
     trials: int = 100_000,
@@ -453,50 +360,48 @@ def monte_carlo(
 ) -> MonteCarloReport:
     """Run `trials` independent protocol executions and tally outcomes.
 
-    The default engine draws the (heads, tails, abort) counts of all trials
-    at once, as one multinomial sample over the run's exact leaf
-    probabilities: O(1) time and memory for any `trials`. Leaves with less
-    than ``_BRANCH_ATOL`` mass count as impossible, so their count is exactly
-    0. ``engine="protocol"`` instead executes each trial through the full
-    message-driven state machine with a per-trial seed split from
-    `root_seed`. Both are deterministic given `root_seed` and agree in
-    distribution.
+    The run is resolved by `resolve_run` before any sampling. The default
+    engine draws the (heads, tails, abort) counts of all trials at once, as
+    one multinomial sample over the run's exact leaf probabilities: O(1)
+    time and memory for any `trials`. Leaves with less than
+    ``_BRANCH_ATOL`` mass count as impossible, so their count is exactly 0.
+    ``engine="protocol"`` instead builds the run's branch tree once and
+    walks one root-to-leaf path per trial, with a per-trial seed split from
+    `root_seed`; it takes at most 10**7 trials. Both are deterministic
+    given `root_seed` and agree in distribution. The report carries the
+    tree, so a transcript can be walked from it without resolving again.
     """
+    run_kind, tree = resolve_run(run_kind, strategy_id, target)
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     if engine not in ("kernel", "protocol"):
         raise ValueError(f"engine must be 'kernel' or 'protocol', got {engine!r}")
-    strategy = _resolve_run(run_kind, strategy_id, target)
-    label = strategy.name if run_kind != "honest" else "honest"
+    # The protocol engine holds one 8-byte seed per trial.
+    if engine == "protocol" and trials > 10**7:
+        raise ValueError(f"the protocol engine runs at most 10000000 trials, got {trials}")
 
     if engine == "kernel":
+        # Honest counts come from honest_alice()'s leaves, the values that
+        # `bias --strategy honest` prints: 0.4999999999999998 per face and
+        # 4.4e-16 abort. The honest tree also measures Alice's coin, so its
+        # faces round to just above 0.5, and numpy's binomial switches
+        # algorithm at p = 0.5: those leaves would draw other counts.
+        exact = build_tree(honest_alice(), None, target) if run_kind == "honest" else tree
+        leaf_mass = leaf_probabilities(exact)
         # One draw over the leaves with mass; the last of them takes the
         # remainder, so a leaf whose exact mass is roundoff stays exactly 0.
-        leaves = leaf_probabilities(strategy)
-        live = leaves >= _BRANCH_ATOL
+        live = leaf_mass >= _BRANCH_ATOL
         counts = np.zeros(3, dtype=np.int64)
-        counts[live] = np.random.default_rng(root_seed).multinomial(trials, leaves[live])
+        counts[live] = np.random.default_rng(root_seed).multinomial(trials, leaf_mass[live])
         heads, tails, aborts = counts
     else:
         seeds = np.random.SeedSequence(root_seed).generate_state(trials, np.uint64)
-        heads = tails = aborts = 0
-        for trial_seed in seeds:
-            if run_kind == "honest":
-                outcome, _ = run_honest(int(trial_seed))
-            elif isinstance(strategy, AliceCheatStrategy):
-                outcome, _ = run_cheating_alice(strategy, target, int(trial_seed))
-            else:
-                outcome, _ = run_cheating_bob(strategy, target, int(trial_seed))
-            if outcome is ProtocolOutcome.HEADS:
-                heads += 1
-            elif outcome is ProtocolOutcome.TAILS:
-                tails += 1
-            else:
-                aborts += 1
+        tally = Counter(sample_path(tree, int(seed))[-1].outcome for seed in seeds)
+        heads, tails, aborts = (tally[outcome] for outcome in ProtocolOutcome)
 
     return MonteCarloReport(
         run_kind=run_kind,
-        strategy_id=label,
+        strategy_id=tree.bob.behavior if run_kind == "cheat-bob" else tree.alice.behavior,
         target=target,
         trials=trials,
         root_seed=root_seed,
@@ -504,6 +409,7 @@ def monte_carlo(
         heads=int(heads),
         tails=int(tails),
         aborts=int(aborts),
+        tree=tree,
     )
 
 

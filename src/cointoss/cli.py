@@ -14,14 +14,9 @@ import sys
 from pathlib import Path
 
 from . import analysis
-from .protocol import run_cheating_alice, run_cheating_bob, run_honest
+from .protocol import walk
 from .qstate import NotNormalizedError
-from .strategies import (
-    AliceCheatStrategy,
-    StrategyRegisterMismatchError,
-    UnknownStrategyError,
-    parse_strategy_id,
-)
+from .strategies import StrategyRegisterMismatchError, UnknownStrategyError, parse_strategy_id
 
 REPORT_SCHEMA = "cointoss.report/1"
 
@@ -40,6 +35,10 @@ exit codes:
 strategies:
   honest | optimal-alice | coefficients:<a00,a01,a10,a11> |
   measure-and-pick | random-bob:<seed>
+
+sizes:
+  --trials is at least 1000; with --engine protocol, at most 10000000.
+  --grid-resolution is between 20 and 2000.
 
 The default seed is 0, or the value of COINTOSS_SEED when set;
 an explicit --seed always wins.
@@ -151,49 +150,22 @@ def _render_table(config: dict, header, rows, constants: dict | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def _infer_run_kind(strategy_id: str, target: int) -> str:
-    if strategy_id == "honest":
-        return "honest"
-    strategy = parse_strategy_id(strategy_id, target)
-    return "cheat-alice" if isinstance(strategy, AliceCheatStrategy) else "cheat-bob"
-
-
-def _write_transcript(args: argparse.Namespace, run_kind: str, seed: int) -> None:
-    if run_kind == "honest":
-        _, transcript = run_honest(seed)
-    else:
-        strategy = parse_strategy_id(args.strategy, args.target)
-        if isinstance(strategy, AliceCheatStrategy):
-            _, transcript = run_cheating_alice(strategy, args.target, seed)
-        else:
-            _, transcript = run_cheating_bob(strategy, args.target, seed)
-    Path(args.transcript).write_text(transcript.to_jsonl(), encoding="utf-8")
-
-
 def dispatch(args: argparse.Namespace) -> str:
     config = _config_mapping(args)
 
     if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
-        if args.command == "montecarlo":
-            run_kind = _infer_run_kind(args.strategy, args.target)
-        elif args.command == "honest":
-            run_kind = "honest"
-        else:
-            run_kind = args.command
-        strategy_id = getattr(args, "strategy", "honest")
-        # Reject unknown identifiers before any sampling starts.
-        if run_kind != "honest":
-            parse_strategy_id(strategy_id, args.target)
+        # montecarlo infers the run kind from the strategy.
         report = analysis.monte_carlo(
-            run_kind,
-            strategy_id=strategy_id,
+            None if args.command == "montecarlo" else args.command,
+            strategy_id=getattr(args, "strategy", "honest"),
             target=args.target,
             trials=args.trials,
             root_seed=args.seed,
             engine=args.engine,
         )
         if args.transcript:
-            _write_transcript(args, run_kind, args.seed)
+            _, transcript = walk(report.tree, args.seed)
+            Path(args.transcript).write_text(transcript.to_jsonl(), encoding="utf-8")
         return _render(config, report.as_mapping(), args.format)
 
     if args.command == "bias":

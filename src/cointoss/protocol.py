@@ -1,8 +1,13 @@
-"""The coin-tossing protocol as a message-driven state machine.
+"""The coin-tossing protocol as one branch tree per pair of behaviours.
 
-Each run produces an outcome and a transcript: an ordered log of every
-message and measurement, framed by a header record (carrying the seed and
-both parties' roles) and an outcome record. Messages always appear in
+`build_tree` writes the four protocol steps out once, for an honest or a
+cheating Alice against an honest or a cheating Bob. Bob's choice, each
+measurement and the verification are chance nodes; every branch holds its
+exact probability and the transcript records it emits. Three readers share
+the tree: exact probabilities are sums over its leaves, and a run walks one
+root-to-leaf path with the run's RNG, whose records are the run's
+transcript. A transcript is framed by a header record (carrying the seed
+and both parties' roles) and an outcome record. Messages always appear in
 protocol order: state transfer, choice announcement, qubit transfer,
 verdict. Runs are deterministic per seed.
 """
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -21,15 +26,17 @@ from .qstate import (
     A2,
     B1,
     B2,
-    MeasurementRecord,
+    ZERO_ATOL,
     StateVector,
     SubsystemLabel,
+    ZeroNormError,
     apply_unitary,
+    bell_pass_probability,
     bell_state,
     bob_ancilla,
+    branch_probabilities,
+    collapse,
     make_state,
-    measure,
-    project_bell,
     tensor,
 )
 from .strategies import (
@@ -49,9 +56,8 @@ MESSAGE_KINDS = (
 )
 
 
-class Party(Enum):
-    ALICE = "alice"
-    BOB = "bob"
+# Transcript senders.
+_ALICE, _BOB = "alice", "bob"
 
 
 class ProtocolOutcome(Enum):
@@ -69,15 +75,10 @@ class ProtocolOutcome(Enum):
         return None
 
 
-def outcome_from_bit(bit: int) -> ProtocolOutcome:
-    return ProtocolOutcome.HEADS if bit == 0 else ProtocolOutcome.TAILS
-
-
 @dataclass(frozen=True)
 class PartyRole:
     """Who a party is in a run: honest, or playing a named strategy."""
 
-    party: Party
     behavior: str
     registers: tuple[str, ...]
 
@@ -121,32 +122,6 @@ def parse_transcript_jsonl(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-class _Log:
-    """Accumulates transcript records with contiguous indices."""
-
-    def __init__(self) -> None:
-        self.records: list[TranscriptRecord] = []
-
-    def add(self, sender: str, kind: str, payload: dict, probability: float | None = None):
-        self.records.append(
-            TranscriptRecord(
-                index=len(self.records),
-                sender=sender,
-                kind=kind,
-                payload=payload,
-                probability=probability,
-            )
-        )
-
-    def measurement(self, sender: Party, record: MeasurementRecord) -> None:
-        self.add(
-            sender.value,
-            "measurement",
-            {"label": str(record.label), "outcome": record.outcome},
-            probability=record.probability,
-        )
-
-
 def honest_preparation() -> StateVector:
     """Two shared pairs ``(|00>+|11>)/sqrt(2)`` on (A1,B1) and (A2,B2)."""
     return tensor(bell_state(A1, B1), bell_state(A2, B2))
@@ -165,40 +140,205 @@ def verification_labels(choice: int) -> tuple[SubsystemLabel, SubsystemLabel]:
     return (A2, B2) if choice == 1 else (A1, B1)
 
 
-def _finish(log: _Log, seed: int, outcome: ProtocolOutcome) -> Transcript:
-    log.add("-", "outcome", {"outcome": outcome.value})
-    return Transcript(seed=seed, records=tuple(log.records), outcome=outcome)
+# A transcript record before numbering: (sender, kind, payload, probability).
+Line = tuple[str, str, dict, "float | None"]
 
 
-def _header(log: _Log, seed: int, alice: PartyRole, bob: PartyRole, target: int | None):
-    payload = {
+class Branch(NamedTuple):
+    """One node of the protocol tree.
+
+    `probability` is the exact chance of this branch given its parent, and
+    `lines` the transcript records a run emits on entering it; `lines` is
+    None on a dead branch, one too improbable to have a posterior state. A
+    chance node continues to ``children[0]`` when ``rng.random() <
+    threshold`` and to ``children[1]`` otherwise. A leaf has no children
+    and, unless it is dead, the run's outcome.
+    """
+
+    probability: float
+    lines: tuple[Line, ...] | None
+    threshold: float
+    children: tuple["Branch", ...]
+    outcome: ProtocolOutcome | None
+
+
+@dataclass(frozen=True, eq=False)
+class ProtocolTree:
+    """Every way one run can go, for a fixed pair of behaviours."""
+
+    alice: PartyRole
+    bob: PartyRole
+    target: int | None
+    root: Branch
+
+
+def _leaf(probability: float, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
+    lines += (("-", "outcome", {"outcome": outcome.value}, None),)
+    return Branch(probability, lines, 0.0, (), outcome)
+
+
+def build_tree(
+    alice: AliceCheatStrategy | None, bob: BobCheatStrategy | None, target: int | None
+) -> ProtocolTree:
+    """The branch tree of a run; None stands for a party playing honestly.
+
+    At most one party cheats. `target` is the cheater's target bit, written
+    to the transcript header (None for an all-honest run). Bob's choice,
+    every measurement and the verification are chance nodes. A measurement
+    branches on `branch_probabilities` and records `collapse`'s probability;
+    a branch that `collapse` cannot form is dead. The verification passes
+    with `bell_pass_probability`, or never when that is below 1e-12.
+    """
+    if alice is not None and not isinstance(alice, AliceCheatStrategy):
+        raise StrategyRegisterMismatchError(f"Alice needs an Alice strategy, got {alice!r}")
+    if bob is not None and not isinstance(bob, BobCheatStrategy):
+        raise StrategyRegisterMismatchError(f"Bob needs a Bob strategy, got {bob!r}")
+    if alice is not None and bob is not None:
+        raise StrategyRegisterMismatchError("at most one party cheats in a run")
+
+    if alice is None:
+        alice_role = PartyRole("honest", ("A1", "A2"))
+        state = _HONEST_PREPARATION
+    else:
+        registers = tuple(str(l) for l in alice.initial_state.register if l not in (B1, B2))
+        alice_role = PartyRole(alice.name, registers)
+        state = alice.initial_state
+    if bob is None:
+        bob_role = PartyRole("honest", ("B1", "B2"))
+    else:
+        ancillas = tuple(bob_ancilla(i) for i in range(bob.ancilla_count))
+        bob_role = PartyRole(bob.name, ("B1", "B2") + tuple(map(str, ancillas)))
+        if ancillas:
+            zeros = np.zeros(2 ** len(ancillas))
+            zeros[0] = 1.0
+            state = tensor(state, make_state(ancillas, zeros))
+        if bob.operation is not None:
+            state = apply_unitary(state, bob.operation.labels, bob.operation.matrix)
+
+    def measure(state, steps, bits, probability, lines, then) -> Branch:
+        # Chance nodes for `steps`, (sender, label) pairs measured in order;
+        # then(state, bits, probability, lines) continues each path.
+        if not steps:
+            return then(state, bits, probability, lines)
+        (sender, label), rest = steps[0], steps[1:]
+        p0, p1 = branch_probabilities(state, label)
+        # Bob's measurements split the mass as (p0, p1) and Alice's as
+        # (p0, 1 - p0). The two splits differ by an ulp; this one keeps every
+        # printed report unchanged.
+        masses = (p0, p1) if sender == _BOB else (p0, 1.0 - p0)
+        name = str(label)
+        children = []
+        for bit in (0, 1):
+            try:
+                realized, posterior = collapse(state, label, bit)
+            except ZeroNormError:
+                children.append(Branch(masses[bit], None, 0.0, (), None))
+                continue
+            line = (sender, "measurement", {"label": name, "outcome": bit}, realized)
+            children.append(
+                measure(posterior, rest, bits + (bit,), masses[bit], (line,), then)
+            )
+        return Branch(probability, lines, p0, tuple(children), None)
+
+    def announce(state, choice, probability, lines) -> Branch:
+        lines += ((_BOB, "choice_announcement", {"choice": choice}, None),)
+        alice_coin, bob_coin = coin_labels(choice)
+        alice_keep, bob_keep = verification_labels(choice)
+        if bob is not None:
+            coins = ((_ALICE, alice_coin),)
+        elif alice is None:
+            coins = ((_BOB, bob_coin), (_ALICE, alice_coin))
+        else:
+            coins = ((_BOB, bob_coin),)
+        response = alice.responses[choice] if alice is not None else None
+        send = response.send if response is not None else alice_keep
+        transfer = (_ALICE, "qubit_transfer", {"label": str(send)}, None)
+        checked = {"pair": [str(send), str(bob_keep)]}
+
+        def verify(state, bits, probability, lines) -> Branch:
+            # The first coin measurement's bit is the protocol outcome.
+            outcome = (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)[bits[0]]
+            if response is not None and response.operation is not None:
+                operation = response.operation
+                state = apply_unitary(state, operation.labels, operation.matrix)
+            lines += (transfer,)
+            if bob is not None:
+                # A cheating Bob holds the verdict, and this family always passes.
+                lines += ((_BOB, "verdict_pass", {"pair": []}, None),)
+                return _leaf(probability, lines, outcome)
+            passed = bell_pass_probability(state, (send, bob_keep))
+            if passed < ZERO_ATOL:
+                passed = 0.0  # too improbable to have a posterior: never passes
+            verdicts = (
+                _leaf(passed, ((_BOB, "verdict_pass", checked, passed),), outcome),
+                _leaf(
+                    1.0 - passed,
+                    ((_BOB, "verdict_abort", checked, 1.0 - passed),),
+                    ProtocolOutcome.ABORT,
+                ),
+            )
+            return Branch(probability, lines, passed, verdicts, None)
+
+        return measure(state, coins, (), probability, lines, verify)
+
+    def choose(state, bits, probability, lines) -> Branch:
+        return announce(state, bob.announce(bits), probability, lines)
+
+    lines = ((_ALICE, "state_transfer", {"labels": ["B1", "B2"]}, None),)
+    if bob is None:
+        # An honest Bob's step-2 choice is a fair coin.
+        choices = tuple(announce(state, choice, 0.5, ()) for choice in (1, 2))
+        root = Branch(1.0, lines, 0.5, choices, None)
+    else:
+        steps = tuple((_BOB, label) for label in bob.measured)
+        root = measure(state, steps, (), 1.0, lines, choose)
+    return ProtocolTree(alice_role, bob_role, target, root)
+
+
+def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
+    """The root-to-leaf path that a run with this seed takes."""
+    rng = np.random.default_rng(seed)
+    path = [tree.root]
+    while path[-1].children:
+        node = path[-1]
+        path.append(node.children[0 if rng.random() < node.threshold else 1])
+    if path[-1].lines is None:
+        raise ZeroNormError("the run drew a branch with probability ~0")
+    return path
+
+
+def leaves(tree: ProtocolTree) -> list[tuple[float, Branch]]:
+    """Every leaf with its exact mass, first children first."""
+    found = []
+
+    def visit(node: Branch, mass: float) -> None:
+        mass *= node.probability
+        for child in node.children:
+            visit(child, mass)
+        if not node.children:
+            found.append((mass, node))
+
+    visit(tree.root, 1.0)
+    return found
+
+
+def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
+    """One run: the outcome and transcript of the path this seed draws."""
+    header = {
         "schema": TRANSCRIPT_SCHEMA,
         "seed": seed,
-        "alice": {"behavior": alice.behavior, "registers": list(alice.registers)},
-        "bob": {"behavior": bob.behavior, "registers": list(bob.registers)},
+        "alice": {"behavior": tree.alice.behavior, "registers": list(tree.alice.registers)},
+        "bob": {"behavior": tree.bob.behavior, "registers": list(tree.bob.registers)},
     }
-    if target is not None:
-        payload["target"] = target
-    log.add("-", "run_header", payload)
-
-
-def _draw_choice(rng: np.random.Generator) -> int:
-    # Bob's step-2 selection is a fair coin from the run's RNG.
-    return 1 if rng.random() < 0.5 else 2
-
-
-def _verification(
-    log: _Log, state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel], rng
-) -> bool:
-    pass_probability, _ = project_bell(state, pair)
-    passed = bool(rng.random() < pass_probability)
-    log.add(
-        Party.BOB.value,
-        "verdict_pass" if passed else "verdict_abort",
-        {"pair": [str(pair[0]), str(pair[1])]},
-        probability=pass_probability if passed else 1.0 - pass_probability,
-    )
-    return passed
+    if tree.target is not None:
+        header["target"] = tree.target
+    lines = [("-", "run_header", header, None)]
+    path = sample_path(tree, seed)
+    for node in path:
+        lines.extend(node.lines)
+    records = tuple(TranscriptRecord(index, *line) for index, line in enumerate(lines))
+    outcome = path[-1].outcome
+    return outcome, Transcript(seed=seed, records=records, outcome=outcome)
 
 
 def run_honest(seed: int) -> tuple[ProtocolOutcome, Transcript]:
@@ -207,33 +347,7 @@ def run_honest(seed: int) -> tuple[ProtocolOutcome, Transcript]:
     The verification always passes, so the outcome is never abort, and the
     two coin measurements always agree.
     """
-    rng = np.random.default_rng(seed)
-    log = _Log()
-    _header(
-        log,
-        seed,
-        PartyRole(Party.ALICE, "honest", ("A1", "A2")),
-        PartyRole(Party.BOB, "honest", ("B1", "B2")),
-        target=None,
-    )
-    state = _HONEST_PREPARATION
-    log.add(Party.ALICE.value, "state_transfer", {"labels": [str(B1), str(B2)]})
-
-    choice = _draw_choice(rng)
-    log.add(Party.BOB.value, "choice_announcement", {"choice": choice})
-
-    alice_coin, bob_coin = coin_labels(choice)
-    bob_record = measure(state, bob_coin, rng)
-    log.measurement(Party.BOB, bob_record)
-    alice_record = measure(bob_record.posterior, alice_coin, rng)
-    log.measurement(Party.ALICE, alice_record)
-
-    alice_keep, bob_keep = verification_labels(choice)
-    log.add(Party.ALICE.value, "qubit_transfer", {"label": str(alice_keep)})
-    passed = _verification(log, alice_record.posterior, (alice_keep, bob_keep), rng)
-
-    outcome = outcome_from_bit(bob_record.outcome) if passed else ProtocolOutcome.ABORT
-    return outcome, _finish(log, seed, outcome)
+    return walk(build_tree(None, None, None), seed)
 
 
 def run_cheating_alice(
@@ -246,41 +360,7 @@ def run_cheating_alice(
     half of the other pair; failure aborts. Alice wins when the outcome
     equals `target` without an abort.
     """
-    if not isinstance(strategy, AliceCheatStrategy):
-        raise StrategyRegisterMismatchError("run_cheating_alice needs an Alice strategy")
-    rng = np.random.default_rng(seed)
-    log = _Log()
-    alice_registers = tuple(
-        str(l) for l in strategy.initial_state.register if l.kind.value not in ("B1", "B2")
-    )
-    _header(
-        log,
-        seed,
-        PartyRole(Party.ALICE, strategy.name, alice_registers),
-        PartyRole(Party.BOB, "honest", ("B1", "B2")),
-        target=target,
-    )
-    state = strategy.initial_state
-    log.add(Party.ALICE.value, "state_transfer", {"labels": [str(B1), str(B2)]})
-
-    choice = _draw_choice(rng)
-    log.add(Party.BOB.value, "choice_announcement", {"choice": choice})
-
-    _, bob_coin = coin_labels(choice)
-    bob_record = measure(state, bob_coin, rng)
-    log.measurement(Party.BOB, bob_record)
-
-    response = strategy.responses[choice]
-    state = bob_record.posterior
-    if response.operation is not None:
-        state = apply_unitary(state, response.operation.labels, response.operation.matrix)
-    log.add(Party.ALICE.value, "qubit_transfer", {"label": str(response.send)})
-
-    _, bob_keep = verification_labels(choice)
-    passed = _verification(log, state, (response.send, bob_keep), rng)
-
-    outcome = outcome_from_bit(bob_record.outcome) if passed else ProtocolOutcome.ABORT
-    return outcome, _finish(log, seed, outcome)
+    return walk(build_tree(strategy, None, target), seed)
 
 
 def run_cheating_bob(
@@ -292,51 +372,7 @@ def run_cheating_bob(
     a choice; Alice's measurement of her half of the announced pair is the
     protocol outcome. Bob controls the verdict and never aborts.
     """
-    if not isinstance(strategy, BobCheatStrategy):
-        raise StrategyRegisterMismatchError("run_cheating_bob needs a Bob strategy")
-    rng = np.random.default_rng(seed)
-    log = _Log()
-    bob_registers = ("B1", "B2") + tuple(
-        str(bob_ancilla(i)) for i in range(strategy.ancilla_count)
-    )
-    _header(
-        log,
-        seed,
-        PartyRole(Party.ALICE, "honest", ("A1", "A2")),
-        PartyRole(Party.BOB, strategy.name, bob_registers),
-        target=target,
-    )
-    state = _HONEST_PREPARATION
-    if strategy.ancilla_count:
-        ancilla_register = tuple(bob_ancilla(i) for i in range(strategy.ancilla_count))
-        zeros = np.zeros(2**strategy.ancilla_count)
-        zeros[0] = 1.0
-        state = tensor(state, make_state(ancilla_register, zeros))
-    log.add(Party.ALICE.value, "state_transfer", {"labels": [str(B1), str(B2)]})
-
-    if strategy.operation is not None:
-        state = apply_unitary(state, strategy.operation.labels, strategy.operation.matrix)
-
-    outcomes = []
-    for label in strategy.measured:
-        record = measure(state, label, rng)
-        log.measurement(Party.BOB, record)
-        outcomes.append(record.outcome)
-        state = record.posterior
-
-    choice = strategy.announce(tuple(outcomes))
-    log.add(Party.BOB.value, "choice_announcement", {"choice": choice})
-
-    alice_coin, _ = coin_labels(choice)
-    alice_record = measure(state, alice_coin, rng)
-    log.measurement(Party.ALICE, alice_record)
-
-    alice_keep, _ = verification_labels(choice)
-    log.add(Party.ALICE.value, "qubit_transfer", {"label": str(alice_keep)})
-    log.add(Party.BOB.value, "verdict_pass", {"pair": []})
-
-    outcome = outcome_from_bit(alice_record.outcome)
-    return outcome, _finish(log, seed, outcome)
+    return walk(build_tree(None, strategy, target), seed)
 
 
 def message_order(records: Iterable[TranscriptRecord]) -> list[str]:

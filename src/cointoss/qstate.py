@@ -253,6 +253,33 @@ def measure(
     )
 
 
+def _bell_overlap(
+    state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel]
+) -> tuple[np.ndarray, tuple, tuple]:
+    """The pair's overlap with ``(|00>+|11>)/sqrt(2)``, as amplitudes over
+    the rest of the register, and the index tuples of the pair's ``|00>``
+    and ``|11>`` components."""
+    pos_a = state.position(pair[0])
+    pos_b = state.position(pair[1])
+    if pos_a == pos_b:
+        raise LabelCollisionError(f"pair uses the same label {pair[0]} twice")
+    tensor_amps = state.tensor_view()
+    index = [slice(None)] * state.n_qubits
+    index[pos_a] = index[pos_b] = 0
+    zeros = tuple(index)
+    index[pos_a] = index[pos_b] = 1
+    ones = tuple(index)
+    return (tensor_amps[zeros] + tensor_amps[ones]) / np.sqrt(2.0), zeros, ones
+
+
+def bell_pass_probability(
+    state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel]
+) -> float:
+    """Probability that projecting the pair onto the shared-pair state passes."""
+    overlap, _, _ = _bell_overlap(state, pair)
+    return float(np.sum(np.abs(overlap) ** 2))
+
+
 def project_bell(
     state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel]
 ) -> tuple[float, StateVector]:
@@ -262,21 +289,14 @@ def project_bell(
     cannot be formed when the pass probability is below 1e-12; that case is
     signaled with :class:`ZeroNormError`.
     """
-    pos_a = state.position(pair[0])
-    pos_b = state.position(pair[1])
-    if pos_a == pos_b:
-        raise LabelCollisionError(f"pair uses the same label {pair[0]} twice")
-    tensor_amps = state.tensor_view()
-    moved = np.moveaxis(tensor_amps, (pos_a, pos_b), (0, 1))
-    overlap = (moved[0, 0] + moved[1, 1]) / np.sqrt(2.0)
+    overlap, zeros, ones = _bell_overlap(state, pair)
     pass_probability = float(np.sum(np.abs(overlap) ** 2))
     if pass_probability < ZERO_ATOL:
         raise ZeroNormError("projection onto the Bell pair has probability ~0")
     residual = overlap / np.sqrt(pass_probability)
-    projected = np.zeros_like(moved)
-    projected[0, 0] = residual / np.sqrt(2.0)
-    projected[1, 1] = residual / np.sqrt(2.0)
-    projected = np.moveaxis(projected, (0, 1), (pos_a, pos_b))
+    projected = np.zeros_like(state.tensor_view())
+    projected[zeros] = residual / np.sqrt(2.0)
+    projected[ones] = residual / np.sqrt(2.0)
     posterior = StateVector(register=state.register, amplitudes=_freeze(projected.reshape(-1)))
     return pass_probability, posterior
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from cointoss import protocol
 from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
@@ -19,6 +20,7 @@ from cointoss.analysis import (
     monte_carlo,
     optimize_alice,
     phase_sweep,
+    resolve_run,
     sensitivity_scan,
     structured_lines,
 )
@@ -104,6 +106,10 @@ class TestOptimizer:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             optimize_alice(grid_resolution=19)
+
+    def test_resolution_ceiling(self):
+        with pytest.raises(ValueError, match="between 20 and 2000"):
+            optimize_alice(grid_resolution=2001)
 
 
 class TestExactWinProbability:
@@ -316,6 +322,26 @@ class TestMonteCarlo:
         assert time.perf_counter() - start < 1.0
         assert report.aborts == 0
 
+    def test_protocol_engine_builds_one_tree_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_collapse(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = protocol.collapse
+        monkeypatch.setattr(protocol, "collapse", counting_collapse)
+        counts = []
+        for trials in (1000, 3000):
+            calls.clear()
+            monte_carlo("cheat-alice", "optimal-alice", 0, trials, 5, engine="protocol")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_protocol_trial_bound(self):
+        with pytest.raises(ValueError, match="at most 10000000"):
+            monte_carlo("honest", trials=10**7 + 1, engine="protocol")
+
     def test_trial_floor(self):
         with pytest.raises(ValueError):
             monte_carlo("honest", trials=999)
@@ -335,6 +361,19 @@ class TestMonteCarlo:
             monte_carlo("cheat-charlie", trials=2000)
         with pytest.raises(ValueError):
             monte_carlo("honest", trials=2000, engine="abacus")
+
+    @pytest.mark.parametrize(
+        "strategy_id,kind,label",
+        [
+            ("honest", "honest", "honest"),
+            ("optimal-alice", "cheat-alice", "optimal-alice:target=1"),
+            ("random-bob:7", "cheat-bob", "random-bob:7"),
+        ],
+    )
+    def test_run_kind_inferred_from_strategy(self, strategy_id, kind, label):
+        assert resolve_run(None, strategy_id, 1)[0] == kind
+        report = monte_carlo(None, strategy_id, 1, 2000, 0)
+        assert (report.run_kind, report.strategy_id) == (kind, label)
 
     def test_mapping_carries_reference_constants(self):
         mapping = monte_carlo("honest", trials=2000, root_seed=0).as_mapping()

@@ -79,6 +79,41 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "must be finite" in err
 
+    def test_unknown_run_strategy_exits_before_sampling(self, capsys):
+        # 10**15 protocol trials would be rejected as too many, but the
+        # strategy is resolved first.
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--strategy", "telepathy", "--engine", "protocol",
+            "--trials", str(10**15),
+        )
+        assert (code, out) == (EXIT_UNKNOWN_STRATEGY, "")
+        assert err.startswith("cointoss: unknown strategy:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--grid-resolution", "2001"],
+            ["optimize", "--grid-resolution", "100000000000"],
+            ["montecarlo", "--engine", "protocol", "--trials", "10000001"],
+            ["cheat-bob", "--engine", "protocol", "--trials", str(10**15)],
+        ],
+    )
+    def test_sizes_past_their_bound_are_parse_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("cointoss: invalid configuration:")
+        assert err.count("\n") == 1
+
+    def test_kernel_engine_has_no_trial_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "honest", "--trials", "10000001")
+        assert code == EXIT_OK
+        assert "result.trials: 10000001" in out
+
+    def test_help_documents_size_bounds(self):
+        text = build_parser().format_help()
+        assert "at most 10000000" in text
+        assert "between 20 and 2000" in text
+
     def test_help_documents_exit_codes(self):
         text = build_parser().format_help()
         for needle in ("exit codes", "2 ", "3 ", "4 "):

@@ -45,6 +45,8 @@ _BIAS = [
     ("measure-and-pick", "1"),
     ("random-bob:3", "0"),
     ("random-bob:7", "0"),
+    # Exactly 1/2 up to roundoff: epsilon's sign pins the order of operations.
+    ("random-bob:101", "1"),
 ]
 
 _SAMPLED = [

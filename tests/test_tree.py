@@ -1,0 +1,135 @@
+"""The protocol's branch tree: leaf masses, sampled paths and transcripts."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cointoss.analysis import leaf_probabilities
+from cointoss.protocol import ProtocolOutcome, build_tree, leaves, sample_path, walk
+from cointoss.qstate import (
+    A1,
+    A2,
+    B1,
+    B2,
+    ZeroNormError,
+    bell_pass_probability,
+    make_state,
+    project_bell,
+)
+from cointoss.strategies import (
+    AliceCoefficients,
+    StrategyRegisterMismatchError,
+    coefficient_strategy,
+    measure_and_pick_bob,
+    optimal_alice,
+    parse_strategy_id,
+)
+
+# Fixed examples, so every run of the suite checks the same cases.
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: math.fsum(x * x for x in w) > 1e-6
+)
+
+
+def alice_tree(w, mode):
+    c = AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w))
+    return build_tree(coefficient_strategy(c, mode), None, 0)
+
+
+def bob_tree(seed):
+    return build_tree(None, parse_strategy_id(f"random-bob:{seed}"), 0)
+
+
+def trees():
+    return st.one_of(
+        st.builds(alice_tree, weights, st.sampled_from(["aligned", "orthogonal"])),
+        st.builds(bob_tree, st.integers(0, 10**6)),
+        st.just(build_tree(None, None, None)),
+    )
+
+
+@SETTINGS
+@given(trees())
+def test_leaf_masses_sum_to_one(tree):
+    total = math.fsum(mass for mass, _ in leaves(tree))
+    assert abs(total - 1.0) < 1e-12
+    # Dead leaves (mass below 1e-12) count toward no outcome.
+    assert leaf_probabilities(tree).sum() == pytest.approx(total, abs=1e-12)
+
+
+@SETTINGS
+@given(trees(), st.integers(0, 2**63))
+def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
+    path = sample_path(tree, seed)
+    _, transcript = walk(tree, seed)
+    recorded = math.prod(r.probability for r in transcript.records if r.probability is not None)
+    if tree.bob.behavior == "honest":
+        recorded *= 0.5  # an honest Bob's fair choice carries no probability
+    assert recorded == pytest.approx(math.prod(node.probability for node in path), rel=1e-12)
+    assert path[-1].outcome is transcript.outcome
+
+
+def test_one_tree_serves_many_seeds():
+    tree = build_tree(optimal_alice(0), None, 0)
+    for seed in range(20):
+        fresh = build_tree(optimal_alice(0), None, 0)
+        assert walk(tree, seed)[1].to_jsonl() == walk(fresh, seed)[1].to_jsonl()
+
+
+def test_leaf_probabilities_of_the_paper_strategies():
+    alice = leaf_probabilities(build_tree(optimal_alice(0), None, 0))
+    bob = leaf_probabilities(build_tree(None, measure_and_pick_bob(0), 0))
+    assert alice == pytest.approx([0.75, 1 / 12, 1 / 6], abs=1e-12)
+    assert bob == pytest.approx([0.75, 0.25, 0.0], abs=1e-12)
+    assert bob[2] == 0.0
+
+
+def test_draws_per_run():
+    # choice, Bob's coin, Alice's coin, verdict / choice, coin, verdict /
+    # one per measured label and Alice's coin.
+    assert len(sample_path(build_tree(None, None, None), 3)) == 5
+    assert len(sample_path(build_tree(optimal_alice(0), None, 0), 3)) == 4
+    assert len(sample_path(build_tree(None, measure_and_pick_bob(0), 0), 3)) == 4
+
+
+def test_at_most_one_party_cheats():
+    with pytest.raises(StrategyRegisterMismatchError):
+        build_tree(optimal_alice(0), measure_and_pick_bob(0), 0)
+
+
+def test_unreachable_verification_aborts_instead_of_crashing():
+    # After choice 1, B2 is always 1 while A2 stays 0, so Bob's check of
+    # (A2, B2) never passes; after choice 2 it passes half the time.
+    c = AliceCoefficients(0.0, 1.0, 0.0, 0.0)
+    tree = build_tree(coefficient_strategy(c, "orthogonal"), None, 0)
+    assert leaf_probabilities(tree)[2] == pytest.approx(0.75)
+    for seed in range(40):
+        outcome, transcript = walk(tree, seed)
+        if transcript.records[2].payload == {"choice": 1}:
+            assert outcome is ProtocolOutcome.ABORT
+            assert transcript.records[-2].probability == 1.0
+
+
+@SETTINGS
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
+        lambda v: math.fsum(x * x for x in v) > 1e-3
+    ),
+    st.sampled_from([(A1, B1), (A2, B2), (A1, B2), (B2, A2)]),
+)
+def test_project_bell_is_idempotent(values, pair):
+    amplitudes = np.asarray(values[:16]) + 1j * np.asarray(values[16:])
+    state = make_state((A1, B1, A2, B2), amplitudes / np.linalg.norm(amplitudes))
+    try:
+        passed, once = project_bell(state, pair)
+    except ZeroNormError:
+        return  # no posterior on a ~0 projection
+    assert bell_pass_probability(state, pair) == passed
+    again, twice = project_bell(once, pair)
+    assert again == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
