@@ -1,12 +1,14 @@
 """Exact cheating probabilities, the 3/4 bound, and Monte Carlo cross-checks.
 
-Cheating probabilities are computed two independent ways: a closed-form
-quadratic objective for Alice's aligned strategy family, and sums over the
-leaves of the protocol's branch tree (every choice, coin outcome and
-verification branch with its exact probability). Monte Carlo sampling
-adds a statistical check: the protocol engine walks one root-to-leaf path
-of the tree per trial, while the kernel engine draws all trials' counts in
-one multinomial sample from the summed leaf probabilities.
+Cheating probabilities are computed two independent ways: closed-form
+quadratic forms for Alice's aligned strategy family (her win and detection
+probabilities, which the optimizer and the sensitivity scan evaluate), and
+sums over the leaves of the protocol's branch tree (every choice, coin
+outcome and verification branch with its exact probability). Monte Carlo
+sampling adds a statistical check: the protocol engine walks one
+root-to-leaf path of the tree per trial, while the kernel engine draws all
+trials' counts in one multinomial sample from the summed leaf
+probabilities.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .protocol import ProtocolOutcome, ProtocolTree, build_tree, leaves, sample_path
+from .protocol import (
+    HONEST_TREE,
+    ProtocolOutcome,
+    ProtocolTree,
+    build_tree,
+    leaves,
+    sample_path,
+)
 from .strategies import (
     AliceCheatStrategy,
     AliceCoefficients,
@@ -247,33 +256,37 @@ def sensitivity_scan(
     """Win vs detection probability along the honest-to-optimal path.
 
     Linear interpolation between the two coefficient tuples, renormalized
-    at every step; each point is evaluated by exact branch enumeration.
-    Any point that wins more often than 1/2 shows a strictly positive
-    detection probability.
+    at every step. Every point is an aligned strategy, whose win and
+    detection probabilities against an honest Bob are the closed forms
+    `kernels._objective` and `kernels._detection`, so the whole path is
+    evaluated in one vectorized pass; the tests check it point by point
+    against exact branch enumeration. Takes 2 to 10**6 steps. Any point that
+    wins more often than 1/2 shows a strictly positive detection
+    probability.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    # Each point becomes a Python object and a printed row: 10**6 of them
+    # take seconds and about half a gigabyte.
+    if not 2 <= steps <= 10**6:
+        raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
     start_values = (start or AliceCoefficients.honest()).as_array()
     end_values = (end or AliceCoefficients.optimal()).as_array()
-    points = []
-    for t in np.linspace(0.0, 1.0, steps):
-        raw = (1.0 - t) * start_values + t * end_values
-        weights = raw / np.linalg.norm(raw)
-        strategy = aligned_strategy(weights, name=f"path:t={t:.6f}")
-        report = exact_win_probability(strategy, 0)
-        lose = 1.0 - report.p_win_exact - report.p_abort_exact
-        if lose < -1e-10:
-            raise InvariantViolationError(
-                f"branch probabilities at t={t} sum past 1 ({lose!r} residual)"
-            )
-        points.append(
-            SensitivityPoint(
-                strategy_id=strategy.name,
-                p_win=report.p_win_exact,
-                p_detect=report.p_abort_exact,
-            )
+    t = np.linspace(0.0, 1.0, steps)
+    raw = (1.0 - t)[:, None] * start_values + t[:, None] * end_values
+    a00, a01, a10, a11 = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).T
+    win = kernels._objective(a00, a01, a10)
+    detect = kernels._detection(a00, a01, a10, a11)
+    lose = 1.0 - win - detect
+    bad = np.flatnonzero(lose < -1e-10)
+    if bad.size:
+        first = bad[0]
+        raise InvariantViolationError(
+            f"branch probabilities at t={float(t[first])} sum past 1 "
+            f"({float(lose[first])!r} residual)"
         )
-    return points
+    return [
+        SensitivityPoint(strategy_id=f"path:t={u:.6f}", p_win=w, p_detect=d)
+        for u, w, d in zip(t.tolist(), win.tolist(), detect.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -339,7 +352,7 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     if run_kind not in (None, *RUN_KINDS):
         raise ValueError(f"run_kind must be one of {RUN_KINDS}, got {run_kind!r}")
     if run_kind == "honest" or (run_kind is None and strategy_id == "honest"):
-        return "honest", build_tree(None, None, None)
+        return "honest", HONEST_TREE
     strategy = parse_strategy_id(strategy_id, target)
     kind = "cheat-alice" if isinstance(strategy, AliceCheatStrategy) else "cheat-bob"
     if run_kind not in (None, kind):

@@ -39,6 +39,7 @@ strategies:
 sizes:
   --trials is at least 1000; with --engine protocol, at most 10000000.
   --grid-resolution is between 20 and 2000.
+  --steps is between 2 and 1000000.
 
 The default seed is 0, or the value of COINTOSS_SEED when set;
 an explicit --seed always wins.

@@ -1,9 +1,13 @@
-"""Alice's cheating objective and its dense grid scan.
+"""Alice's cheating objective, her detection probability, and the grid scan.
 
-The objective is evaluated in one place, `_objective`, by the closed form,
-the angle refinement and the grid scan alike, so all three round the same
-way. The grid scan walks the ``resolution^3`` polar-angle grid one t1 slab
-at a time, so it holds O(resolution^2) floats, never the whole cube.
+Against an honest Bob, an aligned strategy sum_ij a_ij |i i j j> wins for
+target 0 with `_objective` and is caught with `_detection`, two quadratic
+forms in the four real weights. Each is written once, so every caller
+rounds the same way: `_objective` serves the closed form, the angle
+refinement, the grid scan and the sensitivity scan; `_detection` the
+sensitivity scan. The grid scan walks the ``resolution^3`` polar-angle grid
+one t1 slab at a time, so it holds O(resolution^2) floats, never the whole
+cube.
 """
 
 from __future__ import annotations
@@ -23,6 +27,17 @@ import numpy as np
 def _objective(a00, a01, a10):
     """Alice's success probability for target 0; accepts scalars or arrays."""
     return (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
+
+
+def _detection(a00, a01, a10, a11):
+    """Alice's abort probability against an honest Bob; accepts scalars or arrays.
+
+    The abort mass of the coin pair's outcome i is ``(a_i0 - a_i1)^2 / 4``
+    when Bob picks pair 1, and of outcome j ``(a_0j - a_1j)^2 / 4`` when he
+    picks pair 2.
+    """
+    d0, d1, d2, d3 = a00 - a01, a10 - a11, a00 - a10, a01 - a11
+    return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
 
 
 def objective_grid_scan(resolution: int) -> tuple[float, float, float, float]:

@@ -295,6 +295,12 @@ def build_tree(
     return ProtocolTree(alice_role, bob_role, target, root)
 
 
+# The all-honest run's tree, built once: every honest run walks it, so a
+# loop of runs pays one `sample_path` each, not one tree each. Nothing
+# mutates a tree or the transcript records it emits.
+HONEST_TREE = build_tree(None, None, None)
+
+
 def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
     """The root-to-leaf path that a run with this seed takes."""
     rng = np.random.default_rng(seed)
@@ -347,7 +353,7 @@ def run_honest(seed: int) -> tuple[ProtocolOutcome, Transcript]:
     The verification always passes, so the outcome is never abort, and the
     two coin measurements always agree.
     """
-    return walk(build_tree(None, None, None), seed)
+    return walk(HONEST_TREE, seed)
 
 
 def run_cheating_alice(

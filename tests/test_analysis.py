@@ -1,11 +1,14 @@
 """Exact cheating probabilities, optimizer, scans, and Monte Carlo cross-checks."""
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cointoss import protocol
+from cointoss import analysis, protocol
 from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
@@ -45,6 +48,11 @@ from cointoss.strategies import (
 def random_coefficients(rng) -> AliceCoefficients:
     raw = np.abs(rng.normal(size=4))
     return AliceCoefficients.from_array(raw / np.linalg.norm(raw))
+
+
+unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: math.fsum(x * x for x in w) > 1e-6
+).map(lambda w: AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w)))
 
 
 class TestFidelityBound:
@@ -240,6 +248,51 @@ class TestSensitivityScan:
     def test_step_floor(self):
         with pytest.raises(ValueError):
             sensitivity_scan(1)
+
+    def test_probabilities_past_one_name_the_first_bad_point(self, monkeypatch):
+        # From the fourth of seven points on, win + detect exceeds 1.
+        monkeypatch.setattr(
+            analysis.kernels,
+            "_detection",
+            lambda a00, *_: np.where(np.arange(a00.size) >= 3, 0.6, 0.0),
+        )
+        with pytest.raises(InvariantViolationError, match=r"at t=0\.5 sum past 1"):
+            sensitivity_scan(7)
+
+    def test_honest_endpoint_is_never_detected(self):
+        assert sensitivity_scan(7)[0].p_detect == 0.0
+
+    # Fixed examples, so every run of the suite checks the same cases.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(unit_weights, unit_weights, st.integers(2, 30))
+    def test_closed_form_matches_branch_enumeration(self, start, end, steps):
+        # The tree counts a branch below 1e-12 mass toward no outcome, so
+        # the two agree to 1e-11, not to roundoff.
+        points = sensitivity_scan(steps, start, end)
+        for t, point in zip(np.linspace(0.0, 1.0, steps), points):
+            raw = (1.0 - t) * start.as_array() + t * end.as_array()
+            report = exact_win_probability(aligned_strategy(raw / np.linalg.norm(raw)), 0)
+            assert point.strategy_id == f"path:t={t:.6f}"
+            assert abs(point.p_win - report.p_win_exact) < 1e-11
+            assert abs(point.p_detect - report.p_abort_exact) < 1e-11
+
+    def test_builds_no_strategy_and_no_tree(self, monkeypatch):
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("build_tree", "aligned_strategy"):
+            monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
+        phase_sweep(AliceCoefficients.optimal(), samples=100)
+        assert set(calls) == {"build_tree", "aligned_strategy"}
+        calls.clear()
+        assert len(sensitivity_scan(1000)) == 1000
+        assert calls == []
 
 
 class TestMonteCarlo:

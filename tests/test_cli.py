@@ -96,6 +96,8 @@ class TestExitCodes:
             ["optimize", "--grid-resolution", "100000000000"],
             ["montecarlo", "--engine", "protocol", "--trials", "10000001"],
             ["cheat-bob", "--engine", "protocol", "--trials", str(10**15)],
+            ["scan", "--steps", str(10**6 + 1)],
+            ["scan", "--steps", str(10**12)],
         ],
     )
     def test_sizes_past_their_bound_are_parse_errors(self, capsys, argv):
@@ -113,6 +115,7 @@ class TestExitCodes:
         text = build_parser().format_help()
         assert "at most 10000000" in text
         assert "between 20 and 2000" in text
+        assert "--steps is between 2 and 1000000" in text
 
     def test_help_documents_exit_codes(self):
         text = build_parser().format_help()

@@ -97,6 +97,13 @@ def test_report_matches_golden(name, argv, tmp_path):
     assert produced == (GOLDEN / "reports" / f"{name}.txt").read_bytes()
 
 
+def test_every_golden_file_belongs_to_a_case():
+    cases = {f"transcripts/{name}.jsonl" for name, _ in TRANSCRIPTS}
+    cases |= {f"reports/{name}.txt" for name, _ in REPORTS}
+    files = {path.relative_to(GOLDEN).as_posix() for path in GOLDEN.rglob("*") if path.is_file()}
+    assert files == cases
+
+
 def test_alice_side_transcripts_show_both_verdicts():
     kinds = set()
     for name, _ in TRANSCRIPTS:

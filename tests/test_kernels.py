@@ -1,11 +1,45 @@
-"""The objective grid scan: exact agreement with the full-cube scan, in O(n^2) memory."""
+"""Alice's closed forms and the objective grid scan.
 
+The grid scan agrees exactly with the full-cube scan, in O(n^2) memory.
+"""
+
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cointoss import kernels
+from cointoss.analysis import optimize_alice
+
+# The objective and the detection probability as quadratic forms x^T M x
+# and x^T D x in x = (a00, a01, a10, a11).
+M = np.array([[2, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]) / 4.0
+D = np.array([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]) / 4.0
+
+unit_vectors = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: math.fsum(x * x for x in w) > 1e-6
+).map(lambda w: np.asarray(w) / np.linalg.norm(w))
+
+
+class TestClosedForms:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(unit_vectors)
+    def test_closed_forms_are_the_quadratic_forms(self, x):
+        assert abs(x @ M @ x - kernels._objective(*x[:3])) < 1e-15
+        assert abs(x @ D @ x - kernels._detection(*x)) < 1e-15
+
+    def test_top_eigenvalue_certifies_three_quarters(self):
+        # M is nonnegative, so by Perron-Frobenius its top eigenvalue is the
+        # objective's maximum over the nonnegative unit sphere, attained at
+        # its (nonnegative) top eigenvector.
+        values, vectors = np.linalg.eigh(M)
+        top = vectors[:, -1] * np.sign(vectors[0, -1])
+        assert abs(values[-1] - 0.75) < 1e-15
+        np.testing.assert_allclose(top, optimize_alice(20).argmax.as_array(), atol=1e-6)
+        assert kernels._detection(*top) == pytest.approx(1 / 6, abs=1e-15)
 
 
 def reference_grid_scan(resolution):
