@@ -5,16 +5,16 @@ quadratic forms for Alice's aligned strategy family (her win and detection
 probabilities, which the optimizer and the sensitivity scan evaluate), and
 sums over the leaves of the protocol's branch tree (every choice, coin
 outcome and verification branch with its exact probability). Monte Carlo
-sampling adds a statistical check: the protocol engine walks one
-root-to-leaf path of the tree per trial, while the kernel engine draws all
-trials' counts in one multinomial sample from the summed leaf
-probabilities.
+sampling adds a statistical check: the protocol engine splits the trials
+down the tree by one binomial draw per chance node, at the thresholds a
+transcript's walk uses, while the kernel engine draws all trials' counts in
+one multinomial sample from the summed leaf probabilities. Neither cost
+grows with the number of trials.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -23,11 +23,11 @@ import numpy as np
 from . import kernels
 from .protocol import (
     HONEST_TREE,
+    Branch,
     ProtocolOutcome,
     ProtocolTree,
     build_tree,
     leaves,
-    sample_path,
 )
 from .strategies import (
     AliceCheatStrategy,
@@ -45,6 +45,9 @@ ANALYTIC_BOUND = 0.75
 KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
 
 _BRANCH_ATOL = 1e-12
+
+# numpy's binomial and multinomial draws take counts up to int64's maximum.
+_MAX_TRIALS = 2**63 - 1
 
 
 class DegenerateBranchError(Exception):
@@ -363,6 +366,36 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     return kind, _strategy_tree(strategy, target)
 
 
+def _split_down_tree(tree: ProtocolTree, trials: int, rng: np.random.Generator) -> list[int]:
+    """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
+
+    The runs that reach a chance node split between its children by one
+    binomial draw at the node's threshold, depth first, first child first.
+    A dead branch gets no runs and its live sibling all of them. The counts
+    have the law of `trials` independent `sample_path` walks, since a
+    multinomial over the leaves factorizes into these conditional binomials.
+    """
+    counts = dict.fromkeys(ProtocolOutcome, 0)
+
+    def split(node: Branch, runs: int) -> None:
+        if not node.children:
+            counts[node.outcome] += runs
+            return
+        first, second = node.children
+        if first.lines is None:
+            taken = 0
+        elif second.lines is None:
+            taken = runs
+        else:
+            taken = int(rng.binomial(runs, node.threshold))
+        for child, share in ((first, taken), (second, runs - taken)):
+            if share:
+                split(child, share)
+
+    split(tree.root, trials)
+    return list(counts.values())
+
+
 def monte_carlo(
     run_kind: str | None,
     strategy_id: str = "honest",
@@ -378,20 +411,19 @@ def monte_carlo(
     one multinomial sample over the run's exact leaf probabilities: O(1)
     time and memory for any `trials`. Leaves with less than
     ``_BRANCH_ATOL`` mass count as impossible, so their count is exactly 0.
-    ``engine="protocol"`` instead builds the run's branch tree once and
-    walks one root-to-leaf path per trial, with a per-trial seed split from
-    `root_seed`; it takes at most 10**7 trials. Both are deterministic
-    given `root_seed` and agree in distribution. The report carries the
-    tree, so a transcript can be walked from it without resolving again.
+    ``engine="protocol"`` instead samples the counts down the run's branch
+    tree, one binomial split per chance node at the node's threshold (the
+    one `sample_path` walks), so it costs O(tree nodes) for any `trials`;
+    a dead branch gets no runs. Both engines are deterministic given
+    `root_seed`, agree in distribution, and take 1000 to 2**63 - 1 trials,
+    the largest count numpy's samplers hold. The report carries the tree,
+    so a transcript can be walked from it without resolving again.
     """
     run_kind, tree = resolve_run(run_kind, strategy_id, target)
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    if not 1000 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")
     if engine not in ("kernel", "protocol"):
         raise ValueError(f"engine must be 'kernel' or 'protocol', got {engine!r}")
-    # The protocol engine holds one 8-byte seed per trial.
-    if engine == "protocol" and trials > 10**7:
-        raise ValueError(f"the protocol engine runs at most 10000000 trials, got {trials}")
 
     if engine == "kernel":
         # Honest counts come from honest_alice()'s leaves, the values that
@@ -408,9 +440,7 @@ def monte_carlo(
         counts[live] = np.random.default_rng(root_seed).multinomial(trials, leaf_mass[live])
         heads, tails, aborts = counts
     else:
-        seeds = np.random.SeedSequence(root_seed).generate_state(trials, np.uint64)
-        tally = Counter(sample_path(tree, int(seed))[-1].outcome for seed in seeds)
-        heads, tails, aborts = (tally[outcome] for outcome in ProtocolOutcome)
+        heads, tails, aborts = _split_down_tree(tree, trials, np.random.default_rng(root_seed))
 
     return MonteCarloReport(
         run_kind=run_kind,

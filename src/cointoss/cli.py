@@ -37,7 +37,7 @@ strategies:
   measure-and-pick | random-bob:<seed>
 
 sizes:
-  --trials is at least 1000; with --engine protocol, at most 10000000.
+  --trials is between 1000 and 2**63 - 1 (9223372036854775807).
   --grid-resolution is between 20 and 2000.
   --steps is between 2 and 1000000.
 
@@ -151,6 +151,29 @@ def _render_table(config: dict, header, rows, constants: dict | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` whole or not at all.
+
+    The text goes to a new file beside the target, which `os.replace` then
+    moves onto it, so a failure leaves the target as it was. On any
+    `OSError` the temporary file is removed and the error names `path`.
+    """
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        # A pipe or a device, such as /dev/stdout, takes the bytes directly.
+        target.write_text(text, encoding="utf-8")
+        return
+    target = target.resolve()  # through a symlink, replace the file it names
+    temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp, target)
+    except OSError as exc:
+        temp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def dispatch(args: argparse.Namespace) -> str:
     config = _config_mapping(args)
 
@@ -166,7 +189,7 @@ def dispatch(args: argparse.Namespace) -> str:
         )
         if args.transcript:
             _, transcript = walk(report.tree, args.seed)
-            Path(args.transcript).write_text(transcript.to_jsonl(), encoding="utf-8")
+            _write_atomic(args.transcript, transcript.to_jsonl())
         return _render(config, report.as_mapping(), args.format)
 
     if args.command == "bias":
@@ -206,7 +229,7 @@ def main(argv=None) -> int:
     try:
         body = dispatch(args)
         if args.out:
-            Path(args.out).write_text(body, encoding="utf-8")
+            _write_atomic(args.out, body)
     except OSError as exc:
         print(f"cointoss: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE

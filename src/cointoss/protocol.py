@@ -4,12 +4,13 @@
 cheating Alice against an honest or a cheating Bob. Bob's choice, each
 measurement and the verification are chance nodes; every branch holds its
 exact probability and the transcript records it emits. Three readers share
-the tree: exact probabilities are sums over its leaves, and a run walks one
-root-to-leaf path with the run's RNG, whose records are the run's
-transcript. A transcript is framed by a header record (carrying the seed
-and both parties' roles) and an outcome record. Messages always appear in
-protocol order: state transfer, choice announcement, qubit transfer,
-verdict. Runs are deterministic per seed.
+the tree: exact probabilities are sums over its leaves, sampled counts
+split runs down its chance nodes, and a run walks one root-to-leaf path
+with the run's RNG, whose records are the run's transcript. A transcript
+is framed by a header record (carrying the seed and both parties' roles)
+and an outcome record. Messages always appear in protocol order: state
+transfer, choice announcement, qubit transfer, verdict. Runs are
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -150,9 +151,12 @@ class Branch(NamedTuple):
     `probability` is the exact chance of this branch given its parent, and
     `lines` the transcript records a run emits on entering it; `lines` is
     None on a dead branch, one too improbable to have a posterior state. A
-    chance node continues to ``children[0]`` when ``rng.random() <
-    threshold`` and to ``children[1]`` otherwise. A leaf has no children
-    and, unless it is dead, the run's outcome.
+    walk that draws a dead branch raises `ZeroNormError` in `sample_path`;
+    the protocol engine of `analysis.monte_carlo` sends no run into one and
+    gives all of a node's runs to the live sibling. A chance node continues
+    to ``children[0]`` when ``rng.random() < threshold`` and to
+    ``children[1]`` otherwise. A leaf has no children and, unless it is
+    dead, the run's outcome.
     """
 
     probability: float

@@ -353,7 +353,9 @@ def parse_strategy_id(
         try:
             seed = int(seed_text)
         except ValueError:
-            raise UnknownStrategyError(f"bad random-bob seed {seed_text!r}") from None
+            seed = None
+        if seed is None or seed < 0:
+            raise UnknownStrategyError(f"bad random-bob seed {seed_text!r}")
         strategy = random_bob_strategy(np.random.default_rng(seed))
         return BobCheatStrategy(
             name=text,

@@ -370,10 +370,34 @@ class TestMonteCarlo:
     )
     def test_impossible_aborts_stay_zero_in_constant_time(self, run_kind, strategy_id):
         # Honest play's abort mass is roundoff; Bob's is 0 by construction.
-        start = time.perf_counter()
-        report = monte_carlo(run_kind, strategy_id, 0, 10**12, 3)
-        assert time.perf_counter() - start < 1.0
+        for engine in ("kernel", "protocol"):
+            start = time.perf_counter()
+            report = monte_carlo(run_kind, strategy_id, 0, 10**12, 3, engine=engine)
+            assert time.perf_counter() - start < 1.0
+            assert report.aborts == 0
+
+    def test_protocol_engine_sends_no_run_down_a_dead_branch(self):
+        # The honest tree's dead branches have mass 2.2e-16, so about 2000
+        # of 2**63 - 1 independent walks would draw one and raise ZeroNormError.
+        report = monte_carlo("honest", trials=2**63 - 1, root_seed=1, engine="protocol")
         assert report.aborts == 0
+        assert report.heads + report.tails == 2**63 - 1
+
+    def test_protocol_engine_walks_no_path(self, monkeypatch):
+        calls = []
+
+        def counting_sample_path(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = protocol.sample_path
+        monkeypatch.setattr(protocol, "sample_path", counting_sample_path)
+        monkeypatch.setattr(analysis, "sample_path", counting_sample_path, raising=False)
+        for strategy_id in ("honest", "optimal-alice", "random-bob:7"):
+            report = monte_carlo(None, strategy_id, 0, 10**6, 5, engine="protocol")
+        assert calls == []
+        protocol.walk(report.tree, 5)
+        assert len(calls) == 1
 
     def test_protocol_engine_builds_one_tree_per_call(self, monkeypatch):
         calls = []
@@ -391,9 +415,12 @@ class TestMonteCarlo:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
-    def test_protocol_trial_bound(self):
-        with pytest.raises(ValueError, match="at most 10000000"):
-            monte_carlo("honest", trials=10**7 + 1, engine="protocol")
+    @pytest.mark.parametrize("engine", ["kernel", "protocol"])
+    def test_trials_bounded_by_the_int64_maximum(self, engine):
+        with pytest.raises(ValueError, match="between 1000 and 9223372036854775807"):
+            monte_carlo("honest", trials=2**63, engine=engine)
+        report = monte_carlo("cheat-alice", "optimal-alice", 0, 2**63 - 1, 2, engine=engine)
+        assert report.heads + report.tails + report.aborts == 2**63 - 1
 
     def test_trial_floor(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """CLI behavior: output determinism, formats, exit codes, env seeding."""
 
+import errno
+import os
 import re
+import threading
 
 import pytest
 
@@ -80,11 +83,11 @@ class TestExitCodes:
         assert "must be finite" in err
 
     def test_unknown_run_strategy_exits_before_sampling(self, capsys):
-        # 10**15 protocol trials would be rejected as too many, but the
-        # strategy is resolved first.
+        # 10**20 trials would be rejected as too many, but the strategy is
+        # resolved first.
         code, out, err = run_cli(
             capsys, "montecarlo", "--strategy", "telepathy", "--engine", "protocol",
-            "--trials", str(10**15),
+            "--trials", str(10**20),
         )
         assert (code, out) == (EXIT_UNKNOWN_STRATEGY, "")
         assert err.startswith("cointoss: unknown strategy:")
@@ -94,10 +97,12 @@ class TestExitCodes:
         [
             ["optimize", "--grid-resolution", "2001"],
             ["optimize", "--grid-resolution", "100000000000"],
-            ["montecarlo", "--engine", "protocol", "--trials", "10000001"],
-            ["cheat-bob", "--engine", "protocol", "--trials", str(10**15)],
+            ["montecarlo", "--engine", "protocol", "--trials", str(2**63)],
+            ["cheat-bob", "--engine", "protocol", "--trials", str(10**20)],
             ["scan", "--steps", str(10**6 + 1)],
             ["scan", "--steps", str(10**12)],
+            ["montecarlo", "--engine", "kernel", "--trials", str(2**63)],
+            ["honest", "--trials", str(10**20)],
         ],
     )
     def test_sizes_past_their_bound_are_parse_errors(self, capsys, argv):
@@ -111,9 +116,17 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert "result.trials: 10000001" in out
 
+    def test_both_engines_run_up_to_the_int64_maximum(self, capsys):
+        for engine in ("kernel", "protocol"):
+            code, out, _ = run_cli(
+                capsys, "cheat-alice", "--engine", engine, "--trials", str(2**63 - 1)
+            )
+            assert code == EXIT_OK
+            assert "result.trials: 9223372036854775807" in out
+
     def test_help_documents_size_bounds(self):
         text = build_parser().format_help()
-        assert "at most 10000000" in text
+        assert "--trials is between 1000 and 2**63 - 1 (9223372036854775807)" in text
         assert "between 20 and 2000" in text
         assert "--steps is between 2 and 1000000" in text
 
@@ -200,6 +213,44 @@ class TestRunsAndFiles:
         code, _, err = run_cli(capsys, "honest", "--trials", "1000", flag, str(path))
         assert code == EXIT_PARSE
         assert err == f"cointoss: cannot write {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--transcript"])
+    def test_failed_write_keeps_the_old_file(self, capsys, monkeypatch, tmp_path, flag):
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"old bytes\n")
+
+        def failing_replace(source, target):
+            raise OSError(errno.ENOSPC, "No space left on device", str(source))
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, out, err = run_cli(capsys, "honest", "--trials", "1000", flag, str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"cointoss: cannot write {path}: No space left on device\n"
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+    def test_out_replaces_an_existing_file_through_a_symlink(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("x" * 10_000)
+        (tmp_path / "link.txt").symlink_to(path)
+        code, _, _ = run_cli(capsys, "bias", "--out", str(tmp_path / "link.txt"))
+        assert code == EXIT_OK
+        assert (tmp_path / "link.txt").is_symlink()
+        assert path.read_text().startswith("schema: cointoss.report/1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "report.txt"]
+
+    def test_out_writes_straight_into_a_pipe(self, capsys, tmp_path):
+        # A pipe cannot be replaced by a file; the report goes through it.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run_cli(capsys, "bias", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == EXIT_OK
+        assert received[0].startswith("schema: cointoss.report/1\n")
 
     def test_transcript_emission(self, capsys, tmp_path):
         path = tmp_path / "run.jsonl"

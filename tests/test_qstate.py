@@ -1,7 +1,12 @@
 """State-engine tests: construction, measurement, projection, Schmidt analysis."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cointoss.qstate import (
     A1,
@@ -306,3 +311,46 @@ class TestEngineInvariants:
     def test_apply_unitary_shape_check(self):
         with pytest.raises(DimensionMismatchError):
             apply_unitary(bell_state(A1, B1), (A1,), np.eye(4))
+
+
+CORE = (A1, B1, A2, B2)
+
+core_states = (
+    st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
+    .filter(lambda v: math.fsum(x * x for x in v) > 1e-3)
+    .map(lambda v: np.asarray(v[:16]) + 1j * np.asarray(v[16:]))
+    .map(lambda amps: make_state(CORE, amps / np.linalg.norm(amps)))
+)
+
+
+# Fixed examples, so every run of the suite checks the same cases.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    core_states,
+    st.sampled_from(list(combinations(CORE, 2))),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
+    for label in CORE:
+        p0, p1 = branch_probabilities(state, label)
+        assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+        for outcome in (0, 1):
+            try:
+                _, posterior = collapse(state, label, outcome)
+            except ZeroNormError:
+                continue  # no posterior on a ~0 branch
+            assert posterior.norm() == pytest.approx(1.0, abs=1e-12)
+    try:
+        _, projected = project_bell(state, pair)
+    except ZeroNormError:
+        projected = state
+    assert projected.norm() == pytest.approx(1.0, abs=1e-12)
+    rotated = apply_unitary(state, pair, haar_unitary(4, np.random.default_rng(seed)))
+    assert rotated.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(core_states, st.sets(st.sampled_from(CORE), min_size=1, max_size=3))
+def test_squared_schmidt_coefficients_sum_to_one(state, cut):
+    coefficients = schmidt_coefficients(state, cut)
+    assert np.sum(coefficients**2) == pytest.approx(1.0, abs=1e-12)

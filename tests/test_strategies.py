@@ -1,7 +1,11 @@
 """Strategy construction, validation, and identifier parsing."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cointoss.protocol import honest_preparation
 from cointoss.qstate import (
@@ -263,3 +267,68 @@ class TestParseStrategyId:
     def test_non_normalized_coefficients_rejected(self):
         with pytest.raises(NotNormalizedError):
             parse_strategy_id("coefficients:0.6,0.8,0,0.1")
+
+
+# Fixed examples, so every run of the suite checks the same cases.
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+unit_weights = (
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda w: math.fsum(x * x for x in w) > 1e-6)
+    .map(lambda w: (np.asarray(w) / np.linalg.norm(w)).tolist())
+)
+
+
+def _not_a(convert):
+    def rejects(text):
+        try:
+            convert(text)
+        except ValueError:
+            return True
+        return False
+
+    return rejects
+
+
+class TestStrategyIdRoundTrip:
+    @SETTINGS
+    @given(unit_weights)
+    def test_coefficients_id_builds_its_weights(self, weights):
+        text = "coefficients:" + ",".join(map(repr, weights))
+        strategy = parse_strategy_id(text)
+        assert strategy.name == "coefficients:" + ",".join(f"{w:g}" for w in weights)
+        amplitudes = strategy.initial_state.tensor_view()
+        built = [amplitudes[i, i, j, j] for i in (0, 1) for j in (0, 1)]
+        np.testing.assert_allclose(built, weights, rtol=0, atol=1e-15)
+
+    @SETTINGS
+    @given(st.integers(0, 2**64))
+    def test_random_bob_id_is_its_name(self, seed):
+        strategy = parse_strategy_id(f"random-bob:{seed}")
+        assert strategy.name == f"random-bob:{seed}"
+        again = parse_strategy_id(strategy.name)
+        assert again.announce_rule == strategy.announce_rule
+        np.testing.assert_array_equal(again.operation.matrix, strategy.operation.matrix)
+
+    @SETTINGS
+    @given(
+        st.one_of(
+            st.text().filter(
+                lambda t: t not in ("honest", "optimal-alice", "measure-and-pick")
+                and not t.startswith(("coefficients:", "random-bob:"))
+            ),
+            st.lists(st.floats(0.0, 1.0).map(repr), max_size=8)
+            .filter(lambda parts: len(parts) != 4)
+            .map(lambda parts: "coefficients:" + ",".join(parts)),
+            st.lists(
+                st.text(alphabet=st.characters(exclude_characters=",")), min_size=4, max_size=4
+            )
+            .filter(lambda parts: any(map(_not_a(float), parts)))
+            .map(lambda parts: "coefficients:" + ",".join(parts)),
+            st.one_of(st.text().filter(_not_a(int)), st.integers(max_value=-1).map(str))
+            .map(lambda seed: "random-bob:" + seed),
+        )
+    )
+    def test_malformed_ids_are_unknown(self, text):
+        with pytest.raises(UnknownStrategyError):
+            parse_strategy_id(text)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import leaf_probabilities
+from cointoss.analysis import _split_down_tree, leaf_probabilities
 from cointoss.protocol import ProtocolOutcome, build_tree, leaves, sample_path, walk
 from cointoss.qstate import (
     A1,
@@ -72,6 +72,16 @@ def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
         recorded *= 0.5  # an honest Bob's fair choice carries no probability
     assert recorded == pytest.approx(math.prod(node.probability for node in path), rel=1e-12)
     assert path[-1].outcome is transcript.outcome
+
+
+@SETTINGS
+@given(trees(), st.integers(0, 2**63))
+def test_split_counts_lie_within_five_sigma_of_the_leaf_masses(tree, seed):
+    trials = 10**6
+    counts = _split_down_tree(tree, trials, np.random.default_rng(seed))
+    assert sum(counts) == trials
+    for count, p in zip(counts, leaf_probabilities(tree)):
+        assert abs(count - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
 
 
 def test_one_tree_serves_many_seeds():
