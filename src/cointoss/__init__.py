@@ -18,8 +18,6 @@ from .analysis import (
 from .protocol import (
     ProtocolOutcome,
     Transcript,
-    run_cheating_alice,
-    run_cheating_bob,
     run_honest,
 )
 from .qstate import (
@@ -27,14 +25,11 @@ from .qstate import (
     A2,
     B1,
     B2,
-    MeasurementRecord,
     StateVector,
     SubsystemLabel,
     bell_state,
     branch_probabilities,
     make_state,
-    measure,
-    project_bell,
     schmidt_coefficients,
     tensor,
 )

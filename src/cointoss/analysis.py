@@ -6,10 +6,11 @@ probabilities, which the optimizer and the sensitivity scan evaluate), and
 sums over the leaves of the protocol's branch tree (every choice, coin
 outcome and verification branch with its exact probability). Monte Carlo
 sampling adds a statistical check: the protocol engine splits the trials
-down the tree by one binomial draw per chance node, at the thresholds a
-transcript's walk uses, while the kernel engine draws all trials' counts in
-one multinomial sample from the summed leaf probabilities. Neither cost
-grows with the number of trials.
+down the tree by one binomial draw per chance node, at the first child's
+probability that a transcript's walk compares with, while the kernel engine
+draws all trials' counts in one multinomial sample from the summed leaf
+probabilities. Neither cost grows with the number of trials, and neither
+counts a run on a branch below `qstate.ZERO_ATOL`, whose mass is exactly 0.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from .protocol import (
     build_tree,
     leaves,
 )
+from .qstate import ZERO_ATOL
 from .strategies import (
     AliceCheatStrategy,
     AliceCoefficients,
     BobCheatStrategy,
     StrategyRegisterMismatchError,
     aligned_strategy,
-    honest_alice,
     parse_strategy_id,
 )
 
@@ -43,8 +44,6 @@ from .strategies import (
 # floor on the bias of any protocol of this kind, shown for comparison only.
 ANALYTIC_BOUND = 0.75
 KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
-
-_BRANCH_ATOL = 1e-12
 
 # numpy's binomial and multinomial draws take counts up to int64's maximum.
 _MAX_TRIALS = 2**63 - 1
@@ -65,7 +64,7 @@ def alice_fidelity_bound(a00: float, a01: float) -> float:
     branch weights cap the overlap any locally-reachable state can have
     with the verification target.
     """
-    if abs(a00) < _BRANCH_ATOL and abs(a01) < _BRANCH_ATOL:
+    if abs(a00) < ZERO_ATOL and abs(a01) < ZERO_ATOL:
         raise DegenerateBranchError("both branch weights vanish; bound is vacuous")
     return (a00 + a01) ** 2 / (2.0 * (a00**2 + a01**2))
 
@@ -370,10 +369,11 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: np.random.Generator) 
     """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
 
     The runs that reach a chance node split between its children by one
-    binomial draw at the node's threshold, depth first, first child first.
-    A dead branch gets no runs and its live sibling all of them. The counts
-    have the law of `trials` independent `sample_path` walks, since a
-    multinomial over the leaves factorizes into these conditional binomials.
+    binomial draw at the first child's probability, depth first, first
+    child first; a dead child's 0.0 or its sibling's 1.0 sends it no runs.
+    The counts have the law of `trials` independent `sample_path` walks,
+    since a multinomial over the leaves factorizes into these conditional
+    binomials.
     """
     counts = dict.fromkeys(ProtocolOutcome, 0)
 
@@ -382,12 +382,7 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: np.random.Generator) 
             counts[node.outcome] += runs
             return
         first, second = node.children
-        if first.lines is None:
-            taken = 0
-        elif second.lines is None:
-            taken = runs
-        else:
-            taken = int(rng.binomial(runs, node.threshold))
+        taken = int(rng.binomial(runs, first.probability))
         for child, share in ((first, taken), (second, runs - taken)):
             if share:
                 split(child, share)
@@ -409,14 +404,13 @@ def monte_carlo(
     The run is resolved by `resolve_run` before any sampling. The default
     engine draws the (heads, tails, abort) counts of all trials at once, as
     one multinomial sample over the run's exact leaf probabilities: O(1)
-    time and memory for any `trials`. Leaves with less than
-    ``_BRANCH_ATOL`` mass count as impossible, so their count is exactly 0.
-    ``engine="protocol"`` instead samples the counts down the run's branch
-    tree, one binomial split per chance node at the node's threshold (the
-    one `sample_path` walks), so it costs O(tree nodes) for any `trials`;
-    a dead branch gets no runs. Both engines are deterministic given
-    `root_seed`, agree in distribution, and take 1000 to 2**63 - 1 trials,
-    the largest count numpy's samplers hold. The report carries the tree,
+    time and memory for any `trials`. ``engine="protocol"`` instead samples
+    the counts down the run's branch tree, one binomial split per chance
+    node at its first child's probability (the one `sample_path` walks),
+    so it costs O(tree nodes) for any `trials`. An outcome of exact mass 0,
+    such as an honest run's abort, gets no runs on either engine. Both
+    engines are deterministic given `root_seed`, agree in distribution, and
+    take 1000 to 2**63 - 1 trials, the largest count numpy's samplers hold. The report carries the tree,
     so a transcript can be walked from it without resolving again.
     """
     run_kind, tree = resolve_run(run_kind, strategy_id, target)
@@ -426,16 +420,10 @@ def monte_carlo(
         raise ValueError(f"engine must be 'kernel' or 'protocol', got {engine!r}")
 
     if engine == "kernel":
-        # Honest counts come from honest_alice()'s leaves, the values that
-        # `bias --strategy honest` prints: 0.4999999999999998 per face and
-        # 4.4e-16 abort. The honest tree also measures Alice's coin, so its
-        # faces round to just above 0.5, and numpy's binomial switches
-        # algorithm at p = 0.5: those leaves would draw other counts.
-        exact = build_tree(honest_alice(), None, target) if run_kind == "honest" else tree
-        leaf_mass = leaf_probabilities(exact)
-        # One draw over the leaves with mass; the last of them takes the
-        # remainder, so a leaf whose exact mass is roundoff stays exactly 0.
-        live = leaf_mass >= _BRANCH_ATOL
+        leaf_mass = leaf_probabilities(tree)
+        # One draw over the outcomes with mass; the last of them takes the
+        # remainder, so an outcome of mass 0 stays at exactly 0 runs.
+        live = leaf_mass > 0.0
         counts = np.zeros(3, dtype=np.int64)
         counts[live] = np.random.default_rng(root_seed).multinomial(trials, leaf_mass[live])
         heads, tails, aborts = counts

@@ -174,7 +174,11 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def dispatch(args: argparse.Namespace) -> str:
+def dispatch(args: argparse.Namespace) -> tuple[str, str | None]:
+    """The report body, and the transcript when ``--transcript`` is given.
+
+    `main` writes them in that order, so a failed ``--out`` writes neither.
+    """
     config = _config_mapping(args)
 
     if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
@@ -187,22 +191,20 @@ def dispatch(args: argparse.Namespace) -> str:
             root_seed=args.seed,
             engine=args.engine,
         )
-        if args.transcript:
-            _, transcript = walk(report.tree, args.seed)
-            _write_atomic(args.transcript, transcript.to_jsonl())
-        return _render(config, report.as_mapping(), args.format)
+        transcript = walk(report.tree, args.seed)[1].to_jsonl() if args.transcript else None
+        return _render(config, report.as_mapping(), args.format), transcript
 
     if args.command == "bias":
         strategy = parse_strategy_id(args.strategy, args.target)
         report = analysis.exact_win_probability(strategy, args.target)
-        return _render(config, report.as_mapping(), args.format)
+        return _render(config, report.as_mapping(), args.format), None
 
     if args.command == "optimize":
         result = analysis.optimize_alice(grid_resolution=args.grid_resolution)
         if args.format == "tabular":
             mapping = result.as_mapping()
-            return _render_table(config, list(mapping.keys()), [list(mapping.values())])
-        return _render(config, result.as_mapping(), args.format)
+            return _render_table(config, list(mapping.keys()), [list(mapping.values())]), None
+        return _render(config, result.as_mapping(), args.format), None
 
     if args.command == "scan":
         points = analysis.sensitivity_scan(args.steps)
@@ -214,7 +216,7 @@ def dispatch(args: argparse.Namespace) -> str:
                 "analytic_bound": analysis.ANALYTIC_BOUND,
                 "kitaev_reference": analysis.KITAEV_REFERENCE,
             },
-        )
+        ), None
 
     raise analysis.InvariantViolationError(f"unhandled command {args.command!r}")
 
@@ -227,9 +229,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     args = build_parser(default_seed).parse_args(argv)
     try:
-        body = dispatch(args)
+        body, transcript = dispatch(args)
         if args.out:
             _write_atomic(args.out, body)
+        if transcript is not None:
+            _write_atomic(args.transcript, transcript)
     except OSError as exc:
         print(f"cointoss: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE

@@ -149,19 +149,17 @@ class Branch(NamedTuple):
     """One node of the protocol tree.
 
     `probability` is the exact chance of this branch given its parent, and
-    `lines` the transcript records a run emits on entering it; `lines` is
-    None on a dead branch, one too improbable to have a posterior state. A
-    walk that draws a dead branch raises `ZeroNormError` in `sample_path`;
-    the protocol engine of `analysis.monte_carlo` sends no run into one and
-    gives all of a node's runs to the live sibling. A chance node continues
-    to ``children[0]`` when ``rng.random() < threshold`` and to
-    ``children[1]`` otherwise. A leaf has no children and, unless it is
-    dead, the run's outcome.
+    `lines` the transcript records a run emits on entering it. A chance node
+    has two children whose probabilities are p and 1 - p; a run continues
+    to ``children[0]`` when ``rng.random() < children[0].probability`` and
+    to ``children[1]`` otherwise. A branch below `qstate.ZERO_ATOL` is dead:
+    its probability is exactly 0.0, its sibling's exactly 1.0, and its
+    `lines` None, so no walk and no sampled run ever enters it. A leaf has
+    no children and, unless it is dead, the run's outcome.
     """
 
     probability: float
     lines: tuple[Line, ...] | None
-    threshold: float
     children: tuple["Branch", ...]
     outcome: ProtocolOutcome | None
 
@@ -178,7 +176,7 @@ class ProtocolTree:
 
 def _leaf(probability: float, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
     lines += (("-", "outcome", {"outcome": outcome.value}, None),)
-    return Branch(probability, lines, 0.0, (), outcome)
+    return Branch(probability, lines, (), outcome)
 
 
 def build_tree(
@@ -188,10 +186,12 @@ def build_tree(
 
     At most one party cheats. `target` is the cheater's target bit, written
     to the transcript header (None for an all-honest run). Bob's choice,
-    every measurement and the verification are chance nodes. A measurement
-    branches on `branch_probabilities` and records `collapse`'s probability;
-    a branch that `collapse` cannot form is dead. The verification passes
-    with `bell_pass_probability`, or never when that is below 1e-12.
+    every measurement and the verification are chance nodes. Each has one
+    probability p, its first child's, and its second child has 1 - p: 0.5
+    for the choice, reading 0 by `branch_probabilities`, passing by
+    `bell_pass_probability`. A pass chance within `ZERO_ATOL` of 0 or 1 is
+    exactly 0 or 1, and a bit that `collapse` cannot form is a dead branch
+    of mass 0; a measurement records `collapse`'s probability.
     """
     if alice is not None and not isinstance(alice, AliceCheatStrategy):
         raise StrategyRegisterMismatchError(f"Alice needs an Alice strategy, got {alice!r}")
@@ -225,24 +225,21 @@ def build_tree(
         if not steps:
             return then(state, bits, probability, lines)
         (sender, label), rest = steps[0], steps[1:]
-        p0, p1 = branch_probabilities(state, label)
-        # Bob's measurements split the mass as (p0, p1) and Alice's as
-        # (p0, 1 - p0). The two splits differ by an ulp; this one keeps every
-        # printed report unchanged.
-        masses = (p0, p1) if sender == _BOB else (p0, 1.0 - p0)
+        p0, _ = branch_probabilities(state, label)
         name = str(label)
         children = []
-        for bit in (0, 1):
+        for bit, mass in ((0, p0), (1, 1.0 - p0)):
             try:
                 realized, posterior = collapse(state, label, bit)
             except ZeroNormError:
-                children.append(Branch(masses[bit], None, 0.0, (), None))
+                children.append(Branch(0.0, None, (), None))
                 continue
             line = (sender, "measurement", {"label": name, "outcome": bit}, realized)
-            children.append(
-                measure(posterior, rest, bits + (bit,), masses[bit], (line,), then)
-            )
-        return Branch(probability, lines, p0, tuple(children), None)
+            children.append(measure(posterior, rest, bits + (bit,), mass, (line,), then))
+        if None in (children[0].lines, children[1].lines):
+            # A dead branch has mass 0.0, so its sibling has 1.0.
+            children = [c._replace(probability=float(c.lines is not None)) for c in children]
+        return Branch(probability, lines, tuple(children), None)
 
     def announce(state, choice, probability, lines) -> Branch:
         lines += ((_BOB, "choice_announcement", {"choice": choice}, None),)
@@ -272,7 +269,9 @@ def build_tree(
                 return _leaf(probability, lines, outcome)
             passed = bell_pass_probability(state, (send, bob_keep))
             if passed < ZERO_ATOL:
-                passed = 0.0  # too improbable to have a posterior: never passes
+                passed = 0.0
+            elif 1.0 - passed < ZERO_ATOL:
+                passed = 1.0
             verdicts = (
                 _leaf(passed, ((_BOB, "verdict_pass", checked, passed),), outcome),
                 _leaf(
@@ -281,7 +280,7 @@ def build_tree(
                     ProtocolOutcome.ABORT,
                 ),
             )
-            return Branch(probability, lines, passed, verdicts, None)
+            return Branch(probability, lines, verdicts, None)
 
         return measure(state, coins, (), probability, lines, verify)
 
@@ -292,7 +291,7 @@ def build_tree(
     if bob is None:
         # An honest Bob's step-2 choice is a fair coin.
         choices = tuple(announce(state, choice, 0.5, ()) for choice in (1, 2))
-        root = Branch(1.0, lines, 0.5, choices, None)
+        root = Branch(1.0, lines, choices, None)
     else:
         steps = tuple((_BOB, label) for label in bob.measured)
         root = measure(state, steps, (), 1.0, lines, choose)
@@ -306,14 +305,13 @@ HONEST_TREE = build_tree(None, None, None)
 
 
 def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
-    """The root-to-leaf path that a run with this seed takes."""
+    """The root-to-leaf path that a run with this seed takes: one uniform
+    per chance node, below the first child's probability or not."""
     rng = np.random.default_rng(seed)
     path = [tree.root]
     while path[-1].children:
-        node = path[-1]
-        path.append(node.children[0 if rng.random() < node.threshold else 1])
-    if path[-1].lines is None:
-        raise ZeroNormError("the run drew a branch with probability ~0")
+        first, second = path[-1].children
+        path.append(first if rng.random() < first.probability else second)
     return path
 
 
@@ -358,31 +356,6 @@ def run_honest(seed: int) -> tuple[ProtocolOutcome, Transcript]:
     two coin measurements always agree.
     """
     return walk(HONEST_TREE, seed)
-
-
-def run_cheating_alice(
-    strategy: AliceCheatStrategy, target: int, seed: int
-) -> tuple[ProtocolOutcome, Transcript]:
-    """One run with a cheating Alice against an honest Bob.
-
-    Bob picks uniformly, measures his half of the chosen pair (his bit is
-    the protocol outcome), and tests the returned qubit against his kept
-    half of the other pair; failure aborts. Alice wins when the outcome
-    equals `target` without an abort.
-    """
-    return walk(build_tree(strategy, None, target), seed)
-
-
-def run_cheating_bob(
-    strategy: BobCheatStrategy, target: int, seed: int
-) -> tuple[ProtocolOutcome, Transcript]:
-    """One run with a cheating Bob against an honest Alice.
-
-    Bob may transform and measure the qubits he received before announcing
-    a choice; Alice's measurement of her half of the announced pair is the
-    protocol outcome. Bob controls the verdict and never aborts.
-    """
-    return walk(build_tree(None, strategy, target), seed)
 
 
 def message_order(records: Iterable[TranscriptRecord]) -> list[str]:

@@ -141,16 +141,6 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome of a single computational-basis measurement."""
-
-    label: SubsystemLabel
-    outcome: int
-    probability: float
-    posterior: StateVector
-
-
 def _freeze(amplitudes: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     out.setflags(write=False)
@@ -237,68 +227,26 @@ def collapse(
     return branch_norm**2, posterior
 
 
-def measure(
-    state: StateVector, label: SubsystemLabel, rng: np.random.Generator
-) -> MeasurementRecord:
-    """Sample a computational-basis measurement of `label`.
-
-    The outcome is drawn from :func:`branch_probabilities` using a single
-    uniform variate, so runs are bit-for-bit reproducible per seed.
-    """
-    p0, _ = branch_probabilities(state, label)
-    outcome = 0 if rng.random() < p0 else 1
-    probability, posterior = collapse(state, label, outcome)
-    return MeasurementRecord(
-        label=label, outcome=outcome, probability=probability, posterior=posterior
-    )
-
-
-def _bell_overlap(
+def bell_pass_probability(
     state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel]
-) -> tuple[np.ndarray, tuple, tuple]:
-    """The pair's overlap with ``(|00>+|11>)/sqrt(2)``, as amplitudes over
-    the rest of the register, and the index tuples of the pair's ``|00>``
-    and ``|11>`` components."""
+) -> float:
+    """Probability that projecting the pair onto ``(|00>+|11>)/sqrt(2)`` passes.
+
+    It is the squared norm of the pair's overlap with that state, an
+    amplitude vector over the rest of the register.
+    """
     pos_a = state.position(pair[0])
     pos_b = state.position(pair[1])
     if pos_a == pos_b:
         raise LabelCollisionError(f"pair uses the same label {pair[0]} twice")
-    tensor_amps = state.tensor_view()
+    amplitudes = state.tensor_view()
     index = [slice(None)] * state.n_qubits
     index[pos_a] = index[pos_b] = 0
-    zeros = tuple(index)
+    zeros = amplitudes[tuple(index)]
     index[pos_a] = index[pos_b] = 1
-    ones = tuple(index)
-    return (tensor_amps[zeros] + tensor_amps[ones]) / np.sqrt(2.0), zeros, ones
-
-
-def bell_pass_probability(
-    state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel]
-) -> float:
-    """Probability that projecting the pair onto the shared-pair state passes."""
-    overlap, _, _ = _bell_overlap(state, pair)
+    ones = amplitudes[tuple(index)]
+    overlap = (zeros + ones) / np.sqrt(2.0)
     return float(np.sum(np.abs(overlap) ** 2))
-
-
-def project_bell(
-    state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel]
-) -> tuple[float, StateVector]:
-    """Project the qubit pair onto ``(|00>+|11>)/sqrt(2)`` (identity elsewhere).
-
-    Returns the pass probability and the renormalized posterior. A posterior
-    cannot be formed when the pass probability is below 1e-12; that case is
-    signaled with :class:`ZeroNormError`.
-    """
-    overlap, zeros, ones = _bell_overlap(state, pair)
-    pass_probability = float(np.sum(np.abs(overlap) ** 2))
-    if pass_probability < ZERO_ATOL:
-        raise ZeroNormError("projection onto the Bell pair has probability ~0")
-    residual = overlap / np.sqrt(pass_probability)
-    projected = np.zeros_like(state.tensor_view())
-    projected[zeros] = residual / np.sqrt(2.0)
-    projected[ones] = residual / np.sqrt(2.0)
-    posterior = StateVector(register=state.register, amplitudes=_freeze(projected.reshape(-1)))
-    return pass_probability, posterior
 
 
 def apply_unitary(

@@ -153,8 +153,6 @@ class BobCheatStrategy:
     operation: LocalOperation | None
     measured: tuple[SubsystemLabel, ...]
     announce_rule: Mapping[tuple[int, ...], int]
-    # The protocol gives Bob the final verdict; this family never aborts.
-    verdict: str = "pass"
 
     def __post_init__(self) -> None:
         held = {B1, B2} | {bob_ancilla(i) for i in range(self.ancilla_count)}
@@ -174,8 +172,6 @@ class BobCheatStrategy:
             raise ValueError("announce rule must cover every outcome tuple exactly")
         if any(choice not in (1, 2) for choice in self.announce_rule.values()):
             raise ValueError("announced choices must be 1 or 2")
-        if self.verdict != "pass":
-            raise ValueError("this strategy family always passes verification")
 
     def announce(self, outcomes: tuple[int, ...]) -> int:
         return self.announce_rule[outcomes]
@@ -227,7 +223,8 @@ def coefficient_strategy(
     ancilla needed); ``orthogonal`` stores the branch label in an ancilla
     pair instead, leaving the verification qubits unentangled with Bob's.
     """
-    name = f"coefficients:{c.a00:g},{c.a01:g},{c.a10:g},{c.a11:g}"
+    # repr keeps every digit, so the name parses back to the same weights.
+    name = "coefficients:" + ",".join(repr(float(x)) for x in c.as_array())
     if phi_mode == "aligned":
         return aligned_strategy(c.as_array(), name=name)
     if phi_mode == "orthogonal":
@@ -277,17 +274,6 @@ def measure_and_pick_bob(target: int) -> BobCheatStrategy:
         operation=None,
         measured=(B1, B2),
         announce_rule=rule,
-    )
-
-
-def honest_bob() -> BobCheatStrategy:
-    """Identity operation with a constant announcement (pair 1)."""
-    return BobCheatStrategy(
-        name="honest-bob",
-        ancilla_count=0,
-        operation=None,
-        measured=(),
-        announce_rule={(): 1},
     )
 
 

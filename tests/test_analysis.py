@@ -32,12 +32,12 @@ from cointoss.strategies import (
     AliceCheatStrategy,
     AliceCoefficients,
     AliceResponse,
+    BobCheatStrategy,
     StrategyRegisterMismatchError,
     UnknownStrategyError,
     aligned_strategy,
     coefficient_strategy,
     honest_alice,
-    honest_bob,
     measure_and_pick_bob,
     optimal_alice,
     parse_strategy_id,
@@ -137,8 +137,11 @@ class TestExactWinProbability:
     def test_honest_strategies_are_fair(self):
         alice = exact_win_probability(honest_alice(), 0)
         assert alice.p_win_exact == pytest.approx(0.5, abs=1e-12)
-        assert alice.p_abort_exact == pytest.approx(0.0, abs=1e-12)
-        bob = exact_win_probability(honest_bob(), 0)
+        assert alice.p_abort_exact == 0.0
+        assert alice.epsilon == 0.0
+        # Bob announces pair 1 whatever happens, as an honest Bob may.
+        honest_bob = BobCheatStrategy("honest-bob", 0, None, (), {(): 1})
+        bob = exact_win_probability(honest_bob, 0)
         assert bob.p_win_exact == pytest.approx(0.5, abs=1e-12)
 
     def test_swapped_response_mapping_only_reaches_one_third(self):
@@ -364,21 +367,24 @@ class TestMonteCarlo:
         "run_kind,strategy_id",
         [
             ("honest", "honest"),
+            ("cheat-alice", "honest"),
             ("cheat-bob", "measure-and-pick"),
             ("cheat-bob", "random-bob:7"),
         ],
     )
     def test_impossible_aborts_stay_zero_in_constant_time(self, run_kind, strategy_id):
-        # Honest play's abort mass is roundoff; Bob's is 0 by construction.
+        # Honest play never fails verification: an honest preparation passes
+        # with probability 1 - 4.4e-16, which is 1. A cheating Bob holds the
+        # verdict.
         for engine in ("kernel", "protocol"):
             start = time.perf_counter()
-            report = monte_carlo(run_kind, strategy_id, 0, 10**12, 3, engine=engine)
+            report = monte_carlo(run_kind, strategy_id, 0, 2**63 - 1, 3, engine=engine)
             assert time.perf_counter() - start < 1.0
             assert report.aborts == 0
 
     def test_protocol_engine_sends_no_run_down_a_dead_branch(self):
-        # The honest tree's dead branches have mass 2.2e-16, so about 2000
-        # of 2**63 - 1 independent walks would draw one and raise ZeroNormError.
+        # The honest tree's dead branches have mass exactly 0: no run of
+        # 2**63 - 1 may reach one.
         report = monte_carlo("honest", trials=2**63 - 1, root_seed=1, engine="protocol")
         assert report.aborts == 0
         assert report.heads + report.tails == 2**63 - 1

@@ -229,6 +229,17 @@ class TestRunsAndFiles:
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
 
+    def test_failed_out_leaves_the_transcript_alone(self, capsys, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(b"old transcript\n")
+        out = tmp_path / "missing" / "x.txt"
+        code, stdout, err = run_cli(
+            capsys, "honest", "--trials", "1000", "--transcript", str(transcript), "--out", str(out)
+        )
+        assert (code, stdout) == (EXIT_PARSE, "")
+        assert err == f"cointoss: cannot write {out}: No such file or directory\n"
+        assert transcript.read_bytes() == b"old transcript\n"
+
     def test_out_replaces_an_existing_file_through_a_symlink(self, capsys, tmp_path):
         path = tmp_path / "report.txt"
         path.write_text("x" * 10_000)

@@ -7,11 +7,11 @@ from cointoss.protocol import (
     MESSAGE_KINDS,
     ProtocolOutcome,
     TRANSCRIPT_SCHEMA,
+    build_tree,
     message_order,
     parse_transcript_jsonl,
-    run_cheating_alice,
-    run_cheating_bob,
     run_honest,
+    walk,
 )
 from cointoss.strategies import (
     StrategyRegisterMismatchError,
@@ -53,31 +53,29 @@ class TestHonestRuns:
 
 class TestTranscripts:
     def test_message_order_matches_protocol_steps(self):
+        alice = build_tree(optimal_alice(0), None, 0)
+        bob = build_tree(None, measure_and_pick_bob(0), 0)
         for seed in range(50):
-            for _, transcript in (
-                run_honest(seed),
-                run_cheating_alice(optimal_alice(0), 0, seed),
-                run_cheating_bob(measure_and_pick_bob(0), 0, seed),
-            ):
+            for _, transcript in (run_honest(seed), walk(alice, seed), walk(bob, seed)):
                 order = message_order(transcript.records)
                 assert order[:3] == EXPECTED_ORDER
                 assert order[3] in ("verdict_pass", "verdict_abort")
                 assert len(order) == 4
 
     def test_replay_is_deterministic(self):
-        for run in (
-            lambda s: run_honest(s),
-            lambda s: run_cheating_alice(optimal_alice(1), 1, s),
-            lambda s: run_cheating_bob(measure_and_pick_bob(1), 1, s),
+        for tree in (
+            build_tree(None, None, None),
+            build_tree(optimal_alice(1), None, 1),
+            build_tree(None, measure_and_pick_bob(1), 1),
         ):
-            first_outcome, first = run(424242)
-            second_outcome, second = run(424242)
+            first_outcome, first = walk(tree, 424242)
+            second_outcome, second = walk(tree, 424242)
             assert first_outcome == second_outcome
             assert first == second
             assert first.to_jsonl() == second.to_jsonl()
 
     def test_indices_contiguous_from_zero(self):
-        _, transcript = run_cheating_bob(measure_and_pick_bob(0), 0, 3)
+        _, transcript = walk(build_tree(None, measure_and_pick_bob(0), 0), 3)
         assert [r.index for r in transcript.records] == list(range(len(transcript.records)))
 
     def test_jsonl_round_trip(self):
@@ -98,8 +96,9 @@ class TestTranscripts:
 
     def test_abort_only_after_abort_verdict(self):
         seen_abort = False
+        tree = build_tree(optimal_alice(0), None, 0)
         for seed in range(200):
-            outcome, transcript = run_cheating_alice(optimal_alice(0), 0, seed)
+            outcome, transcript = walk(tree, seed)
             kinds = [r.kind for r in transcript.records]
             if outcome is ProtocolOutcome.ABORT:
                 seen_abort = True
@@ -114,34 +113,38 @@ class TestCheatingAlice:
         wins = 0
         aborts = 0
         n = 3000
+        tree = build_tree(optimal_alice(0), None, 0)
         for seed in range(n):
-            outcome, _ = run_cheating_alice(optimal_alice(0), 0, seed)
+            outcome, _ = walk(tree, seed)
             wins += outcome is ProtocolOutcome.HEADS
             aborts += outcome is ProtocolOutcome.ABORT
         assert wins / n == pytest.approx(0.75, abs=5 * np.sqrt(0.75 * 0.25 / n))
         assert aborts / n == pytest.approx(1 / 6, abs=5 * np.sqrt((1 / 6) * (5 / 6) / n))
 
     def test_honest_strategy_special_case(self):
-        outcomes = [run_cheating_alice(honest_alice(), 0, seed)[0] for seed in range(1500)]
+        tree = build_tree(honest_alice(), None, 0)
+        outcomes = [walk(tree, seed)[0] for seed in range(1500)]
         assert not any(o is ProtocolOutcome.ABORT for o in outcomes)
         wins = sum(o is ProtocolOutcome.HEADS for o in outcomes)
         assert wins / 1500 == pytest.approx(0.5, abs=0.065)
 
     def test_bob_strategy_rejected(self):
         with pytest.raises(StrategyRegisterMismatchError):
-            run_cheating_alice(measure_and_pick_bob(0), 0, 0)
+            build_tree(measure_and_pick_bob(0), None, 0)
 
 
 class TestCheatingBob:
     def test_never_aborts(self):
+        tree = build_tree(None, measure_and_pick_bob(0), 0)
         for seed in range(500):
-            outcome, transcript = run_cheating_bob(measure_and_pick_bob(0), 0, seed)
+            outcome, transcript = walk(tree, seed)
             assert outcome is not ProtocolOutcome.ABORT
             assert "verdict_abort" not in [r.kind for r in transcript.records]
 
     def test_outcome_is_alices_measurement(self):
+        tree = build_tree(None, measure_and_pick_bob(0), 0)
         for seed in range(100):
-            outcome, transcript = run_cheating_bob(measure_and_pick_bob(0), 0, seed)
+            outcome, transcript = walk(tree, seed)
             alice_records = [
                 r
                 for r in transcript.records
@@ -154,12 +157,12 @@ class TestCheatingBob:
         rng = np.random.default_rng(60)
         for seed in range(30):
             strategy = random_bob_strategy(rng)
-            outcome, _ = run_cheating_bob(strategy, 0, seed)
+            outcome, _ = walk(build_tree(None, strategy, 0), seed)
             assert outcome in (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)
 
     def test_alice_strategy_rejected(self):
         with pytest.raises(StrategyRegisterMismatchError):
-            run_cheating_bob(optimal_alice(0), 0, 0)
+            build_tree(None, optimal_alice(0), 0)
 
 
 class TestMessageKinds:

@@ -24,12 +24,11 @@ from cointoss.qstate import (
     apply_unitary,
     bell_state,
     bob_ancilla,
+    bell_pass_probability,
     branch_probabilities,
     collapse,
     make_state,
-    measure,
     parse_label,
-    project_bell,
     schmidt_coefficients,
     tensor,
 )
@@ -155,86 +154,58 @@ class TestBranchProbabilities:
 
 
 class TestMeasure:
+    """A measurement's outcomes, as `collapse` forms them."""
+
     def test_bell_perfect_correlation(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            record = measure(bell_state(A1, B1), B1, rng)
-            b = record.outcome
+        for b in (0, 1):
+            probability, posterior = collapse(bell_state(A1, B1), B1, b)
+            assert probability == pytest.approx(0.5, abs=1e-12)
             expected = np.zeros(4)
             expected[b * 3] = 1.0  # |bb>
-            np.testing.assert_allclose(record.posterior.amplitudes, expected, atol=1e-12)
-
-    def test_fair_marginal_frequency(self):
-        rng = np.random.default_rng(6)
-        state = bell_state(A1, B1)
-        zeros = sum(measure(state, B1, rng).outcome == 0 for _ in range(100_000))
-        assert zeros / 100_000 == pytest.approx(0.5, abs=0.01)
+            np.testing.assert_allclose(posterior.amplitudes, expected, atol=1e-12)
 
     def test_recorded_probability_on_optimal_state(self):
-        rng = np.random.default_rng(7)
         state = eq3_state()
-        saw_zero = False
-        for _ in range(50):
-            record = measure(state, B1, rng)
-            if record.outcome == 0:
-                saw_zero = True
-                assert record.probability == pytest.approx(5 / 6, abs=1e-12)
-            else:
-                assert record.probability == pytest.approx(1 / 6, abs=1e-12)
-        assert saw_zero
-
-    def test_same_seed_bit_for_bit(self):
-        state = eq3_state()
-        first = [measure(state, B1, np.random.default_rng(42)).outcome for _ in range(1)]
-        second = [measure(state, B1, np.random.default_rng(42)).outcome for _ in range(1)]
-        assert first == second
-        r1 = measure(state, B2, np.random.default_rng(9))
-        r2 = measure(state, B2, np.random.default_rng(9))
-        assert r1.outcome == r2.outcome
-        assert r1.probability == r2.probability
-        np.testing.assert_array_equal(r1.posterior.amplitudes, r2.posterior.amplitudes)
+        assert collapse(state, B1, 0)[0] == pytest.approx(5 / 6, abs=1e-12)
+        assert collapse(state, B1, 1)[0] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_posterior_collapsed_and_normalized(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             state = random_state(rng, (A1, B1, B2))
-            record = measure(state, B2, rng)
-            assert record.posterior.norm() == pytest.approx(1.0, abs=1e-10)
-            p0, p1 = branch_probabilities(record.posterior, B2)
-            assert (p0, p1)[record.outcome] == pytest.approx(1.0, abs=1e-12)
+            for outcome in (0, 1):
+                _, posterior = collapse(state, B2, outcome)
+                assert posterior.norm() == pytest.approx(1.0, abs=1e-10)
+                p0, p1 = branch_probabilities(posterior, B2)
+                assert (p0, p1)[outcome] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProjectBell:
+    """The Bell-pair verification's pass probability."""
+
     def test_projecting_bell_onto_itself(self):
         state = bell_state(A1, B1)
-        p, posterior = project_bell(state, (A1, B1))
-        assert p == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(posterior.amplitudes, state.amplitudes, atol=1e-12)
+        assert bell_pass_probability(state, (A1, B1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_half(self):
-        p, posterior = project_bell(make_state((A1, B1), (1, 0, 0, 0)), (A1, B1))
-        assert p == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(posterior.amplitudes, BELL_AMPLITUDES, atol=1e-12)
+        state = make_state((A1, B1), (1, 0, 0, 0))
+        assert bell_pass_probability(state, (A1, B1)) == pytest.approx(0.5, abs=1e-12)
 
     def test_skewed_pair_nine_tenths(self):
         state = make_state((A1, B1), (np.sqrt(4 / 5), 0, 0, np.sqrt(1 / 5)))
-        p, posterior = project_bell(state, (A1, B1))
-        assert p == pytest.approx(0.9, abs=1e-12)
-        np.testing.assert_allclose(posterior.amplitudes, BELL_AMPLITUDES, atol=1e-12)
+        assert bell_pass_probability(state, (A1, B1)) == pytest.approx(0.9, abs=1e-12)
 
     def test_orthogonal_state_signaled(self):
-        with pytest.raises(ZeroNormError):
-            project_bell(make_state((A1, B1), (0, 1, 0, 0)), (A1, B1))
+        state = make_state((A1, B1), (0, 1, 0, 0))
+        assert bell_pass_probability(state, (A1, B1)) == 0.0
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
-            project_bell(bell_state(A1, B1), (A1, B2))
+            bell_pass_probability(bell_state(A1, B1), (A1, B2))
 
     def test_embedded_pair_in_larger_register(self):
         state = tensor(bell_state(A1, B1), bell_state(A2, B2))
-        p, posterior = project_bell(state, (A2, B2))
-        assert p == pytest.approx(1.0, abs=1e-12)
-        assert posterior.register == state.register
+        assert bell_pass_probability(state, (A2, B2)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSchmidt:
@@ -270,10 +241,9 @@ class TestEngineInvariants:
         rng = np.random.default_rng(40)
         for _ in range(25):
             state = random_state(rng, (A1, B1, A2))
-            record = measure(state, A1, rng)
-            assert record.posterior.norm() == pytest.approx(1.0, abs=1e-10)
-            p, posterior = project_bell(state, (B1, A2))
-            assert posterior.norm() == pytest.approx(1.0, abs=1e-10)
+            for outcome in (0, 1):
+                _, posterior = collapse(state, A1, outcome)
+                assert posterior.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_branch_probabilities_complementary(self):
         rng = np.random.default_rng(41)
@@ -288,11 +258,7 @@ class TestEngineInvariants:
             state = random_state(rng, (A1, B1))
             coeffs = schmidt_coefficients(state, {A1})
             bound = (coeffs[0] + coeffs[1]) ** 2 / 2.0
-            try:
-                p, _ = project_bell(state, (A1, B1))
-            except ZeroNormError:
-                p = 0.0
-            assert p <= bound + 1e-9
+            assert bell_pass_probability(state, (A1, B1)) <= bound + 1e-9
 
     def test_collapse_probabilities_match_marginals(self):
         rng = np.random.default_rng(43)
@@ -340,11 +306,7 @@ def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
             except ZeroNormError:
                 continue  # no posterior on a ~0 branch
             assert posterior.norm() == pytest.approx(1.0, abs=1e-12)
-    try:
-        _, projected = project_bell(state, pair)
-    except ZeroNormError:
-        projected = state
-    assert projected.norm() == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= bell_pass_probability(state, pair) <= 1.0 + 1e-12
     rotated = apply_unitary(state, pair, haar_unitary(4, np.random.default_rng(seed)))
     assert rotated.norm() == pytest.approx(1.0, abs=1e-12)
 

@@ -29,7 +29,6 @@ from cointoss.strategies import (
     coefficient_strategy,
     haar_unitary,
     honest_alice,
-    honest_bob,
     measure_and_pick_bob,
     optimal_alice,
     parse_strategy_id,
@@ -179,7 +178,6 @@ class TestMeasureAndPick:
         strategy = measure_and_pick_bob(0)
         assert strategy.measured == (B1, B2)
         assert strategy.operation is None
-        assert strategy.verdict == "pass"
 
 
 class TestBobValidation:
@@ -233,7 +231,13 @@ class TestRandomBob:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-10)
 
     def test_honest_bob_is_identity_constant(self):
-        strategy = honest_bob()
+        strategy = BobCheatStrategy(
+            name="honest-bob",
+            ancilla_count=0,
+            operation=None,
+            measured=(),
+            announce_rule={(): 1},
+        )
         assert strategy.operation is None
         assert strategy.measured == ()
         assert strategy.announce(()) == 1
@@ -296,10 +300,21 @@ class TestStrategyIdRoundTrip:
     def test_coefficients_id_builds_its_weights(self, weights):
         text = "coefficients:" + ",".join(map(repr, weights))
         strategy = parse_strategy_id(text)
-        assert strategy.name == "coefficients:" + ",".join(f"{w:g}" for w in weights)
+        assert strategy.name == text
         amplitudes = strategy.initial_state.tensor_view()
         built = [amplitudes[i, i, j, j] for i in (0, 1) for j in (0, 1)]
         np.testing.assert_allclose(built, weights, rtol=0, atol=1e-15)
+
+    @SETTINGS
+    @given(
+        st.one_of(
+            st.just(AliceCoefficients.optimal()),
+            unit_weights.map(AliceCoefficients.from_array),
+        )
+    )
+    def test_coefficients_name_parses_back_to_itself(self, coefficients):
+        strategy = coefficient_strategy(coefficients)
+        assert parse_strategy_id(strategy.name).name == strategy.name
 
     @SETTINGS
     @given(st.integers(0, 2**64))

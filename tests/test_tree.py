@@ -9,16 +9,6 @@ from hypothesis import strategies as st
 
 from cointoss.analysis import _split_down_tree, leaf_probabilities
 from cointoss.protocol import ProtocolOutcome, build_tree, leaves, sample_path, walk
-from cointoss.qstate import (
-    A1,
-    A2,
-    B1,
-    B2,
-    ZeroNormError,
-    bell_pass_probability,
-    make_state,
-    project_bell,
-)
 from cointoss.strategies import (
     AliceCoefficients,
     StrategyRegisterMismatchError,
@@ -60,6 +50,22 @@ def test_leaf_masses_sum_to_one(tree):
     assert abs(total - 1.0) < 1e-12
     # Dead leaves (mass below 1e-12) count toward no outcome.
     assert leaf_probabilities(tree).sum() == pytest.approx(total, abs=1e-12)
+
+
+@SETTINGS
+@given(trees())
+def test_every_chance_node_splits_one_probability(tree):
+    # Children carry p and 1 - p, which sum to 1.0 exactly, and a dead
+    # branch carries exactly 0, so no sampler can ever reach it.
+    nodes = [tree.root]
+    while nodes:
+        node = nodes.pop()
+        if node.children:
+            first, second = node.children
+            assert first.probability + second.probability == 1.0
+            nodes += node.children
+        if node.lines is None:
+            assert node.probability == 0.0
 
 
 @SETTINGS
@@ -123,23 +129,3 @@ def test_unreachable_verification_aborts_instead_of_crashing():
         if transcript.records[2].payload == {"choice": 1}:
             assert outcome is ProtocolOutcome.ABORT
             assert transcript.records[-2].probability == 1.0
-
-
-@SETTINGS
-@given(
-    st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
-        lambda v: math.fsum(x * x for x in v) > 1e-3
-    ),
-    st.sampled_from([(A1, B1), (A2, B2), (A1, B2), (B2, A2)]),
-)
-def test_project_bell_is_idempotent(values, pair):
-    amplitudes = np.asarray(values[:16]) + 1j * np.asarray(values[16:])
-    state = make_state((A1, B1, A2, B2), amplitudes / np.linalg.norm(amplitudes))
-    try:
-        passed, once = project_bell(state, pair)
-    except ZeroNormError:
-        return  # no posterior on a ~0 projection
-    assert bell_pass_probability(state, pair) == passed
-    again, twice = project_bell(once, pair)
-    assert again == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
