@@ -2,7 +2,8 @@
 
 Cheating probabilities are computed two independent ways: closed-form
 quadratic forms for Alice's aligned strategy family (her win and detection
-probabilities, which the optimizer and the sensitivity scan evaluate), and
+probabilities; the optimum is the win form's top eigenvector, and the
+sensitivity scan evaluates both forms along a path), and
 sums over the leaves of the protocol's branch tree (every choice, coin
 outcome and verification branch with its exact probability). Monte Carlo
 sampling adds a statistical check: the protocol engine splits the trials
@@ -17,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import kernels
 from .protocol import (
     HONEST_TREE,
     Branch,
@@ -48,6 +48,14 @@ KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
 # numpy's binomial and multinomial draws take counts up to int64's maximum.
 _MAX_TRIALS = 2**63 - 1
 
+# Alice's win probability for target 0 is x^T M x in x = (a00, a01, a10, a11),
+# against an honest Bob; `_objective` is its expanded form.
+_OBJECTIVE_FORM = np.array([[2, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]) / 4.0
+
+# The sensitivity scan evaluates and prints this many points at a time; a
+# chunk's floats and text take about 15 MB.
+SCAN_CHUNK = 32_768
+
 
 class DegenerateBranchError(Exception):
     """Fidelity bound requested on a branch with no probability mass."""
@@ -55,6 +63,22 @@ class DegenerateBranchError(Exception):
 
 class InvariantViolationError(Exception):
     """An internal consistency guarantee failed; results are not trustworthy."""
+
+
+def _objective(a00, a01, a10):
+    """Alice's success probability for target 0; accepts scalars or arrays."""
+    return (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
+
+
+def _detection(a00, a01, a10, a11):
+    """Alice's abort probability against an honest Bob; accepts scalars or arrays.
+
+    The abort mass of the coin pair's outcome i is ``(a_i0 - a_i1)^2 / 4``
+    when Bob picks pair 1, and of outcome j ``(a_0j - a_1j)^2 / 4`` when he
+    picks pair 2.
+    """
+    d0, d1, d2, d3 = a00 - a01, a10 - a11, a00 - a10, a01 - a11
+    return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
 
 
 def alice_fidelity_bound(a00: float, a01: float) -> float:
@@ -75,7 +99,7 @@ def alice_objective(c: AliceCoefficients) -> float:
     ``(2*a00^2 + 2*a00*a01 + 2*a00*a10 + a01^2 + a10^2) / 4``; its maximum
     over the normalized nonnegative coefficients is 3/4.
     """
-    return kernels._objective(c.a00, c.a01, c.a10)
+    return _objective(c.a00, c.a01, c.a10)
 
 
 @dataclass(frozen=True)
@@ -152,10 +176,13 @@ def exact_win_probability(
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Alice's best aligned strategy, with the numbers that certify it."""
+
     argmax: AliceCoefficients
     value: float
-    grid_resolution: int
-    refinement_tolerance: float
+    residual: float
+    spectral_gap: float
+    p_detect: float
 
     def as_mapping(self) -> dict:
         return {
@@ -164,60 +191,37 @@ class OptimizationResult:
             "argmax.a01": self.argmax.a01,
             "argmax.a10": self.argmax.a10,
             "argmax.a11": self.argmax.a11,
-            "grid_resolution": self.grid_resolution,
-            "refinement_tolerance": self.refinement_tolerance,
+            "residual": self.residual,
+            "spectral_gap": self.spectral_gap,
+            "p_detect": self.p_detect,
             "analytic_bound": ANALYTIC_BOUND,
             "kitaev_reference": KITAEV_REFERENCE,
         }
 
 
-def _objective_at_angles(angles: Sequence[float]) -> float:
-    a00, a01, a10, _ = kernels.angles_to_coefficients(*angles)
-    return float(kernels._objective(a00, a01, a10))
+def optimize_alice() -> OptimizationResult:
+    """Maximize the win probability over the nonnegative unit sphere, in closed form.
 
-
-def optimize_alice(
-    grid_resolution: int = 100, refinement_tolerance: float = 1e-10
-) -> OptimizationResult:
-    """Maximize the closed-form objective over the nonnegative unit sphere.
-
-    Dense scan over a ``grid_resolution^3`` polar-angle grid, then
-    coordinate-wise pattern refinement with a halving step until a full
-    sweep improves the value by less than `refinement_tolerance`. The
-    reported argmax is canonicalized to ``a01 >= a10`` (the objective is
-    symmetric under swapping them).
+    The objective is ``x^T M x``. M is nonnegative, so by Perron-Frobenius
+    its top eigenvalue is the maximum and its top eigenvector, taken
+    entrywise nonnegative, attains it: 3/4 at (sqrt(2/3), sqrt(1/6),
+    sqrt(1/6), 0). The result certifies itself with the residual
+    ``||M x - value x||``, the gap to the next eigenvalue (1/2, so the
+    optimum is unique) and the detection probability there (1/6). The
+    argmax is canonicalized to ``a01 >= a10`` (the objective is symmetric
+    under swapping them).
     """
-    # The scan takes O(n^3) time: 2000^3 = 8e9 points is about two minutes.
-    if not 20 <= grid_resolution <= 2000:
-        raise ValueError(f"grid_resolution must be between 20 and 2000, got {grid_resolution}")
-    best_value, t1, t2, t3 = kernels.objective_grid_scan(grid_resolution)
-
-    half_pi = math.pi / 2.0
-    angles = [t1, t2, t3]
-    step = half_pi / (grid_resolution - 1)
-    while step > 1e-13:
-        swept_gain = 0.0
-        for axis in range(3):
-            for delta in (step, -step):
-                candidate = list(angles)
-                candidate[axis] = min(half_pi, max(0.0, candidate[axis] + delta))
-                value = _objective_at_angles(candidate)
-                if value > best_value:
-                    swept_gain += value - best_value
-                    best_value = value
-                    angles = candidate
-        if swept_gain < refinement_tolerance:
-            step /= 2.0
-
-    coefficients = kernels.angles_to_coefficients(*angles)
-    if coefficients[1] < coefficients[2]:
-        coefficients = coefficients[[0, 2, 1, 3]]
-    argmax = AliceCoefficients.from_array(coefficients)
+    values, vectors = np.linalg.eigh(_OBJECTIVE_FORM)
+    x = np.abs(vectors[:, -1])
+    if x[1] < x[2]:
+        x = x[[0, 2, 1, 3]]
+    value = float(values[-1])
     return OptimizationResult(
-        argmax=argmax,
-        value=alice_objective(argmax),
-        grid_resolution=grid_resolution,
-        refinement_tolerance=refinement_tolerance,
+        argmax=AliceCoefficients.from_array(x),
+        value=value,
+        residual=float(np.linalg.norm(_OBJECTIVE_FORM @ x - value * x)),
+        spectral_gap=float(values[-1] - values[-2]),
+        p_detect=float(_detection(*x)),
     )
 
 
@@ -250,6 +254,51 @@ class SensitivityPoint:
     p_detect: float
 
 
+def scan_chunks(
+    steps: int,
+    start: AliceCoefficients | None = None,
+    end: AliceCoefficients | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(t, win, detection) arrays along the honest-to-optimal path, by chunk.
+
+    Linear interpolation between the two coefficient tuples, renormalized
+    at every step; t runs over ``np.linspace(0, 1, steps)``. Every point is
+    an aligned strategy, whose win and detection probabilities against an
+    honest Bob are the closed forms `_objective` and `_detection`, so each
+    chunk of up to `SCAN_CHUNK` points is one vectorized pass. Takes 2 to
+    10**6 steps. The whole path is checked before this returns, so a point
+    whose probabilities sum past 1 raises here, and the iterator returned
+    evaluates the chunks again as it is read: memory stays O(SCAN_CHUNK).
+    """
+    # The cap bounds the time: printing 10**6 points takes about 2 s.
+    if not 2 <= steps <= 10**6:
+        raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
+    start_values = (start or AliceCoefficients.honest()).as_array()
+    end_values = (end or AliceCoefficients.optimal()).as_array()
+
+    def chunks():
+        for first in range(0, steps, SCAN_CHUNK):
+            # np.linspace(0, 1, steps)[first:last], element for element.
+            t = np.arange(first, min(first + SCAN_CHUNK, steps)) * (1.0 / (steps - 1))
+            if first + t.size == steps:
+                t[-1] = 1.0
+            raw = (1.0 - t)[:, None] * start_values + t[:, None] * end_values
+            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            a00, a01, a10, a11 = raw.T
+            yield t, _objective(a00, a01, a10), _detection(a00, a01, a10, a11)
+
+    for t, win, detect in chunks():
+        lose = 1.0 - win - detect
+        bad = np.flatnonzero(lose < -1e-10)
+        if bad.size:
+            first = bad[0]
+            raise InvariantViolationError(
+                f"branch probabilities at t={float(t[first])} sum past 1 "
+                f"({float(lose[first])!r} residual)"
+            )
+    return chunks()
+
+
 def sensitivity_scan(
     steps: int,
     start: AliceCoefficients | None = None,
@@ -257,38 +306,26 @@ def sensitivity_scan(
 ) -> list[SensitivityPoint]:
     """Win vs detection probability along the honest-to-optimal path.
 
-    Linear interpolation between the two coefficient tuples, renormalized
-    at every step. Every point is an aligned strategy, whose win and
-    detection probabilities against an honest Bob are the closed forms
-    `kernels._objective` and `kernels._detection`, so the whole path is
-    evaluated in one vectorized pass; the tests check it point by point
-    against exact branch enumeration. Takes 2 to 10**6 steps. Any point that
-    wins more often than 1/2 shows a strictly positive detection
-    probability.
+    The points of `scan_chunks`; the tests check them point by point
+    against exact branch enumeration. Any point that wins more often than
+    1/2 shows a strictly positive detection probability.
     """
-    # Each point becomes a Python object and a printed row: 10**6 of them
-    # take seconds and about half a gigabyte.
-    if not 2 <= steps <= 10**6:
-        raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
-    start_values = (start or AliceCoefficients.honest()).as_array()
-    end_values = (end or AliceCoefficients.optimal()).as_array()
-    t = np.linspace(0.0, 1.0, steps)
-    raw = (1.0 - t)[:, None] * start_values + t[:, None] * end_values
-    a00, a01, a10, a11 = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).T
-    win = kernels._objective(a00, a01, a10)
-    detect = kernels._detection(a00, a01, a10, a11)
-    lose = 1.0 - win - detect
-    bad = np.flatnonzero(lose < -1e-10)
-    if bad.size:
-        first = bad[0]
-        raise InvariantViolationError(
-            f"branch probabilities at t={float(t[first])} sum past 1 "
-            f"({float(lose[first])!r} residual)"
-        )
     return [
         SensitivityPoint(strategy_id=f"path:t={u:.6f}", p_win=w, p_detect=d)
+        for t, win, detect in scan_chunks(steps, start, end)
         for u, w, d in zip(t.tolist(), win.tolist(), detect.tolist())
     ]
+
+
+def scan_csv(chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """The scan's CSV rows, one string per chunk.
+
+    Each row reads ``path:t=<t>,<p_win>,<p_detect>`` with `format_value`'s
+    12 significant digits; one %-format per chunk keeps printing fast.
+    """
+    for t, win, detect in chunks:
+        flat = np.column_stack((t, win, detect)).ravel().tolist()
+        yield ("path:t=%.6f,%.12g,%.12g\n" * t.size) % tuple(flat)
 
 
 @dataclass(frozen=True)
@@ -465,7 +502,3 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
     for row in rows:
         lines.append(",".join(format_value(value) for value in row))
     return lines
-
-
-def scan_rows(points: Sequence[SensitivityPoint]) -> list[tuple]:
-    return [(p.strategy_id, p.p_win, p.p_detect) for p in points]

@@ -3,22 +3,33 @@
 Reports are deterministic: the same configuration (including the seed)
 produces a byte-identical body. Structured output is flat ``key: value``
 lines; tabular output is CSV with the configuration echoed in ``#``
-comment lines. Scan output is always a CSV table.
+comment lines. Scan output is always a CSV table, written as it is
+formatted, a chunk of rows at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
-from . import analysis
-from .protocol import walk
-from .qstate import NotNormalizedError
-from .strategies import StrategyRegisterMismatchError, UnknownStrategyError, parse_strategy_id
+# The largest BLAS call here multiplies an 8x8 unitary by an 8x4 block, so
+# OpenBLAS's thread pool would only spin; a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-REPORT_SCHEMA = "cointoss.report/1"
+from . import analysis  # noqa: E402
+from .protocol import walk  # noqa: E402
+from .qstate import NotNormalizedError  # noqa: E402
+from .strategies import (  # noqa: E402
+    StrategyRegisterMismatchError,
+    UnknownStrategyError,
+    parse_strategy_id,
+)
+
+REPORT_SCHEMA = "cointoss.report/2"
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -38,8 +49,8 @@ strategies:
 
 sizes:
   --trials is between 1000 and 2**63 - 1 (9223372036854775807).
-  --grid-resolution is between 20 and 2000.
   --steps is between 2 and 1000000.
+  optimize is solved in closed form; --grid-resolution is only echoed.
 
 The default seed is 0, or the value of COINTOSS_SEED when set;
 an explicit --seed always wins.
@@ -136,23 +147,20 @@ def _render(config: dict, result: dict, output_format: str) -> str:
         lines += [f"config.{k}: {analysis.format_value(v)}" for k, v in config.items()]
         lines += [f"result.{k}: {analysis.format_value(v)}" for k, v in result.items()]
         return "\n".join(lines) + "\n"
-    lines = [f"# schema: {REPORT_SCHEMA}"]
-    lines += [f"# config.{k}: {analysis.format_value(v)}" for k, v in config.items()]
+    lines = _comment_lines(config)
     lines += analysis.csv_lines(list(result.keys()), [list(result.values())])
     return "\n".join(lines) + "\n"
 
 
-def _render_table(config: dict, header, rows, constants: dict | None = None) -> str:
+def _comment_lines(config: dict, constants: dict | None = None) -> list[str]:
     lines = [f"# schema: {REPORT_SCHEMA}"]
     lines += [f"# config.{k}: {analysis.format_value(v)}" for k, v in config.items()]
-    for key, value in (constants or {}).items():
-        lines.append(f"# {key}: {analysis.format_value(value)}")
-    lines += analysis.csv_lines(header, rows)
-    return "\n".join(lines) + "\n"
+    lines += [f"# {k}: {analysis.format_value(v)}" for k, v in (constants or {}).items()]
+    return lines
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` whole or not at all.
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text `chunks` to `path` whole or not at all.
 
     The text goes to a new file beside the target, which `os.replace` then
     moves onto it, so a failure leaves the target as it was. On any
@@ -161,23 +169,25 @@ def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
     if target.exists() and not target.is_file():
         # A pipe or a device, such as /dev/stdout, takes the bytes directly.
-        target.write_text(text, encoding="utf-8")
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
         return
     target = target.resolve()  # through a symlink, replace the file it names
     temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(temp, "x", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(temp, target)
     except OSError as exc:
         temp.unlink(missing_ok=True)
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def dispatch(args: argparse.Namespace) -> tuple[str, str | None]:
-    """The report body, and the transcript when ``--transcript`` is given.
+def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
+    """The report body's text chunks, and the transcript when ``--transcript`` is given.
 
-    `main` writes them in that order, so a failed ``--out`` writes neither.
+    Every check runs here, before `main` writes a byte; `main` writes the
+    body first, so a failed ``--out`` writes neither.
     """
     config = _config_mapping(args)
 
@@ -192,31 +202,25 @@ def dispatch(args: argparse.Namespace) -> tuple[str, str | None]:
             engine=args.engine,
         )
         transcript = walk(report.tree, args.seed)[1].to_jsonl() if args.transcript else None
-        return _render(config, report.as_mapping(), args.format), transcript
+        return [_render(config, report.as_mapping(), args.format)], transcript
 
     if args.command == "bias":
         strategy = parse_strategy_id(args.strategy, args.target)
         report = analysis.exact_win_probability(strategy, args.target)
-        return _render(config, report.as_mapping(), args.format), None
+        return [_render(config, report.as_mapping(), args.format)], None
 
     if args.command == "optimize":
-        result = analysis.optimize_alice(grid_resolution=args.grid_resolution)
-        if args.format == "tabular":
-            mapping = result.as_mapping()
-            return _render_table(config, list(mapping.keys()), [list(mapping.values())]), None
-        return _render(config, result.as_mapping(), args.format), None
+        # --grid-resolution is echoed in the config and otherwise unused.
+        return [_render(config, analysis.optimize_alice().as_mapping(), args.format)], None
 
     if args.command == "scan":
-        points = analysis.sensitivity_scan(args.steps)
-        return _render_table(
-            config,
-            ("strategy", "p_win", "p_detect"),
-            analysis.scan_rows(points),
-            constants={
-                "analytic_bound": analysis.ANALYTIC_BOUND,
-                "kitaev_reference": analysis.KITAEV_REFERENCE,
-            },
-        ), None
+        chunks = analysis.scan_chunks(args.steps)
+        constants = {
+            "analytic_bound": analysis.ANALYTIC_BOUND,
+            "kitaev_reference": analysis.KITAEV_REFERENCE,
+        }
+        header = _comment_lines(config, constants) + ["strategy,p_win,p_detect"]
+        return itertools.chain(["\n".join(header) + "\n"], analysis.scan_csv(chunks)), None
 
     raise analysis.InvariantViolationError(f"unhandled command {args.command!r}")
 
@@ -233,7 +237,7 @@ def main(argv=None) -> int:
         if args.out:
             _write_atomic(args.out, body)
         if transcript is not None:
-            _write_atomic(args.transcript, transcript)
+            _write_atomic(args.transcript, [transcript])
     except OSError as exc:
         print(f"cointoss: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
@@ -247,7 +251,7 @@ def main(argv=None) -> int:
         print(f"cointoss: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     if not args.out:
-        sys.stdout.write(body)
+        sys.stdout.writelines(body)
     return EXIT_OK
 
 

@@ -93,31 +93,46 @@ class TestObjective:
 
 class TestOptimizer:
     def test_reaches_three_quarters(self):
-        result = optimize_alice(grid_resolution=100, refinement_tolerance=1e-10)
-        assert result.value == pytest.approx(0.75, abs=1e-6)
+        result = optimize_alice()
+        assert result.value == pytest.approx(0.75, abs=1e-15)
         expected = AliceCoefficients.optimal().as_array()
-        np.testing.assert_allclose(result.argmax.as_array(), expected, atol=1e-3)
+        np.testing.assert_allclose(result.argmax.as_array(), expected, atol=1e-15)
 
     def test_canonical_order(self):
-        result = optimize_alice(grid_resolution=40)
+        result = optimize_alice()
         assert result.argmax.a01 >= result.argmax.a10
 
     def test_value_consistent_with_argmax(self):
-        result = optimize_alice(grid_resolution=30)
-        assert result.value == pytest.approx(alice_objective(result.argmax), abs=1e-12)
+        result = optimize_alice()
+        assert result.value == pytest.approx(alice_objective(result.argmax), abs=1e-15)
 
-    def test_monotone_in_resolution(self):
-        values = [optimize_alice(r).value for r in (20, 40, 80)]
-        assert values[1] >= values[0] - 1e-9
-        assert values[2] >= values[1] - 1e-9
+    def test_exact_certificate(self):
+        # The closed form in exact arithmetic: M's spectrum, its top
+        # eigenvector and the detection probability there.
+        import sympy
 
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            optimize_alice(grid_resolution=19)
+        objective = sympy.Matrix([[2, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]) / 4
+        detection = sympy.Matrix(
+            [[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]
+        ) / 4
+        third = sympy.Rational(3, 4)
+        assert objective.eigenvals() == {third: 1, sympy.Rational(1, 4): 1, 0: 2}
+        x = sympy.Matrix([sympy.sqrt(sympy.Rational(2, 3)), *[sympy.sqrt(sympy.Rational(1, 6))] * 2, 0])
+        assert sympy.simplify(x.dot(x)) == 1
+        assert sympy.simplify(objective * x - third * x) == sympy.zeros(4, 1)
+        assert sympy.simplify((x.T * detection * x)[0]) == sympy.Rational(1, 6)
 
-    def test_resolution_ceiling(self):
-        with pytest.raises(ValueError, match="between 20 and 2000"):
-            optimize_alice(grid_resolution=2001)
+        result = optimize_alice()
+        np.testing.assert_allclose(result.argmax.as_array(), [float(v) for v in x], atol=1e-15)
+        assert abs(result.value - 0.75) <= 1e-15
+        assert abs(result.spectral_gap - 0.5) <= 1e-15
+        assert abs(result.p_detect - 1 / 6) <= 1e-15
+        assert 0.0 <= result.residual <= 1e-15
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(unit_weights)
+    def test_no_unit_vector_beats_the_optimum(self, c):
+        assert optimize_alice().value >= analysis._objective(c.a00, c.a01, c.a10) - 1e-15
 
 
 class TestExactWinProbability:
@@ -255,7 +270,7 @@ class TestSensitivityScan:
     def test_probabilities_past_one_name_the_first_bad_point(self, monkeypatch):
         # From the fourth of seven points on, win + detect exceeds 1.
         monkeypatch.setattr(
-            analysis.kernels,
+            analysis,
             "_detection",
             lambda a00, *_: np.where(np.arange(a00.size) >= 3, 0.6, 0.0),
         )

@@ -3,10 +3,17 @@
 import errno
 import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cointoss
+from cointoss import analysis
+from cointoss.analysis import format_value
 from cointoss.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -15,6 +22,7 @@ from cointoss.cli import (
     build_parser,
     main,
 )
+from cointoss.strategies import AliceCoefficients
 
 
 SUBCOMMANDS = ("honest", "cheat-alice", "cheat-bob", "bias", "montecarlo", "optimize", "scan")
@@ -95,8 +103,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["optimize", "--grid-resolution", "2001"],
-            ["optimize", "--grid-resolution", "100000000000"],
+            ["scan", "--steps", "1"],
+            ["cheat-alice", "--engine", "protocol", "--trials", "999"],
             ["montecarlo", "--engine", "protocol", "--trials", str(2**63)],
             ["cheat-bob", "--engine", "protocol", "--trials", str(10**20)],
             ["scan", "--steps", str(10**6 + 1)],
@@ -127,7 +135,7 @@ class TestExitCodes:
     def test_help_documents_size_bounds(self):
         text = build_parser().format_help()
         assert "--trials is between 1000 and 2**63 - 1 (9223372036854775807)" in text
-        assert "between 20 and 2000" in text
+        assert "--grid-resolution is only echoed" in text
         assert "--steps is between 2 and 1000000" in text
 
     def test_help_documents_exit_codes(self):
@@ -247,7 +255,7 @@ class TestRunsAndFiles:
         code, _, _ = run_cli(capsys, "bias", "--out", str(tmp_path / "link.txt"))
         assert code == EXIT_OK
         assert (tmp_path / "link.txt").is_symlink()
-        assert path.read_text().startswith("schema: cointoss.report/1\n")
+        assert path.read_text().startswith("schema: cointoss.report/2\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "report.txt"]
 
     def test_out_writes_straight_into_a_pipe(self, capsys, tmp_path):
@@ -261,7 +269,7 @@ class TestRunsAndFiles:
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert code == EXIT_OK
-        assert received[0].startswith("schema: cointoss.report/1\n")
+        assert received[0].startswith("schema: cointoss.report/2\n")
 
     def test_transcript_emission(self, capsys, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -294,13 +302,22 @@ class TestOptimizeAndScan:
         code, out, _ = run_cli(capsys, "optimize", "--grid-resolution", "100")
         assert code == EXIT_OK
         value = float(re.search(r"result\.value: (\S+)", out).group(1))
-        assert abs(value - 0.75) < 1e-6
+        assert abs(value - 0.75) < 1e-12
         a00 = float(re.search(r"result\.argmax\.a00: (\S+)", out).group(1))
-        assert abs(a00 - 0.816496580928) < 1e-3
+        assert abs(a00 - 0.816496580928) < 1e-12
+        assert "result.spectral_gap: 0.5\n" in out
+        assert "result.p_detect: 0.166666666667\n" in out
+        assert float(re.search(r"result\.residual: (\S+)", out).group(1)) <= 1e-15
+        assert "grid_resolution" not in out.split("config.format")[1]
 
-    def test_optimize_resolution_floor(self, capsys):
-        code, _, _ = run_cli(capsys, "optimize", "--grid-resolution", "5")
-        assert code == EXIT_PARSE
+    @pytest.mark.parametrize("resolution", ["5", "2001", str(10**11)])
+    def test_grid_resolution_is_only_echoed(self, capsys, resolution):
+        code, out, _ = run_cli(capsys, "optimize", "--grid-resolution", resolution)
+        assert code == EXIT_OK
+        _, default, _ = run_cli(capsys, "optimize")
+        assert out == default.replace(
+            "config.grid_resolution: 100\n", f"config.grid_resolution: {resolution}\n"
+        )
 
     def test_scan_emits_table(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--steps", "10")
@@ -312,3 +329,77 @@ class TestOptimizeAndScan:
         assert len(data) == 11
         last = data[-1].split(",")
         assert abs(float(last[1]) - 0.75) < 1e-9
+
+    def test_scan_matches_row_by_row_rendering_across_chunks(self, capsys):
+        steps = analysis.SCAN_CHUNK + 1
+        code, out, _ = run_cli(capsys, "scan", "--steps", str(steps))
+        assert code == EXIT_OK
+        t = np.linspace(0.0, 1.0, steps)
+        raw = np.outer(1.0 - t, [0.5, 0.5, 0.5, 0.5]) + np.outer(t, AliceCoefficients.optimal().as_array())
+        a00, a01, a10, a11 = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).T
+        win = analysis._objective(a00, a01, a10)
+        detect = analysis._detection(a00, a01, a10, a11)
+        rows = "".join(
+            f"path:t={u:.6f},{format_value(w)},{format_value(d)}\n"
+            for u, w, d in zip(t.tolist(), win.tolist(), detect.tolist())
+        )
+        assert out.endswith("\nstrategy,p_win,p_detect\n" + rows)
+
+    @pytest.fixture
+    def last_chunk_past_one(self, monkeypatch):
+        # Only the one-point last chunk of a SCAN_CHUNK + 1 scan sums past 1.
+        detection = analysis._detection
+        monkeypatch.setattr(
+            analysis,
+            "_detection",
+            lambda a00, *rest: detection(a00, *rest) + (0.6 if a00.size == 1 else 0.0),
+        )
+        return str(analysis.SCAN_CHUNK + 1)
+
+    def test_scan_checks_every_chunk_before_printing(self, capsys, last_chunk_past_one):
+        code, out, err = run_cli(capsys, "scan", "--steps", last_chunk_past_one)
+        assert (code, out) == (EXIT_INVARIANT, "")
+        assert err.startswith("cointoss: internal invariant violation: branch probabilities at t=1.0 ")
+
+    def test_scan_out_is_written_whole_or_not_at_all(
+        self, capsys, monkeypatch, tmp_path, last_chunk_past_one
+    ):
+        path = tmp_path / "scan.csv"
+        code, _, _ = run_cli(capsys, "scan", "--steps", last_chunk_past_one, "--out", str(path))
+        assert code == EXIT_INVARIANT
+        monkeypatch.undo()
+
+        def failing_replace(source, target):
+            raise OSError(errno.ENOSPC, "No space left on device", str(source))
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, out, err = run_cli(capsys, "scan", "--steps", last_chunk_past_one, "--out", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"cointoss: cannot write {path}: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStartup:
+    """What importing the package and the CLI loads and sets, in a fresh child."""
+
+    @staticmethod
+    def child(code: str, **env_vars: str) -> str:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(cointoss.__file__).parents[1])
+        env.update(env_vars)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return done.stdout
+
+    def test_package_root_loads_no_numeric_library(self):
+        loaded = self.child(
+            "import cointoss, sys; print([m for m in ('numpy', 'scipy', 'sympy') if m in sys.modules])"
+        )
+        assert loaded == "[]\n"
+
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+    def test_cli_limits_openblas_to_one_thread_unless_set(self, preset, expected):
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        code = "import os, cointoss.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.child(code, **env) == expected + "\n"

@@ -1,6 +1,9 @@
-"""Alice's closed forms and the objective grid scan.
+"""Alice's closed-form kernels, and a dense grid scan that cross-checks the optimum.
 
-The grid scan agrees exactly with the full-cube scan, in O(n^2) memory.
+`analysis._objective` and `analysis._detection` are the quadratic forms
+x^T M x and x^T D x. `optimize_alice` solves the objective in closed form;
+the grid scan here walks a polar-angle grid over the nonnegative unit
+sphere instead, as an independent numeric check of that solution.
 """
 
 import math
@@ -11,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss import kernels
-from cointoss.analysis import optimize_alice
+from cointoss.analysis import _detection, _objective, optimize_alice
 
 # The objective and the detection probability as quadratic forms x^T M x
 # and x^T D x in x = (a00, a01, a10, a11).
@@ -24,22 +26,35 @@ unit_vectors = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 ).map(lambda w: np.asarray(w) / np.linalg.norm(w))
 
 
-class TestClosedForms:
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(unit_vectors)
-    def test_closed_forms_are_the_quadratic_forms(self, x):
-        assert abs(x @ M @ x - kernels._objective(*x[:3])) < 1e-15
-        assert abs(x @ D @ x - kernels._detection(*x)) < 1e-15
+def angles_to_coefficients(t1, t2, t3):
+    """Map three polar angles in [0, pi/2] to (a00, a01, a10, a11) on the unit sphere."""
+    return np.array([
+        np.cos(t1),
+        np.sin(t1) * np.cos(t2),
+        np.sin(t1) * np.sin(t2) * np.cos(t3),
+        np.sin(t1) * np.sin(t2) * np.sin(t3),
+    ])
 
-    def test_top_eigenvalue_certifies_three_quarters(self):
-        # M is nonnegative, so by Perron-Frobenius its top eigenvalue is the
-        # objective's maximum over the nonnegative unit sphere, attained at
-        # its (nonnegative) top eigenvector.
-        values, vectors = np.linalg.eigh(M)
-        top = vectors[:, -1] * np.sign(vectors[0, -1])
-        assert abs(values[-1] - 0.75) < 1e-15
-        np.testing.assert_allclose(top, optimize_alice(20).argmax.as_array(), atol=1e-6)
-        assert kernels._detection(*top) == pytest.approx(1 / 6, abs=1e-15)
+
+def grid_scan(resolution):
+    """Best objective value and its three angles over the ``resolution^3`` grid.
+
+    Walks one t1 slab at a time, so it holds O(resolution^2) floats. Ties
+    resolve to the first grid point in (t1, t2, t3) row-major order.
+    """
+    angles = np.linspace(0.0, np.pi / 2.0, resolution)
+    cos, sin = np.cos(angles), np.sin(angles)
+    best, best_index = -np.inf, (0, 0, 0)
+    for i1 in range(resolution):
+        a01 = sin[i1] * cos[:, None]
+        a10 = (sin[i1] * sin[:, None]) * cos
+        value = _objective(cos[i1], a01, a10)
+        flat = int(np.argmax(value))
+        if value.flat[flat] > best:
+            best = float(value.flat[flat])
+            best_index = (i1, *np.unravel_index(flat, value.shape))
+    i1, i2, i3 = best_index
+    return best, float(angles[i1]), float(angles[i2]), float(angles[i3])
 
 
 def reference_grid_scan(resolution):
@@ -56,12 +71,30 @@ def reference_grid_scan(resolution):
     return float(value[i1, i2, i3]), float(angles[i1]), float(angles[i2]), float(angles[i3])
 
 
+class TestClosedForms:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(unit_vectors)
+    def test_closed_forms_are_the_quadratic_forms(self, x):
+        assert abs(x @ M @ x - _objective(*x[:3])) < 1e-15
+        assert abs(x @ D @ x - _detection(*x)) < 1e-15
+
+    def test_top_eigenvalue_certifies_three_quarters(self):
+        # M is nonnegative, so by Perron-Frobenius its top eigenvalue is the
+        # objective's maximum over the nonnegative unit sphere, attained at
+        # its (nonnegative) top eigenvector.
+        values, vectors = np.linalg.eigh(M)
+        top = vectors[:, -1] * np.sign(vectors[0, -1])
+        assert abs(values[-1] - 0.75) < 1e-15
+        np.testing.assert_allclose(top, optimize_alice().argmax.as_array(), atol=1e-15)
+        assert _detection(*top) == pytest.approx(1 / 6, abs=1e-15)
+
+
 class TestGridScan:
     @pytest.mark.parametrize("resolution", [20, 37, 100])
     def test_matches_full_cube_reference_in_slab_memory(self, resolution):
         tracemalloc.start()
         try:
-            got = kernels.objective_grid_scan(resolution)
+            got = grid_scan(resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -72,13 +105,26 @@ class TestGridScan:
     # numpy is the scan's only backend; the id keeps this test's established name.
     @pytest.mark.parametrize("backend", ["numpy"])
     def test_grid_value_below_true_maximum(self, backend):
-        value, *_ = kernels.objective_grid_scan(25)
-        assert 0.7 < value <= 0.75 + 1e-12
+        value, *_ = grid_scan(25)
+        assert 0.7 < value <= optimize_alice().value + 1e-15
+
+    @pytest.mark.parametrize("resolution", [20, 37, 50, 100])
+    def test_grid_converges_on_the_closed_form(self, resolution):
+        # The grid never beats the eigenvalue, and with a spectral gap of
+        # 1/2 its best point lies within one grid step of the eigenvector.
+        step = (np.pi / 2.0) / (resolution - 1)
+        result = optimize_alice()
+        value, *angles = grid_scan(resolution)
+        assert 0.0 <= result.value - value <= step**2 / 2.0
+        coefficients = angles_to_coefficients(*angles)
+        if coefficients[1] < coefficients[2]:
+            coefficients = coefficients[[0, 2, 1, 3]]
+        assert np.max(np.abs(coefficients - result.argmax.as_array())) <= step
 
     def test_angles_map_to_unit_sphere(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             t = rng.uniform(0, np.pi / 2, size=3)
-            coeffs = kernels.angles_to_coefficients(*t)
+            coeffs = angles_to_coefficients(*t)
             assert np.all(coeffs >= -1e-15)
             assert np.sum(coeffs**2) == pytest.approx(1.0, abs=1e-12)
