@@ -17,8 +17,7 @@ counts a run on a branch below `qstate.ZERO_ATOL`, whose mass is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,10 +101,7 @@ def alice_objective(c: AliceCoefficients) -> float:
     return _objective(c.a00, c.a01, c.a10)
 
 
-@dataclass(frozen=True)
-class BiasReport:
-    """Exact win/abort probabilities for one cheating party and target."""
-
+class _BiasFields(NamedTuple):
     party: str
     target: int
     strategy_id: str
@@ -114,12 +110,23 @@ class BiasReport:
     analytic_bound: float = ANALYTIC_BOUND
     kitaev_reference: float = KITAEV_REFERENCE
 
-    def __post_init__(self) -> None:
+
+class BiasReport(_BiasFields):
+    """Exact win/abort probabilities for one cheating party and target.
+
+    Like the strategies' records, a NamedTuple whose subclass checks it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (-1e-12 <= self.p_win_exact <= self.analytic_bound + 1e-9):
             raise InvariantViolationError(
                 f"win probability {self.p_win_exact!r} escapes [0, bound] for "
                 f"{self.strategy_id}"
             )
+        return self
 
     @property
     def epsilon(self) -> float:
@@ -174,8 +181,7 @@ def exact_win_probability(
     )
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     """Alice's best aligned strategy, with the numbers that certify it."""
 
     argmax: AliceCoefficients
@@ -247,8 +253,7 @@ def phase_sweep(
     return best
 
 
-@dataclass(frozen=True)
-class SensitivityPoint:
+class SensitivityPoint(NamedTuple):
     strategy_id: str
     p_win: float
     p_detect: float
@@ -328,8 +333,7 @@ def scan_csv(chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Ite
         yield ("path:t=%.6f,%.12g,%.12g\n" * t.size) % tuple(flat)
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
+class MonteCarloReport(NamedTuple):
     """Outcome frequencies over independent protocol runs."""
 
     run_kind: str
@@ -342,7 +346,7 @@ class MonteCarloReport:
     tails: int
     aborts: int
     # The tree the run's transcript is walked from.
-    tree: ProtocolTree = field(compare=False, repr=False)
+    tree: ProtocolTree
 
     @property
     def win_frequency(self) -> float:
@@ -491,10 +495,6 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
-
-
-def structured_lines(mapping: dict) -> list[str]:
-    return [f"{key}: {format_value(value)}" for key, value in mapping.items()]
 
 
 def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:

@@ -10,6 +10,7 @@ formatted, a chunk of rows at a time.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -29,6 +30,10 @@ from .strategies import (  # noqa: E402
     parse_strategy_id,
 )
 
+# The ~22k objects numpy and this package make at import live until exit;
+# frozen, they are walked by no later collection, the ones at exit included.
+gc.freeze()
+
 REPORT_SCHEMA = "cointoss.report/2"
 
 EXIT_OK = 0
@@ -39,7 +44,7 @@ EXIT_INVARIANT = 4
 _EPILOG = """\
 exit codes:
   0  success
-  2  invalid arguments or configuration, or an unwritable output path
+  2  invalid arguments or configuration, or an unwritable output path or stdout
   3  unknown strategy identifier
   4  internal invariant violation
 
@@ -169,8 +174,11 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     target = Path(path)
     if target.exists() and not target.is_file():
         # A pipe or a device, such as /dev/stdout, takes the bytes directly.
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+        try:
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         return
     target = target.resolve()  # through a symlink, replace the file it names
     temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
@@ -181,6 +189,23 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     except OSError as exc:
         temp.unlink(missing_ok=True)
         raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write the text `chunks` to stdout and flush it.
+
+    On an `OSError`, such as a closed pipe or a full disk, stdout's file
+    descriptor is pointed at os.devnull, so the interpreter's own flush at
+    exit cannot fail again, and the error names stdout.
+    """
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OSError(exc.errno, exc.strerror, "stdout") from None
 
 
 def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
@@ -238,6 +263,8 @@ def main(argv=None) -> int:
             _write_atomic(args.out, body)
         if transcript is not None:
             _write_atomic(args.transcript, [transcript])
+        if not args.out:
+            _write_stdout(body)
     except OSError as exc:
         print(f"cointoss: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
@@ -250,8 +277,6 @@ def main(argv=None) -> int:
     except analysis.InvariantViolationError as exc:
         print(f"cointoss: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if not args.out:
-        sys.stdout.writelines(body)
     return EXIT_OK
 
 

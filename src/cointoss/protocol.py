@@ -15,8 +15,6 @@ deterministic per seed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -76,16 +74,14 @@ class ProtocolOutcome(Enum):
         return None
 
 
-@dataclass(frozen=True)
-class PartyRole:
+class PartyRole(NamedTuple):
     """Who a party is in a run: honest, or playing a named strategy."""
 
     behavior: str
     registers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TranscriptRecord:
+class TranscriptRecord(NamedTuple):
     """One transcript line: (index, sender, kind, payload, probability)."""
 
     index: int
@@ -95,31 +91,22 @@ class TranscriptRecord:
     probability: float | None = None
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     seed: int
     records: tuple[TranscriptRecord, ...]
     outcome: ProtocolOutcome
 
     def to_jsonl(self) -> str:
-        lines = []
-        for record in self.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "index": record.index,
-                        "sender": record.sender,
-                        "kind": record.kind,
-                        "payload": record.payload,
-                        "probability": record.probability,
-                    }
-                )
-            )
-        return "\n".join(lines) + "\n"
+        import json  # only transcripts use it; the CLI starts without it
+
+        # A record's fields, in order, are its JSON object's keys.
+        return "\n".join(json.dumps(record._asdict()) for record in self.records) + "\n"
 
 
 def parse_transcript_jsonl(text: str) -> list[dict]:
     """Parse serialized transcript lines back into record dicts."""
+    import json
+
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
@@ -164,8 +151,7 @@ class Branch(NamedTuple):
     outcome: ProtocolOutcome | None
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolTree:
+class ProtocolTree(NamedTuple):
     """Every way one run can go, for a fixed pair of behaviours."""
 
     alice: PartyRole

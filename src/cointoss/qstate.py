@@ -9,9 +9,8 @@ basis ket ``|q0 q1 ... q(n-1)>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +59,7 @@ class Subsystem(Enum):
     ANCILLA_B = "AncillaB"  # Bob's optional ancilla
 
 
-@dataclass(frozen=True, order=True)
-class SubsystemLabel:
+class SubsystemLabel(NamedTuple):
     """One qubit wire: a subsystem name plus an index within that subsystem.
 
     The index only matters for multi-qubit ancillas (``A`` and ``AncillaB``);
@@ -101,12 +99,11 @@ def parse_label(text: str) -> SubsystemLabel:
     raise UnknownLabelError(f"unknown subsystem label {text!r}")
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """A normalized pure state over an ordered register of labeled qubits."""
 
     register: tuple[SubsystemLabel, ...]
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray
 
     @property
     def n_qubits(self) -> int:

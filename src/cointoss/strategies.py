@@ -11,8 +11,7 @@ the classical result to the pair he announces; his verdict is always
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,16 +40,25 @@ class UnknownStrategyError(Exception):
     """A strategy identifier does not name any known strategy."""
 
 
-@dataclass(frozen=True)
-class AliceCoefficients:
-    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
+# Each record with a validity check is a NamedTuple of its fields plus a
+# subclass whose __new__ checks them on every construction. `_replace`
+# builds the tuple directly, so it only changes fields no check reads.
 
+
+class _Weights(NamedTuple):
     a00: float
     a01: float
     a10: float
     a11: float
 
-    def __post_init__(self) -> None:
+
+class AliceCoefficients(_Weights):
+    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         values = self.as_array()
         if not np.all(np.isfinite(values)):
             raise ValueError(f"coefficients must be finite, got {values.tolist()}")
@@ -61,9 +69,10 @@ class AliceCoefficients:
             raise NotNormalizedError(
                 f"squared coefficients sum to {total!r}, expected 1 within 1e-10"
             )
+        return self
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.a00, self.a01, self.a10, self.a11], dtype=float)
+        return np.array(self, dtype=float)
 
     def flipped(self) -> "AliceCoefficients":
         """Coefficients of the globally bit-flipped state (a_ij -> a_{!i!j})."""
@@ -71,8 +80,7 @@ class AliceCoefficients:
 
     @classmethod
     def from_array(cls, values) -> "AliceCoefficients":
-        a = np.asarray(values, dtype=float).reshape(4)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        return cls(*np.asarray(values, dtype=float).reshape(4).tolist())
 
     @classmethod
     def honest(cls) -> "AliceCoefficients":
@@ -83,24 +91,28 @@ class AliceCoefficients:
         return cls(np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 6.0), np.sqrt(1.0 / 6.0), 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class LocalOperation:
+class _Operation(NamedTuple):
+    labels: tuple[SubsystemLabel, ...]
+    matrix: np.ndarray
+
+
+class LocalOperation(_Operation):
     """A unitary acting on the named qubits."""
 
-    labels: tuple[SubsystemLabel, ...]
-    matrix: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         dim = 2 ** len(self.labels)
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (dim, dim):
             raise ValueError(f"operation on {len(self.labels)} qubits needs shape {(dim, dim)}")
         if not np.allclose(m.conj().T @ m, np.eye(dim), atol=1e-8):
             raise ValueError("operation matrix is not unitary")
+        return self
 
 
-@dataclass(frozen=True, eq=False)
-class AliceResponse:
+class AliceResponse(NamedTuple):
     """What Alice does after hearing Bob's choice: optional local op, then send."""
 
     send: SubsystemLabel
@@ -112,13 +124,17 @@ _ALICE_HELD_KINDS = (Subsystem.A, Subsystem.A1, Subsystem.A2)
 _BOB_HELD_KINDS = (Subsystem.B1, Subsystem.B2, Subsystem.ANCILLA_B)
 
 
-@dataclass(frozen=True, eq=False)
-class AliceCheatStrategy:
+class _AliceStrategy(NamedTuple):
     name: str
     initial_state: StateVector
     responses: Mapping[int, AliceResponse]
 
-    def __post_init__(self) -> None:
+
+class AliceCheatStrategy(_AliceStrategy):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         register = set(self.initial_state.register)
         missing = set(ALICE_CORE) - register
         if missing:
@@ -144,17 +160,22 @@ class AliceCheatStrategy:
                     raise StrategyRegisterMismatchError(
                         f"choice {choice} operates on {sorted(map(str, stray))}"
                     )
+        return self
 
 
-@dataclass(frozen=True, eq=False)
-class BobCheatStrategy:
+class _BobStrategy(NamedTuple):
     name: str
     ancilla_count: int
     operation: LocalOperation | None
     measured: tuple[SubsystemLabel, ...]
     announce_rule: Mapping[tuple[int, ...], int]
 
-    def __post_init__(self) -> None:
+
+class BobCheatStrategy(_BobStrategy):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         held = {B1, B2} | {bob_ancilla(i) for i in range(self.ancilla_count)}
         if self.operation is not None:
             stray = set(self.operation.labels) - held
@@ -172,6 +193,7 @@ class BobCheatStrategy:
             raise ValueError("announce rule must cover every outcome tuple exactly")
         if any(choice not in (1, 2) for choice in self.announce_rule.values()):
             raise ValueError("announced choices must be 1 or 2")
+        return self
 
     def announce(self, outcomes: tuple[int, ...]) -> int:
         return self.announce_rule[outcomes]
@@ -342,12 +364,5 @@ def parse_strategy_id(
             seed = None
         if seed is None or seed < 0:
             raise UnknownStrategyError(f"bad random-bob seed {seed_text!r}")
-        strategy = random_bob_strategy(np.random.default_rng(seed))
-        return BobCheatStrategy(
-            name=text,
-            ancilla_count=strategy.ancilla_count,
-            operation=strategy.operation,
-            measured=strategy.measured,
-            announce_rule=strategy.announce_rule,
-        )
+        return random_bob_strategy(np.random.default_rng(seed))._replace(name=text)
     raise UnknownStrategyError(f"unknown strategy identifier {text!r}")

@@ -25,7 +25,6 @@ from cointoss.analysis import (
     phase_sweep,
     resolve_run,
     sensitivity_scan,
-    structured_lines,
 )
 from cointoss.qstate import A1, A2
 from cointoss.strategies import (
@@ -501,10 +500,6 @@ class TestReportFormatting:
         assert format_value(1 / 3) == "0.333333333333"
         assert format_value(0.75) == "0.75"
         assert format_value(5) == "5"
-
-    def test_structured_lines(self):
-        lines = structured_lines({"p": 0.25, "label": "x"})
-        assert lines == ["p: 0.25", "label: x"]
 
     def test_csv_lines(self):
         lines = csv_lines(("a", "b"), [(1 / 3, "s")])

@@ -143,6 +143,7 @@ class TestExitCodes:
         for needle in ("exit codes", "2 ", "3 ", "4 "):
             assert needle in text
         assert str(EXIT_INVARIANT) in text
+        assert "an unwritable output path or stdout" in text
 
 
 class TestDeterminism:
@@ -221,6 +222,13 @@ class TestRunsAndFiles:
         code, _, err = run_cli(capsys, "honest", "--trials", "1000", flag, str(path))
         assert code == EXIT_PARSE
         assert err == f"cointoss: cannot write {path}: No such file or directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--out", "--transcript"])
+    def test_full_device_is_named_in_the_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "honest", "--trials", "1000", flag, "/dev/full")
+        assert code == EXIT_PARSE
+        assert err == "cointoss: cannot write /dev/full: No space left on device\n"
 
     @pytest.mark.parametrize("flag", ["--out", "--transcript"])
     def test_failed_write_keeps_the_old_file(self, capsys, monkeypatch, tmp_path, flag):
@@ -379,16 +387,58 @@ class TestOptimizeAndScan:
         assert list(tmp_path.iterdir()) == []
 
 
+def child_env(**env_vars: str) -> dict:
+    """This environment with `src` on the path and no preset BLAS thread count."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cointoss.__file__).parents[1])
+    env.update(env_vars)
+    return env
+
+
+class TestUnwritableStdout:
+    """A report that stdout cannot take, in a child whose stdout fails."""
+
+    def test_closed_pipe_exits_two_with_one_line(self):
+        # Far more output than a pipe buffers, so the child is still
+        # writing when the reader goes away.
+        with subprocess.Popen(
+            [sys.executable, "-m", "cointoss.cli", "scan", "--steps", "1000000"],
+            env=child_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.readline() == b"# schema: cointoss.report/2\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == EXIT_PARSE
+        assert err == b"cointoss: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_two_with_one_line(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "cointoss.cli", "honest", "--trials", "1000"],
+                env=child_env(),
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert done.returncode == EXIT_PARSE
+        assert done.stderr == "cointoss: cannot write stdout: No space left on device\n"
+
+
 class TestStartup:
     """What importing the package and the CLI loads and sets, in a fresh child."""
 
     @staticmethod
     def child(code: str, **env_vars: str) -> str:
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(Path(cointoss.__file__).parents[1])
-        env.update(env_vars)
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            env=child_env(**env_vars),
+            capture_output=True,
+            text=True,
+            check=True,
         )
         return done.stdout
 
@@ -403,3 +453,13 @@ class TestStartup:
         env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
         code = "import os, cointoss.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert self.child(code, **env) == expected + "\n"
+
+    def test_cli_freezes_its_import_time_objects(self):
+        code = "import gc, cointoss.cli; print(gc.get_freeze_count() > 0)"
+        assert self.child(code) == "True\n"
+
+    def test_cli_loads_no_dataclasses_or_json_beyond_numpy(self):
+        # Whatever numpy and argparse load themselves is not held against it.
+        probe = "import sys, {}; print(sorted({{'dataclasses', 'json'}} & set(sys.modules)))"
+        baseline = self.child(probe.format("numpy, argparse"))
+        assert self.child(probe.format("cointoss.cli")) == baseline

@@ -1,0 +1,40 @@
+"""The package's records are immutable: no field can be assigned."""
+
+import pytest
+
+from cointoss import analysis, protocol, qstate, strategies
+
+ALICE = strategies.optimal_alice(0)
+BOB = strategies.parse_strategy_id("random-bob:7")
+TREE = protocol.build_tree(ALICE, None, 0)
+
+# (module, record class, a function making one, a field to assign).
+RECORDS = [
+    (qstate, "SubsystemLabel", lambda: qstate.A1, "index"),
+    (qstate, "StateVector", lambda: ALICE.initial_state, "amplitudes"),
+    (strategies, "AliceCoefficients", strategies.AliceCoefficients.optimal, "a00"),
+    (strategies, "LocalOperation", lambda: BOB.operation, "matrix"),
+    (strategies, "AliceResponse", lambda: ALICE.responses[1], "send"),
+    (strategies, "AliceCheatStrategy", lambda: ALICE, "name"),
+    (strategies, "BobCheatStrategy", lambda: BOB, "announce_rule"),
+    (protocol, "PartyRole", lambda: TREE.alice, "behavior"),
+    (protocol, "TranscriptRecord", lambda: protocol.walk(TREE, 0)[1].records[0], "index"),
+    (protocol, "Transcript", lambda: protocol.walk(TREE, 0)[1], "outcome"),
+    (protocol, "ProtocolTree", lambda: TREE, "root"),
+    (analysis, "BiasReport", lambda: analysis.exact_win_probability(ALICE, 0), "p_win_exact"),
+    (analysis, "OptimizationResult", analysis.optimize_alice, "value"),
+    (analysis, "SensitivityPoint", lambda: analysis.sensitivity_scan(2)[0], "p_win"),
+    (analysis, "MonteCarloReport", lambda: analysis.monte_carlo("honest"), "heads"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,make,field", RECORDS, ids=[name for _, name, _, _ in RECORDS]
+)
+def test_assigning_a_field_raises(module, name, make, field):
+    record = make()
+    assert type(record) is getattr(module, name)
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
