@@ -3,9 +3,9 @@
 Cheating probabilities are computed two independent ways: closed-form
 quadratic forms for Alice's aligned strategy family (her win and detection
 probabilities; the optimum is the win form's top eigenvector, and the
-sensitivity scan evaluates both forms along a path), and
-sums over the leaves of the protocol's branch tree (every choice, coin
-outcome and verification branch with its exact probability). Monte Carlo
+sensitivity scan evaluates both forms along a path), and sums over the
+leaves of the protocol's branch tree (every choice, coin outcome and
+verification branch with its exact probability). Monte Carlo
 sampling adds a statistical check: the protocol engine splits the trials
 down the tree by one binomial draw per chance node, at the first child's
 probability that a transcript's walk compares with, while the kernel engine
@@ -29,7 +29,6 @@ from .protocol import (
     build_tree,
     leaves,
 )
-from .qstate import ZERO_ATOL
 from .strategies import (
     AliceCheatStrategy,
     AliceCoefficients,
@@ -56,10 +55,6 @@ _OBJECTIVE_FORM = np.array([[2, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 
 SCAN_CHUNK = 32_768
 
 
-class DegenerateBranchError(Exception):
-    """Fidelity bound requested on a branch with no probability mass."""
-
-
 class InvariantViolationError(Exception):
     """An internal consistency guarantee failed; results are not trustworthy."""
 
@@ -80,35 +75,12 @@ def _detection(a00, a01, a10, a11):
     return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
 
 
-def alice_fidelity_bound(a00: float, a01: float) -> float:
-    """Best probability of passing verification after Bob reads 0.
-
-    Equals ``(a00+a01)^2 / (2*(a00^2+a01^2))``: the conditional state's two
-    branch weights cap the overlap any locally-reachable state can have
-    with the verification target.
-    """
-    if abs(a00) < ZERO_ATOL and abs(a01) < ZERO_ATOL:
-        raise DegenerateBranchError("both branch weights vanish; bound is vacuous")
-    return (a00 + a01) ** 2 / (2.0 * (a00**2 + a01**2))
-
-
-def alice_objective(c: AliceCoefficients) -> float:
-    """Alice's overall success probability for target 0, in closed form.
-
-    ``(2*a00^2 + 2*a00*a01 + 2*a00*a10 + a01^2 + a10^2) / 4``; its maximum
-    over the normalized nonnegative coefficients is 3/4.
-    """
-    return _objective(c.a00, c.a01, c.a10)
-
-
 class _BiasFields(NamedTuple):
     party: str
     target: int
     strategy_id: str
     p_win_exact: float
     p_abort_exact: float
-    analytic_bound: float = ANALYTIC_BOUND
-    kitaev_reference: float = KITAEV_REFERENCE
 
 
 class BiasReport(_BiasFields):
@@ -121,7 +93,7 @@ class BiasReport(_BiasFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (-1e-12 <= self.p_win_exact <= self.analytic_bound + 1e-9):
+        if not (-1e-12 <= self.p_win_exact <= ANALYTIC_BOUND + 1e-9):
             raise InvariantViolationError(
                 f"win probability {self.p_win_exact!r} escapes [0, bound] for "
                 f"{self.strategy_id}"
@@ -141,8 +113,8 @@ class BiasReport(_BiasFields):
             "p_win_exact": self.p_win_exact,
             "p_abort_exact": self.p_abort_exact,
             "epsilon": self.epsilon,
-            "analytic_bound": self.analytic_bound,
-            "kitaev_reference": self.kitaev_reference,
+            "analytic_bound": ANALYTIC_BOUND,
+            "kitaev_reference": KITAEV_REFERENCE,
         }
 
 
@@ -253,12 +225,6 @@ def phase_sweep(
     return best
 
 
-class SensitivityPoint(NamedTuple):
-    strategy_id: str
-    p_win: float
-    p_detect: float
-
-
 def scan_chunks(
     steps: int,
     start: AliceCoefficients | None = None,
@@ -302,24 +268,6 @@ def scan_chunks(
                 f"({float(lose[first])!r} residual)"
             )
     return chunks()
-
-
-def sensitivity_scan(
-    steps: int,
-    start: AliceCoefficients | None = None,
-    end: AliceCoefficients | None = None,
-) -> list[SensitivityPoint]:
-    """Win vs detection probability along the honest-to-optimal path.
-
-    The points of `scan_chunks`; the tests check them point by point
-    against exact branch enumeration. Any point that wins more often than
-    1/2 shows a strictly positive detection probability.
-    """
-    return [
-        SensitivityPoint(strategy_id=f"path:t={u:.6f}", p_win=w, p_detect=d)
-        for t, win, detect in scan_chunks(steps, start, end)
-        for u, w, d in zip(t.tolist(), win.tolist(), detect.tolist())
-    ]
 
 
 def scan_csv(chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Iterator[str]:

@@ -73,7 +73,8 @@ def _seed(text: str) -> int:
     return seed
 
 
-def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The parser; a missing --seed parses to None, for `main` to fill in."""
     parser = argparse.ArgumentParser(
         prog="cointoss",
         description="Entanglement-based strong coin tossing: simulation and cheating analysis.",
@@ -97,7 +98,7 @@ def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
                 default=None,
                 help="also write the JSONL transcript of one run with this seed",
             )
-        sub.add_argument("--seed", type=_seed, default=default_seed)
+        sub.add_argument("--seed", type=_seed)
         sub.add_argument("--format", choices=("structured", "tabular"), default="structured")
         sub.add_argument("--out", metavar="PATH", default=None)
 
@@ -124,13 +125,13 @@ def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
 
     optimize = subparsers.add_parser("optimize", help="maximize Alice's objective")
     optimize.add_argument("--grid-resolution", type=int, default=100)
-    optimize.add_argument("--seed", type=_seed, default=default_seed)
+    optimize.add_argument("--seed", type=_seed)
     optimize.add_argument("--format", choices=("structured", "tabular"), default="structured")
     optimize.add_argument("--out", metavar="PATH", default=None)
 
     scan = subparsers.add_parser("scan", help="honest-to-optimal sensitivity scan")
     scan.add_argument("--steps", type=int, default=50)
-    scan.add_argument("--seed", type=_seed, default=default_seed)
+    scan.add_argument("--seed", type=_seed)
     scan.add_argument("--format", choices=("structured", "tabular"), default="structured")
     scan.add_argument("--out", metavar="PATH", default=None)
 
@@ -162,6 +163,17 @@ def _comment_lines(config: dict, constants: dict | None = None) -> list[str]:
     lines += [f"# config.{k}: {analysis.format_value(v)}" for k, v in config.items()]
     lines += [f"# {k}: {analysis.format_value(v)}" for k, v in (constants or {}).items()]
     return lines
+
+
+def _same_regular_file(first: str, second: str) -> bool:
+    """Whether both paths name one file, which the second write would replace.
+
+    A pipe or a device, such as /dev/stdout, takes both streams in turn.
+    """
+    path = Path(first)
+    if path.exists() and not path.is_file():
+        return False
+    return path.resolve() == Path(second).resolve()
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -217,6 +229,8 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     config = _config_mapping(args)
 
     if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
+        if args.out and args.transcript and _same_regular_file(args.out, args.transcript):
+            raise ValueError(f"--out and --transcript both name {args.out}")
         # montecarlo infers the run kind from the strategy.
         report = analysis.monte_carlo(
             None if args.command == "montecarlo" else args.command,
@@ -251,12 +265,14 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
 
 
 def main(argv=None) -> int:
-    try:
-        default_seed = _seed(os.environ.get("COINTOSS_SEED", "0"))
-    except argparse.ArgumentTypeError as exc:
-        print(f"cointoss: COINTOSS_SEED {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    args = build_parser(default_seed).parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.seed is None:
+        # An explicit --seed wins, so a bad COINTOSS_SEED cannot stop it.
+        try:
+            args.seed = _seed(os.environ.get("COINTOSS_SEED", "0"))
+        except argparse.ArgumentTypeError as exc:
+            print(f"cointoss: COINTOSS_SEED {exc}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         body, transcript = dispatch(args)
         if args.out:

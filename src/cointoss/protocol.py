@@ -16,7 +16,7 @@ deterministic per seed.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .qstate import (
     B1,
     B2,
     ZERO_ATOL,
-    StateVector,
     SubsystemLabel,
     ZeroNormError,
     apply_unitary,
@@ -46,14 +45,6 @@ from .strategies import (
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/1"
 
-MESSAGE_KINDS = (
-    "state_transfer",
-    "choice_announcement",
-    "qubit_transfer",
-    "verdict_pass",
-    "verdict_abort",
-)
-
 
 # Transcript senders.
 _ALICE, _BOB = "alice", "bob"
@@ -63,15 +54,6 @@ class ProtocolOutcome(Enum):
     HEADS = "heads"
     TAILS = "tails"
     ABORT = "abort"
-
-    @property
-    def bit(self) -> int | None:
-        """0 for heads, 1 for tails, None on abort."""
-        if self is ProtocolOutcome.HEADS:
-            return 0
-        if self is ProtocolOutcome.TAILS:
-            return 1
-        return None
 
 
 class PartyRole(NamedTuple):
@@ -103,19 +85,8 @@ class Transcript(NamedTuple):
         return "\n".join(json.dumps(record._asdict()) for record in self.records) + "\n"
 
 
-def parse_transcript_jsonl(text: str) -> list[dict]:
-    """Parse serialized transcript lines back into record dicts."""
-    import json
-
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def honest_preparation() -> StateVector:
-    """Two shared pairs ``(|00>+|11>)/sqrt(2)`` on (A1,B1) and (A2,B2)."""
-    return tensor(bell_state(A1, B1), bell_state(A2, B2))
-
-
-_HONEST_PREPARATION = honest_preparation()
+# Two shared pairs ``(|00>+|11>)/sqrt(2)`` on (A1,B1) and (A2,B2).
+_HONEST_PREPARATION = tensor(bell_state(A1, B1), bell_state(A2, B2))
 
 
 def coin_labels(choice: int) -> tuple[SubsystemLabel, SubsystemLabel]:
@@ -333,17 +304,3 @@ def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
     records = tuple(TranscriptRecord(index, *line) for index, line in enumerate(lines))
     outcome = path[-1].outcome
     return outcome, Transcript(seed=seed, records=records, outcome=outcome)
-
-
-def run_honest(seed: int) -> tuple[ProtocolOutcome, Transcript]:
-    """One honest execution: both parties follow the protocol exactly.
-
-    The verification always passes, so the outcome is never abort, and the
-    two coin measurements always agree.
-    """
-    return walk(HONEST_TREE, seed)
-
-
-def message_order(records: Iterable[TranscriptRecord]) -> list[str]:
-    """The sequence of message kinds in a transcript (verdicts collapsed)."""
-    return [r.kind for r in records if r.kind in MESSAGE_KINDS]

@@ -44,10 +44,6 @@ class UnknownLabelError(QStateError):
     """A referenced label is not part of the state's register."""
 
 
-class InvalidCutError(QStateError):
-    """A bipartition cut is empty, full, or names unknown labels."""
-
-
 class Subsystem(Enum):
     """The named wires of the protocol."""
 
@@ -89,16 +85,6 @@ def bob_ancilla(index: int = 0) -> SubsystemLabel:
     return SubsystemLabel(Subsystem.ANCILLA_B, index)
 
 
-def parse_label(text: str) -> SubsystemLabel:
-    """Inverse of ``str(label)``, e.g. ``"B1"`` or ``"AncillaB[1]"``."""
-    name, _, rest = text.partition("[")
-    index = int(rest.rstrip("]")) if rest else 0
-    for kind in Subsystem:
-        if kind.value == name:
-            return SubsystemLabel(kind, index)
-    raise UnknownLabelError(f"unknown subsystem label {text!r}")
-
-
 class StateVector(NamedTuple):
     """A normalized pure state over an ordered register of labeled qubits."""
 
@@ -108,10 +94,6 @@ class StateVector(NamedTuple):
     @property
     def n_qubits(self) -> int:
         return len(self.register)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
     def position(self, label: SubsystemLabel) -> int:
         """Qubit position of `label` (0 = most significant basis bit)."""
@@ -125,17 +107,6 @@ class StateVector(NamedTuple):
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit, register order."""
         return self.amplitudes.reshape((2,) * self.n_qubits)
-
-    def amplitude(self, bits: Sequence[int]) -> complex:
-        """Amplitude of the basis ket with the given bit per register slot."""
-        if len(bits) != self.n_qubits:
-            raise DimensionMismatchError(
-                f"expected {self.n_qubits} bits, got {len(bits)}"
-            )
-        return complex(self.tensor_view()[tuple(bits)])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _freeze(amplitudes: np.ndarray) -> np.ndarray:
@@ -266,27 +237,3 @@ def apply_unitary(
     result = np.moveaxis(transformed, range(k), positions)
     return StateVector(register=state.register, amplitudes=_freeze(result.reshape(-1)))
 
-
-def schmidt_coefficients(
-    state: StateVector, cut: Iterable[SubsystemLabel]
-) -> np.ndarray:
-    """Schmidt coefficients across `cut` vs the rest, in descending order.
-
-    These are the singular values of the amplitude matrix with the cut's
-    qubits as rows; their squares sum to 1.
-    """
-    cut_set = set(cut)
-    register_set = set(state.register)
-    if not cut_set:
-        raise InvalidCutError("cut is empty")
-    unknown = cut_set - register_set
-    if unknown:
-        names = ", ".join(sorted(str(l) for l in unknown))
-        raise InvalidCutError(f"cut names labels outside the register: {names}")
-    if cut_set == register_set:
-        raise InvalidCutError("cut must be a proper subset of the register")
-    cut_positions = sorted(state.position(l) for l in cut_set)
-    rest_positions = [i for i in range(state.n_qubits) if i not in cut_positions]
-    moved = np.transpose(state.tensor_view(), cut_positions + rest_positions)
-    matrix = moved.reshape(2 ** len(cut_positions), 2 ** len(rest_positions))
-    return np.linalg.svd(matrix, compute_uv=False)

@@ -121,7 +121,6 @@ class AliceResponse(NamedTuple):
 
 ALICE_CORE = (A1, B1, A2, B2)
 _ALICE_HELD_KINDS = (Subsystem.A, Subsystem.A1, Subsystem.A2)
-_BOB_HELD_KINDS = (Subsystem.B1, Subsystem.B2, Subsystem.ANCILLA_B)
 
 
 class _AliceStrategy(NamedTuple):

@@ -13,10 +13,8 @@ from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
     BiasReport,
-    DegenerateBranchError,
     InvariantViolationError,
-    alice_fidelity_bound,
-    alice_objective,
+    _objective,
     csv_lines,
     exact_win_probability,
     format_value,
@@ -24,7 +22,8 @@ from cointoss.analysis import (
     optimize_alice,
     phase_sweep,
     resolve_run,
-    sensitivity_scan,
+    scan_chunks,
+    scan_csv,
 )
 from cointoss.qstate import A1, A2
 from cointoss.strategies import (
@@ -54,40 +53,54 @@ unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 ).map(lambda w: AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w)))
 
 
+def objective(c: AliceCoefficients) -> float:
+    return _objective(c.a00, c.a01, c.a10)
+
+
+def scan_points(steps, start=None, end=None):
+    """The scan's t, win and detection arrays, its chunks joined."""
+    return [np.concatenate(column) for column in zip(*scan_chunks(steps, start, end))]
+
+
 class TestFidelityBound:
+    """Verification after Bob picks pair 1 and reads 0, in the branch tree.
+
+    Alice's aligned state leaves ``a00|00> + a01|11>`` on the other pair,
+    which passes with ``(a00+a01)^2 / (2*(a00^2+a01^2))``.
+    """
+
+    @staticmethod
+    def read_zero(*weights):
+        tree = protocol.build_tree(aligned_strategy(weights), None, 0)
+        return tree.root.children[0].children[0]
+
     def test_symmetric_case_reaches_one(self):
-        assert alice_fidelity_bound(1 / np.sqrt(2), 1 / np.sqrt(2)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        passed = self.read_zero(0.5, 0.5, 0.5, 0.5).children[0].probability
+        assert passed == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_half(self):
-        assert alice_fidelity_bound(1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_optimal_branch_nine_tenths(self):
-        assert alice_fidelity_bound(np.sqrt(2 / 3), np.sqrt(1 / 6)) == pytest.approx(
-            0.9, abs=1e-12
+        assert self.read_zero(1.0, 0.0, 0.0, 0.0).children[0].probability == pytest.approx(
+            0.5, abs=1e-15
         )
 
+    def test_optimal_branch_nine_tenths(self):
+        passed = self.read_zero(*AliceCoefficients.optimal()).children[0].probability
+        assert passed == pytest.approx(0.9, abs=1e-12)
+
     def test_degenerate_branch_signaled(self):
-        with pytest.raises(DegenerateBranchError):
-            alice_fidelity_bound(0.0, 1e-13)
+        # Bob cannot read 0, so the branch is dead instead of verified.
+        assert self.read_zero(0.0, 1e-13, 0.6, 0.8) == (0.0, None, (), None)
 
 
 class TestObjective:
     def test_optimal_point(self):
-        assert alice_objective(AliceCoefficients.optimal()) == pytest.approx(
-            0.75, abs=1e-12
-        )
+        assert objective(AliceCoefficients.optimal()) == pytest.approx(0.75, abs=1e-12)
 
     def test_honest_point(self):
-        assert alice_objective(AliceCoefficients.honest()) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        assert objective(AliceCoefficients.honest()) == pytest.approx(0.5, abs=1e-15)
 
     def test_all_mass_on_first_branch(self):
-        assert alice_objective(AliceCoefficients(1, 0, 0, 0)) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        assert objective(AliceCoefficients(1, 0, 0, 0)) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestOptimizer:
@@ -103,7 +116,7 @@ class TestOptimizer:
 
     def test_value_consistent_with_argmax(self):
         result = optimize_alice()
-        assert result.value == pytest.approx(alice_objective(result.argmax), abs=1e-15)
+        assert result.value == pytest.approx(objective(result.argmax), abs=1e-15)
 
     def test_exact_certificate(self):
         # The closed form in exact arithmetic: M's spectrum, its top
@@ -131,7 +144,7 @@ class TestOptimizer:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(unit_weights)
     def test_no_unit_vector_beats_the_optimum(self, c):
-        assert optimize_alice().value >= analysis._objective(c.a00, c.a01, c.a10) - 1e-15
+        assert optimize_alice().value >= objective(c) - 1e-15
 
 
 class TestExactWinProbability:
@@ -177,7 +190,7 @@ class TestExactWinProbability:
     def test_epsilon_definition(self):
         report = exact_win_probability(optimal_alice(0), 0)
         assert report.epsilon == pytest.approx(report.p_win_exact - 0.5, abs=1e-12)
-        assert report.kitaev_reference == pytest.approx(
+        assert report.as_mapping()["kitaev_reference"] == pytest.approx(
             1 / np.sqrt(2) - 0.5, abs=1e-15
         )
 
@@ -202,7 +215,7 @@ class TestClosedFormMatchesSimulation:
             simulated = exact_win_probability(
                 coefficient_strategy(c, "aligned"), 0
             ).p_win_exact
-            assert simulated == pytest.approx(alice_objective(c), abs=1e-9)
+            assert simulated == pytest.approx(objective(c), abs=1e-9)
 
     def test_objective_loses_to_orthogonal_housing(self):
         c = AliceCoefficients.honest()
@@ -241,7 +254,7 @@ class TestPhaseSweep:
 
     def test_includes_zero_phase_point(self):
         c = AliceCoefficients.honest()
-        assert phase_sweep(c, samples=100, seed=2) >= alice_objective(c) - 1e-12
+        assert phase_sweep(c, samples=100, seed=2) >= objective(c) - 1e-12
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -250,21 +263,20 @@ class TestPhaseSweep:
 
 class TestSensitivityScan:
     def test_endpoints(self):
-        points = sensitivity_scan(50)
-        assert len(points) == 50
-        assert points[0].p_win == pytest.approx(0.5, abs=1e-12)
-        assert points[0].p_detect == pytest.approx(0.0, abs=1e-12)
-        assert points[-1].p_win == pytest.approx(0.75, abs=1e-9)
-        assert points[-1].p_detect == pytest.approx(1 / 6, abs=1e-9)
+        _, win, detect = scan_points(50)
+        assert len(win) == len(detect) == 50
+        assert win[0] == pytest.approx(0.5, abs=1e-12)
+        assert detect[0] == pytest.approx(0.0, abs=1e-12)
+        assert win[-1] == pytest.approx(0.75, abs=1e-9)
+        assert detect[-1] == pytest.approx(1 / 6, abs=1e-9)
 
     def test_cheating_is_detectable(self):
-        for point in sensitivity_scan(50):
-            if point.p_win > 0.5 + 1e-6:
-                assert point.p_detect > 0.0
+        _, win, detect = scan_points(50)
+        assert np.all(detect[win > 0.5 + 1e-6] > 0.0)
 
     def test_step_floor(self):
         with pytest.raises(ValueError):
-            sensitivity_scan(1)
+            scan_chunks(1)
 
     def test_probabilities_past_one_name_the_first_bad_point(self, monkeypatch):
         # From the fourth of seven points on, win + detect exceeds 1.
@@ -274,10 +286,10 @@ class TestSensitivityScan:
             lambda a00, *_: np.where(np.arange(a00.size) >= 3, 0.6, 0.0),
         )
         with pytest.raises(InvariantViolationError, match=r"at t=0\.5 sum past 1"):
-            sensitivity_scan(7)
+            scan_chunks(7)
 
     def test_honest_endpoint_is_never_detected(self):
-        assert sensitivity_scan(7)[0].p_detect == 0.0
+        assert scan_points(7)[2][0] == 0.0
 
     # Fixed examples, so every run of the suite checks the same cases.
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -285,13 +297,15 @@ class TestSensitivityScan:
     def test_closed_form_matches_branch_enumeration(self, start, end, steps):
         # The tree counts a branch below 1e-12 mass toward no outcome, so
         # the two agree to 1e-11, not to roundoff.
-        points = sensitivity_scan(steps, start, end)
-        for t, point in zip(np.linspace(0.0, 1.0, steps), points):
+        _, win, detect = scan_points(steps, start, end)
+        rows = "".join(scan_csv(scan_chunks(steps, start, end))).splitlines()
+        assert len(rows) == steps
+        for i, t in enumerate(np.linspace(0.0, 1.0, steps)):
             raw = (1.0 - t) * start.as_array() + t * end.as_array()
             report = exact_win_probability(aligned_strategy(raw / np.linalg.norm(raw)), 0)
-            assert point.strategy_id == f"path:t={t:.6f}"
-            assert abs(point.p_win - report.p_win_exact) < 1e-11
-            assert abs(point.p_detect - report.p_abort_exact) < 1e-11
+            assert rows[i].startswith(f"path:t={t:.6f},")
+            assert abs(win[i] - report.p_win_exact) < 1e-11
+            assert abs(detect[i] - report.p_abort_exact) < 1e-11
 
     def test_builds_no_strategy_and_no_tree(self, monkeypatch):
         calls = []
@@ -308,7 +322,7 @@ class TestSensitivityScan:
         phase_sweep(AliceCoefficients.optimal(), samples=100)
         assert set(calls) == {"build_tree", "aligned_strategy"}
         calls.clear()
-        assert len(sensitivity_scan(1000)) == 1000
+        assert sum(t.size for t, _, _ in scan_chunks(1000)) == 1000
         assert calls == []
 
 

@@ -177,6 +177,15 @@ class TestSeeding:
         _, out, _ = run_cli(capsys, "montecarlo", "--trials", "2000", "--seed", "3")
         assert "config.seed: 3" in out
 
+    def test_explicit_seed_beats_a_malformed_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("COINTOSS_SEED", "x")
+        code, out, err = run_cli(capsys, "bias", "--seed", "3")
+        assert (code, err) == (EXIT_OK, "")
+        assert "config.seed: 3" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == EXIT_OK
+
     def test_invalid_env_seed_is_parse_error(self, capsys, monkeypatch):
         monkeypatch.setenv("COINTOSS_SEED", "many")
         code, _, err = run_cli(capsys, "montecarlo", "--trials", "2000")
@@ -255,6 +264,23 @@ class TestRunsAndFiles:
         assert (code, stdout) == (EXIT_PARSE, "")
         assert err == f"cointoss: cannot write {out}: No such file or directory\n"
         assert transcript.read_bytes() == b"old transcript\n"
+
+    def test_out_and_transcript_naming_one_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "f"
+        (tmp_path / "link").symlink_to(path)
+        code, out, err = run_cli(
+            capsys, "honest", "--trials", "1000", "--out", str(path),
+            "--transcript", str(tmp_path / "link"),
+        )
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"cointoss: invalid configuration: --out and --transcript both name {path}\n"
+        assert not path.exists()
+
+    def test_out_and_transcript_may_share_a_device(self, capsys):
+        code, out, err = run_cli(
+            capsys, "honest", "--trials", "1000", "--out", os.devnull, "--transcript", os.devnull
+        )
+        assert (code, out, err) == (EXIT_OK, "", "")
 
     def test_out_replaces_an_existing_file_through_a_symlink(self, capsys, tmp_path):
         path = tmp_path / "report.txt"

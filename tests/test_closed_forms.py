@@ -1,4 +1,4 @@
-"""Alice's closed-form kernels, and a dense grid scan that cross-checks the optimum.
+"""Alice's closed forms, and a dense grid scan that cross-checks the optimum.
 
 `analysis._objective` and `analysis._detection` are the quadratic forms
 x^T M x and x^T D x. `optimize_alice` solves the objective in closed form;
@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cointoss.analysis import _OBJECTIVE_FORM as M
 from cointoss.analysis import _detection, _objective, optimize_alice
 
-# The objective and the detection probability as quadratic forms x^T M x
-# and x^T D x in x = (a00, a01, a10, a11).
-M = np.array([[2, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]) / 4.0
+# The detection probability as the quadratic form x^T D x in
+# x = (a00, a01, a10, a11); M is the objective's.
 D = np.array([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]) / 4.0
 
 unit_vectors = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
@@ -102,9 +102,7 @@ class TestGridScan:
         # A handful of n-by-n float64 slabs, never the n^3 cube.
         assert peak < 16 * 8 * resolution**2
 
-    # numpy is the scan's only backend; the id keeps this test's established name.
-    @pytest.mark.parametrize("backend", ["numpy"])
-    def test_grid_value_below_true_maximum(self, backend):
+    def test_grid_value_below_true_maximum(self):
         value, *_ = grid_scan(25)
         assert 0.7 < value <= optimize_alice().value + 1e-15
 

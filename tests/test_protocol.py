@@ -1,16 +1,15 @@
 """Protocol state-machine tests: runs, transcripts, ordering, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cointoss.protocol import (
-    MESSAGE_KINDS,
+    HONEST_TREE,
     ProtocolOutcome,
     TRANSCRIPT_SCHEMA,
     build_tree,
-    message_order,
-    parse_transcript_jsonl,
-    run_honest,
     walk,
 )
 from cointoss.strategies import (
@@ -22,6 +21,10 @@ from cointoss.strategies import (
 )
 
 EXPECTED_ORDER = ["state_transfer", "choice_announcement", "qubit_transfer"]
+NOT_MESSAGES = ("run_header", "measurement", "outcome")
+
+# The outcome each coin bit stands for.
+COIN = (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)
 
 
 def coin_measurements(transcript):
@@ -31,21 +34,21 @@ def coin_measurements(transcript):
 class TestHonestRuns:
     def test_parties_always_agree_and_never_abort(self):
         for seed in range(300):
-            outcome, transcript = run_honest(seed)
+            outcome, transcript = walk(HONEST_TREE, seed)
             assert outcome is not ProtocolOutcome.ABORT
             records = coin_measurements(transcript)
             assert len(records) == 2
             assert records[0].payload["outcome"] == records[1].payload["outcome"]
-            assert records[0].payload["outcome"] == outcome.bit
+            assert COIN[records[0].payload["outcome"]] is outcome
 
     def test_heads_frequency(self):
-        heads = sum(run_honest(seed)[0] is ProtocolOutcome.HEADS for seed in range(10_000))
+        heads = sum(walk(HONEST_TREE, seed)[0] is ProtocolOutcome.HEADS for seed in range(10_000))
         # 5 sigma at 10^4 trials
         assert heads / 10_000 == pytest.approx(0.5, abs=0.025)
 
     def test_verification_always_passes(self):
         for seed in range(100):
-            _, transcript = run_honest(seed)
+            _, transcript = walk(HONEST_TREE, seed)
             kinds = [r.kind for r in transcript.records]
             assert "verdict_pass" in kinds
             assert "verdict_abort" not in kinds
@@ -56,8 +59,9 @@ class TestTranscripts:
         alice = build_tree(optimal_alice(0), None, 0)
         bob = build_tree(None, measure_and_pick_bob(0), 0)
         for seed in range(50):
-            for _, transcript in (run_honest(seed), walk(alice, seed), walk(bob, seed)):
-                order = message_order(transcript.records)
+            for tree in (HONEST_TREE, alice, bob):
+                records = walk(tree, seed)[1].records
+                order = [r.kind for r in records if r.kind not in NOT_MESSAGES]
                 assert order[:3] == EXPECTED_ORDER
                 assert order[3] in ("verdict_pass", "verdict_abort")
                 assert len(order) == 4
@@ -79,8 +83,8 @@ class TestTranscripts:
         assert [r.index for r in transcript.records] == list(range(len(transcript.records)))
 
     def test_jsonl_round_trip(self):
-        _, transcript = run_honest(17)
-        records = parse_transcript_jsonl(transcript.to_jsonl())
+        _, transcript = walk(HONEST_TREE, 17)
+        records = [json.loads(line) for line in transcript.to_jsonl().splitlines()]
         assert len(records) == len(transcript.records)
         header = records[0]
         assert header["kind"] == "run_header"
@@ -151,7 +155,7 @@ class TestCheatingBob:
                 if r.kind == "measurement" and r.sender == "alice"
             ]
             assert len(alice_records) == 1
-            assert alice_records[0].payload["outcome"] == outcome.bit
+            assert COIN[alice_records[0].payload["outcome"]] is outcome
 
     def test_random_strategies_run_clean(self):
         rng = np.random.default_rng(60)
@@ -167,10 +171,26 @@ class TestCheatingBob:
 
 class TestMessageKinds:
     def test_kinds_are_stable_schema(self):
-        assert MESSAGE_KINDS == (
+        # Every record kind a tree emits; `walk` adds the run header.
+        kinds = set()
+
+        def visit(node):
+            kinds.update(kind for _, kind, _, _ in node.lines or ())
+            for child in node.children:
+                visit(child)
+
+        for tree in (
+            HONEST_TREE,
+            build_tree(optimal_alice(0), None, 0),
+            build_tree(None, measure_and_pick_bob(0), 0),
+        ):
+            visit(tree.root)
+        assert kinds == {
             "state_transfer",
             "choice_announcement",
+            "measurement",
             "qubit_transfer",
             "verdict_pass",
             "verdict_abort",
-        )
+            "outcome",
+        }

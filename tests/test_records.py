@@ -23,7 +23,6 @@ RECORDS = [
     (protocol, "ProtocolTree", lambda: TREE, "root"),
     (analysis, "BiasReport", lambda: analysis.exact_win_probability(ALICE, 0), "p_win_exact"),
     (analysis, "OptimizationResult", analysis.optimize_alice, "value"),
-    (analysis, "SensitivityPoint", lambda: analysis.sensitivity_scan(2)[0], "p_win"),
     (analysis, "MonteCarloReport", lambda: analysis.monte_carlo("honest"), "heads"),
 ]
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.protocol import honest_preparation
 from cointoss.qstate import (
     A1,
     A2,
@@ -16,7 +15,9 @@ from cointoss.qstate import (
     NotNormalizedError,
     Subsystem,
     alice_ancilla,
+    bell_state,
     bob_ancilla,
+    tensor,
 )
 from cointoss.strategies import (
     AliceCheatStrategy,
@@ -82,7 +83,7 @@ class TestCoefficientStrategy:
         strategy = coefficient_strategy(AliceCoefficients.honest(), "aligned")
         np.testing.assert_allclose(
             strategy.initial_state.amplitudes,
-            honest_preparation().amplitudes,
+            tensor(bell_state(A1, B1), bell_state(A2, B2)).amplitudes,
             atol=1e-12,
         )
 
@@ -96,7 +97,7 @@ class TestCoefficientStrategy:
             A2,
             B2,
         )
-        assert strategy.initial_state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(strategy.initial_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +113,7 @@ class TestCoefficientStrategy:
             assert {A1, B1, A2, B2} <= register
             for extra in register - {A1, B1, A2, B2}:
                 assert extra.kind is Subsystem.A
-            assert strategy.initial_state.norm() == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(strategy.initial_state.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestAliceValidation:
