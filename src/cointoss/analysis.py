@@ -131,19 +131,13 @@ def leaf_probabilities(tree: ProtocolTree) -> np.ndarray:
     return np.array(list(sums.values()))
 
 
-def _strategy_tree(strategy: AliceCheatStrategy | BobCheatStrategy, target: int) -> ProtocolTree:
-    if isinstance(strategy, AliceCheatStrategy):
-        return build_tree(strategy, None, target)
-    return build_tree(None, strategy, target)
-
-
 def exact_win_probability(
     strategy: AliceCheatStrategy | BobCheatStrategy, target: int
 ) -> BiasReport:
     """One strategy's exact win and abort mass, summed over its branch tree."""
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
-    exact = leaf_probabilities(_strategy_tree(strategy, target))
+    exact = leaf_probabilities(build_tree(strategy, target))
     return BiasReport(
         party="A" if isinstance(strategy, AliceCheatStrategy) else "B",
         target=target,
@@ -351,7 +345,7 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
         raise StrategyRegisterMismatchError(
             f"{strategy_id!r} is {owner} strategy; run_kind {run_kind} needs {needed}"
         )
-    return kind, _strategy_tree(strategy, target)
+    return kind, build_tree(strategy, target)
 
 
 def _split_down_tree(tree: ProtocolTree, trials: int, rng: np.random.Generator) -> list[int]:
@@ -446,7 +440,13 @@ def format_value(value) -> str:
 
 
 def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(value) for value in row))
-    return lines
+    """The table's CSV lines; a field holding a comma, such as a
+    ``coefficients:`` strategy id, is quoted as RFC 4180 says."""
+    import csv  # only tabular reports use it; the CLI starts without it
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(format_value, row) for row in rows)
+    return out.getvalue().splitlines()

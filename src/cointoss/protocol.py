@@ -1,7 +1,7 @@
 """The coin-tossing protocol as one branch tree per pair of behaviours.
 
-`build_tree` writes the four protocol steps out once, for an honest or a
-cheating Alice against an honest or a cheating Bob. Bob's choice, each
+`build_tree` writes the four protocol steps out once, for an all-honest
+run or a run with one cheating party. Bob's choice, each
 measurement and the verification are chance nodes; every branch holds its
 exact probability and the transcript records it emits. Three readers share
 the tree: exact probabilities are sums over its leaves, sampled counts
@@ -26,7 +26,6 @@ from .qstate import (
     B1,
     B2,
     ZERO_ATOL,
-    SubsystemLabel,
     ZeroNormError,
     apply_unitary,
     bell_pass_probability,
@@ -37,11 +36,7 @@ from .qstate import (
     make_state,
     tensor,
 )
-from .strategies import (
-    AliceCheatStrategy,
-    BobCheatStrategy,
-    StrategyRegisterMismatchError,
-)
+from .strategies import AliceCheatStrategy, BobCheatStrategy
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/1"
 
@@ -89,12 +84,12 @@ class Transcript(NamedTuple):
 _HONEST_PREPARATION = tensor(bell_state(A1, B1), bell_state(A2, B2))
 
 
-def coin_labels(choice: int) -> tuple[SubsystemLabel, SubsystemLabel]:
+def coin_labels(choice: int) -> tuple[str, str]:
     """(Alice's, Bob's) halves of the pair picked for the coin toss."""
     return (A1, B1) if choice == 1 else (A2, B2)
 
 
-def verification_labels(choice: int) -> tuple[SubsystemLabel, SubsystemLabel]:
+def verification_labels(choice: int) -> tuple[str, str]:
     """(Alice's, Bob's) halves of the pair left over for verification."""
     return (A2, B2) if choice == 1 else (A1, B1)
 
@@ -123,7 +118,7 @@ class Branch(NamedTuple):
 
 
 class ProtocolTree(NamedTuple):
-    """Every way one run can go, for a fixed pair of behaviours."""
+    """Every way one run can go, for a fixed cheater (or none)."""
 
     alice: PartyRole
     bob: PartyRole
@@ -137,38 +132,34 @@ def _leaf(probability: float, lines: tuple[Line, ...], outcome: ProtocolOutcome)
 
 
 def build_tree(
-    alice: AliceCheatStrategy | None, bob: BobCheatStrategy | None, target: int | None
+    cheater: AliceCheatStrategy | BobCheatStrategy | None, target: int | None
 ) -> ProtocolTree:
-    """The branch tree of a run; None stands for a party playing honestly.
+    """The branch tree of a run against `cheater`, or of an all-honest run.
 
-    At most one party cheats. `target` is the cheater's target bit, written
-    to the transcript header (None for an all-honest run). Bob's choice,
-    every measurement and the verification are chance nodes. Each has one
-    probability p, its first child's, and its second child has 1 - p: 0.5
-    for the choice, reading 0 by `branch_probabilities`, passing by
-    `bell_pass_probability`. A pass chance within `ZERO_ATOL` of 0 or 1 is
-    exactly 0 or 1, and a bit that `collapse` cannot form is a dead branch
-    of mass 0; a measurement records `collapse`'s probability.
+    The party whose strategy `cheater` is cheats and the other plays
+    honestly; None makes both honest. `target` is the cheater's target
+    bit, written to the transcript header (None for an all-honest run).
+    Bob's choice, every measurement and the verification are chance nodes.
+    Each has one probability p, its first child's, and its second child has
+    1 - p: 0.5 for the choice, reading 0 by `branch_probabilities`, passing
+    by `bell_pass_probability`. A pass chance within `ZERO_ATOL` of 0 or 1
+    is exactly 0 or 1, and a bit that `collapse` cannot form is a dead
+    branch of mass 0; a measurement records `collapse`'s probability.
     """
-    if alice is not None and not isinstance(alice, AliceCheatStrategy):
-        raise StrategyRegisterMismatchError(f"Alice needs an Alice strategy, got {alice!r}")
-    if bob is not None and not isinstance(bob, BobCheatStrategy):
-        raise StrategyRegisterMismatchError(f"Bob needs a Bob strategy, got {bob!r}")
-    if alice is not None and bob is not None:
-        raise StrategyRegisterMismatchError("at most one party cheats in a run")
+    alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
+    bob = cheater if isinstance(cheater, BobCheatStrategy) else None
+    if cheater is not None and alice is None and bob is None:
+        raise TypeError(f"the cheater must be an Alice or a Bob strategy, got {cheater!r}")
 
-    if alice is None:
-        alice_role = PartyRole("honest", ("A1", "A2"))
-        state = _HONEST_PREPARATION
-    else:
-        registers = tuple(str(l) for l in alice.initial_state.register if l not in (B1, B2))
-        alice_role = PartyRole(alice.name, registers)
+    alice_role = PartyRole("honest", ("A1", "A2"))
+    bob_role = PartyRole("honest", ("B1", "B2"))
+    state = _HONEST_PREPARATION
+    if alice is not None:
         state = alice.initial_state
-    if bob is None:
-        bob_role = PartyRole("honest", ("B1", "B2"))
-    else:
+        alice_role = PartyRole(alice.name, tuple(l for l in state.register if l not in (B1, B2)))
+    if bob is not None:
         ancillas = tuple(bob_ancilla(i) for i in range(bob.ancilla_count))
-        bob_role = PartyRole(bob.name, ("B1", "B2") + tuple(map(str, ancillas)))
+        bob_role = PartyRole(bob.name, ("B1", "B2") + ancillas)
         if ancillas:
             zeros = np.zeros(2 ** len(ancillas))
             zeros[0] = 1.0
@@ -183,7 +174,6 @@ def build_tree(
             return then(state, bits, probability, lines)
         (sender, label), rest = steps[0], steps[1:]
         p0, _ = branch_probabilities(state, label)
-        name = str(label)
         children = []
         for bit, mass in ((0, p0), (1, 1.0 - p0)):
             try:
@@ -191,7 +181,7 @@ def build_tree(
             except ZeroNormError:
                 children.append(Branch(0.0, None, (), None))
                 continue
-            line = (sender, "measurement", {"label": name, "outcome": bit}, realized)
+            line = (sender, "measurement", {"label": label, "outcome": bit}, realized)
             children.append(measure(posterior, rest, bits + (bit,), mass, (line,), then))
         if None in (children[0].lines, children[1].lines):
             # A dead branch has mass 0.0, so its sibling has 1.0.
@@ -208,23 +198,19 @@ def build_tree(
             coins = ((_BOB, bob_coin), (_ALICE, alice_coin))
         else:
             coins = ((_BOB, bob_coin),)
-        response = alice.responses[choice] if alice is not None else None
-        send = response.send if response is not None else alice_keep
-        transfer = (_ALICE, "qubit_transfer", {"label": str(send)}, None)
-        checked = {"pair": [str(send), str(bob_keep)]}
+        # Step 4: Alice sends her half of the pair Bob did not choose.
+        transfer = (_ALICE, "qubit_transfer", {"label": alice_keep}, None)
+        checked = {"pair": [alice_keep, bob_keep]}
 
         def verify(state, bits, probability, lines) -> Branch:
             # The first coin measurement's bit is the protocol outcome.
             outcome = (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)[bits[0]]
-            if response is not None and response.operation is not None:
-                operation = response.operation
-                state = apply_unitary(state, operation.labels, operation.matrix)
             lines += (transfer,)
             if bob is not None:
                 # A cheating Bob holds the verdict, and this family always passes.
                 lines += ((_BOB, "verdict_pass", {"pair": []}, None),)
                 return _leaf(probability, lines, outcome)
-            passed = bell_pass_probability(state, (send, bob_keep))
+            passed = bell_pass_probability(state, (alice_keep, bob_keep))
             if passed < ZERO_ATOL:
                 passed = 0.0
             elif 1.0 - passed < ZERO_ATOL:
@@ -258,7 +244,7 @@ def build_tree(
 # The all-honest run's tree, built once: every honest run walks it, so a
 # loop of runs pays one `sample_path` each, not one tree each. Nothing
 # mutates a tree or the transcript records it emits.
-HONEST_TREE = build_tree(None, None, None)
+HONEST_TREE = build_tree(None, None)
 
 
 def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:

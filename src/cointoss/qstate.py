@@ -1,15 +1,16 @@
 """Dense state-vector engine for small labeled multi-qubit registers.
 
-States are immutable: every operation returns a new :class:`StateVector`
-instead of mutating in place, so values can be shared freely between
-threads and cached across protocol runs. Qubit ordering convention: the
-label at register position 0 is the leftmost (most significant) bit of a
-basis ket ``|q0 q1 ... q(n-1)>``.
+A qubit wire is its name, the string transcripts print: ``A1``, ``B1``,
+``A2`` and ``B2`` for the two shared pairs, ``A[i]`` for Alice's ancillas
+and ``AncillaB[i]`` for Bob's. States are immutable: every operation
+returns a new :class:`StateVector` instead of mutating in place, so values
+can be shared freely between threads and cached across protocol runs.
+Qubit ordering convention: the label at register position 0 is the
+leftmost (most significant) bit of a basis ket ``|q0 q1 ... q(n-1)>``.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,64 +45,34 @@ class UnknownLabelError(QStateError):
     """A referenced label is not part of the state's register."""
 
 
-class Subsystem(Enum):
-    """The named wires of the protocol."""
-
-    A = "A"  # Alice's optional ancilla
-    A1 = "A1"  # Alice's half of pair 1
-    B1 = "B1"  # Bob's half of pair 1
-    A2 = "A2"  # Alice's half of pair 2
-    B2 = "B2"  # Bob's half of pair 2
-    ANCILLA_B = "AncillaB"  # Bob's optional ancilla
+A1, B1, A2, B2 = "A1", "B1", "A2", "B2"
 
 
-class SubsystemLabel(NamedTuple):
-    """One qubit wire: a subsystem name plus an index within that subsystem.
-
-    The index only matters for multi-qubit ancillas (``A`` and ``AncillaB``);
-    the four protocol wires always use index 0.
-    """
-
-    kind: Subsystem
-    index: int = 0
-
-    def __str__(self) -> str:
-        if self.kind in (Subsystem.A, Subsystem.ANCILLA_B):
-            return f"{self.kind.value}[{self.index}]"
-        return self.kind.value
+def alice_ancilla(index: int = 0) -> str:
+    return f"A[{index}]"
 
 
-A1 = SubsystemLabel(Subsystem.A1)
-B1 = SubsystemLabel(Subsystem.B1)
-A2 = SubsystemLabel(Subsystem.A2)
-B2 = SubsystemLabel(Subsystem.B2)
-
-
-def alice_ancilla(index: int = 0) -> SubsystemLabel:
-    return SubsystemLabel(Subsystem.A, index)
-
-
-def bob_ancilla(index: int = 0) -> SubsystemLabel:
-    return SubsystemLabel(Subsystem.ANCILLA_B, index)
+def bob_ancilla(index: int = 0) -> str:
+    return f"AncillaB[{index}]"
 
 
 class StateVector(NamedTuple):
     """A normalized pure state over an ordered register of labeled qubits."""
 
-    register: tuple[SubsystemLabel, ...]
+    register: tuple[str, ...]
     amplitudes: np.ndarray
 
     @property
     def n_qubits(self) -> int:
         return len(self.register)
 
-    def position(self, label: SubsystemLabel) -> int:
+    def position(self, label: str) -> int:
         """Qubit position of `label` (0 = most significant basis bit)."""
         try:
             return self.register.index(label)
         except ValueError:
             raise UnknownLabelError(
-                f"label {label} not in register ({', '.join(map(str, self.register))})"
+                f"label {label} not in register ({', '.join(self.register)})"
             ) from None
 
     def tensor_view(self) -> np.ndarray:
@@ -115,9 +86,7 @@ def _freeze(amplitudes: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_state(
-    register: Iterable[SubsystemLabel], amplitudes: Sequence[complex] | np.ndarray
-) -> StateVector:
+def make_state(register: Iterable[str], amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
     """Build a state from labels and amplitudes, renormalizing exactly.
 
     The amplitude norm must already be within ``1e-8`` of 1; larger
@@ -125,8 +94,7 @@ def make_state(
     """
     reg = tuple(register)
     if len(set(reg)) != len(reg):
-        seen = [str(l) for l in reg]
-        raise LabelCollisionError(f"duplicate labels in register ({', '.join(seen)})")
+        raise LabelCollisionError(f"duplicate labels in register ({', '.join(reg)})")
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if amps.shape[0] != 2 ** len(reg):
         raise DimensionMismatchError(
@@ -143,7 +111,7 @@ def make_state(
 BELL_AMPLITUDES = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
 
-def bell_state(left: SubsystemLabel, right: SubsystemLabel) -> StateVector:
+def bell_state(left: str, right: str) -> StateVector:
     """The two-qubit state ``(|00> + |11>)/sqrt(2)`` on the given pair."""
     return make_state((left, right), BELL_AMPLITUDES)
 
@@ -152,7 +120,7 @@ def tensor(left: StateVector, right: StateVector) -> StateVector:
     """Tensor product; the combined register is `left` then `right`."""
     overlap = set(left.register) & set(right.register)
     if overlap:
-        names = ", ".join(sorted(str(l) for l in overlap))
+        names = ", ".join(sorted(overlap))
         raise LabelCollisionError(f"registers share labels: {names}")
     return StateVector(
         register=left.register + right.register,
@@ -160,9 +128,7 @@ def tensor(left: StateVector, right: StateVector) -> StateVector:
     )
 
 
-def branch_probabilities(
-    state: StateVector, label: SubsystemLabel
-) -> tuple[float, float]:
+def branch_probabilities(state: StateVector, label: str) -> tuple[float, float]:
     """Exact probabilities of measuring `label` as 0 and 1 (no sampling)."""
     pos = state.position(label)
     weights = np.abs(state.tensor_view()) ** 2
@@ -171,9 +137,7 @@ def branch_probabilities(
     return float(marginal[0]), float(marginal[1])
 
 
-def collapse(
-    state: StateVector, label: SubsystemLabel, outcome: int
-) -> tuple[float, StateVector]:
+def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector]:
     """Project `label` onto `outcome` and renormalize.
 
     Returns the branch probability and the posterior (same register, the
@@ -195,9 +159,7 @@ def collapse(
     return branch_norm**2, posterior
 
 
-def bell_pass_probability(
-    state: StateVector, pair: tuple[SubsystemLabel, SubsystemLabel]
-) -> float:
+def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
     """Probability that projecting the pair onto ``(|00>+|11>)/sqrt(2)`` passes.
 
     It is the squared norm of the pair's overlap with that state, an
@@ -217,9 +179,7 @@ def bell_pass_probability(
     return float(np.sum(np.abs(overlap) ** 2))
 
 
-def apply_unitary(
-    state: StateVector, labels: Sequence[SubsystemLabel], matrix: np.ndarray
-) -> StateVector:
+def apply_unitary(state: StateVector, labels: Sequence[str], matrix: np.ndarray) -> StateVector:
     """Apply a ``2^k x 2^k`` unitary to the k qubits named by `labels`."""
     positions = [state.position(l) for l in labels]
     if len(set(positions)) != len(positions):

@@ -1,12 +1,11 @@
 """Honest and adversarial party behaviors.
 
-Alice's cheating strategies are a prepared global state over
-``{A..., A1, B1, A2, B2}`` plus, per choice Bob can announce, a local
-operation on her remaining qubits and the label she sends back for
-verification. Bob's cheating strategies are a local operation on
-``{B1, B2, AncillaB...}``, a set of qubits he measures, and a rule mapping
-the classical result to the pair he announces; his verdict is always
-"pass", so he can never be caught.
+A cheating Alice is the global state she prepares over ``A1, B1, A2, B2``
+and any ancillas ``A[i]``; after Bob's choice she sends her half of the
+unchosen pair, as the protocol's step 4 says. Bob's cheating strategies
+are a local operation on ``{B1, B2, AncillaB[i]...}``, a set of qubits he
+measures, and a rule mapping the classical result to the pair he
+announces; his verdict is always "pass", so he can never be caught.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .qstate import (
     B2,
     NotNormalizedError,
     StateVector,
-    Subsystem,
-    SubsystemLabel,
     alice_ancilla,
     bob_ancilla,
     make_state,
@@ -92,7 +89,7 @@ class AliceCoefficients(_Weights):
 
 
 class _Operation(NamedTuple):
-    labels: tuple[SubsystemLabel, ...]
+    labels: tuple[str, ...]
     matrix: np.ndarray
 
 
@@ -112,21 +109,12 @@ class LocalOperation(_Operation):
         return self
 
 
-class AliceResponse(NamedTuple):
-    """What Alice does after hearing Bob's choice: optional local op, then send."""
-
-    send: SubsystemLabel
-    operation: LocalOperation | None = None
-
-
 ALICE_CORE = (A1, B1, A2, B2)
-_ALICE_HELD_KINDS = (Subsystem.A, Subsystem.A1, Subsystem.A2)
 
 
 class _AliceStrategy(NamedTuple):
     name: str
     initial_state: StateVector
-    responses: Mapping[int, AliceResponse]
 
 
 class AliceCheatStrategy(_AliceStrategy):
@@ -138,27 +126,11 @@ class AliceCheatStrategy(_AliceStrategy):
         missing = set(ALICE_CORE) - register
         if missing:
             raise StrategyRegisterMismatchError(
-                f"initial state must cover A1,B1,A2,B2; missing {sorted(map(str, missing))}"
+                f"initial state must cover A1,B1,A2,B2; missing {sorted(missing)}"
             )
-        for label in register - set(ALICE_CORE):
-            if label.kind is not Subsystem.A:
-                raise StrategyRegisterMismatchError(
-                    f"extra register label {label} is not an Alice ancilla"
-                )
-        if set(self.responses) != {1, 2}:
-            raise StrategyRegisterMismatchError("responses must cover choices 1 and 2")
-        held = {l for l in register if l.kind in _ALICE_HELD_KINDS}
-        for choice, response in self.responses.items():
-            if response.send not in held:
-                raise StrategyRegisterMismatchError(
-                    f"choice {choice} sends {response.send}, which Alice does not hold"
-                )
-            if response.operation is not None:
-                stray = set(response.operation.labels) - held
-                if stray:
-                    raise StrategyRegisterMismatchError(
-                        f"choice {choice} operates on {sorted(map(str, stray))}"
-                    )
+        stray = sorted(l for l in register - set(ALICE_CORE) if not l.startswith("A["))
+        if stray:
+            raise StrategyRegisterMismatchError(f"labels {stray} are not Alice ancillas")
         return self
 
 
@@ -166,7 +138,7 @@ class _BobStrategy(NamedTuple):
     name: str
     ancilla_count: int
     operation: LocalOperation | None
-    measured: tuple[SubsystemLabel, ...]
+    measured: tuple[str, ...]
     announce_rule: Mapping[tuple[int, ...], int]
 
 
@@ -179,14 +151,10 @@ class BobCheatStrategy(_BobStrategy):
         if self.operation is not None:
             stray = set(self.operation.labels) - held
             if stray:
-                raise StrategyRegisterMismatchError(
-                    f"operation touches {sorted(map(str, stray))}"
-                )
+                raise StrategyRegisterMismatchError(f"operation touches {sorted(stray)}")
         stray = set(self.measured) - held
         if stray:
-            raise StrategyRegisterMismatchError(
-                f"measurement touches {sorted(map(str, stray))}"
-            )
+            raise StrategyRegisterMismatchError(f"measurement touches {sorted(stray)}")
         expected = {tuple(bits) for bits in _bit_tuples(len(self.measured))}
         if set(self.announce_rule) != expected:
             raise ValueError("announce rule must cover every outcome tuple exactly")
@@ -218,9 +186,7 @@ def aligned_strategy(amplitudes, name: str = "aligned") -> AliceCheatStrategy:
     amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     for index, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         amps[i, i, j, j] = c[index]
-    state = make_state(ALICE_CORE, amps.reshape(-1))
-    responses = {1: AliceResponse(send=A2), 2: AliceResponse(send=A1)}
-    return AliceCheatStrategy(name=name, initial_state=state, responses=responses)
+    return AliceCheatStrategy(name, make_state(ALICE_CORE, amps.reshape(-1)))
 
 
 def _orthogonal_strategy(c: AliceCoefficients, name: str) -> AliceCheatStrategy:
@@ -230,9 +196,7 @@ def _orthogonal_strategy(c: AliceCoefficients, name: str) -> AliceCheatStrategy:
     values = c.as_array()
     for index, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         amps[i, j, 0, i, 0, j] = values[index]
-    state = make_state(register, amps.reshape(-1))
-    responses = {1: AliceResponse(send=A2), 2: AliceResponse(send=A1)}
-    return AliceCheatStrategy(name=name, initial_state=state, responses=responses)
+    return AliceCheatStrategy(name, make_state(register, amps.reshape(-1)))
 
 
 def coefficient_strategy(
@@ -257,10 +221,7 @@ def optimal_alice(target: int) -> AliceCheatStrategy:
     """The four-qubit state achieving the 3/4 cheating bound with equality.
 
     For target 0 the state is sqrt(2/3)|0000> + (|0011> + |1100>)/sqrt(6)
-    on (A1, B1, A2, B2); target 1 uses the global bit-flip. After Bob picks
-    pair 1 Alice sends A2, after pair 2 she sends A1 (the partner of the
-    unused pair, as in the honest flow); the swapped mapping only reaches
-    a win probability of 1/3.
+    on (A1, B1, A2, B2); target 1 uses the global bit-flip.
     """
     coefficients = AliceCoefficients.optimal()
     if target == 1:
@@ -356,12 +317,13 @@ def parse_strategy_id(
             raise UnknownStrategyError(f"bad coefficient in {text!r}: {exc}") from None
         return coefficient_strategy(AliceCoefficients.from_array(values))
     if text.startswith("random-bob:"):
+        # Only the canonical decimal form, so one seed has one id.
         seed_text = text.split(":", 1)[1]
         try:
             seed = int(seed_text)
         except ValueError:
-            seed = None
-        if seed is None or seed < 0:
+            seed = -1
+        if seed < 0 or str(seed) != seed_text:
             raise UnknownStrategyError(f"bad random-bob seed {seed_text!r}")
         return random_bob_strategy(np.random.default_rng(seed))._replace(name=text)
     raise UnknownStrategyError(f"unknown strategy identifier {text!r}")

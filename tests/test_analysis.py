@@ -25,11 +25,10 @@ from cointoss.analysis import (
     scan_chunks,
     scan_csv,
 )
-from cointoss.qstate import A1, A2
+from cointoss.qstate import A1, A2, B1, B2, make_state
 from cointoss.strategies import (
     AliceCheatStrategy,
     AliceCoefficients,
-    AliceResponse,
     BobCheatStrategy,
     StrategyRegisterMismatchError,
     UnknownStrategyError,
@@ -71,7 +70,7 @@ class TestFidelityBound:
 
     @staticmethod
     def read_zero(*weights):
-        tree = protocol.build_tree(aligned_strategy(weights), None, 0)
+        tree = protocol.build_tree(aligned_strategy(weights), 0)
         return tree.root.children[0].children[0]
 
     def test_symmetric_case_reaches_one(self):
@@ -173,13 +172,11 @@ class TestExactWinProbability:
 
     def test_swapped_response_mapping_only_reaches_one_third(self):
         # The rejected reading of "send A1 or A2 depending on the choice":
-        # returning the chosen pair's own partner scores far below 3/4.
-        good = optimal_alice(0)
-        swapped = AliceCheatStrategy(
-            name="swapped-mapping",
-            initial_state=good.initial_state,
-            responses={1: AliceResponse(send=A1), 2: AliceResponse(send=A2)},
-        )
+        # returning the chosen pair's own partner scores far below 3/4. The
+        # protocol sends the unchosen pair's partner, so swapping the names
+        # of Alice's two qubits in the optimal state plays that reading.
+        amplitudes = optimal_alice(0).initial_state.amplitudes
+        swapped = AliceCheatStrategy("swapped-mapping", make_state((A2, B1, A1, B2), amplitudes))
         report = exact_win_probability(swapped, 0)
         assert report.p_win_exact == pytest.approx(1 / 3, abs=1e-9)
 
@@ -518,3 +515,4 @@ class TestReportFormatting:
     def test_csv_lines(self):
         lines = csv_lines(("a", "b"), [(1 / 3, "s")])
         assert lines == ["a,b", "0.333333333333,s"]
+        assert csv_lines(("s",), [("c:1,0",)]) == ["s", '"c:1,0"']

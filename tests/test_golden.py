@@ -9,6 +9,7 @@ To rewrite the files after a deliberate, recorded change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -76,8 +77,21 @@ REPORTS = (
         ("scan-7", ["scan", "--steps", "7"]),
         ("cheat-alice-tabular", ["cheat-alice", "--trials", "2000", "--format", "tabular"]),
         ("optimize-20-tabular", ["optimize", "--grid-resolution", "20", "--format", "tabular"]),
+        # A coefficients id puts commas in the strategy field, which is quoted.
+        (
+            "bias-coefficients-0.6_0.8_0_0-tabular",
+            ["bias", "--strategy", "coefficients:0.6,0.8,0,0", "--format", "tabular"],
+        ),
+        (
+            "montecarlo-coefficients-0.6_0.8_0_0-tabular",
+            ["montecarlo", "--strategy", "coefficients:0.6,0.8,0,0", "--trials", "2000",
+             "--seed", "5", "--format", "tabular"],
+        ),
     ]
 )
+
+# Reports printed as CSV: the tabular format, and every scan.
+TABULAR = [name for name, argv in REPORTS if "tabular" in argv or argv[0] == "scan"]
 
 
 def _produce(argv, flag, path):
@@ -95,6 +109,15 @@ def test_transcript_matches_golden(name, argv, tmp_path, capsys):
 def test_report_matches_golden(name, argv, tmp_path):
     produced = _produce(argv, "--out", tmp_path / "report.txt")
     assert produced == (GOLDEN / "reports" / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", TABULAR)
+def test_tabular_golden_rows_are_as_long_as_the_header(name):
+    text = (GOLDEN / "reports" / f"{name}.txt").read_text(encoding="utf-8")
+    table = [line for line in text.splitlines() if not line.startswith("#")]
+    rows = list(csv.reader(table))
+    assert len(rows) >= 2
+    assert {len(row) for row in rows} == {len(rows[0])}
 
 
 def test_every_golden_file_belongs_to_a_case():

@@ -13,7 +13,6 @@ from cointoss.protocol import (
     walk,
 )
 from cointoss.strategies import (
-    StrategyRegisterMismatchError,
     honest_alice,
     measure_and_pick_bob,
     optimal_alice,
@@ -56,8 +55,8 @@ class TestHonestRuns:
 
 class TestTranscripts:
     def test_message_order_matches_protocol_steps(self):
-        alice = build_tree(optimal_alice(0), None, 0)
-        bob = build_tree(None, measure_and_pick_bob(0), 0)
+        alice = build_tree(optimal_alice(0), 0)
+        bob = build_tree(measure_and_pick_bob(0), 0)
         for seed in range(50):
             for tree in (HONEST_TREE, alice, bob):
                 records = walk(tree, seed)[1].records
@@ -68,9 +67,9 @@ class TestTranscripts:
 
     def test_replay_is_deterministic(self):
         for tree in (
-            build_tree(None, None, None),
-            build_tree(optimal_alice(1), None, 1),
-            build_tree(None, measure_and_pick_bob(1), 1),
+            build_tree(None, None),
+            build_tree(optimal_alice(1), 1),
+            build_tree(measure_and_pick_bob(1), 1),
         ):
             first_outcome, first = walk(tree, 424242)
             second_outcome, second = walk(tree, 424242)
@@ -79,7 +78,7 @@ class TestTranscripts:
             assert first.to_jsonl() == second.to_jsonl()
 
     def test_indices_contiguous_from_zero(self):
-        _, transcript = walk(build_tree(None, measure_and_pick_bob(0), 0), 3)
+        _, transcript = walk(build_tree(measure_and_pick_bob(0), 0), 3)
         assert [r.index for r in transcript.records] == list(range(len(transcript.records)))
 
     def test_jsonl_round_trip(self):
@@ -100,7 +99,7 @@ class TestTranscripts:
 
     def test_abort_only_after_abort_verdict(self):
         seen_abort = False
-        tree = build_tree(optimal_alice(0), None, 0)
+        tree = build_tree(optimal_alice(0), 0)
         for seed in range(200):
             outcome, transcript = walk(tree, seed)
             kinds = [r.kind for r in transcript.records]
@@ -117,7 +116,7 @@ class TestCheatingAlice:
         wins = 0
         aborts = 0
         n = 3000
-        tree = build_tree(optimal_alice(0), None, 0)
+        tree = build_tree(optimal_alice(0), 0)
         for seed in range(n):
             outcome, _ = walk(tree, seed)
             wins += outcome is ProtocolOutcome.HEADS
@@ -126,27 +125,37 @@ class TestCheatingAlice:
         assert aborts / n == pytest.approx(1 / 6, abs=5 * np.sqrt((1 / 6) * (5 / 6) / n))
 
     def test_honest_strategy_special_case(self):
-        tree = build_tree(honest_alice(), None, 0)
+        tree = build_tree(honest_alice(), 0)
         outcomes = [walk(tree, seed)[0] for seed in range(1500)]
         assert not any(o is ProtocolOutcome.ABORT for o in outcomes)
         wins = sum(o is ProtocolOutcome.HEADS for o in outcomes)
         assert wins / 1500 == pytest.approx(0.5, abs=0.065)
 
-    def test_bob_strategy_rejected(self):
-        with pytest.raises(StrategyRegisterMismatchError):
-            build_tree(measure_and_pick_bob(0), None, 0)
+    def test_sends_partner_of_unchosen_pair(self):
+        # Step 4: after choice 1 Alice returns A2, after choice 2 A1, and
+        # Bob checks it with his half of the same pair.
+        tree = build_tree(optimal_alice(0), 0)
+        expected = {1: ("A2", ["A2", "B2"]), 2: ("A1", ["A1", "B1"])}
+        seen = set()
+        for seed in range(40):
+            records = {r.kind: r.payload for r in walk(tree, seed)[1].records}
+            choice = records["choice_announcement"]["choice"]
+            verdict = records.get("verdict_pass") or records["verdict_abort"]
+            assert (records["qubit_transfer"]["label"], verdict["pair"]) == expected[choice]
+            seen.add(choice)
+        assert seen == {1, 2}
 
 
 class TestCheatingBob:
     def test_never_aborts(self):
-        tree = build_tree(None, measure_and_pick_bob(0), 0)
+        tree = build_tree(measure_and_pick_bob(0), 0)
         for seed in range(500):
             outcome, transcript = walk(tree, seed)
             assert outcome is not ProtocolOutcome.ABORT
             assert "verdict_abort" not in [r.kind for r in transcript.records]
 
     def test_outcome_is_alices_measurement(self):
-        tree = build_tree(None, measure_and_pick_bob(0), 0)
+        tree = build_tree(measure_and_pick_bob(0), 0)
         for seed in range(100):
             outcome, transcript = walk(tree, seed)
             alice_records = [
@@ -161,12 +170,15 @@ class TestCheatingBob:
         rng = np.random.default_rng(60)
         for seed in range(30):
             strategy = random_bob_strategy(rng)
-            outcome, _ = walk(build_tree(None, strategy, 0), seed)
+            outcome, _ = walk(build_tree(strategy, 0), seed)
             assert outcome in (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)
 
-    def test_alice_strategy_rejected(self):
-        with pytest.raises(StrategyRegisterMismatchError):
-            build_tree(None, optimal_alice(0), 0)
+
+def test_non_strategy_cheater_rejected():
+    # One cheater at most: a pair of strategies, like an unparsed id, is no strategy.
+    for cheater in ((optimal_alice(0), measure_and_pick_bob(0)), "optimal-alice"):
+        with pytest.raises(TypeError):
+            build_tree(cheater, 0)
 
 
 class TestMessageKinds:
@@ -181,8 +193,8 @@ class TestMessageKinds:
 
         for tree in (
             HONEST_TREE,
-            build_tree(optimal_alice(0), None, 0),
-            build_tree(None, measure_and_pick_bob(0), 0),
+            build_tree(optimal_alice(0), 0),
+            build_tree(measure_and_pick_bob(0), 0),
         ):
             visit(tree.root)
         assert kinds == {

@@ -6,15 +6,13 @@ from cointoss import analysis, protocol, qstate, strategies
 
 ALICE = strategies.optimal_alice(0)
 BOB = strategies.parse_strategy_id("random-bob:7")
-TREE = protocol.build_tree(ALICE, None, 0)
+TREE = protocol.build_tree(ALICE, 0)
 
 # (module, record class, a function making one, a field to assign).
 RECORDS = [
-    (qstate, "SubsystemLabel", lambda: qstate.A1, "index"),
     (qstate, "StateVector", lambda: ALICE.initial_state, "amplitudes"),
     (strategies, "AliceCoefficients", strategies.AliceCoefficients.optimal, "a00"),
     (strategies, "LocalOperation", lambda: BOB.operation, "matrix"),
-    (strategies, "AliceResponse", lambda: ALICE.responses[1], "send"),
     (strategies, "AliceCheatStrategy", lambda: ALICE, "name"),
     (strategies, "BobCheatStrategy", lambda: BOB, "announce_rule"),
     (protocol, "PartyRole", lambda: TREE.alice, "behavior"),

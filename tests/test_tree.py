@@ -11,7 +11,6 @@ from cointoss.analysis import _split_down_tree, leaf_probabilities
 from cointoss.protocol import ProtocolOutcome, build_tree, leaves, sample_path, walk
 from cointoss.strategies import (
     AliceCoefficients,
-    StrategyRegisterMismatchError,
     coefficient_strategy,
     measure_and_pick_bob,
     optimal_alice,
@@ -28,18 +27,18 @@ weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 
 def alice_tree(w, mode):
     c = AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w))
-    return build_tree(coefficient_strategy(c, mode), None, 0)
+    return build_tree(coefficient_strategy(c, mode), 0)
 
 
 def bob_tree(seed):
-    return build_tree(None, parse_strategy_id(f"random-bob:{seed}"), 0)
+    return build_tree(parse_strategy_id(f"random-bob:{seed}"), 0)
 
 
 def trees():
     return st.one_of(
         st.builds(alice_tree, weights, st.sampled_from(["aligned", "orthogonal"])),
         st.builds(bob_tree, st.integers(0, 10**6)),
-        st.just(build_tree(None, None, None)),
+        st.just(build_tree(None, None)),
     )
 
 
@@ -91,15 +90,15 @@ def test_split_counts_lie_within_five_sigma_of_the_leaf_masses(tree, seed):
 
 
 def test_one_tree_serves_many_seeds():
-    tree = build_tree(optimal_alice(0), None, 0)
+    tree = build_tree(optimal_alice(0), 0)
     for seed in range(20):
-        fresh = build_tree(optimal_alice(0), None, 0)
+        fresh = build_tree(optimal_alice(0), 0)
         assert walk(tree, seed)[1].to_jsonl() == walk(fresh, seed)[1].to_jsonl()
 
 
 def test_leaf_probabilities_of_the_paper_strategies():
-    alice = leaf_probabilities(build_tree(optimal_alice(0), None, 0))
-    bob = leaf_probabilities(build_tree(None, measure_and_pick_bob(0), 0))
+    alice = leaf_probabilities(build_tree(optimal_alice(0), 0))
+    bob = leaf_probabilities(build_tree(measure_and_pick_bob(0), 0))
     assert alice == pytest.approx([0.75, 1 / 12, 1 / 6], abs=1e-12)
     assert bob == pytest.approx([0.75, 0.25, 0.0], abs=1e-12)
     assert bob[2] == 0.0
@@ -108,21 +107,16 @@ def test_leaf_probabilities_of_the_paper_strategies():
 def test_draws_per_run():
     # choice, Bob's coin, Alice's coin, verdict / choice, coin, verdict /
     # one per measured label and Alice's coin.
-    assert len(sample_path(build_tree(None, None, None), 3)) == 5
-    assert len(sample_path(build_tree(optimal_alice(0), None, 0), 3)) == 4
-    assert len(sample_path(build_tree(None, measure_and_pick_bob(0), 0), 3)) == 4
-
-
-def test_at_most_one_party_cheats():
-    with pytest.raises(StrategyRegisterMismatchError):
-        build_tree(optimal_alice(0), measure_and_pick_bob(0), 0)
+    assert len(sample_path(build_tree(None, None), 3)) == 5
+    assert len(sample_path(build_tree(optimal_alice(0), 0), 3)) == 4
+    assert len(sample_path(build_tree(measure_and_pick_bob(0), 0), 3)) == 4
 
 
 def test_unreachable_verification_aborts_instead_of_crashing():
     # After choice 1, B2 is always 1 while A2 stays 0, so Bob's check of
     # (A2, B2) never passes; after choice 2 it passes half the time.
     c = AliceCoefficients(0.0, 1.0, 0.0, 0.0)
-    tree = build_tree(coefficient_strategy(c, "orthogonal"), None, 0)
+    tree = build_tree(coefficient_strategy(c, "orthogonal"), 0)
     assert leaf_probabilities(tree)[2] == pytest.approx(0.75)
     for seed in range(40):
         outcome, transcript = walk(tree, seed)
