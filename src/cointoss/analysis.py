@@ -219,14 +219,10 @@ def phase_sweep(
     return best
 
 
-def scan_chunks(
-    steps: int,
-    start: AliceCoefficients | None = None,
-    end: AliceCoefficients | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def scan_chunks(steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(t, win, detection) arrays along the honest-to-optimal path, by chunk.
 
-    Linear interpolation between the two coefficient tuples, renormalized
+    Linear interpolation from the honest to the optimal weights, renormalized
     at every step; t runs over ``np.linspace(0, 1, steps)``. Every point is
     an aligned strategy, whose win and detection probabilities against an
     honest Bob are the closed forms `_objective` and `_detection`, so each
@@ -238,8 +234,8 @@ def scan_chunks(
     # The cap bounds the time: printing 10**6 points takes about 2 s.
     if not 2 <= steps <= 10**6:
         raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
-    start_values = (start or AliceCoefficients.honest()).as_array()
-    end_values = (end or AliceCoefficients.optimal()).as_array()
+    start_values = AliceCoefficients.honest().as_array()
+    end_values = AliceCoefficients.optimal().as_array()
 
     def chunks():
         for first in range(0, steps, SCAN_CHUNK):

@@ -69,9 +69,9 @@ class TranscriptRecord(NamedTuple):
 
 
 class Transcript(NamedTuple):
-    seed: int
+    """A run's records, from its header to its outcome record."""
+
     records: tuple[TranscriptRecord, ...]
-    outcome: ProtocolOutcome
 
     def to_jsonl(self) -> str:
         import json  # only transcripts use it; the CLI starts without it
@@ -288,5 +288,4 @@ def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
     for node in path:
         lines.extend(node.lines)
     records = tuple(TranscriptRecord(index, *line) for index, line in enumerate(lines))
-    outcome = path[-1].outcome
-    return outcome, Transcript(seed=seed, records=records, outcome=outcome)
+    return path[-1].outcome, Transcript(records)

@@ -48,10 +48,6 @@ class UnknownLabelError(QStateError):
 A1, B1, A2, B2 = "A1", "B1", "A2", "B2"
 
 
-def alice_ancilla(index: int = 0) -> str:
-    return f"A[{index}]"
-
-
 def bob_ancilla(index: int = 0) -> str:
     return f"AncillaB[{index}]"
 

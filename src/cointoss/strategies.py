@@ -2,10 +2,12 @@
 
 A cheating Alice is the global state she prepares over ``A1, B1, A2, B2``
 and any ancillas ``A[i]``; after Bob's choice she sends her half of the
-unchosen pair, as the protocol's step 4 says. Bob's cheating strategies
-are a local operation on ``{B1, B2, AncillaB[i]...}``, a set of qubits he
-measures, and a rule mapping the classical result to the pair he
-announces; his verdict is always "pass", so he can never be caught.
+unchosen pair, as the protocol's step 4 says. Every Alice strategy an id
+names is aligned: four branch weights on the core qubits, no ancilla.
+Bob's cheating strategies are a local operation on ``{B1, B2,
+AncillaB[i]...}``, a set of qubits he measures, and a rule mapping the
+classical result to the pair he announces; his verdict is always "pass",
+so he can never be caught.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .qstate import (
     B2,
     NotNormalizedError,
     StateVector,
-    alice_ancilla,
     bob_ancilla,
     make_state,
 )
@@ -189,32 +190,14 @@ def aligned_strategy(amplitudes, name: str = "aligned") -> AliceCheatStrategy:
     return AliceCheatStrategy(name, make_state(ALICE_CORE, amps.reshape(-1)))
 
 
-def _orthogonal_strategy(c: AliceCoefficients, name: str) -> AliceCheatStrategy:
-    # Branch weights recorded in a two-qubit ancilla; A1/A2 stay in |0>.
-    register = (alice_ancilla(0), alice_ancilla(1), A1, B1, A2, B2)
-    amps = np.zeros((2,) * 6, dtype=np.complex128)
-    values = c.as_array()
-    for index, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        amps[i, j, 0, i, 0, j] = values[index]
-    return AliceCheatStrategy(name, make_state(register, amps.reshape(-1)))
+def coefficient_strategy(c: AliceCoefficients) -> AliceCheatStrategy:
+    """The aligned cheating state with weights `c`, under its canonical id.
 
-
-def coefficient_strategy(
-    c: AliceCoefficients, phi_mode: str = "aligned"
-) -> AliceCheatStrategy:
-    """Build the general four-branch cheating state for Alice.
-
-    ``aligned`` mirrors the branch bits onto Alice's kept qubits (no
-    ancilla needed); ``orthogonal`` stores the branch label in an ancilla
-    pair instead, leaving the verification qubits unentangled with Bob's.
+    The name is ``coefficients:`` and the four weights, each with every
+    digit of its repr, so it parses back to the same weights.
     """
-    # repr keeps every digit, so the name parses back to the same weights.
     name = "coefficients:" + ",".join(repr(float(x)) for x in c.as_array())
-    if phi_mode == "aligned":
-        return aligned_strategy(c.as_array(), name=name)
-    if phi_mode == "orthogonal":
-        return _orthogonal_strategy(c, name=name + ":orthogonal")
-    raise ValueError(f"phi_mode must be 'aligned' or 'orthogonal', got {phi_mode!r}")
+    return aligned_strategy(c.as_array(), name=name)
 
 
 def optimal_alice(target: int) -> AliceCheatStrategy:
@@ -312,6 +295,10 @@ def parse_strategy_id(
                 f"coefficients strategy needs 4 comma-separated values, got {text!r}"
             )
         try:
+            # float() also reads surrounding whitespace and `_` separators,
+            # which the report's echo of the id would print verbatim.
+            if any(p != p.strip() or "_" in p for p in parts):
+                raise ValueError("a weight holds whitespace or '_'")
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise UnknownStrategyError(f"bad coefficient in {text!r}: {exc}") from None

@@ -103,7 +103,7 @@ def test_criterion_4_closed_form_equals_simulation():
     for _ in range(100):
         raw = np.abs(rng.normal(size=4))
         c = AliceCoefficients.from_array(raw / np.linalg.norm(raw))
-        simulated = exact_win_probability(coefficient_strategy(c, "aligned"), 0)
+        simulated = exact_win_probability(coefficient_strategy(c), 0)
         worst = max(worst, abs(simulated.p_win_exact - _objective(c.a00, c.a01, c.a10)))
     report(4, worst < 1e-9, f"max |closed form - simulation| = {worst:.2e} over 100 tuples")
 

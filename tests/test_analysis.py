@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alice_housing import orthogonal_housing
 from cointoss import analysis, protocol
 from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
     BiasReport,
     InvariantViolationError,
+    _detection,
     _objective,
     csv_lines,
     exact_win_probability,
@@ -56,9 +58,9 @@ def objective(c: AliceCoefficients) -> float:
     return _objective(c.a00, c.a01, c.a10)
 
 
-def scan_points(steps, start=None, end=None):
+def scan_points(steps):
     """The scan's t, win and detection arrays, its chunks joined."""
-    return [np.concatenate(column) for column in zip(*scan_chunks(steps, start, end))]
+    return [np.concatenate(column) for column in zip(*scan_chunks(steps))]
 
 
 class TestFidelityBound:
@@ -209,15 +211,13 @@ class TestClosedFormMatchesSimulation:
         rng = np.random.default_rng(70)
         for _ in range(100):
             c = random_coefficients(rng)
-            simulated = exact_win_probability(
-                coefficient_strategy(c, "aligned"), 0
-            ).p_win_exact
+            simulated = exact_win_probability(coefficient_strategy(c), 0).p_win_exact
             assert simulated == pytest.approx(objective(c), abs=1e-9)
 
     def test_objective_loses_to_orthogonal_housing(self):
         c = AliceCoefficients.honest()
-        aligned = exact_win_probability(coefficient_strategy(c, "aligned"), 0)
-        orthogonal = exact_win_probability(coefficient_strategy(c, "orthogonal"), 0)
+        aligned = exact_win_probability(coefficient_strategy(c), 0)
+        orthogonal = exact_win_probability(orthogonal_housing(c), 0)
         assert orthogonal.p_win_exact == pytest.approx(0.125, abs=1e-12)
         assert orthogonal.p_win_exact < aligned.p_win_exact
 
@@ -226,9 +226,7 @@ class TestBoundRespect:
     def test_random_alice_tuples_below_bound(self):
         rng = np.random.default_rng(71)
         for _ in range(100):
-            report = exact_win_probability(
-                coefficient_strategy(random_coefficients(rng), "aligned"), 0
-            )
+            report = exact_win_probability(coefficient_strategy(random_coefficients(rng)), 0)
             assert report.p_win_exact <= ANALYTIC_BOUND + 1e-9
 
     def test_random_bob_strategies_below_bound(self):
@@ -290,15 +288,22 @@ class TestSensitivityScan:
 
     # Fixed examples, so every run of the suite checks the same cases.
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(unit_weights, unit_weights, st.integers(2, 30))
-    def test_closed_form_matches_branch_enumeration(self, start, end, steps):
+    @given(unit_weights)
+    def test_closed_form_matches_branch_enumeration(self, c):
         # The tree counts a branch below 1e-12 mass toward no outcome, so
         # the two agree to 1e-11, not to roundoff.
-        _, win, detect = scan_points(steps, start, end)
-        rows = "".join(scan_csv(scan_chunks(steps, start, end))).splitlines()
+        report = exact_win_probability(aligned_strategy(c.as_array()), 0)
+        assert abs(_objective(c.a00, c.a01, c.a10) - report.p_win_exact) < 1e-11
+        assert abs(_detection(*c) - report.p_abort_exact) < 1e-11
+
+    @pytest.mark.parametrize("steps", [2, 7, 30])
+    def test_scan_matches_branch_enumeration_along_the_path(self, steps):
+        _, win, detect = scan_points(steps)
+        rows = "".join(scan_csv(scan_chunks(steps))).splitlines()
         assert len(rows) == steps
+        start, end = AliceCoefficients.honest().as_array(), AliceCoefficients.optimal().as_array()
         for i, t in enumerate(np.linspace(0.0, 1.0, steps)):
-            raw = (1.0 - t) * start.as_array() + t * end.as_array()
+            raw = (1.0 - t) * start + t * end
             report = exact_win_probability(aligned_strategy(raw / np.linalg.norm(raw)), 0)
             assert rows[i].startswith(f"path:t={t:.6f},")
             assert abs(win[i] - report.p_win_exact) < 1e-11

@@ -90,6 +90,13 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "must be finite" in err
 
+    def test_coefficient_with_a_newline_is_unknown_and_prints_nothing(self, capsys):
+        # float() would read "0\n", and the echoed id would break the report.
+        code, out, err = run_cli(capsys, "bias", "--strategy", "coefficients:0.6,0.8,0,0\n")
+        assert code == EXIT_UNKNOWN_STRATEGY
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
     def test_unknown_run_strategy_exits_before_sampling(self, capsys):
         # 10**20 trials would be rejected as too many, but the strategy is
         # resolved first.

@@ -82,7 +82,7 @@ class TestTranscripts:
         assert [r.index for r in transcript.records] == list(range(len(transcript.records)))
 
     def test_jsonl_round_trip(self):
-        _, transcript = walk(HONEST_TREE, 17)
+        outcome, transcript = walk(HONEST_TREE, 17)
         records = [json.loads(line) for line in transcript.to_jsonl().splitlines()]
         assert len(records) == len(transcript.records)
         header = records[0]
@@ -90,7 +90,7 @@ class TestTranscripts:
         assert header["payload"]["schema"] == TRANSCRIPT_SCHEMA
         assert header["payload"]["seed"] == 17
         assert records[-1]["kind"] == "outcome"
-        assert records[-1]["payload"]["outcome"] == transcript.outcome.value
+        assert records[-1]["payload"]["outcome"] == outcome.value
         for record in records:
             assert set(record) == {"index", "sender", "kind", "payload", "probability"}
             assert record["sender"] in ("alice", "bob", "-")

@@ -19,7 +19,6 @@ from cointoss.qstate import (
     NotNormalizedError,
     UnknownLabelError,
     ZeroNormError,
-    alice_ancilla,
     apply_unitary,
     bell_state,
     bob_ancilla,
@@ -88,7 +87,7 @@ class TestMakeState:
 class TestLabels:
     def test_str_round_trip(self):
         # A wire is the name transcripts print.
-        labels = (A1, B1, A2, B2, alice_ancilla(0), bob_ancilla(3))
+        labels = (A1, B1, A2, B2, "A[0]", bob_ancilla(3))
         assert labels == ("A1", "B1", "A2", "B2", "A[0]", "AncillaB[3]")
 
     def test_position_is_register_order(self):

@@ -17,7 +17,7 @@ RECORDS = [
     (strategies, "BobCheatStrategy", lambda: BOB, "announce_rule"),
     (protocol, "PartyRole", lambda: TREE.alice, "behavior"),
     (protocol, "TranscriptRecord", lambda: protocol.walk(TREE, 0)[1].records[0], "index"),
-    (protocol, "Transcript", lambda: protocol.walk(TREE, 0)[1], "outcome"),
+    (protocol, "Transcript", lambda: protocol.walk(TREE, 0)[1], "records"),
     (protocol, "ProtocolTree", lambda: TREE, "root"),
     (analysis, "BiasReport", lambda: analysis.exact_win_probability(ALICE, 0), "p_win_exact"),
     (analysis, "OptimizationResult", analysis.optimize_alice, "value"),

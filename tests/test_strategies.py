@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alice_housing import orthogonal_housing
 from cointoss.qstate import (
     A1,
     A2,
     B1,
     B2,
     NotNormalizedError,
-    alice_ancilla,
     bell_state,
     bob_ancilla,
     make_state,
@@ -73,34 +73,18 @@ class TestOptimalAlice:
 
 class TestCoefficientStrategy:
     def test_aligned_honest_is_honest_preparation(self):
-        strategy = coefficient_strategy(AliceCoefficients.honest(), "aligned")
+        strategy = coefficient_strategy(AliceCoefficients.honest())
         np.testing.assert_allclose(
             strategy.initial_state.amplitudes,
             tensor(bell_state(A1, B1), bell_state(A2, B2)).amplitudes,
             atol=1e-12,
         )
 
-    def test_orthogonal_mode_uses_ancilla_pair(self):
-        strategy = coefficient_strategy(AliceCoefficients.honest(), "orthogonal")
-        assert strategy.initial_state.register == (
-            alice_ancilla(0),
-            alice_ancilla(1),
-            A1,
-            B1,
-            A2,
-            B2,
-        )
-        assert np.linalg.norm(strategy.initial_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            coefficient_strategy(AliceCoefficients.honest(), "sideways")
-
     def test_registers_exactly_core_plus_ancilla(self):
         for strategy in (
             optimal_alice(0),
             honest_alice(),
-            coefficient_strategy(AliceCoefficients.optimal(), "orthogonal"),
+            orthogonal_housing(AliceCoefficients.optimal()),
         ):
             register = set(strategy.initial_state.register)
             assert {A1, B1, A2, B2} <= register
@@ -117,7 +101,7 @@ class TestAliceValidation:
 
     def test_extra_wire_must_be_an_alice_ancilla(self):
         core = optimal_alice(0).initial_state
-        ancilla = make_state((alice_ancilla(0),), (1, 0))
+        ancilla = make_state(("A[0]",), (1, 0))
         assert AliceCheatStrategy("ok", tensor(core, ancilla)).name == "ok"
         bobs = make_state((bob_ancilla(0),), (1, 0))
         with pytest.raises(StrategyRegisterMismatchError):
@@ -315,6 +299,11 @@ class TestStrategyIdRoundTrip:
     @example("random-bob:7_0")
     @example("random-bob:\u0667")
     @example("random-bob:-0")
+    # Weights that float() reads but that the report would echo verbatim.
+    @example("coefficients:0.6,0.8,0,0\n")
+    @example("coefficients: 0.6,0.8,0,0")
+    @example("coefficients:0.6 ,0.8,0,0")
+    @example("coefficients:0_6,0.8,0,0")
     def test_malformed_ids_are_unknown(self, text):
         with pytest.raises(UnknownStrategyError):
             parse_strategy_id(text)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alice_housing import orthogonal_housing
 from cointoss.analysis import _split_down_tree, leaf_probabilities
 from cointoss.protocol import ProtocolOutcome, build_tree, leaves, sample_path, walk
 from cointoss.strategies import (
@@ -25,9 +26,9 @@ weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 )
 
 
-def alice_tree(w, mode):
+def alice_tree(w, housing):
     c = AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w))
-    return build_tree(coefficient_strategy(c, mode), 0)
+    return build_tree(housing(c), 0)
 
 
 def bob_tree(seed):
@@ -36,7 +37,9 @@ def bob_tree(seed):
 
 def trees():
     return st.one_of(
-        st.builds(alice_tree, weights, st.sampled_from(["aligned", "orthogonal"])),
+        st.builds(
+            alice_tree, weights, st.sampled_from([coefficient_strategy, orthogonal_housing])
+        ),
         st.builds(bob_tree, st.integers(0, 10**6)),
         st.just(build_tree(None, None)),
     )
@@ -71,12 +74,13 @@ def test_every_chance_node_splits_one_probability(tree):
 @given(trees(), st.integers(0, 2**63))
 def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
     path = sample_path(tree, seed)
-    _, transcript = walk(tree, seed)
+    outcome, transcript = walk(tree, seed)
     recorded = math.prod(r.probability for r in transcript.records if r.probability is not None)
     if tree.bob.behavior == "honest":
         recorded *= 0.5  # an honest Bob's fair choice carries no probability
     assert recorded == pytest.approx(math.prod(node.probability for node in path), rel=1e-12)
-    assert path[-1].outcome is transcript.outcome
+    assert outcome is path[-1].outcome
+    assert transcript.records[-1].payload == {"outcome": outcome.value}
 
 
 @SETTINGS
@@ -116,7 +120,7 @@ def test_unreachable_verification_aborts_instead_of_crashing():
     # After choice 1, B2 is always 1 while A2 stays 0, so Bob's check of
     # (A2, B2) never passes; after choice 2 it passes half the time.
     c = AliceCoefficients(0.0, 1.0, 0.0, 0.0)
-    tree = build_tree(coefficient_strategy(c, "orthogonal"), 0)
+    tree = build_tree(orthogonal_housing(c), 0)
     assert leaf_probabilities(tree)[2] == pytest.approx(0.75)
     for seed in range(40):
         outcome, transcript = walk(tree, seed)
