@@ -17,12 +17,11 @@ counts a run on a branch below `qstate.ZERO_ATOL`, whose mass is exactly 0.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .protocol import (
-    HONEST_TREE,
     Branch,
     ProtocolOutcome,
     ProtocolTree,
@@ -75,49 +74,6 @@ def _detection(a00, a01, a10, a11):
     return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
 
 
-class _BiasFields(NamedTuple):
-    party: str
-    target: int
-    strategy_id: str
-    p_win_exact: float
-    p_abort_exact: float
-
-
-class BiasReport(_BiasFields):
-    """Exact win/abort probabilities for one cheating party and target.
-
-    Like the strategies' records, a NamedTuple whose subclass checks it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (-1e-12 <= self.p_win_exact <= ANALYTIC_BOUND + 1e-9):
-            raise InvariantViolationError(
-                f"win probability {self.p_win_exact!r} escapes [0, bound] for "
-                f"{self.strategy_id}"
-            )
-        return self
-
-    @property
-    def epsilon(self) -> float:
-        """Bias toward the target: excess of the win probability over 1/2."""
-        return self.p_win_exact - 0.5
-
-    def as_mapping(self) -> dict:
-        return {
-            "party": self.party,
-            "target": self.target,
-            "strategy": self.strategy_id,
-            "p_win_exact": self.p_win_exact,
-            "p_abort_exact": self.p_abort_exact,
-            "epsilon": self.epsilon,
-            "analytic_bound": ANALYTIC_BOUND,
-            "kitaev_reference": KITAEV_REFERENCE,
-        }
-
-
 def leaf_probabilities(tree: ProtocolTree) -> np.ndarray:
     """Exact probabilities of the run's three leaves: heads, tails, abort.
 
@@ -133,53 +89,36 @@ def leaf_probabilities(tree: ProtocolTree) -> np.ndarray:
 
 def exact_win_probability(
     strategy: AliceCheatStrategy | BobCheatStrategy, target: int
-) -> BiasReport:
-    """One strategy's exact win and abort mass, summed over its branch tree."""
+) -> dict:
+    """One strategy's exact win and abort mass, summed over its branch tree,
+    as the `bias` report's result; epsilon is the win's excess over 1/2."""
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
     exact = leaf_probabilities(build_tree(strategy, target))
-    return BiasReport(
-        party="A" if isinstance(strategy, AliceCheatStrategy) else "B",
-        target=target,
-        strategy_id=strategy.name,
-        p_win_exact=float(exact[target]),
-        p_abort_exact=float(exact[2]),
-    )
+    p_win = float(exact[target])
+    if not (-1e-12 <= p_win <= ANALYTIC_BOUND + 1e-9):
+        raise InvariantViolationError(
+            f"win probability {p_win!r} escapes [0, bound] for {strategy.name}"
+        )
+    return {
+        "party": "A" if isinstance(strategy, AliceCheatStrategy) else "B",
+        "target": target,
+        "strategy": strategy.name,
+        "p_win_exact": p_win,
+        "p_abort_exact": float(exact[2]),
+        "epsilon": p_win - 0.5,
+    }
 
 
-class OptimizationResult(NamedTuple):
-    """Alice's best aligned strategy, with the numbers that certify it."""
-
-    argmax: AliceCoefficients
-    value: float
-    residual: float
-    spectral_gap: float
-    p_detect: float
-
-    def as_mapping(self) -> dict:
-        return {
-            "value": self.value,
-            "argmax.a00": self.argmax.a00,
-            "argmax.a01": self.argmax.a01,
-            "argmax.a10": self.argmax.a10,
-            "argmax.a11": self.argmax.a11,
-            "residual": self.residual,
-            "spectral_gap": self.spectral_gap,
-            "p_detect": self.p_detect,
-            "analytic_bound": ANALYTIC_BOUND,
-            "kitaev_reference": KITAEV_REFERENCE,
-        }
-
-
-def optimize_alice() -> OptimizationResult:
+def optimize_alice() -> dict:
     """Maximize the win probability over the nonnegative unit sphere, in closed form.
 
     The objective is ``x^T M x``. M is nonnegative, so by Perron-Frobenius
     its top eigenvalue is the maximum and its top eigenvector, taken
     entrywise nonnegative, attains it: 3/4 at (sqrt(2/3), sqrt(1/6),
-    sqrt(1/6), 0). The result certifies itself with the residual
-    ``||M x - value x||``, the gap to the next eigenvalue (1/2, so the
-    optimum is unique) and the detection probability there (1/6). The
+    sqrt(1/6), 0). The `optimize` report's result certifies itself with the
+    residual ``||M x - value x||``, the gap to the next eigenvalue (1/2, so
+    the optimum is unique) and the detection probability there (1/6). The
     argmax is canonicalized to ``a01 >= a10`` (the objective is symmetric
     under swapping them).
     """
@@ -188,13 +127,17 @@ def optimize_alice() -> OptimizationResult:
     if x[1] < x[2]:
         x = x[[0, 2, 1, 3]]
     value = float(values[-1])
-    return OptimizationResult(
-        argmax=AliceCoefficients.from_array(x),
-        value=value,
-        residual=float(np.linalg.norm(_OBJECTIVE_FORM @ x - value * x)),
-        spectral_gap=float(values[-1] - values[-2]),
-        p_detect=float(_detection(*x)),
-    )
+    a00, a01, a10, a11 = x.tolist()
+    return {
+        "value": value,
+        "argmax.a00": a00,
+        "argmax.a01": a01,
+        "argmax.a10": a10,
+        "argmax.a11": a11,
+        "residual": float(np.linalg.norm(_OBJECTIVE_FORM @ x - value * x)),
+        "spectral_gap": float(values[-1] - values[-2]),
+        "p_detect": float(_detection(*x)),
+    }
 
 
 def phase_sweep(
@@ -210,12 +153,12 @@ def phase_sweep(
         raise ValueError(f"samples must be >= 100, got {samples}")
     rng = np.random.default_rng(seed)
     weights = c.as_array()
-    best = exact_win_probability(aligned_strategy(weights, name="phase:0,0,0"), 0).p_win_exact
+    best = exact_win_probability(aligned_strategy(weights, name="phase:0,0,0"), 0)["p_win_exact"]
     for _ in range(samples):
         phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
         decorated = weights * np.exp(1j * np.concatenate(([0.0], phases)))
         strategy = aligned_strategy(decorated, name="phase-sample")
-        best = max(best, exact_win_probability(strategy, 0).p_win_exact)
+        best = max(best, exact_win_probability(strategy, 0)["p_win_exact"])
     return best
 
 
@@ -271,60 +214,12 @@ def scan_csv(chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Ite
         yield ("path:t=%.6f,%.12g,%.12g\n" * t.size) % tuple(flat)
 
 
-class MonteCarloReport(NamedTuple):
-    """Outcome frequencies over independent protocol runs."""
-
-    run_kind: str
-    strategy_id: str
-    target: int
-    trials: int
-    root_seed: int
-    engine: str
-    heads: int
-    tails: int
-    aborts: int
-    # The tree the run's transcript is walked from.
-    tree: ProtocolTree
-
-    @property
-    def win_frequency(self) -> float:
-        wins = self.heads if self.target == 0 else self.tails
-        return wins / self.trials
-
-    @property
-    def abort_frequency(self) -> float:
-        return self.aborts / self.trials
-
-    def standard_error(self, frequency: float) -> float:
-        return math.sqrt(max(frequency * (1.0 - frequency), 0.0) / self.trials)
-
-    def as_mapping(self) -> dict:
-        return {
-            "run_kind": self.run_kind,
-            "strategy": self.strategy_id,
-            "target": self.target,
-            "trials": self.trials,
-            "root_seed": self.root_seed,
-            "engine": self.engine,
-            "heads": self.heads,
-            "tails": self.tails,
-            "aborts": self.aborts,
-            "heads_frequency": self.heads / self.trials,
-            "tails_frequency": self.tails / self.trials,
-            "abort_frequency": self.abort_frequency,
-            "win_frequency": self.win_frequency,
-            "win_standard_error": self.standard_error(self.win_frequency),
-            "abort_standard_error": self.standard_error(self.abort_frequency),
-            "analytic_bound": ANALYTIC_BOUND,
-            "kitaev_reference": KITAEV_REFERENCE,
-        }
-
-
 RUN_KINDS = ("honest", "cheat-alice", "cheat-bob")
 
 
 def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[str, ProtocolTree]:
-    """The run kind and branch tree of the runs `monte_carlo` samples.
+    """The run kind and branch tree of the runs `monte_carlo` samples, and
+    that a transcript walks.
 
     `strategy_id` is parsed once. A `run_kind` of None infers the kind:
     ``honest`` is an all-honest run, any other id a run against the party
@@ -333,7 +228,7 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     if run_kind not in (None, *RUN_KINDS):
         raise ValueError(f"run_kind must be one of {RUN_KINDS}, got {run_kind!r}")
     if run_kind == "honest" or (run_kind is None and strategy_id == "honest"):
-        return "honest", HONEST_TREE
+        return "honest", build_tree(None, None)
     strategy = parse_strategy_id(strategy_id, target)
     kind = "cheat-alice" if isinstance(strategy, AliceCheatStrategy) else "cheat-bob"
     if run_kind not in (None, kind):
@@ -371,28 +266,22 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: np.random.Generator) 
 
 
 def monte_carlo(
-    run_kind: str | None,
-    strategy_id: str = "honest",
-    target: int = 0,
-    trials: int = 100_000,
-    root_seed: int = 0,
-    engine: str = "kernel",
-) -> MonteCarloReport:
-    """Run `trials` independent protocol executions and tally outcomes.
+    run_kind: str, tree: ProtocolTree, target: int, trials: int, root_seed: int, engine: str
+) -> dict:
+    """Tally `trials` independent runs of a `resolve_run` run as the sampled
+    commands' report result.
 
-    The run is resolved by `resolve_run` before any sampling. The default
-    engine draws the (heads, tails, abort) counts of all trials at once, as
-    one multinomial sample over the run's exact leaf probabilities: O(1)
-    time and memory for any `trials`. ``engine="protocol"`` instead samples
-    the counts down the run's branch tree, one binomial split per chance
-    node at its first child's probability (the one `sample_path` walks),
-    so it costs O(tree nodes) for any `trials`. An outcome of exact mass 0,
-    such as an honest run's abort, gets no runs on either engine. Both
-    engines are deterministic given `root_seed`, agree in distribution, and
-    take 1000 to 2**63 - 1 trials, the largest count numpy's samplers hold. The report carries the tree,
-    so a transcript can be walked from it without resolving again.
+    The kernel engine draws the (heads, tails, abort) counts of all trials
+    at once, as one multinomial sample over the run's exact leaf
+    probabilities: O(1) time and memory for any `trials`. ``engine="protocol"``
+    instead samples the counts down the run's branch tree, one binomial
+    split per chance node at its first child's probability (the one
+    `sample_path` walks), so it costs O(tree nodes) for any `trials`. An
+    outcome of exact mass 0, such as an honest run's abort, gets no runs on
+    either engine. Both engines are deterministic given `root_seed`, agree
+    in distribution, and take 1000 to 2**63 - 1 trials, the largest count
+    numpy's samplers hold.
     """
-    run_kind, tree = resolve_run(run_kind, strategy_id, target)
     if not 1000 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")
     if engine not in ("kernel", "protocol"):
@@ -405,22 +294,32 @@ def monte_carlo(
         live = leaf_mass > 0.0
         counts = np.zeros(3, dtype=np.int64)
         counts[live] = np.random.default_rng(root_seed).multinomial(trials, leaf_mass[live])
-        heads, tails, aborts = counts
     else:
-        heads, tails, aborts = _split_down_tree(tree, trials, np.random.default_rng(root_seed))
+        counts = _split_down_tree(tree, trials, np.random.default_rng(root_seed))
+    heads, tails, aborts = (int(count) for count in counts)
+    win_frequency = (heads if target == 0 else tails) / trials
+    abort_frequency = aborts / trials
 
-    return MonteCarloReport(
-        run_kind=run_kind,
-        strategy_id=tree.bob.behavior if run_kind == "cheat-bob" else tree.alice.behavior,
-        target=target,
-        trials=trials,
-        root_seed=root_seed,
-        engine=engine,
-        heads=int(heads),
-        tails=int(tails),
-        aborts=int(aborts),
-        tree=tree,
-    )
+    def standard_error(frequency: float) -> float:
+        return math.sqrt(max(frequency * (1.0 - frequency), 0.0) / trials)
+
+    return {
+        "run_kind": run_kind,
+        "strategy": tree.bob.behavior if run_kind == "cheat-bob" else tree.alice.behavior,
+        "target": target,
+        "trials": trials,
+        "root_seed": root_seed,
+        "engine": engine,
+        "heads": heads,
+        "tails": tails,
+        "aborts": aborts,
+        "heads_frequency": heads / trials,
+        "tails_frequency": tails / trials,
+        "abort_frequency": abort_frequency,
+        "win_frequency": win_frequency,
+        "win_standard_error": standard_error(win_frequency),
+        "abort_standard_error": standard_error(abort_frequency),
+    }
 
 
 # ---------------------------------------------------------------------------

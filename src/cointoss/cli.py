@@ -36,6 +36,12 @@ gc.freeze()
 
 REPORT_SCHEMA = "cointoss.report/2"
 
+# Every report ends with these, and the scan's header lists them.
+_CONSTANTS = {
+    "analytic_bound": analysis.ANALYTIC_BOUND,
+    "kitaev_reference": analysis.KITAEV_REFERENCE,
+}
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNKNOWN_STRATEGY = 3
@@ -148,6 +154,7 @@ def _config_mapping(args: argparse.Namespace) -> dict:
 
 
 def _render(config: dict, result: dict, output_format: str) -> str:
+    result = {**result, **_CONSTANTS}
     if output_format == "structured":
         lines = [f"schema: {REPORT_SCHEMA}"]
         lines += [f"config.{k}: {analysis.format_value(v)}" for k, v in config.items()]
@@ -232,33 +239,29 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         if args.out and args.transcript and _same_regular_file(args.out, args.transcript):
             raise ValueError(f"--out and --transcript both name {args.out}")
         # montecarlo infers the run kind from the strategy.
-        report = analysis.monte_carlo(
+        run_kind, tree = analysis.resolve_run(
             None if args.command == "montecarlo" else args.command,
-            strategy_id=getattr(args, "strategy", "honest"),
-            target=args.target,
-            trials=args.trials,
-            root_seed=args.seed,
-            engine=args.engine,
+            getattr(args, "strategy", "honest"),
+            args.target,
         )
-        transcript = walk(report.tree, args.seed)[1].to_jsonl() if args.transcript else None
-        return [_render(config, report.as_mapping(), args.format)], transcript
+        result = analysis.monte_carlo(
+            run_kind, tree, args.target, args.trials, args.seed, args.engine
+        )
+        transcript = walk(tree, args.seed)[1].to_jsonl() if args.transcript else None
+        return [_render(config, result, args.format)], transcript
 
     if args.command == "bias":
         strategy = parse_strategy_id(args.strategy, args.target)
-        report = analysis.exact_win_probability(strategy, args.target)
-        return [_render(config, report.as_mapping(), args.format)], None
+        result = analysis.exact_win_probability(strategy, args.target)
+        return [_render(config, result, args.format)], None
 
     if args.command == "optimize":
         # --grid-resolution is echoed in the config and otherwise unused.
-        return [_render(config, analysis.optimize_alice().as_mapping(), args.format)], None
+        return [_render(config, analysis.optimize_alice(), args.format)], None
 
     if args.command == "scan":
         chunks = analysis.scan_chunks(args.steps)
-        constants = {
-            "analytic_bound": analysis.ANALYTIC_BOUND,
-            "kitaev_reference": analysis.KITAEV_REFERENCE,
-        }
-        header = _comment_lines(config, constants) + ["strategy,p_win,p_detect"]
+        header = _comment_lines(config, _CONSTANTS) + ["strategy,p_win,p_detect"]
         return itertools.chain(["\n".join(header) + "\n"], analysis.scan_csv(chunks)), None
 
     raise analysis.InvariantViolationError(f"unhandled command {args.command!r}")

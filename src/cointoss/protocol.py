@@ -127,6 +127,8 @@ class ProtocolTree(NamedTuple):
 
 
 def _leaf(probability: float, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
+    if probability == 0.0:
+        return Branch(0.0, None, (), None)  # dead, as an impossible measurement is
     lines += (("-", "outcome", {"outcome": outcome.value}, None),)
     return Branch(probability, lines, (), outcome)
 
@@ -143,8 +145,9 @@ def build_tree(
     Each has one probability p, its first child's, and its second child has
     1 - p: 0.5 for the choice, reading 0 by `branch_probabilities`, passing
     by `bell_pass_probability`. A pass chance within `ZERO_ATOL` of 0 or 1
-    is exactly 0 or 1, and a bit that `collapse` cannot form is a dead
-    branch of mass 0; a measurement records `collapse`'s probability.
+    is exactly 0 or 1, and a verdict of mass 0, or a bit that `collapse`
+    cannot form, is a dead branch; a measurement records `collapse`'s
+    probability.
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
@@ -239,12 +242,6 @@ def build_tree(
         steps = tuple((_BOB, label) for label in bob.measured)
         root = measure(state, steps, (), 1.0, lines, choose)
     return ProtocolTree(alice_role, bob_role, target, root)
-
-
-# The all-honest run's tree, built once: every honest run walks it, so a
-# loop of runs pays one `sample_path` each, not one tree each. Nothing
-# mutates a tree or the transcript records it emits.
-HONEST_TREE = build_tree(None, None)
 
 
 def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:

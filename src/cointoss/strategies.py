@@ -295,10 +295,11 @@ def parse_strategy_id(
                 f"coefficients strategy needs 4 comma-separated values, got {text!r}"
             )
         try:
-            # float() also reads surrounding whitespace and `_` separators,
-            # which the report's echo of the id would print verbatim.
-            if any(p != p.strip() or "_" in p for p in parts):
-                raise ValueError("a weight holds whitespace or '_'")
+            # float() also reads whitespace, `_` separators, a leading `+`
+            # and non-ASCII digits, which the report's echo of the id would
+            # print verbatim.
+            if any(not p.isascii() or p != p.strip() or "_" in p or p[:1] == "+" for p in parts):
+                raise ValueError("a weight holds a leading '+', '_', whitespace or non-ASCII text")
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise UnknownStrategyError(f"bad coefficient in {text!r}: {exc}") from None

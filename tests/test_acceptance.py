@@ -15,6 +15,7 @@ from cointoss.analysis import (
     monte_carlo,
     optimize_alice,
     phase_sweep,
+    resolve_run,
     scan_chunks,
 )
 from cointoss.strategies import (
@@ -43,23 +44,23 @@ def test_criterion_1_honest_protocol():
     heads_exact = exact_win_probability(honest_alice(), 0)
     tails_exact = exact_win_probability(honest_alice(), 1)
     exact_ok = (
-        abs(heads_exact.p_win_exact - 0.5) < 1e-12
-        and abs(tails_exact.p_win_exact - 0.5) < 1e-12
-        and abs(heads_exact.p_abort_exact) < 1e-12
+        abs(heads_exact["p_win_exact"] - 0.5) < 1e-12
+        and abs(tails_exact["p_win_exact"] - 0.5) < 1e-12
+        and abs(heads_exact["p_abort_exact"]) < 1e-12
     )
-    mc = monte_carlo("honest", trials=1_000_000, root_seed=101)
+    mc = monte_carlo(*resolve_run("honest", "honest", 0), 0, 1_000_000, 101, "kernel")
     mc_ok = (
-        abs(mc.heads / mc.trials - 0.5) < five_sigma(0.5, mc.trials)
-        and abs(mc.tails / mc.trials - 0.5) < five_sigma(0.5, mc.trials)
-        and mc.aborts == 0
+        abs(mc["heads"] / mc["trials"] - 0.5) < five_sigma(0.5, mc["trials"])
+        and abs(mc["tails"] / mc["trials"] - 0.5) < five_sigma(0.5, mc["trials"])
+        and mc["aborts"] == 0
     )
     elapsed = time.perf_counter() - started
     report(
         1,
         exact_ok and mc_ok and elapsed < 30.0,
-        f"exact P(heads)={heads_exact.p_win_exact:.15f}, "
-        f"P(abort)={heads_exact.p_abort_exact:.2e}; "
-        f"MC heads={mc.heads / mc.trials:.6f} aborts={mc.aborts} "
+        f"exact P(heads)={heads_exact['p_win_exact']:.15f}, "
+        f"P(abort)={heads_exact['p_abort_exact']:.2e}; "
+        f"MC heads={mc['heads'] / mc['trials']:.6f} aborts={mc['aborts']} "
         f"({elapsed:.1f}s < 30s)",
     )
 
@@ -69,17 +70,18 @@ def test_criterion_2_optimal_alice():
     details = []
     for target in (0, 1):
         result = exact_win_probability(optimal_alice(target), target)
-        exact_ok &= abs(result.p_win_exact - 0.75) < 1e-9
-        exact_ok &= abs(result.p_abort_exact - 1 / 6) < 1e-9
-        details.append(f"target {target}: win={result.p_win_exact:.12f}")
-    mc = monte_carlo("cheat-alice", "optimal-alice", 0, trials=1_000_000, root_seed=102)
-    mc_ok = abs(mc.win_frequency - 0.75) < five_sigma(0.75, mc.trials) and abs(
-        mc.abort_frequency - 1 / 6
-    ) < five_sigma(1 / 6, mc.trials)
+        exact_ok &= abs(result["p_win_exact"] - 0.75) < 1e-9
+        exact_ok &= abs(result["p_abort_exact"] - 1 / 6) < 1e-9
+        details.append(f"target {target}: win={result['p_win_exact']:.12f}")
+    mc = monte_carlo(*resolve_run("cheat-alice", "optimal-alice", 0), 0, 1_000_000, 102, "kernel")
+    mc_ok = abs(mc["win_frequency"] - 0.75) < five_sigma(0.75, mc["trials"]) and abs(
+        mc["abort_frequency"] - 1 / 6
+    ) < five_sigma(1 / 6, mc["trials"])
     report(
         2,
         exact_ok and mc_ok,
-        "; ".join(details) + f"; MC win={mc.win_frequency:.6f} abort={mc.abort_frequency:.6f}",
+        "; ".join(details)
+        + f"; MC win={mc['win_frequency']:.6f} abort={mc['abort_frequency']:.6f}",
     )
 
 
@@ -88,12 +90,13 @@ def test_criterion_3_optimizer():
     result = optimize_alice()
     elapsed = time.perf_counter() - started
     expected = AliceCoefficients.optimal().as_array()
-    coords_ok = bool(np.all(np.abs(result.argmax.as_array() - expected) < 1e-15))
-    argmax = tuple(round(float(v), 5) for v in result.argmax.as_array())
+    found = np.array([result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11")])
+    coords_ok = bool(np.all(np.abs(found - expected) < 1e-15))
+    argmax = tuple(round(float(v), 5) for v in found)
     report(
         3,
-        abs(result.value - 0.75) < 1e-15 and coords_ok and elapsed < 1.0,
-        f"value={result.value:.9f}, argmax={argmax} ({elapsed:.3f}s < 1s)",
+        abs(result["value"] - 0.75) < 1e-15 and coords_ok and elapsed < 1.0,
+        f"value={result['value']:.9f}, argmax={argmax} ({elapsed:.3f}s < 1s)",
     )
 
 
@@ -104,22 +107,22 @@ def test_criterion_4_closed_form_equals_simulation():
         raw = np.abs(rng.normal(size=4))
         c = AliceCoefficients.from_array(raw / np.linalg.norm(raw))
         simulated = exact_win_probability(coefficient_strategy(c), 0)
-        worst = max(worst, abs(simulated.p_win_exact - _objective(c.a00, c.a01, c.a10)))
+        worst = max(worst, abs(simulated["p_win_exact"] - _objective(c.a00, c.a01, c.a10)))
     report(4, worst < 1e-9, f"max |closed form - simulation| = {worst:.2e} over 100 tuples")
 
 
 def test_criterion_5_bob_bound():
     exact = exact_win_probability(measure_and_pick_bob(0), 0)
-    optimal_ok = abs(exact.p_win_exact - 0.75) < 1e-9 and exact.p_abort_exact == 0.0
+    optimal_ok = abs(exact["p_win_exact"] - 0.75) < 1e-9 and exact["p_abort_exact"] == 0.0
     rng = np.random.default_rng(105)
     worst = 0.0
     for _ in range(1000):
         result = exact_win_probability(random_bob_strategy(rng), 0)
-        worst = max(worst, result.p_win_exact)
+        worst = max(worst, result["p_win_exact"])
     report(
         5,
         optimal_ok and worst <= ANALYTIC_BOUND + 1e-9,
-        f"measure-and-pick win={exact.p_win_exact:.12f} aborts={exact.p_abort_exact}; "
+        f"measure-and-pick win={exact['p_win_exact']:.12f} aborts={exact['p_abort_exact']}; "
         f"max over 1000 random strategies = {worst:.12f} <= 0.75 + 1e-9",
     )
 
@@ -142,9 +145,9 @@ def test_criterion_7_balance():
     for build, name in ((optimal_alice, "optimal-alice"), (measure_and_pick_bob, "measure-and-pick")):
         p0 = exact_win_probability(build(0), 0)
         p1 = exact_win_probability(build(1), 1)
-        balanced &= abs(p0.p_win_exact - p1.p_win_exact) < 1e-9
-        balanced &= abs(p0.epsilon - 0.25) < 1e-9
-        details.append(f"{name}: eps0={p0.epsilon:.12f} eps1={p1.epsilon:.12f}")
+        balanced &= abs(p0["p_win_exact"] - p1["p_win_exact"]) < 1e-9
+        balanced &= abs(p0["epsilon"] - 0.25) < 1e-9
+        details.append(f"{name}: eps0={p0['epsilon']:.12f} eps1={p1['epsilon']:.12f}")
     report(7, balanced, "; ".join(details))
 
 
@@ -157,7 +160,7 @@ def test_criterion_8_phase_sweep():
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
         phases[0] = 1.0
         result = exact_win_probability(aligned_strategy(weights * phases), 0)
-        worst = max(worst, result.p_win_exact)
+        worst = max(worst, result["p_win_exact"])
     sweep_best = phase_sweep(AliceCoefficients.optimal(), samples=1000, seed=108)
     report(
         8,

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alice_housing import orthogonal_housing
-from cointoss import analysis, protocol
+from cointoss import analysis, cli, protocol
 from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
-    BiasReport,
     InvariantViolationError,
     _detection,
     _objective,
@@ -56,6 +55,17 @@ unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 
 def objective(c: AliceCoefficients) -> float:
     return _objective(c.a00, c.a01, c.a10)
+
+
+def argmax(result: dict) -> AliceCoefficients:
+    """The optimizer's argmax, read back from its report's keys."""
+    return AliceCoefficients(*(result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11")))
+
+
+def sample(run_kind, strategy_id="honest", target=0, trials=100_000, root_seed=0, engine="kernel"):
+    """`monte_carlo` over the run that `resolve_run` makes of these."""
+    run_kind, tree = resolve_run(run_kind, strategy_id, target)
+    return monte_carlo(run_kind, tree, target, trials, root_seed, engine)
 
 
 def scan_points(steps):
@@ -107,17 +117,17 @@ class TestObjective:
 class TestOptimizer:
     def test_reaches_three_quarters(self):
         result = optimize_alice()
-        assert result.value == pytest.approx(0.75, abs=1e-15)
+        assert result["value"] == pytest.approx(0.75, abs=1e-15)
         expected = AliceCoefficients.optimal().as_array()
-        np.testing.assert_allclose(result.argmax.as_array(), expected, atol=1e-15)
+        np.testing.assert_allclose(argmax(result).as_array(), expected, atol=1e-15)
 
     def test_canonical_order(self):
         result = optimize_alice()
-        assert result.argmax.a01 >= result.argmax.a10
+        assert result["argmax.a01"] >= result["argmax.a10"]
 
     def test_value_consistent_with_argmax(self):
         result = optimize_alice()
-        assert result.value == pytest.approx(objective(result.argmax), abs=1e-15)
+        assert result["value"] == pytest.approx(objective(argmax(result)), abs=1e-15)
 
     def test_exact_certificate(self):
         # The closed form in exact arithmetic: M's spectrum, its top
@@ -136,41 +146,41 @@ class TestOptimizer:
         assert sympy.simplify((x.T * detection * x)[0]) == sympy.Rational(1, 6)
 
         result = optimize_alice()
-        np.testing.assert_allclose(result.argmax.as_array(), [float(v) for v in x], atol=1e-15)
-        assert abs(result.value - 0.75) <= 1e-15
-        assert abs(result.spectral_gap - 0.5) <= 1e-15
-        assert abs(result.p_detect - 1 / 6) <= 1e-15
-        assert 0.0 <= result.residual <= 1e-15
+        np.testing.assert_allclose(argmax(result).as_array(), [float(v) for v in x], atol=1e-15)
+        assert abs(result["value"] - 0.75) <= 1e-15
+        assert abs(result["spectral_gap"] - 0.5) <= 1e-15
+        assert abs(result["p_detect"] - 1 / 6) <= 1e-15
+        assert 0.0 <= result["residual"] <= 1e-15
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(unit_weights)
     def test_no_unit_vector_beats_the_optimum(self, c):
-        assert optimize_alice().value >= objective(c) - 1e-15
+        assert optimize_alice()["value"] >= objective(c) - 1e-15
 
 
 class TestExactWinProbability:
     def test_optimal_alice_win_and_abort(self):
         for target in (0, 1):
             report = exact_win_probability(optimal_alice(target), target)
-            assert report.p_win_exact == pytest.approx(0.75, abs=1e-9)
-            assert report.p_abort_exact == pytest.approx(1 / 6, abs=1e-9)
-            assert report.party == "A"
+            assert report["p_win_exact"] == pytest.approx(0.75, abs=1e-9)
+            assert report["p_abort_exact"] == pytest.approx(1 / 6, abs=1e-9)
+            assert report["party"] == "A"
 
     def test_measure_and_pick_win_without_aborts(self):
         report = exact_win_probability(measure_and_pick_bob(0), 0)
-        assert report.p_win_exact == pytest.approx(0.75, abs=1e-12)
-        assert report.p_abort_exact == 0.0
-        assert report.party == "B"
+        assert report["p_win_exact"] == pytest.approx(0.75, abs=1e-12)
+        assert report["p_abort_exact"] == 0.0
+        assert report["party"] == "B"
 
     def test_honest_strategies_are_fair(self):
         alice = exact_win_probability(honest_alice(), 0)
-        assert alice.p_win_exact == pytest.approx(0.5, abs=1e-12)
-        assert alice.p_abort_exact == 0.0
-        assert alice.epsilon == 0.0
+        assert alice["p_win_exact"] == pytest.approx(0.5, abs=1e-12)
+        assert alice["p_abort_exact"] == 0.0
+        assert alice["epsilon"] == 0.0
         # Bob announces pair 1 whatever happens, as an honest Bob may.
         honest_bob = BobCheatStrategy("honest-bob", 0, None, (), {(): 1})
         bob = exact_win_probability(honest_bob, 0)
-        assert bob.p_win_exact == pytest.approx(0.5, abs=1e-12)
+        assert bob["p_win_exact"] == pytest.approx(0.5, abs=1e-12)
 
     def test_swapped_response_mapping_only_reaches_one_third(self):
         # The rejected reading of "send A1 or A2 depending on the choice":
@@ -180,7 +190,7 @@ class TestExactWinProbability:
         amplitudes = optimal_alice(0).initial_state.amplitudes
         swapped = AliceCheatStrategy("swapped-mapping", make_state((A2, B1, A1, B2), amplitudes))
         report = exact_win_probability(swapped, 0)
-        assert report.p_win_exact == pytest.approx(1 / 3, abs=1e-9)
+        assert report["p_win_exact"] == pytest.approx(1 / 3, abs=1e-9)
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
@@ -188,20 +198,21 @@ class TestExactWinProbability:
 
     def test_epsilon_definition(self):
         report = exact_win_probability(optimal_alice(0), 0)
-        assert report.epsilon == pytest.approx(report.p_win_exact - 0.5, abs=1e-12)
-        assert report.as_mapping()["kitaev_reference"] == pytest.approx(
-            1 / np.sqrt(2) - 0.5, abs=1e-15
-        )
+        assert report["epsilon"] == pytest.approx(report["p_win_exact"] - 0.5, abs=1e-12)
+        assert KITAEV_REFERENCE == pytest.approx(1 / np.sqrt(2) - 0.5, abs=1e-15)
 
-    def test_report_invariant_guard(self):
-        with pytest.raises(InvariantViolationError):
-            BiasReport(
-                party="A",
-                target=0,
-                strategy_id="impossible",
-                p_win_exact=0.76,
-                p_abort_exact=0.0,
-            )
+    def test_report_invariant_guard(self, monkeypatch, capsys):
+        # A win past 3/4 stops the report, in the library and on the CLI.
+        impossible = np.array([0.76, 0.24, 0.0])
+        monkeypatch.setattr(analysis, "leaf_probabilities", lambda tree: impossible)
+        message = "win probability 0.76 escapes [0, bound] for optimal-alice:target=0"
+        with pytest.raises(InvariantViolationError) as excinfo:
+            exact_win_probability(optimal_alice(0), 0)
+        assert str(excinfo.value) == message
+        assert cli.main(["bias"]) == cli.EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cointoss: internal invariant violation: {message}\n"
 
 
 class TestClosedFormMatchesSimulation:
@@ -211,15 +222,15 @@ class TestClosedFormMatchesSimulation:
         rng = np.random.default_rng(70)
         for _ in range(100):
             c = random_coefficients(rng)
-            simulated = exact_win_probability(coefficient_strategy(c), 0).p_win_exact
+            simulated = exact_win_probability(coefficient_strategy(c), 0)["p_win_exact"]
             assert simulated == pytest.approx(objective(c), abs=1e-9)
 
     def test_objective_loses_to_orthogonal_housing(self):
         c = AliceCoefficients.honest()
         aligned = exact_win_probability(coefficient_strategy(c), 0)
         orthogonal = exact_win_probability(orthogonal_housing(c), 0)
-        assert orthogonal.p_win_exact == pytest.approx(0.125, abs=1e-12)
-        assert orthogonal.p_win_exact < aligned.p_win_exact
+        assert orthogonal["p_win_exact"] == pytest.approx(0.125, abs=1e-12)
+        assert orthogonal["p_win_exact"] < aligned["p_win_exact"]
 
 
 class TestBoundRespect:
@@ -227,18 +238,18 @@ class TestBoundRespect:
         rng = np.random.default_rng(71)
         for _ in range(100):
             report = exact_win_probability(coefficient_strategy(random_coefficients(rng)), 0)
-            assert report.p_win_exact <= ANALYTIC_BOUND + 1e-9
+            assert report["p_win_exact"] <= ANALYTIC_BOUND + 1e-9
 
     def test_random_bob_strategies_below_bound(self):
         rng = np.random.default_rng(72)
         for _ in range(300):
             report = exact_win_probability(random_bob_strategy(rng), 0)
-            assert report.p_win_exact <= ANALYTIC_BOUND + 1e-9
+            assert report["p_win_exact"] <= ANALYTIC_BOUND + 1e-9
 
     def test_balance_between_targets(self):
         for build in (optimal_alice, measure_and_pick_bob):
-            p0 = exact_win_probability(build(0), 0).p_win_exact
-            p1 = exact_win_probability(build(1), 1).p_win_exact
+            p0 = exact_win_probability(build(0), 0)["p_win_exact"]
+            p1 = exact_win_probability(build(1), 1)["p_win_exact"]
             assert p0 == pytest.approx(p1, abs=1e-9)
 
 
@@ -293,8 +304,8 @@ class TestSensitivityScan:
         # The tree counts a branch below 1e-12 mass toward no outcome, so
         # the two agree to 1e-11, not to roundoff.
         report = exact_win_probability(aligned_strategy(c.as_array()), 0)
-        assert abs(_objective(c.a00, c.a01, c.a10) - report.p_win_exact) < 1e-11
-        assert abs(_detection(*c) - report.p_abort_exact) < 1e-11
+        assert abs(_objective(c.a00, c.a01, c.a10) - report["p_win_exact"]) < 1e-11
+        assert abs(_detection(*c) - report["p_abort_exact"]) < 1e-11
 
     @pytest.mark.parametrize("steps", [2, 7, 30])
     def test_scan_matches_branch_enumeration_along_the_path(self, steps):
@@ -306,8 +317,8 @@ class TestSensitivityScan:
             raw = (1.0 - t) * start + t * end
             report = exact_win_probability(aligned_strategy(raw / np.linalg.norm(raw)), 0)
             assert rows[i].startswith(f"path:t={t:.6f},")
-            assert abs(win[i] - report.p_win_exact) < 1e-11
-            assert abs(detect[i] - report.p_abort_exact) < 1e-11
+            assert abs(win[i] - report["p_win_exact"]) < 1e-11
+            assert abs(detect[i] - report["p_abort_exact"]) < 1e-11
 
     def test_builds_no_strategy_and_no_tree(self, monkeypatch):
         calls = []
@@ -340,43 +351,39 @@ class TestMonteCarlo:
         ],
     )
     def test_kernel_engine_matches_exact(self, run_kind, strategy_id):
-        report = monte_carlo(run_kind, strategy_id, target=0, trials=100_000, root_seed=9)
+        report = sample(run_kind, strategy_id, target=0, trials=100_000, root_seed=9)
         if run_kind == "honest":
             expected_win, expected_abort = 0.5, 0.0
         else:
             exact = exact_win_probability(parse_strategy_id(strategy_id, 0), 0)
-            expected_win, expected_abort = exact.p_win_exact, exact.p_abort_exact
-        tolerance = 5 * report.standard_error(expected_win) + 1e-9
-        assert report.win_frequency == pytest.approx(expected_win, abs=max(tolerance, 5e-4))
-        abort_tolerance = 5 * np.sqrt(expected_abort * (1 - expected_abort) / report.trials)
-        assert report.abort_frequency == pytest.approx(
+            expected_win, expected_abort = exact["p_win_exact"], exact["p_abort_exact"]
+        tolerance = 5 * np.sqrt(expected_win * (1 - expected_win) / report["trials"]) + 1e-9
+        assert report["win_frequency"] == pytest.approx(expected_win, abs=max(tolerance, 5e-4))
+        abort_tolerance = 5 * np.sqrt(expected_abort * (1 - expected_abort) / report["trials"])
+        assert report["abort_frequency"] == pytest.approx(
             expected_abort, abs=max(abort_tolerance, 1e-9)
         )
 
     def test_protocol_engine_agrees_with_exact(self):
-        report = monte_carlo(
+        report = sample(
             "cheat-alice", "optimal-alice", 0, trials=3000, root_seed=4, engine="protocol"
         )
-        assert report.win_frequency == pytest.approx(
+        assert report["win_frequency"] == pytest.approx(
             0.75, abs=5 * np.sqrt(0.75 * 0.25 / 3000)
         )
-        assert report.abort_frequency == pytest.approx(
+        assert report["abort_frequency"] == pytest.approx(
             1 / 6, abs=5 * np.sqrt((1 / 6) * (5 / 6) / 3000)
         )
 
     def test_engines_deterministic(self):
         for engine in ("kernel", "protocol"):
-            first = monte_carlo("honest", trials=2000, root_seed=33, engine=engine)
-            second = monte_carlo("honest", trials=2000, root_seed=33, engine=engine)
-            assert (first.heads, first.tails, first.aborts) == (
-                second.heads,
-                second.tails,
-                second.aborts,
-            )
+            first = sample("honest", trials=2000, root_seed=33, engine=engine)
+            second = sample("honest", trials=2000, root_seed=33, engine=engine)
+            assert first == second
 
     def test_counts_sum_to_trials(self):
-        report = monte_carlo("cheat-alice", "optimal-alice", 0, 5000, 11)
-        assert report.heads + report.tails + report.aborts == 5000
+        report = sample("cheat-alice", "optimal-alice", 0, 5000, 11)
+        assert report["heads"] + report["tails"] + report["aborts"] == 5000
 
     @pytest.mark.parametrize("trials", [5000, 10**12])
     @pytest.mark.parametrize(
@@ -390,8 +397,8 @@ class TestMonteCarlo:
         ],
     )
     def test_counts_sum_to_trials_for_every_run(self, run_kind, strategy_id, trials):
-        report = monte_carlo(run_kind, strategy_id, 0, trials, 11)
-        assert report.heads + report.tails + report.aborts == trials
+        report = sample(run_kind, strategy_id, 0, trials, 11)
+        assert report["heads"] + report["tails"] + report["aborts"] == trials
 
     @pytest.mark.parametrize(
         "run_kind,strategy_id",
@@ -408,16 +415,16 @@ class TestMonteCarlo:
         # verdict.
         for engine in ("kernel", "protocol"):
             start = time.perf_counter()
-            report = monte_carlo(run_kind, strategy_id, 0, 2**63 - 1, 3, engine=engine)
+            report = sample(run_kind, strategy_id, 0, 2**63 - 1, 3, engine=engine)
             assert time.perf_counter() - start < 1.0
-            assert report.aborts == 0
+            assert report["aborts"] == 0
 
     def test_protocol_engine_sends_no_run_down_a_dead_branch(self):
         # The honest tree's dead branches have mass exactly 0: no run of
         # 2**63 - 1 may reach one.
-        report = monte_carlo("honest", trials=2**63 - 1, root_seed=1, engine="protocol")
-        assert report.aborts == 0
-        assert report.heads + report.tails == 2**63 - 1
+        report = sample("honest", trials=2**63 - 1, root_seed=1, engine="protocol")
+        assert report["aborts"] == 0
+        assert report["heads"] + report["tails"] == 2**63 - 1
 
     def test_protocol_engine_walks_no_path(self, monkeypatch):
         calls = []
@@ -430,9 +437,10 @@ class TestMonteCarlo:
         monkeypatch.setattr(protocol, "sample_path", counting_sample_path)
         monkeypatch.setattr(analysis, "sample_path", counting_sample_path, raising=False)
         for strategy_id in ("honest", "optimal-alice", "random-bob:7"):
-            report = monte_carlo(None, strategy_id, 0, 10**6, 5, engine="protocol")
+            run_kind, tree = resolve_run(None, strategy_id, 0)
+            monte_carlo(run_kind, tree, 0, 10**6, 5, "protocol")
         assert calls == []
-        protocol.walk(report.tree, 5)
+        protocol.walk(tree, 5)
         assert len(calls) == 1
 
     def test_protocol_engine_builds_one_tree_per_call(self, monkeypatch):
@@ -447,36 +455,36 @@ class TestMonteCarlo:
         counts = []
         for trials in (1000, 3000):
             calls.clear()
-            monte_carlo("cheat-alice", "optimal-alice", 0, trials, 5, engine="protocol")
+            sample("cheat-alice", "optimal-alice", 0, trials, 5, engine="protocol")
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("engine", ["kernel", "protocol"])
     def test_trials_bounded_by_the_int64_maximum(self, engine):
         with pytest.raises(ValueError, match="between 1000 and 9223372036854775807"):
-            monte_carlo("honest", trials=2**63, engine=engine)
-        report = monte_carlo("cheat-alice", "optimal-alice", 0, 2**63 - 1, 2, engine=engine)
-        assert report.heads + report.tails + report.aborts == 2**63 - 1
+            sample("honest", trials=2**63, engine=engine)
+        report = sample("cheat-alice", "optimal-alice", 0, 2**63 - 1, 2, engine=engine)
+        assert report["heads"] + report["tails"] + report["aborts"] == 2**63 - 1
 
     def test_trial_floor(self):
         with pytest.raises(ValueError):
-            monte_carlo("honest", trials=999)
+            sample("honest", trials=999)
 
     def test_unknown_strategy_propagates(self):
         with pytest.raises(UnknownStrategyError):
-            monte_carlo("cheat-alice", "telepathy", 0, 2000, 0)
+            resolve_run("cheat-alice", "telepathy", 0)
 
     def test_party_mismatch_rejected(self):
         with pytest.raises(StrategyRegisterMismatchError):
-            monte_carlo("cheat-alice", "measure-and-pick", 0, 2000, 0)
+            resolve_run("cheat-alice", "measure-and-pick", 0)
         with pytest.raises(StrategyRegisterMismatchError):
-            monte_carlo("cheat-bob", "optimal-alice", 0, 2000, 0)
+            resolve_run("cheat-bob", "optimal-alice", 0)
 
     def test_bad_run_kind_and_engine(self):
         with pytest.raises(ValueError):
-            monte_carlo("cheat-charlie", trials=2000)
+            resolve_run("cheat-charlie", "honest", 0)
         with pytest.raises(ValueError):
-            monte_carlo("honest", trials=2000, engine="abacus")
+            sample("honest", trials=2000, engine="abacus")
 
     @pytest.mark.parametrize(
         "strategy_id,kind,label",
@@ -488,13 +496,17 @@ class TestMonteCarlo:
     )
     def test_run_kind_inferred_from_strategy(self, strategy_id, kind, label):
         assert resolve_run(None, strategy_id, 1)[0] == kind
-        report = monte_carlo(None, strategy_id, 1, 2000, 0)
-        assert (report.run_kind, report.strategy_id) == (kind, label)
+        report = sample(None, strategy_id, 1, 2000, 0)
+        assert (report["run_kind"], report["strategy"]) == (kind, label)
 
-    def test_mapping_carries_reference_constants(self):
-        mapping = monte_carlo("honest", trials=2000, root_seed=0).as_mapping()
-        assert mapping["analytic_bound"] == ANALYTIC_BOUND
-        assert mapping["kitaev_reference"] == KITAEV_REFERENCE
+    def test_mapping_carries_reference_constants(self, capsys):
+        # The CLI appends both constants to every report it prints.
+        assert cli.main(["honest", "--trials", "2000"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            f"result.analytic_bound: {format_value(ANALYTIC_BOUND)}",
+            f"result.kitaev_reference: {format_value(KITAEV_REFERENCE)}",
+        ]
 
 
 class TestPhasedAlignedStates:
@@ -502,13 +514,13 @@ class TestPhasedAlignedStates:
         rng = np.random.default_rng(73)
         zero_phase = exact_win_probability(
             aligned_strategy(AliceCoefficients.optimal().as_array()), 0
-        ).p_win_exact
+        )["p_win_exact"]
         for _ in range(50):
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
             phases[0] = 1.0
             decorated = AliceCoefficients.optimal().as_array() * phases
             report = exact_win_probability(aligned_strategy(decorated), 0)
-            assert report.p_win_exact <= zero_phase + 1e-12
+            assert report["p_win_exact"] <= zero_phase + 1e-12
 
 
 class TestReportFormatting:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cointoss.protocol import (
-    HONEST_TREE,
     ProtocolOutcome,
     TRANSCRIPT_SCHEMA,
     build_tree,
@@ -32,8 +31,9 @@ def coin_measurements(transcript):
 
 class TestHonestRuns:
     def test_parties_always_agree_and_never_abort(self):
+        tree = build_tree(None, None)
         for seed in range(300):
-            outcome, transcript = walk(HONEST_TREE, seed)
+            outcome, transcript = walk(tree, seed)
             assert outcome is not ProtocolOutcome.ABORT
             records = coin_measurements(transcript)
             assert len(records) == 2
@@ -41,13 +41,15 @@ class TestHonestRuns:
             assert COIN[records[0].payload["outcome"]] is outcome
 
     def test_heads_frequency(self):
-        heads = sum(walk(HONEST_TREE, seed)[0] is ProtocolOutcome.HEADS for seed in range(10_000))
+        tree = build_tree(None, None)
+        heads = sum(walk(tree, seed)[0] is ProtocolOutcome.HEADS for seed in range(10_000))
         # 5 sigma at 10^4 trials
         assert heads / 10_000 == pytest.approx(0.5, abs=0.025)
 
     def test_verification_always_passes(self):
+        tree = build_tree(None, None)
         for seed in range(100):
-            _, transcript = walk(HONEST_TREE, seed)
+            _, transcript = walk(tree, seed)
             kinds = [r.kind for r in transcript.records]
             assert "verdict_pass" in kinds
             assert "verdict_abort" not in kinds
@@ -55,10 +57,11 @@ class TestHonestRuns:
 
 class TestTranscripts:
     def test_message_order_matches_protocol_steps(self):
+        honest = build_tree(None, None)
         alice = build_tree(optimal_alice(0), 0)
         bob = build_tree(measure_and_pick_bob(0), 0)
         for seed in range(50):
-            for tree in (HONEST_TREE, alice, bob):
+            for tree in (honest, alice, bob):
                 records = walk(tree, seed)[1].records
                 order = [r.kind for r in records if r.kind not in NOT_MESSAGES]
                 assert order[:3] == EXPECTED_ORDER
@@ -82,7 +85,7 @@ class TestTranscripts:
         assert [r.index for r in transcript.records] == list(range(len(transcript.records)))
 
     def test_jsonl_round_trip(self):
-        outcome, transcript = walk(HONEST_TREE, 17)
+        outcome, transcript = walk(build_tree(None, None), 17)
         records = [json.loads(line) for line in transcript.to_jsonl().splitlines()]
         assert len(records) == len(transcript.records)
         header = records[0]
@@ -192,7 +195,7 @@ class TestMessageKinds:
                 visit(child)
 
         for tree in (
-            HONEST_TREE,
+            build_tree(None, None),
             build_tree(optimal_alice(0), 0),
             build_tree(measure_and_pick_bob(0), 0),
         ):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cointoss import analysis, protocol, qstate, strategies
+from cointoss import protocol, qstate, strategies
 
 ALICE = strategies.optimal_alice(0)
 BOB = strategies.parse_strategy_id("random-bob:7")
@@ -19,9 +19,6 @@ RECORDS = [
     (protocol, "TranscriptRecord", lambda: protocol.walk(TREE, 0)[1].records[0], "index"),
     (protocol, "Transcript", lambda: protocol.walk(TREE, 0)[1], "records"),
     (protocol, "ProtocolTree", lambda: TREE, "root"),
-    (analysis, "BiasReport", lambda: analysis.exact_win_probability(ALICE, 0), "p_win_exact"),
-    (analysis, "OptimizationResult", analysis.optimize_alice, "value"),
-    (analysis, "MonteCarloReport", lambda: analysis.monte_carlo("honest"), "heads"),
 ]
 
 

@@ -299,11 +299,14 @@ class TestStrategyIdRoundTrip:
     @example("random-bob:7_0")
     @example("random-bob:\u0667")
     @example("random-bob:-0")
-    # Weights that float() reads but that the report would echo verbatim.
+    # Weights that float() reads but that the report would echo verbatim:
+    # whitespace, '_', a leading '+' and a non-ASCII digit.
     @example("coefficients:0.6,0.8,0,0\n")
     @example("coefficients: 0.6,0.8,0,0")
     @example("coefficients:0.6 ,0.8,0,0")
     @example("coefficients:0_6,0.8,0,0")
+    @example("coefficients:+1,0,0,0")
+    @example("coefficients:\u0661,0,0,0")
     def test_malformed_ids_are_unknown(self, text):
         with pytest.raises(UnknownStrategyError):
             parse_strategy_id(text)

@@ -57,8 +57,9 @@ def test_leaf_masses_sum_to_one(tree):
 @SETTINGS
 @given(trees())
 def test_every_chance_node_splits_one_probability(tree):
-    # Children carry p and 1 - p, which sum to 1.0 exactly, and a dead
-    # branch carries exactly 0, so no sampler can ever reach it.
+    # Children carry p and 1 - p, which sum to 1.0 exactly, and a branch is
+    # dead, with no lines, exactly when it carries 0, so no sampler or walk
+    # can ever reach it.
     nodes = [tree.root]
     while nodes:
         node = nodes.pop()
@@ -66,8 +67,7 @@ def test_every_chance_node_splits_one_probability(tree):
             first, second = node.children
             assert first.probability + second.probability == 1.0
             nodes += node.children
-        if node.lines is None:
-            assert node.probability == 0.0
+        assert (node.probability == 0.0) == (node.lines is None)
 
 
 @SETTINGS
