@@ -92,8 +92,6 @@ def exact_win_probability(
 ) -> dict:
     """One strategy's exact win and abort mass, summed over its branch tree,
     as the `bias` report's result; epsilon is the win's excess over 1/2."""
-    if target not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target!r}")
     exact = leaf_probabilities(build_tree(strategy, target))
     p_win = float(exact[target])
     if not (-1e-12 <= p_win <= ANALYTIC_BOUND + 1e-9):
@@ -214,9 +212,6 @@ def scan_csv(chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Ite
         yield ("path:t=%.6f,%.12g,%.12g\n" * t.size) % tuple(flat)
 
 
-RUN_KINDS = ("honest", "cheat-alice", "cheat-bob")
-
-
 def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[str, ProtocolTree]:
     """The run kind and branch tree of the runs `monte_carlo` samples, and
     that a transcript walks.
@@ -225,8 +220,6 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     ``honest`` is an all-honest run, any other id a run against the party
     whose strategy it names.
     """
-    if run_kind not in (None, *RUN_KINDS):
-        raise ValueError(f"run_kind must be one of {RUN_KINDS}, got {run_kind!r}")
     if run_kind == "honest" or (run_kind is None and strategy_id == "honest"):
         return "honest", build_tree(None, None)
     strategy = parse_strategy_id(strategy_id, target)
@@ -284,8 +277,6 @@ def monte_carlo(
     """
     if not 1000 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")
-    if engine not in ("kernel", "protocol"):
-        raise ValueError(f"engine must be 'kernel' or 'protocol', got {engine!r}")
 
     if engine == "kernel":
         leaf_mass = leaf_probabilities(tree)

@@ -151,8 +151,6 @@ def build_tree(
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
-    if cheater is not None and alice is None and bob is None:
-        raise TypeError(f"the cheater must be an Alice or a Bob strategy, got {cheater!r}")
 
     alice_role = PartyRole("honest", ("A1", "A2"))
     bob_role = PartyRole("honest", ("B1", "B2"))

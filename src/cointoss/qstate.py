@@ -1,10 +1,10 @@
 """Dense state-vector engine for small labeled multi-qubit registers.
 
 A qubit wire is its name, the string transcripts print: ``A1``, ``B1``,
-``A2`` and ``B2`` for the two shared pairs, ``A[i]`` for Alice's ancillas
-and ``AncillaB[i]`` for Bob's. States are immutable: every operation
-returns a new :class:`StateVector` instead of mutating in place, so values
-can be shared freely between threads and cached across protocol runs.
+``A2`` and ``B2`` for the two shared pairs and ``AncillaB[i]`` for Bob's
+ancillas. States are immutable: every operation returns a new
+:class:`StateVector` instead of mutating in place, so values can be
+shared freely between threads and cached across protocol runs.
 Qubit ordering convention: the label at register position 0 is the
 leftmost (most significant) bit of a basis ket ``|q0 q1 ... q(n-1)>``.
 """
@@ -15,34 +15,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-# Norm slack accepted at construction (then renormalized exactly), and the
-# threshold below which a branch/state counts as numerically zero.
-CONSTRUCTION_NORM_ATOL = 1e-8
+# The threshold below which a branch counts as numerically zero.
 ZERO_ATOL = 1e-12
 
 
-class QStateError(Exception):
-    """Base class for state-engine errors."""
+class ZeroNormError(Exception):
+    """A measurement branch's probability is numerically zero."""
 
 
-class DimensionMismatchError(QStateError):
-    """Amplitude array length does not equal 2**(number of labels)."""
-
-
-class ZeroNormError(QStateError):
-    """All amplitudes are numerically zero; no state can be formed."""
-
-
-class NotNormalizedError(QStateError):
-    """Squared amplitudes do not sum to 1 within tolerance."""
-
-
-class LabelCollisionError(QStateError):
-    """The same subsystem label appears twice in a register."""
-
-
-class UnknownLabelError(QStateError):
-    """A referenced label is not part of the state's register."""
+class NotNormalizedError(Exception):
+    """Squared weights do not sum to 1 within tolerance."""
 
 
 A1, B1, A2, B2 = "A1", "B1", "A2", "B2"
@@ -62,15 +44,6 @@ class StateVector(NamedTuple):
     def n_qubits(self) -> int:
         return len(self.register)
 
-    def position(self, label: str) -> int:
-        """Qubit position of `label` (0 = most significant basis bit)."""
-        try:
-            return self.register.index(label)
-        except ValueError:
-            raise UnknownLabelError(
-                f"label {label} not in register ({', '.join(self.register)})"
-            ) from None
-
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit, register order."""
         return self.amplitudes.reshape((2,) * self.n_qubits)
@@ -83,25 +56,10 @@ def _freeze(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def make_state(register: Iterable[str], amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
-    """Build a state from labels and amplitudes, renormalizing exactly.
-
-    The amplitude norm must already be within ``1e-8`` of 1; larger
-    deviations are rejected rather than silently rescaled.
-    """
-    reg = tuple(register)
-    if len(set(reg)) != len(reg):
-        raise LabelCollisionError(f"duplicate labels in register ({', '.join(reg)})")
+    """Build a state from labels and amplitudes, divided by their exact norm."""
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if amps.shape[0] != 2 ** len(reg):
-        raise DimensionMismatchError(
-            f"{len(reg)} qubits require {2 ** len(reg)} amplitudes, got {amps.shape[0]}"
-        )
-    if not np.any(np.abs(amps) >= ZERO_ATOL):
-        raise ZeroNormError("all amplitudes below 1e-12")
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > CONSTRUCTION_NORM_ATOL:
-        raise NotNormalizedError(f"norm {norm!r} differs from 1 by more than 1e-8")
-    return StateVector(register=reg, amplitudes=_freeze(amps / norm))
+    return StateVector(register=tuple(register), amplitudes=_freeze(amps / norm))
 
 
 BELL_AMPLITUDES = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -114,10 +72,6 @@ def bell_state(left: str, right: str) -> StateVector:
 
 def tensor(left: StateVector, right: StateVector) -> StateVector:
     """Tensor product; the combined register is `left` then `right`."""
-    overlap = set(left.register) & set(right.register)
-    if overlap:
-        names = ", ".join(sorted(overlap))
-        raise LabelCollisionError(f"registers share labels: {names}")
     return StateVector(
         register=left.register + right.register,
         amplitudes=_freeze(np.kron(left.amplitudes, right.amplitudes)),
@@ -126,7 +80,7 @@ def tensor(left: StateVector, right: StateVector) -> StateVector:
 
 def branch_probabilities(state: StateVector, label: str) -> tuple[float, float]:
     """Exact probabilities of measuring `label` as 0 and 1 (no sampling)."""
-    pos = state.position(label)
+    pos = state.register.index(label)
     weights = np.abs(state.tensor_view()) ** 2
     axes = tuple(i for i in range(state.n_qubits) if i != pos)
     marginal = weights.sum(axis=axes) if axes else weights
@@ -140,7 +94,7 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     measured qubit left in ``|outcome>``). Raises :class:`ZeroNormError`
     when the branch probability is below 1e-12.
     """
-    pos = state.position(label)
+    pos = state.register.index(label)
     tensor_amps = state.tensor_view()
     kept = np.take(tensor_amps, outcome, axis=pos)
     branch_norm = float(np.linalg.norm(kept))
@@ -161,10 +115,8 @@ def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
     It is the squared norm of the pair's overlap with that state, an
     amplitude vector over the rest of the register.
     """
-    pos_a = state.position(pair[0])
-    pos_b = state.position(pair[1])
-    if pos_a == pos_b:
-        raise LabelCollisionError(f"pair uses the same label {pair[0]} twice")
+    pos_a = state.register.index(pair[0])
+    pos_b = state.register.index(pair[1])
     amplitudes = state.tensor_view()
     index = [slice(None)] * state.n_qubits
     index[pos_a] = index[pos_b] = 0
@@ -177,15 +129,8 @@ def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
 
 def apply_unitary(state: StateVector, labels: Sequence[str], matrix: np.ndarray) -> StateVector:
     """Apply a ``2^k x 2^k`` unitary to the k qubits named by `labels`."""
-    positions = [state.position(l) for l in labels]
-    if len(set(positions)) != len(positions):
-        raise LabelCollisionError("repeated label in unitary target list")
+    positions = [state.register.index(l) for l in labels]
     k = len(positions)
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (2**k, 2**k):
-        raise DimensionMismatchError(
-            f"{k} target qubits require a {2 ** k}x{2 ** k} matrix, got {matrix.shape}"
-        )
     moved = np.moveaxis(state.tensor_view(), positions, range(k))
     tail_shape = moved.shape[k:]
     stacked = moved.reshape(2**k, -1)

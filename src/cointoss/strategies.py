@@ -1,9 +1,9 @@
 """Honest and adversarial party behaviors.
 
-A cheating Alice is the global state she prepares over ``A1, B1, A2, B2``
-and any ancillas ``A[i]``; after Bob's choice she sends her half of the
-unchosen pair, as the protocol's step 4 says. Every Alice strategy an id
-names is aligned: four branch weights on the core qubits, no ancilla.
+A cheating Alice is the global state she prepares over ``A1, B1, A2, B2``;
+after Bob's choice she sends her half of the unchosen pair, as the
+protocol's step 4 says. Every Alice strategy an id names is aligned: four
+branch weights on those qubits.
 Bob's cheating strategies are a local operation on ``{B1, B2,
 AncillaB[i]...}``, a set of qubits he measures, and a rule mapping the
 classical result to the pair he announces; his verdict is always "pass",
@@ -31,43 +31,20 @@ COEFFICIENT_NORM_ATOL = 1e-10
 
 
 class StrategyRegisterMismatchError(Exception):
-    """A strategy touches labels outside the registers it may hold."""
+    """A run needs one party's strategy, and the id names the other's."""
 
 
 class UnknownStrategyError(Exception):
     """A strategy identifier does not name any known strategy."""
 
 
-# Each record with a validity check is a NamedTuple of its fields plus a
-# subclass whose __new__ checks them on every construction. `_replace`
-# builds the tuple directly, so it only changes fields no check reads.
+class AliceCoefficients(NamedTuple):
+    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
 
-
-class _Weights(NamedTuple):
     a00: float
     a01: float
     a10: float
     a11: float
-
-
-class AliceCoefficients(_Weights):
-    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        values = self.as_array()
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"coefficients must be finite, got {values.tolist()}")
-        if np.any(values < 0):
-            raise ValueError(f"coefficients must be nonnegative, got {tuple(values)}")
-        total = float(np.sum(values**2))
-        if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:
-            raise NotNormalizedError(
-                f"squared coefficients sum to {total!r}, expected 1 within 1e-10"
-            )
-        return self
 
     def as_array(self) -> np.ndarray:
         return np.array(self, dtype=float)
@@ -89,79 +66,27 @@ class AliceCoefficients(_Weights):
         return cls(np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 6.0), np.sqrt(1.0 / 6.0), 0.0)
 
 
-class _Operation(NamedTuple):
-    labels: tuple[str, ...]
-    matrix: np.ndarray
-
-
-class LocalOperation(_Operation):
+class LocalOperation(NamedTuple):
     """A unitary acting on the named qubits."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        dim = 2 ** len(self.labels)
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (dim, dim):
-            raise ValueError(f"operation on {len(self.labels)} qubits needs shape {(dim, dim)}")
-        if not np.allclose(m.conj().T @ m, np.eye(dim), atol=1e-8):
-            raise ValueError("operation matrix is not unitary")
-        return self
+    labels: tuple[str, ...]
+    matrix: np.ndarray
 
 
 ALICE_CORE = (A1, B1, A2, B2)
 
 
-class _AliceStrategy(NamedTuple):
+class AliceCheatStrategy(NamedTuple):
     name: str
     initial_state: StateVector
 
 
-class AliceCheatStrategy(_AliceStrategy):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        register = set(self.initial_state.register)
-        missing = set(ALICE_CORE) - register
-        if missing:
-            raise StrategyRegisterMismatchError(
-                f"initial state must cover A1,B1,A2,B2; missing {sorted(missing)}"
-            )
-        stray = sorted(l for l in register - set(ALICE_CORE) if not l.startswith("A["))
-        if stray:
-            raise StrategyRegisterMismatchError(f"labels {stray} are not Alice ancillas")
-        return self
-
-
-class _BobStrategy(NamedTuple):
+class BobCheatStrategy(NamedTuple):
     name: str
     ancilla_count: int
     operation: LocalOperation | None
     measured: tuple[str, ...]
     announce_rule: Mapping[tuple[int, ...], int]
-
-
-class BobCheatStrategy(_BobStrategy):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        held = {B1, B2} | {bob_ancilla(i) for i in range(self.ancilla_count)}
-        if self.operation is not None:
-            stray = set(self.operation.labels) - held
-            if stray:
-                raise StrategyRegisterMismatchError(f"operation touches {sorted(stray)}")
-        stray = set(self.measured) - held
-        if stray:
-            raise StrategyRegisterMismatchError(f"measurement touches {sorted(stray)}")
-        expected = {tuple(bits) for bits in _bit_tuples(len(self.measured))}
-        if set(self.announce_rule) != expected:
-            raise ValueError("announce rule must cover every outcome tuple exactly")
-        if any(choice not in (1, 2) for choice in self.announce_rule.values()):
-            raise ValueError("announced choices must be 1 or 2")
-        return self
 
     def announce(self, outcomes: tuple[int, ...]) -> int:
         return self.announce_rule[outcomes]
@@ -181,9 +106,6 @@ def aligned_strategy(amplitudes, name: str = "aligned") -> AliceCheatStrategy:
     preparation. Accepts complex weights (used by the phase sweep).
     """
     c = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
-    total = float(np.sum(np.abs(c) ** 2))
-    if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:
-        raise NotNormalizedError(f"squared weights sum to {total!r}")
     amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     for index, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         amps[i, i, j, j] = c[index]
@@ -223,8 +145,6 @@ def measure_and_pick_bob(target: int) -> BobCheatStrategy:
     Ties (both match or both miss) go to pair 1. Wins with probability 3/4
     and never aborts.
     """
-    if target not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target!r}")
     rule = {}
     for b1, b2 in _bit_tuples(2):
         if b1 == target:
@@ -300,9 +220,19 @@ def parse_strategy_id(
             # print verbatim.
             if any(not p.isascii() or p != p.strip() or "_" in p or p[:1] == "+" for p in parts):
                 raise ValueError("a weight holds a leading '+', '_', whitespace or non-ASCII text")
-            values = [float(p) for p in parts]
+            # Adding 0.0 reads -0 as 0.0, so one state has one canonical id.
+            values = np.array([float(p) for p in parts]) + 0.0
         except ValueError as exc:
             raise UnknownStrategyError(f"bad coefficient in {text!r}: {exc}") from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"coefficients must be finite, got {values.tolist()}")
+        if np.any(values < 0):
+            raise ValueError(f"coefficients must be nonnegative, got {values.tolist()}")
+        total = float(np.sum(values**2))
+        if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:
+            raise NotNormalizedError(
+                f"squared coefficients sum to {total!r}, expected 1 within 1e-10"
+            )
         return coefficient_strategy(AliceCoefficients.from_array(values))
     if text.startswith("random-bob:"):
         # Only the canonical decimal form, so one seed has one id.

@@ -84,6 +84,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "bias", "--strategy", "coefficients:0.6,0.8,0,0.1")
         assert code == EXIT_PARSE
 
+    def test_negative_coefficient_is_one_plain_line(self, capsys):
+        code, out, err = run_cli(capsys, "bias", "--strategy", "coefficients:-0.5,0.5,0.5,0.5")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == (
+            "cointoss: invalid configuration: "
+            "coefficients must be nonnegative, got [-0.5, 0.5, 0.5, 0.5]\n"
+        )
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coefficients_are_parse_errors(self, capsys, value):
         code, _, err = run_cli(capsys, "bias", "--strategy", f"coefficients:{value},0,0,1")

@@ -177,13 +177,6 @@ class TestCheatingBob:
             assert outcome in (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)
 
 
-def test_non_strategy_cheater_rejected():
-    # One cheater at most: a pair of strategies, like an unparsed id, is no strategy.
-    for cheater in ((optimal_alice(0), measure_and_pick_bob(0)), "optimal-alice"):
-        with pytest.raises(TypeError):
-            build_tree(cheater, 0)
-
-
 class TestMessageKinds:
     def test_kinds_are_stable_schema(self):
         # Every record kind a tree emits; `walk` adds the run header.

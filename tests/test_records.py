@@ -1,8 +1,10 @@
 """The package's records are immutable: no field can be assigned."""
 
+import inspect
+
 import pytest
 
-from cointoss import protocol, qstate, strategies
+from cointoss import analysis, protocol, qstate, strategies
 
 ALICE = strategies.optimal_alice(0)
 BOB = strategies.parse_strategy_id("random-bob:7")
@@ -19,7 +21,21 @@ RECORDS = [
     (protocol, "TranscriptRecord", lambda: protocol.walk(TREE, 0)[1].records[0], "index"),
     (protocol, "Transcript", lambda: protocol.walk(TREE, 0)[1], "records"),
     (protocol, "ProtocolTree", lambda: TREE, "root"),
+    (protocol, "Branch", lambda: TREE.root, "children"),
 ]
+
+
+def test_every_record_is_listed():
+    # Every NamedTuple the package defines is a record.
+    defined = {
+        (module, name)
+        for module in (analysis, protocol, qstate, strategies)
+        for name, value in vars(module).items()
+        if inspect.isclass(value)
+        and issubclass(value, tuple)
+        and value.__module__ == module.__name__
+    }
+    assert defined == {(module, name) for module, name, _, _ in RECORDS}
 
 
 @pytest.mark.parametrize(
