@@ -12,11 +12,14 @@ probability that a transcript's walk compares with, while the kernel engine
 draws all trials' counts in one multinomial sample from the summed leaf
 probabilities. Neither cost grows with the number of trials, and neither
 counts a run on a branch below `qstate.ZERO_ATOL`, whose mass is exactly 0.
+Every draw reads `random.Random(seed).random()`, a stream that Python
+keeps the same across releases, through the one sampler `_binomial`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,7 +45,8 @@ from .strategies import (
 ANALYTIC_BOUND = 0.75
 KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
 
-# numpy's binomial and multinomial draws take counts up to int64's maximum.
+# The --trials cap, int64's maximum: the documented range, which the
+# 2**63 - 1 tests and CI pin. `_binomial` itself draws larger counts too.
 _MAX_TRIALS = 2**63 - 1
 
 # Alice's win probability for target 0 is x^T M x in x = (a00, a01, a10, a11),
@@ -149,11 +153,11 @@ def phase_sweep(
     """
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     weights = c.as_array()
     best = exact_win_probability(aligned_strategy(weights, name="phase:0,0,0"), 0)["p_win_exact"]
     for _ in range(samples):
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        phases = [2.0 * math.pi * rng.random() for _ in range(3)]
         decorated = weights * np.exp(1j * np.concatenate(([0.0], phases)))
         strategy = aligned_strategy(decorated, name="phase-sample")
         best = max(best, exact_win_probability(strategy, 0)["p_win_exact"])
@@ -232,11 +236,114 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     return kind, build_tree(strategy, target)
 
 
-def _split_down_tree(tree: ProtocolTree, trials: int, rng: np.random.Generator) -> list[int]:
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial_tail(i: int) -> float:
+    """``lgamma(i + 1) - i log i + i - log(2 pi) / 2``: what Stirling's
+    leading terms leave of log i!, about ``log(i) / 2 + 1 / (12 i)``.
+
+    From 30 on it is that series, to 1e-14; below, lgamma's terms are
+    small enough to subtract directly.
+    """
+    if i < 30:
+        return math.lgamma(i + 1) - (i * math.log(i) if i else 0.0) + i - _HALF_LOG_2PI
+    x = float(i)
+    return 0.5 * math.log(x) + (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
+
+
+def _bd0(x: float, delta: float, mean: float) -> float:
+    """``x log(x / mean) + mean - x`` at ``x = mean + delta``, from the exact `delta`.
+
+    This is how far the log-likelihood of a count x falls below that of its
+    mean. Near the mean, Loader's (2000) series in ``v = delta / (x + mean)``
+    keeps full relative precision where the direct form cancels.
+    """
+    if abs(delta) >= 0.1 * (x + mean):
+        return (x * math.log(x / mean) if x else 0.0) - delta
+    v = delta / (x + mean)
+    total, term, v2, j = delta * v, 2.0 * x * v, v * v, 3
+    while True:
+        term *= v2
+        step = total + term / j
+        if step == total:
+            return total
+        total, j = step, j + 2
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, read from `rng.random()` alone.
+
+    p = 0 gives 0 and p = 1 gives n, exactly; p > 1/2 draws the n - k
+    failures instead. Below n p = 10 the draw counts the successes whose
+    geometric gaps fit in n trials (Devroye 1986, X.4). Above, it is
+    Hormann's (1993) BTRS rejection sampler, which draws the offset
+    d = k - m from the mode m. Its acceptance test compares with
+    log f(k) / f(m), built from d as differences of `_log_factorial_tail`
+    and `_bd0` terms that are each O(1), so no two logarithms of counts
+    near 2**63 are ever subtracted.
+    """
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        log_q = math.log1p(-p)
+        successes, left = 0, n
+        while True:
+            # The failures before the next success, as a real number.
+            gap = math.log(1.0 - rng.random()) / log_q
+            if gap >= left:
+                return successes
+            successes, left = successes + 1, left - math.floor(gap) - 1
+
+    q = 1.0 - p
+    num, den = p.as_integer_ratio()
+    m = (n + 1) * num // den  # the mode, floor((n + 1) p), exactly
+    excess = (n * num - m * den) / den  # n p - m, rounded once
+    mean, failures_mean = n * p, n * q
+    spq = math.sqrt(mean * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    # The mode's terms of -log f; log f(k) / f(m) subtracts k's from them.
+    at_mode = (
+        _log_factorial_tail(m)
+        + _log_factorial_tail(n - m)
+        + _bd0(float(m), -excess, mean)
+        + _bd0(float(n - m), excess, failures_mean)
+    )
+    while True:
+        u, v = rng.random() - 0.5, rng.random()
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue  # the hat's pole, u = -1/2
+        d = math.floor((2.0 * a / us + b) * u + excess + 0.5)
+        k = m + d
+        if not 0 <= k <= n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        delta = d - excess  # k - n p
+        log_ratio = at_mode - (
+            _log_factorial_tail(k)
+            + _log_factorial_tail(n - k)
+            + _bd0(float(k), delta, mean)
+            + _bd0(float(n - k), -delta, failures_mean)
+        )
+        # m is the mode, so f(k) / f(m) <= 1 and exp cannot overflow.
+        if v * alpha / (a / (us * us) + b) <= math.exp(log_ratio):
+            return k
+
+
+def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> list[int]:
     """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
 
     The runs that reach a chance node split between its children by one
-    binomial draw at the first child's probability, depth first, first
+    `_binomial` draw at the first child's probability, depth first, first
     child first; a dead child's 0.0 or its sibling's 1.0 sends it no runs.
     The counts have the law of `trials` independent `sample_path` walks,
     since a multinomial over the leaves factorizes into these conditional
@@ -249,7 +356,7 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: np.random.Generator) 
             counts[node.outcome] += runs
             return
         first, second = node.children
-        taken = int(rng.binomial(runs, first.probability))
+        taken = _binomial(rng, runs, first.probability)
         for child, share in ((first, taken), (second, runs - taken)):
             if share:
                 split(child, share)
@@ -271,23 +378,27 @@ def monte_carlo(
     split per chance node at its first child's probability (the one
     `sample_path` walks), so it costs O(tree nodes) for any `trials`. An
     outcome of exact mass 0, such as an honest run's abort, gets no runs on
-    either engine. Both engines are deterministic given `root_seed`, agree
-    in distribution, and take 1000 to 2**63 - 1 trials, the largest count
-    numpy's samplers hold.
+    either engine. Both engines draw from ``random.Random(root_seed)``
+    through `_binomial`, so each is deterministic given `root_seed`; they
+    agree in distribution and take 1000 to 2**63 - 1 trials.
     """
     if not 1000 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")
 
+    rng = random.Random(root_seed)
     if engine == "kernel":
-        leaf_mass = leaf_probabilities(tree)
-        # One draw over the outcomes with mass; the last of them takes the
-        # remainder, so an outcome of mass 0 stays at exactly 0 runs.
-        live = leaf_mass > 0.0
-        counts = np.zeros(3, dtype=np.int64)
-        counts[live] = np.random.default_rng(root_seed).multinomial(trials, leaf_mass[live])
+        # A multinomial as conditional binomials over the outcomes with
+        # mass: each takes its share of the runs still left, so the last
+        # takes them all and an outcome of mass 0 stays at exactly 0 runs.
+        masses = leaf_probabilities(tree).tolist()
+        live = [i for i, mass in enumerate(masses) if mass > 0.0]
+        counts, left = [0, 0, 0], trials
+        for position, i in enumerate(live):
+            counts[i] = _binomial(rng, left, masses[i] / sum(masses[j] for j in live[position:]))
+            left -= counts[i]
     else:
-        counts = _split_down_tree(tree, trials, np.random.default_rng(root_seed))
-    heads, tails, aborts = (int(count) for count in counts)
+        counts = _split_down_tree(tree, trials, rng)
+    heads, tails, aborts = counts
     win_frequency = (heads if target == 0 else tails) / trials
     abort_frequency = aborts / trials
 

@@ -69,7 +69,8 @@ an explicit --seed always wins.
 
 
 def _seed(text: str) -> int:
-    """A seed: a nonnegative integer, as numpy's generators require."""
+    """A seed: a nonnegative integer, which seeds ``random.Random(seed)``
+    (Python keeps that stream the same across releases)."""
     try:
         seed = int(text)
     except ValueError:
@@ -172,42 +173,50 @@ def _comment_lines(config: dict, constants: dict | None = None) -> list[str]:
     return lines
 
 
+def _is_stream(path: str) -> bool:
+    """Whether `path` names a pipe, a device or any other existing
+    non-regular file, such as /dev/stdout, which takes bytes directly."""
+    target = Path(path)
+    return target.exists() and not target.is_file()
+
+
 def _same_regular_file(first: str, second: str) -> bool:
     """Whether both paths name one file, which the second write would replace.
 
     A pipe or a device, such as /dev/stdout, takes both streams in turn.
     """
-    path = Path(first)
-    if path.exists() and not path.is_file():
-        return False
-    return path.resolve() == Path(second).resolve()
+    return not _is_stream(first) and Path(first).resolve() == Path(second).resolve()
 
 
-def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write the text `chunks` to `path` whole or not at all.
+def _write_atomic(writes: list[tuple[str, Iterable[str]]]) -> None:
+    """Write each (path, text chunks) pair whole, or change no file at all.
 
-    The text goes to a new file beside the target, which `os.replace` then
-    moves onto it, so a failure leaves the target as it was. On any
-    `OSError` the temporary file is removed and the error names `path`.
+    A regular file's text goes to a new file beside it, and only once every
+    write has succeeded does `os.replace` move each onto its target. A pipe
+    or a device takes its bytes directly, after the files' text is written.
+    On any `OSError` the temporary files are removed and the error names
+    the path, an empty one as ``''``.
     """
-    target = Path(path)
-    if target.exists() and not target.is_file():
-        # A pipe or a device, such as /dev/stdout, takes the bytes directly.
-        try:
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        return
-    target = target.resolve()  # through a symlink, replace the file it names
-    temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    moves, path = [], None
     try:
-        with open(temp, "x", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-        os.replace(temp, target)
+        # Files first (a stable sort), so a failed file sends no device a byte.
+        for path, chunks in sorted(writes, key=lambda write: _is_stream(write[0])):
+            if _is_stream(path):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.writelines(chunks)
+                continue
+            target = Path(path).resolve()  # through a symlink, replace the file it names
+            temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8") as handle:
+                moves.append((path, temp, target))
+                handle.writelines(chunks)
+        for path, temp, target in moves:
+            os.replace(temp, target)
     except OSError as exc:
-        temp.unlink(missing_ok=True)
-        raise OSError(exc.errno, exc.strerror, path) from None
+        raise OSError(exc.errno, exc.strerror, path or "''") from None
+    finally:
+        for _, temp, _ in moves:
+            temp.unlink(missing_ok=True)
 
 
 def _write_stdout(chunks: Iterable[str]) -> None:
@@ -230,13 +239,17 @@ def _write_stdout(chunks: Iterable[str]) -> None:
 def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     """The report body's text chunks, and the transcript when ``--transcript`` is given.
 
-    Every check runs here, before `main` writes a byte; `main` writes the
-    body first, so a failed ``--out`` writes neither.
+    Every check runs here, before `main` writes a byte; `main` then writes
+    ``--out`` and the transcript together, so a failed one writes neither.
     """
     config = _config_mapping(args)
 
     if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
-        if args.out and args.transcript and _same_regular_file(args.out, args.transcript):
+        if (
+            args.out is not None
+            and args.transcript is not None
+            and _same_regular_file(args.out, args.transcript)
+        ):
             raise ValueError(f"--out and --transcript both name {args.out}")
         # montecarlo infers the run kind from the strategy.
         run_kind, tree = analysis.resolve_run(
@@ -247,7 +260,7 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         result = analysis.monte_carlo(
             run_kind, tree, args.target, args.trials, args.seed, args.engine
         )
-        transcript = walk(tree, args.seed)[1].to_jsonl() if args.transcript else None
+        transcript = None if args.transcript is None else walk(tree, args.seed)[1].to_jsonl()
         return [_render(config, result, args.format)], transcript
 
     if args.command == "bias":
@@ -278,11 +291,11 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         body, transcript = dispatch(args)
-        if args.out:
-            _write_atomic(args.out, body)
+        writes = [] if args.out is None else [(args.out, body)]
         if transcript is not None:
-            _write_atomic(args.transcript, [transcript])
-        if not args.out:
+            writes.append((args.transcript, [transcript]))
+        _write_atomic(writes)
+        if args.out is None:
             _write_stdout(body)
     except OSError as exc:
         print(f"cointoss: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)

@@ -15,6 +15,7 @@ deterministic per seed.
 
 from __future__ import annotations
 
+import random
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,7 +39,7 @@ from .qstate import (
 )
 from .strategies import AliceCheatStrategy, BobCheatStrategy
 
-TRANSCRIPT_SCHEMA = "cointoss.transcript/1"
+TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
 
 
 # Transcript senders.
@@ -244,8 +245,9 @@ def build_tree(
 
 def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
     """The root-to-leaf path that a run with this seed takes: one uniform
-    per chance node, below the first child's probability or not."""
-    rng = np.random.default_rng(seed)
+    of ``random.Random(seed).random()`` per chance node, below the first
+    child's probability or not."""
+    rng = random.Random(seed)
     path = [tree.root]
     while path[-1].children:
         first, second = path[-1].children

@@ -1,6 +1,7 @@
 """Exact cheating probabilities, optimizer, scans, and Monte Carlo cross-checks."""
 
 import math
+import random
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
     InvariantViolationError,
+    _binomial,
     _detection,
     _objective,
     csv_lines,
@@ -333,6 +335,47 @@ class TestSensitivityScan:
         calls.clear()
         assert sum(t.size for t, _, _ in scan_chunks(1000)) == 1000
         assert calls == []
+
+
+class TestBinomialSampler:
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5])
+    def test_matches_the_exact_pmf(self, p):
+        # n p = 1 and 6 take the geometric method, n p = 10 takes BTRS.
+        n, draws = 20, 10_000
+        rng = random.Random(17)
+        counts = [0] * (n + 1)
+        for _ in range(draws):
+            counts[_binomial(rng, n, p)] += 1
+        # Chi-square over bins pooled until each expects at least 5 draws.
+        statistic, bins, expected, observed = 0.0, 0, 0.0, 0
+        for k in range(n + 1):
+            expected += draws * math.comb(n, k) * p**k * (1 - p) ** (n - k)
+            observed += counts[k]
+            if expected >= 5 or k == n:
+                statistic += (observed - expected) ** 2 / expected
+                bins, expected, observed = bins + 1, 0.0, 0
+        df = bins - 1
+        assert statistic < df + 5 * math.sqrt(2 * df)
+
+    @pytest.mark.parametrize("p", [0.5, 1 / 6, 1e-3])
+    @pytest.mark.parametrize("n", [10**6, 10**12, 2**53, 2**63 - 1])
+    def test_standardized_draws_have_mean_0_and_variance_1(self, n, p):
+        # The offset from n p is taken in exact integers: near 2**63 a float
+        # holds only every 1024th count.
+        num, den = p.as_integer_ratio()
+        sd, draws = math.sqrt(n * p * (1 - p)), 2000
+        rng = random.Random(23)
+        z = [(_binomial(rng, n, p) * den - n * num) / den / sd for _ in range(draws)]
+        mean = math.fsum(z) / draws
+        variance = math.fsum((x - mean) ** 2 for x in z) / (draws - 1)
+        assert abs(mean) < 5 / math.sqrt(draws)
+        assert abs(variance - 1) < 5 * math.sqrt(2 / draws)
+
+    @pytest.mark.parametrize("n", [1, 1000, 2**63 - 1])
+    def test_certain_outcomes_are_exact(self, n):
+        rng = random.Random(0)
+        assert _binomial(rng, n, 0.0) == 0
+        assert _binomial(rng, n, 1.0) == n
 
 
 class TestMonteCarlo:

@@ -281,6 +281,24 @@ class TestRunsAndFiles:
         assert err == f"cointoss: cannot write {out}: No such file or directory\n"
         assert transcript.read_bytes() == b"old transcript\n"
 
+    def test_failed_transcript_leaves_out_unchanged(self, capsys, tmp_path):
+        out = tmp_path / "o.txt"
+        out.write_bytes(b"old report\n")
+        transcript = tmp_path / "missing" / "t.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "honest", "--trials", "1000", "--out", str(out), "--transcript", str(transcript)
+        )
+        assert (code, stdout) == (EXIT_PARSE, "")
+        assert err == f"cointoss: cannot write {transcript}: No such file or directory\n"
+        assert out.read_bytes() == b"old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["o.txt"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--transcript"])
+    def test_empty_path_is_parse_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "honest", "--trials", "1000", flag, "")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "cointoss: cannot write '': No such file or directory\n"
+
     def test_out_and_transcript_naming_one_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "f"
         (tmp_path / "link").symlink_to(path)
@@ -499,6 +517,30 @@ class TestStartup:
     def test_cli_freezes_its_import_time_objects(self):
         code = "import gc, cointoss.cli; print(gc.get_freeze_count() > 0)"
         assert self.child(code) == "True\n"
+
+    def test_no_command_loads_numpy_random(self, tmp_path):
+        # Every draw reads random.Random(seed).random() and random-bob ids
+        # read strategies._DefaultRng; numpy.random would add about 6 MB to a
+        # command's peak RSS. Where `import numpy` loads it itself (numpy
+        # 1.x), that is not held against the package.
+        runs = [
+            [command, "--engine", engine, "--trials", "5000"]
+            for command in ("honest", "cheat-alice", "cheat-bob", "montecarlo")
+            for engine in ("kernel", "protocol")
+        ]
+        runs += [
+            ["honest", "--transcript", str(tmp_path / "t.jsonl")],
+            ["bias", "--strategy", "random-bob:7"],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from cointoss import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, 'numpy.random' in sys.modules)"
+        )
+        baseline = self.child("import sys, numpy; print('numpy.random' in sys.modules)")
+        assert self.child(code) == f"{[EXIT_OK] * len(runs)} {baseline}"
 
     def test_cli_loads_no_dataclasses_or_json_beyond_numpy(self):
         # Whatever numpy and argparse load themselves is not held against it.

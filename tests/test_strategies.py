@@ -22,6 +22,7 @@ from cointoss.strategies import (
     AliceCoefficients,
     BobCheatStrategy,
     UnknownStrategyError,
+    _DefaultRng,
     coefficient_strategy,
     haar_unitary,
     honest_alice,
@@ -135,6 +136,25 @@ class TestRandomBob:
         for dim in (2, 4, 8):
             u = haar_unitary(dim, rng)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 9, 2**200],
+                             ids=["0", "7", "2^32", "2^64+9", "2^200"])
+    def test_default_rng_draws_numpys_stream(self, seed):
+        ours, numpys = _DefaultRng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            # Interleaved, so the kept upper half of a 64-bit draw is checked too.
+            assert [ours.integers(0, 2), ours.integers(3, 1000)] == [
+                int(numpys.integers(0, 2)), int(numpys.integers(3, 1000))
+            ]
+            np.testing.assert_allclose(ours.normal(size=(7, 9)), numpys.normal(size=(7, 9)),
+                                       rtol=1e-13, atol=0)
+
+    def test_random_bob_ids_name_numpys_strategies(self):
+        for seed in range(40):
+            ours = parse_strategy_id(f"random-bob:{seed}")
+            numpys = random_bob_strategy(np.random.default_rng(seed))
+            assert (ours.ancilla_count, ours.announce_rule) == (numpys.ancilla_count, numpys.announce_rule)
+            np.testing.assert_allclose(ours.operation.matrix, numpys.operation.matrix, rtol=0, atol=1e-13)
 
     def test_honest_bob_is_identity_constant(self):
         strategy = BobCheatStrategy(

@@ -1,6 +1,7 @@
 """The protocol's branch tree: leaf masses, sampled paths and transcripts."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
 @given(trees(), st.integers(0, 2**63))
 def test_split_counts_lie_within_five_sigma_of_the_leaf_masses(tree, seed):
     trials = 10**6
-    counts = _split_down_tree(tree, trials, np.random.default_rng(seed))
+    counts = _split_down_tree(tree, trials, random.Random(seed))
     assert sum(counts) == trials
     for count, p in zip(counts, leaf_probabilities(tree)):
         assert abs(count - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
