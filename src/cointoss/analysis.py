@@ -1,9 +1,9 @@
 """Exact cheating probabilities, the 3/4 bound, and Monte Carlo cross-checks.
 
-Cheating probabilities are computed two independent ways: closed-form
-quadratic forms for Alice's aligned strategy family (her win and detection
-probabilities; the optimum is the win form's top eigenvector, and the
-sensitivity scan evaluates both forms along a path), and sums over the
+Cheating probabilities are computed two ways: quadratic forms for Alice's
+aligned family, restricted from `protocol.outcome_operators` (her win and
+detection probabilities; the optimum is the win form's top eigenvector, and
+the sensitivity scan evaluates both forms along a path), and sums over the
 leaves of the protocol's branch tree (every choice, coin outcome and
 verification branch with its exact probability). Monte Carlo
 sampling adds a statistical check: the protocol engine splits the trials
@@ -30,6 +30,7 @@ from .protocol import (
     ProtocolTree,
     build_tree,
     leaves,
+    outcome_operators,
 )
 from .strategies import (
     AliceCheatStrategy,
@@ -49,10 +50,6 @@ KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
 # 2**63 - 1 tests and CI pin. `_binomial` itself draws larger counts too.
 _MAX_TRIALS = 2**63 - 1
 
-# Alice's win probability for target 0 is x^T M x in x = (a00, a01, a10, a11),
-# against an honest Bob; `_objective` is its expanded form.
-_OBJECTIVE_FORM = np.array([[2, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]) / 4.0
-
 # The sensitivity scan evaluates and prints this many points at a time; a
 # chunk's floats and text take about 15 MB.
 SCAN_CHUNK = 32_768
@@ -62,13 +59,20 @@ class InvariantViolationError(Exception):
     """An internal consistency guarantee failed; results are not trustworthy."""
 
 
+def _aligned_forms() -> tuple[np.ndarray, np.ndarray]:
+    """M and D: `outcome_operators` at target 0 on the aligned kets, so the
+    weights x = (a00, a01, a10, a11) win with x^T M x and abort with x^T D x."""
+    kets = [np.flatnonzero(aligned_strategy(e).initial_state.amplitudes)[0] for e in np.eye(4)]
+    return tuple(form[np.ix_(kets, kets)] for form in outcome_operators(0))
+
+
 def _objective(a00, a01, a10):
-    """Alice's success probability for target 0; accepts scalars or arrays."""
+    """x^T M x, Alice's success probability for target 0; accepts scalars or arrays."""
     return (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
 
 
 def _detection(a00, a01, a10, a11):
-    """Alice's abort probability against an honest Bob; accepts scalars or arrays.
+    """x^T D x, Alice's abort probability against an honest Bob; accepts scalars or arrays.
 
     The abort mass of the coin pair's outcome i is ``(a_i0 - a_i1)^2 / 4``
     when Bob picks pair 1, and of outcome j ``(a_0j - a_1j)^2 / 4`` when he
@@ -124,7 +128,8 @@ def optimize_alice() -> dict:
     argmax is canonicalized to ``a01 >= a10`` (the objective is symmetric
     under swapping them).
     """
-    values, vectors = np.linalg.eigh(_OBJECTIVE_FORM)
+    objective, detection = _aligned_forms()
+    values, vectors = np.linalg.eigh(objective)
     x = np.abs(vectors[:, -1])
     if x[1] < x[2]:
         x = x[[0, 2, 1, 3]]
@@ -136,32 +141,10 @@ def optimize_alice() -> dict:
         "argmax.a01": a01,
         "argmax.a10": a10,
         "argmax.a11": a11,
-        "residual": float(np.linalg.norm(_OBJECTIVE_FORM @ x - value * x)),
+        "residual": float(np.linalg.norm(objective @ x - value * x)),
         "spectral_gap": float(values[-1] - values[-2]),
-        "p_detect": float(_detection(*x)),
+        "p_detect": float(x @ detection @ x),
     }
-
-
-def phase_sweep(
-    c: AliceCoefficients, samples: int, seed: int = 0
-) -> float:
-    """Largest exact win probability over random phase decorations of `c`.
-
-    Phases are applied to the a01, a10 and a11 branches (a global phase on
-    a00 is irrelevant); the zero-phase point is always included. Confirms
-    that allowing complex weights does not beat the nonnegative optimum.
-    """
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
-    rng = random.Random(seed)
-    weights = c.as_array()
-    best = exact_win_probability(aligned_strategy(weights, name="phase:0,0,0"), 0)["p_win_exact"]
-    for _ in range(samples):
-        phases = [2.0 * math.pi * rng.random() for _ in range(3)]
-        decorated = weights * np.exp(1j * np.concatenate(([0.0], phases)))
-        strategy = aligned_strategy(decorated, name="phase-sample")
-        best = max(best, exact_win_probability(strategy, 0)["p_win_exact"])
-    return best
 
 
 def scan_chunks(steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

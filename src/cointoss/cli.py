@@ -80,9 +80,16 @@ def _seed(text: str) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, and its subcommands' errors, are one stderr line."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"cointoss: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser; a missing --seed parses to None, for `main` to fill in."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cointoss",
         description="Entanglement-based strong coin tossing: simulation and cheating analysis.",
         epilog=_EPILOG,

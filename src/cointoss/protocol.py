@@ -34,10 +34,11 @@ from .qstate import (
     bob_ancilla,
     branch_probabilities,
     collapse,
+    embed,
     make_state,
     tensor,
 )
-from .strategies import AliceCheatStrategy, BobCheatStrategy
+from .strategies import ALICE_CORE, AliceCheatStrategy, BobCheatStrategy
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
 
@@ -93,6 +94,21 @@ def coin_labels(choice: int) -> tuple[str, str]:
 def verification_labels(choice: int) -> tuple[str, str]:
     """(Alice's, Bob's) halves of the pair left over for verification."""
     return (A2, B2) if choice == 1 else (A1, B1)
+
+
+def outcome_operators(target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's win and abort operators (W, Q) on `ALICE_CORE` against an honest Bob.
+
+    Her state psi there wins with <psi|W|psi> and aborts with <psi|Q|psi>:
+    for each choice, at chance 1/2, Bob's coin qubit reads `target` and the
+    verification pair passes the check against ``(|00>+|11>)/sqrt(2)``,
+    whose projector is built with entries of exactly 0 and 1/2.
+    """
+    reading = np.diag([1.0 - target, float(target)])
+    bell = np.array([[1, 0, 0, 1], [0] * 4, [0] * 4, [1, 0, 0, 1]]) / 2.0
+    checks = {c: embed(ALICE_CORE, verification_labels(c), bell) for c in (1, 2)}
+    win = sum(embed(ALICE_CORE, coin_labels(c)[1:], reading) @ checks[c] for c in (1, 2))
+    return win / 2.0, sum(np.eye(16) - check for check in checks.values()) / 2.0
 
 
 # A transcript record before numbering: (sender, kind, payload, probability).
@@ -153,12 +169,9 @@ def build_tree(
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
 
-    alice_role = PartyRole("honest", ("A1", "A2"))
+    alice_role = PartyRole("honest" if alice is None else alice.name, ("A1", "A2"))
     bob_role = PartyRole("honest", ("B1", "B2"))
-    state = _HONEST_PREPARATION
-    if alice is not None:
-        state = alice.initial_state
-        alice_role = PartyRole(alice.name, tuple(l for l in state.register if l not in (B1, B2)))
+    state = _HONEST_PREPARATION if alice is None else alice.initial_state
     if bob is not None:
         ancillas = tuple(bob_ancilla(i) for i in range(bob.ancilla_count))
         bob_role = PartyRole(bob.name, ("B1", "B2") + ancillas)

@@ -127,14 +127,21 @@ def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
     return float(np.sum(np.abs(overlap) ** 2))
 
 
+def _act(register: Sequence[str], labels: Sequence[str], matrix, amplitudes) -> np.ndarray:
+    """`matrix` on the qubits `labels` of `register`, along the first axis of `amplitudes`."""
+    positions = [register.index(l) for l in labels]
+    k = len(positions)
+    moved = np.moveaxis(amplitudes.reshape((2,) * len(register) + (-1,)), positions, range(k))
+    transformed = (matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
+    return np.moveaxis(transformed, range(k), positions).reshape(amplitudes.shape)
+
+
 def apply_unitary(state: StateVector, labels: Sequence[str], matrix: np.ndarray) -> StateVector:
     """Apply a ``2^k x 2^k`` unitary to the k qubits named by `labels`."""
-    positions = [state.register.index(l) for l in labels]
-    k = len(positions)
-    moved = np.moveaxis(state.tensor_view(), positions, range(k))
-    tail_shape = moved.shape[k:]
-    stacked = moved.reshape(2**k, -1)
-    transformed = (matrix @ stacked).reshape((2,) * k + tail_shape)
-    result = np.moveaxis(transformed, range(k), positions)
-    return StateVector(register=state.register, amplitudes=_freeze(result.reshape(-1)))
+    result = _act(state.register, labels, matrix, state.amplitudes)
+    return StateVector(register=state.register, amplitudes=_freeze(result))
 
+
+def embed(register: Sequence[str], labels: Sequence[str], matrix: np.ndarray) -> np.ndarray:
+    """The operator on `register` that is `matrix` on `labels` and the identity elsewhere."""
+    return _act(register, labels, matrix, np.eye(2 ** len(register)))

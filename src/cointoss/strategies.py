@@ -105,7 +105,7 @@ def aligned_strategy(amplitudes, name: str = "aligned") -> AliceCheatStrategy:
     Each branch mirrors Alice's kept qubit onto Bob's, so the pair left
     unused by the coin toss is as close to the verification target as the
     weights allow; with uniform weights this is exactly the honest
-    preparation. Accepts complex weights (used by the phase sweep).
+    preparation. Accepts complex weights.
     """
     c = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
     amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)

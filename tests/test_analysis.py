@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alice_housing import orthogonal_housing
 from cointoss import analysis, cli, protocol
 from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
     InvariantViolationError,
+    _aligned_forms,
     _binomial,
     _detection,
     _objective,
@@ -23,7 +23,6 @@ from cointoss.analysis import (
     format_value,
     monte_carlo,
     optimize_alice,
-    phase_sweep,
     resolve_run,
     scan_chunks,
     scan_csv,
@@ -36,18 +35,12 @@ from cointoss.strategies import (
     StrategyRegisterMismatchError,
     UnknownStrategyError,
     aligned_strategy,
-    coefficient_strategy,
     honest_alice,
     measure_and_pick_bob,
     optimal_alice,
     parse_strategy_id,
     random_bob_strategy,
 )
-
-
-def random_coefficients(rng) -> AliceCoefficients:
-    raw = np.abs(rng.normal(size=4))
-    return AliceCoefficients.from_array(raw / np.linalg.norm(raw))
 
 
 unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
@@ -133,13 +126,13 @@ class TestOptimizer:
 
     def test_exact_certificate(self):
         # The closed form in exact arithmetic: M's spectrum, its top
-        # eigenvector and the detection probability there.
+        # eigenvector and the detection probability there. The forms'
+        # entries are dyadic, so their floats are these rationals exactly.
         import sympy
 
-        objective = sympy.Matrix([[2, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]) / 4
-        detection = sympy.Matrix(
-            [[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]
-        ) / 4
+        objective, detection = (
+            sympy.Matrix(form.tolist()).applyfunc(sympy.Rational) for form in _aligned_forms()
+        )
         third = sympy.Rational(3, 4)
         assert objective.eigenvals() == {third: 1, sympy.Rational(1, 4): 1, 0: 2}
         x = sympy.Matrix([sympy.sqrt(sympy.Rational(2, 3)), *[sympy.sqrt(sympy.Rational(1, 6))] * 2, 0])
@@ -213,31 +206,7 @@ class TestExactWinProbability:
         assert err == f"cointoss: internal invariant violation: {message}\n"
 
 
-class TestClosedFormMatchesSimulation:
-    def test_hundred_random_tuples(self):
-        # Central consistency check: the quadratic form and the full
-        # state-vector branch enumeration must agree on every tuple.
-        rng = np.random.default_rng(70)
-        for _ in range(100):
-            c = random_coefficients(rng)
-            simulated = exact_win_probability(coefficient_strategy(c), 0)["p_win_exact"]
-            assert simulated == pytest.approx(objective(c), abs=1e-9)
-
-    def test_objective_loses_to_orthogonal_housing(self):
-        c = AliceCoefficients.honest()
-        aligned = exact_win_probability(coefficient_strategy(c), 0)
-        orthogonal = exact_win_probability(orthogonal_housing(c), 0)
-        assert orthogonal["p_win_exact"] == pytest.approx(0.125, abs=1e-12)
-        assert orthogonal["p_win_exact"] < aligned["p_win_exact"]
-
-
 class TestBoundRespect:
-    def test_random_alice_tuples_below_bound(self):
-        rng = np.random.default_rng(71)
-        for _ in range(100):
-            report = exact_win_probability(coefficient_strategy(random_coefficients(rng)), 0)
-            assert report["p_win_exact"] <= ANALYTIC_BOUND + 1e-9
-
     def test_random_bob_strategies_below_bound(self):
         rng = np.random.default_rng(72)
         for _ in range(300):
@@ -249,20 +218,6 @@ class TestBoundRespect:
             p0 = exact_win_probability(build(0), 0)["p_win_exact"]
             p1 = exact_win_probability(build(1), 1)["p_win_exact"]
             assert p0 == pytest.approx(p1, abs=1e-9)
-
-
-class TestPhaseSweep:
-    def test_never_beats_the_bound(self):
-        best = phase_sweep(AliceCoefficients.optimal(), samples=150, seed=1)
-        assert best <= ANALYTIC_BOUND + 1e-9
-
-    def test_includes_zero_phase_point(self):
-        c = AliceCoefficients.honest()
-        assert phase_sweep(c, samples=100, seed=2) >= objective(c) - 1e-12
-
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            phase_sweep(AliceCoefficients.optimal(), samples=99)
 
 
 class TestSensitivityScan:
@@ -330,7 +285,8 @@ class TestSensitivityScan:
 
         for name in ("build_tree", "aligned_strategy"):
             monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
-        phase_sweep(AliceCoefficients.optimal(), samples=100)
+        optimize_alice()
+        exact_win_probability(optimal_alice(0), 0)
         assert set(calls) == {"build_tree", "aligned_strategy"}
         calls.clear()
         assert sum(t.size for t, _, _ in scan_chunks(1000)) == 1000

@@ -10,9 +10,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cointoss"
 
-# Reference implementations the acceptance tests still compare against,
-# until exact certificates of the bounds replace them (ROADMAP item 2).
-ALLOWED = {"phase_sweep"}
+# Public names, and their defaulted parameters, that only the tests may
+# reach: none today. A name listed here must still be unused by src/.
+ALLOWED: set[str] = set()
 
 # The console entry point, whose argv the tests pass in.
 ENTRY_POINT_PARAMETERS = {"cli.main.argv"}

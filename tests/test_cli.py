@@ -75,10 +75,24 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "cheat-alice", "--strategy", "measure-and-pick")
         assert code == EXIT_PARSE
 
-    def test_argparse_errors_exit_two(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["honest", "--bogus"],  # an unknown option
+            [],  # no subcommand
+            ["scan", "--steps", "x"],  # not an int
+            ["bias", "--target", "7"],  # not a choice
+            ["honest", "--seed", "-1"],
+        ],
+    )
+    def test_argparse_errors_are_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bias", "--target", "7"])
-        assert excinfo.value.code == 2
+            main(argv)
+        assert excinfo.value.code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cointoss: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_bad_coefficients_is_parse_error(self, capsys):
         code, _, _ = run_cli(capsys, "bias", "--strategy", "coefficients:0.6,0.8,0,0.1")

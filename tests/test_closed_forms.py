@@ -1,24 +1,27 @@
-"""Alice's closed forms, and a dense grid scan that cross-checks the optimum.
+"""Alice's outcome operators and closed forms, and a dense grid scan that
+cross-checks the optimum.
 
-`analysis._objective` and `analysis._detection` are the quadratic forms
-x^T M x and x^T D x. `optimize_alice` solves the objective in closed form;
-the grid scan here walks a polar-angle grid over the nonnegative unit
-sphere instead, as an independent numeric check of that solution.
+`protocol.outcome_operators` gives her win and abort operators on
+(A1, B1, A2, B2); `analysis._aligned_forms` restricts them to the aligned
+kets as M and D, and `analysis._objective` and `analysis._detection` are
+the expanded quadratic forms x^T M x and x^T D x. `optimize_alice` solves
+the objective in closed form; the grid scan here walks a polar-angle grid
+over the nonnegative unit sphere instead, as an independent numeric check
+of that solution.
 """
 
 import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import _OBJECTIVE_FORM as M
-from cointoss.analysis import _detection, _objective, optimize_alice
+from cointoss.analysis import _aligned_forms, _detection, _objective, optimize_alice
+from cointoss.protocol import outcome_operators
 
-# The detection probability as the quadratic form x^T D x in
-# x = (a00, a01, a10, a11); M is the objective's.
-D = np.array([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]) / 4.0
+M, D = _aligned_forms()
 
 unit_vectors = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
     lambda w: math.fsum(x * x for x in w) > 1e-6
@@ -74,6 +77,22 @@ class TestClosedForms:
         assert abs(values[-1] - 0.75) < 1e-15
         np.testing.assert_allclose(top, argmax(optimize_alice()), atol=1e-15)
         assert _detection(*top) == pytest.approx(1 / 6, abs=1e-15)
+
+
+def exact(matrix):
+    """The float matrix as a sympy matrix of the same (dyadic) rationals."""
+    return sympy.Matrix(matrix.tolist()).applyfunc(sympy.Rational)
+
+
+class TestOutcomeOperators:
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_win_spectrum_tops_out_at_three_quarters(self, target):
+        # Every Alice state on the four qubits, with any phases, wins with
+        # <psi|W|psi> <= 3/4, and one state attains it.
+        win = exact(outcome_operators(target)[0])
+        assert win.is_symmetric()
+        half, quarter = sympy.Rational(1, 2), sympy.Rational(1, 4)
+        assert win.eigenvals() == {3 * quarter: 1, half: 2, quarter: 1, 0: 12}
 
 
 class TestGridScan:

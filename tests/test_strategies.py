@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alice_housing import orthogonal_housing
 from cointoss.qstate import (
     A1,
     A2,
@@ -86,16 +85,14 @@ class TestCoefficientStrategy:
             atol=1e-12,
         )
 
-    def test_registers_exactly_core_plus_ancilla(self):
+    def test_registers_are_exactly_the_core(self):
+        # The tree names Alice's registers A1, A2 on this ground.
         for strategy in (
             optimal_alice(0),
             honest_alice(),
-            orthogonal_housing(AliceCoefficients.optimal()),
+            coefficient_strategy(AliceCoefficients.optimal()),
         ):
-            register = set(strategy.initial_state.register)
-            assert {A1, B1, A2, B2} <= register
-            for extra in register - {A1, B1, A2, B2}:
-                assert extra.startswith("A[")
+            assert strategy.initial_state.register == (A1, B1, A2, B2)
             assert np.linalg.norm(strategy.initial_state.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 

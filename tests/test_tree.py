@@ -8,11 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alice_housing import orthogonal_housing
 from cointoss.analysis import _split_down_tree, leaf_probabilities
-from cointoss.protocol import ProtocolOutcome, build_tree, leaves, sample_path, walk
+from cointoss.protocol import (
+    ProtocolOutcome,
+    build_tree,
+    leaves,
+    outcome_operators,
+    sample_path,
+    walk,
+)
+from cointoss.qstate import make_state
 from cointoss.strategies import (
+    ALICE_CORE,
+    AliceCheatStrategy,
     AliceCoefficients,
+    aligned_strategy,
     coefficient_strategy,
     measure_and_pick_bob,
     optimal_alice,
@@ -27,9 +37,20 @@ weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 )
 
 
-def alice_tree(w, housing):
+# Any Alice state on (A1, B1, A2, B2), with complex amplitudes: no strategy
+# id names most of them, and the protocol takes them all.
+core_states = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=16,
+    max_size=16,
+).filter(lambda amplitudes: math.fsum(abs(a) ** 2 for a in amplitudes) > 1e-6).map(
+    lambda amplitudes: AliceCheatStrategy("drawn", make_state(ALICE_CORE, amplitudes))
+)
+
+
+def alice_tree(w):
     c = AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w))
-    return build_tree(housing(c), 0)
+    return build_tree(coefficient_strategy(c), 0)
 
 
 def bob_tree(seed):
@@ -38,12 +59,23 @@ def bob_tree(seed):
 
 def trees():
     return st.one_of(
-        st.builds(
-            alice_tree, weights, st.sampled_from([coefficient_strategy, orthogonal_housing])
-        ),
+        st.builds(alice_tree, weights),
+        st.builds(build_tree, core_states, st.just(0)),
         st.builds(bob_tree, st.integers(0, 10**6)),
         st.just(build_tree(None, None)),
     )
+
+
+@SETTINGS
+@given(core_states, st.sampled_from([0, 1]))
+def test_leaf_masses_are_the_outcome_operators(strategy, target):
+    # The operators read the protocol from the same wire labels as the tree,
+    # so any state's win and abort masses agree up to the tree's clamps.
+    psi = strategy.initial_state.amplitudes
+    win, abort = outcome_operators(target)
+    exact = leaf_probabilities(build_tree(strategy, target))
+    assert abs(exact[target] - np.vdot(psi, win @ psi).real) < 1e-12
+    assert abs(exact[2] - np.vdot(psi, abort @ psi).real) < 1e-12
 
 
 @SETTINGS
@@ -118,13 +150,18 @@ def test_draws_per_run():
 
 
 def test_unreachable_verification_aborts_instead_of_crashing():
-    # After choice 1, B2 is always 1 while A2 stays 0, so Bob's check of
-    # (A2, B2) never passes; after choice 2 it passes half the time.
-    c = AliceCoefficients(0.0, 1.0, 0.0, 0.0)
-    tree = build_tree(orthogonal_housing(c), 0)
-    assert leaf_probabilities(tree)[2] == pytest.approx(0.75)
+    # The pair (A1, B1) holds (|00>+|11>)/sqrt(2) and (A2, B2) holds
+    # (|00>-|11>)/sqrt(2). After choice 1, Bob's check of (A2, B2) never
+    # passes; after choice 2, his check of (A1, B1) always does. Each pass
+    # chance is clamped to exactly 0 or 1.
+    tree = build_tree(aligned_strategy([0.5, -0.5, 0.5, -0.5]), 0)
+    assert leaf_probabilities(tree)[2] == 0.5
     for seed in range(40):
         outcome, transcript = walk(tree, seed)
         if transcript.records[2].payload == {"choice": 1}:
             assert outcome is ProtocolOutcome.ABORT
-            assert transcript.records[-2].probability == 1.0
+            assert transcript.records[-2].kind == "verdict_abort"
+        else:
+            assert outcome is not ProtocolOutcome.ABORT
+            assert transcript.records[-2].kind == "verdict_pass"
+        assert transcript.records[-2].probability == 1.0
