@@ -355,7 +355,8 @@ def parse_strategy_id(
             raise ValueError(f"coefficients must be finite, got {values.tolist()}")
         if np.any(values < 0):
             raise ValueError(f"coefficients must be nonnegative, got {values.tolist()}")
-        total = float(np.sum(values**2))
+        with np.errstate(over="ignore"):  # a huge weight's square is inf, which the check names
+            total = float(np.sum(values**2))
         if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:
             raise NotNormalizedError(
                 f"squared coefficients sum to {total!r}, expected 1 within 1e-10"

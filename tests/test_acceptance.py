@@ -24,8 +24,9 @@ from cointoss.strategies import (
     honest_alice,
     measure_and_pick_bob,
     optimal_alice,
-    random_bob_strategy,
 )
+
+from test_closed_forms import BOB_DUALS, bob_povm, bob_readings, povm_win
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -111,18 +112,23 @@ def test_criterion_4_closed_form_equals_simulation():
 
 
 def test_criterion_5_bob_bound():
-    exact = exact_win_probability(measure_and_pick_bob(0), 0)
-    optimal_ok = abs(exact["p_win_exact"] - 0.75) < 1e-9 and exact["p_abort_exact"] == 0.0
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(1000):
-        result = exact_win_probability(random_bob_strategy(rng), 0)
-        worst = max(worst, result["p_win_exact"])
+    # Against an honest Alice every Bob strategy is a POVM {E_1, E_2} on
+    # (B1, B2) that wins sum_c tr(E_c A_c) <= tr Y, since each Y - A_c >= 0.
+    slacks = [BOB_DUALS[t] - a for t in (0, 1) for a in bob_readings(t).values()]
+    slack = min(np.linalg.eigvalsh(s)[0] for s in slacks)
+    duals = [float(np.trace(BOB_DUALS[t])) for t in (0, 1)]
+    bobs = {t: measure_and_pick_bob(t) for t in (0, 1)}
+    exact = [exact_win_probability(bob, t) for t, bob in bobs.items()]
+    models = [povm_win(bob_povm(bob), t) for t, bob in bobs.items()]
+    wins, aborts = [e["p_win_exact"] for e in exact], [e["p_abort_exact"] for e in exact]
     report(
         5,
-        optimal_ok and worst <= ANALYTIC_BOUND + 1e-9,
-        f"measure-and-pick win={exact['p_win_exact']:.12f} aborts={exact['p_abort_exact']}; "
-        f"max over 1000 random strategies = {worst:.12f} <= 0.75 + 1e-9",
+        slack == 0.0
+        and duals == [ANALYTIC_BOUND] * 2
+        and aborts == [0.0, 0.0]
+        and max(abs(w - ANALYTIC_BOUND) for w in wins + models) < 1e-12,
+        f"dual tr Y = {duals}, least slack eigenvalue {slack}; "
+        f"measure-and-pick win={wins}, POVM model {models}, aborts={aborts}",
     )
 
 

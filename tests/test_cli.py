@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,18 @@ class TestExitCodes:
         assert err == (
             "cointoss: invalid configuration: "
             "coefficients must be nonnegative, got [-0.5, 0.5, 0.5, 0.5]\n"
+        )
+
+    def test_huge_coefficient_is_one_line_without_a_warning(self, capsys):
+        # The squared sum overflows to inf, which the check names; numpy's
+        # overflow warning would print two more lines ahead of it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bias", "--strategy", "coefficients:1e200,0,0,0")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            "cointoss: invalid configuration: "
+            "squared coefficients sum to inf, expected 1 within 1e-10\n"
         )
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,15 +1,19 @@
-"""Alice's outcome operators and closed forms, and a dense grid scan that
-cross-checks the optimum.
+"""Exact checks of both parties' 3/4 bounds, and Alice's closed forms.
 
-`protocol.outcome_operators` gives her win and abort operators on
+`protocol.outcome_operators` gives Alice's win and abort operators on
 (A1, B1, A2, B2); `analysis._aligned_forms` restricts them to the aligned
 kets as M and D, and `analysis._objective` and `analysis._detection` are
-the expanded quadratic forms x^T M x and x^T D x. `optimize_alice` solves
-the objective in closed form; the grid scan here walks a polar-angle grid
-over the nonnegative unit sphere instead, as an independent numeric check
-of that solution.
+the expanded quadratic forms x^T M x and x^T D x. The win operator's
+spectrum bounds every Alice state by 3/4.
+
+Bob faces an honest Alice, so his whole strategy is a two-outcome POVM
+{E_1, E_2} on the qubits (B1, B2) she sends, and he wins with
+sum_c tr(E_c A_c). `bob_povm` reads that POVM off a strategy record, and
+a diagonal Y with Y - A_c >= 0 for both c bounds every such POVM by
+sum_c tr(E_c Y) = tr Y = 3/4 (weak duality of the semidefinite program).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +22,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import _aligned_forms, _detection, _objective, optimize_alice
-from cointoss.protocol import outcome_operators
+from cointoss.analysis import _aligned_forms, _detection, _objective, leaf_probabilities, optimize_alice
+from cointoss.protocol import build_tree, coin_labels, outcome_operators
+from cointoss.qstate import B1, B2, bob_ancilla, embed
+from cointoss.strategies import BobCheatStrategy, measure_and_pick_bob, parse_strategy_id
 
 M, D = _aligned_forms()
 
@@ -31,34 +37,6 @@ unit_vectors = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 def argmax(result):
     """The optimizer's argmax, read back from its report's keys."""
     return np.array([result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11")])
-
-
-def angles_to_coefficients(t1, t2, t3):
-    """Map three polar angles in [0, pi/2] to (a00, a01, a10, a11) on the unit sphere."""
-    return np.array([
-        np.cos(t1),
-        np.sin(t1) * np.cos(t2),
-        np.sin(t1) * np.sin(t2) * np.cos(t3),
-        np.sin(t1) * np.sin(t2) * np.sin(t3),
-    ])
-
-
-def grid_scan(resolution):
-    """Best objective value and its three angles over the ``resolution^3`` grid,
-    one t1 slab at a time."""
-    angles = np.linspace(0.0, np.pi / 2.0, resolution)
-    cos, sin = np.cos(angles), np.sin(angles)
-    best, best_index = -np.inf, (0, 0, 0)
-    for i1 in range(resolution):
-        a01 = sin[i1] * cos[:, None]
-        a10 = (sin[i1] * sin[:, None]) * cos
-        value = _objective(cos[i1], a01, a10)
-        flat = int(np.argmax(value))
-        if value.flat[flat] > best:
-            best = float(value.flat[flat])
-            best_index = (i1, *np.unravel_index(flat, value.shape))
-    i1, i2, i3 = best_index
-    return best, float(angles[i1]), float(angles[i2]), float(angles[i3])
 
 
 class TestClosedForms:
@@ -95,16 +73,66 @@ class TestOutcomeOperators:
         assert win.eigenvals() == {3 * quarter: 1, half: 2, quarter: 1, 0: 12}
 
 
-class TestGridScan:
-    @pytest.mark.parametrize("resolution", [20, 37, 50, 100])
-    def test_grid_converges_on_the_closed_form(self, resolution):
-        # The grid never beats the eigenvalue, and with a spectral gap of
-        # 1/2 its best point lies within one grid step of the eigenvector.
-        step = (np.pi / 2.0) / (resolution - 1)
-        result = optimize_alice()
-        value, *angles = grid_scan(resolution)
-        assert 0.0 <= result["value"] - value <= step**2 / 2.0
-        coefficients = angles_to_coefficients(*angles)
-        if coefficients[1] < coefficients[2]:
-            coefficients = coefficients[[0, 2, 1, 3]]
-        assert np.max(np.abs(coefficients - argmax(result))) <= step
+def bob_povm(bob):
+    """{c: E_c}: Bob's strategy as the POVM on (B1, B2) whose outcome c he announces.
+
+    His operation acts on B1, B2 and his ancillas, which start in |0...0>,
+    and each result o of his measurement announces ``bob.announce(o)``.
+    """
+    k = bob.ancilla_count
+    register = (B1, B2) + tuple(bob_ancilla(i) for i in range(k))
+    identity, operation = np.eye(2 ** len(register)), bob.operation
+    unitary = identity if operation is None else embed(register, operation.labels, operation.matrix)
+    isometry = unitary[:, [i << k for i in range(4)]]
+    povm = {c: np.zeros((4, 4), complex) for c in (1, 2)}
+    for result in itertools.product((0, 1), repeat=len(bob.measured)):
+        projector = identity
+        for label, bit in zip(bob.measured, result):
+            projector = projector @ embed(register, (label,), np.diag([1.0 - bit, float(bit)]))
+        povm[bob.announce(result)] += isometry.conj().T @ projector @ isometry
+    return povm
+
+
+def bob_readings(target):
+    """{c: A_c} on (B1, B2), where an honest Alice leaves I/4: her coin qubit
+    of pair c reads `target` exactly when Bob's half of that pair would."""
+    reading = np.diag([1.0 - target, float(target)])
+    return {c: embed((B1, B2), coin_labels(c)[1:], reading) / 4.0 for c in (1, 2)}
+
+
+def povm_win(povm, target):
+    """Bob's win with the POVM `povm`: sum_c tr(E_c A_c)."""
+    readings = bob_readings(target)
+    return float(sum(np.trace(povm[c] @ readings[c]).real for c in (1, 2)))
+
+
+# Bob's dual, in quarters on |00>, |01>, |10>, |11> of (B1, B2): every ket
+# but the one where both of his qubits miss the target.
+BOB_DUALS = {0: np.diag([1, 1, 1, 0]) / 4.0, 1: np.diag([0, 1, 1, 1]) / 4.0}
+
+# Bob announces pair 1 whatever happens, as an honest Bob may.
+HONEST_BOB = BobCheatStrategy("honest-bob", 0, None, (), {(): 1})
+
+
+class TestBobPovm:
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_every_tree_is_its_povm(self, target):
+        ids = [f"random-bob:{k}" for k in range(100)] + ["measure-and-pick"]
+        for bob in [parse_strategy_id(i, target) for i in ids] + [HONEST_BOB]:
+            povm = bob_povm(bob)
+            np.testing.assert_allclose(povm[1] + povm[2], np.eye(4), rtol=0, atol=1e-12)
+            masses = leaf_probabilities(build_tree(bob, target))
+            assert abs(masses[target] - povm_win(povm, target)) < 1e-12, bob.name
+            assert masses[2] == 0.0  # Bob holds the verdict
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_dual_certifies_three_quarters(self, target):
+        # tr(E_c (Y - A_c)) >= 0 for every POVM element, so Bob wins at most
+        # tr Y whatever he does; measure-and-pick attains it.
+        dual = exact(BOB_DUALS[target])
+        quarter = sympy.Rational(1, 4)
+        for reading in bob_readings(target).values():
+            assert (dual - exact(reading)).eigenvals() == {0: 3, quarter: 1}
+        assert dual.trace() == 3 * quarter
+        win = leaf_probabilities(build_tree(measure_and_pick_bob(target), target))[target]
+        assert abs(win - 0.75) < 1e-15

@@ -15,7 +15,6 @@ from cointoss.strategies import (
     honest_alice,
     measure_and_pick_bob,
     optimal_alice,
-    random_bob_strategy,
 )
 
 EXPECTED_ORDER = ["state_transfer", "choice_announcement", "qubit_transfer"]
@@ -168,13 +167,6 @@ class TestCheatingBob:
             ]
             assert len(alice_records) == 1
             assert COIN[alice_records[0].payload["outcome"]] is outcome
-
-    def test_random_strategies_run_clean(self):
-        rng = np.random.default_rng(60)
-        for seed in range(30):
-            strategy = random_bob_strategy(rng)
-            outcome, _ = walk(build_tree(strategy, 0), seed)
-            assert outcome in (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)
 
 
 class TestMessageKinds:
