@@ -11,7 +11,7 @@ down the tree by one binomial draw per chance node, at the first child's
 probability that a transcript's walk compares with, while the kernel engine
 draws all trials' counts in one multinomial sample from the summed leaf
 probabilities. Neither cost grows with the number of trials, and neither
-counts a run on a branch below `qstate.ZERO_ATOL`, whose mass is exactly 0.
+counts a run on a dead branch, whose chance `protocol` snapped to exactly 0.
 Every draw reads `random.Random(seed).random()`, a stream that Python
 keeps the same across releases, through the one sampler `_binomial`.
 """
@@ -327,7 +327,7 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
 
     The runs that reach a chance node split between its children by one
     `_binomial` draw at the first child's probability, depth first, first
-    child first; a dead child's 0.0 or its sibling's 1.0 sends it no runs.
+    child first; a dead child's exact 0.0 (`protocol._chance`) sends it none.
     The counts have the law of `trials` independent `sample_path` walks,
     since a multinomial over the leaves factorizes into these conditional
     binomials.

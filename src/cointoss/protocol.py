@@ -26,8 +26,6 @@ from .qstate import (
     A2,
     B1,
     B2,
-    ZERO_ATOL,
-    ZeroNormError,
     apply_unitary,
     bell_pass_probability,
     bell_state,
@@ -41,6 +39,9 @@ from .qstate import (
 from .strategies import ALICE_CORE, AliceCheatStrategy, BobCheatStrategy
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
+
+# A chance within this of 0 or 1 is exactly 0 or 1 (see `_chance`).
+ZERO_ATOL = 1e-12
 
 
 # Transcript senders.
@@ -122,10 +123,10 @@ class Branch(NamedTuple):
     `lines` the transcript records a run emits on entering it. A chance node
     has two children whose probabilities are p and 1 - p; a run continues
     to ``children[0]`` when ``rng.random() < children[0].probability`` and
-    to ``children[1]`` otherwise. A branch below `qstate.ZERO_ATOL` is dead:
-    its probability is exactly 0.0, its sibling's exactly 1.0, and its
-    `lines` None, so no walk and no sampled run ever enters it. A leaf has
-    no children and, unless it is dead, the run's outcome.
+    to ``children[1]`` otherwise. A branch that `_chance` gives chance 0
+    is dead: it is `_DEAD`, whose `lines` are None, so no walk and no
+    sampled run ever enters it. A leaf has no children and, unless it is
+    dead, the run's outcome.
     """
 
     probability: float
@@ -143,9 +144,22 @@ class ProtocolTree(NamedTuple):
     root: Branch
 
 
+_DEAD = Branch(0.0, None, (), None)
+
+
+def _chance(p: float) -> float:
+    """A chance node's first-child probability: `p`, or exactly 0 or 1 when
+    within `ZERO_ATOL` of it. The tree's one rule for impossible branches."""
+    if p < ZERO_ATOL:
+        return 0.0
+    if 1.0 - p < ZERO_ATOL:
+        return 1.0
+    return p
+
+
 def _leaf(probability: float, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
     if probability == 0.0:
-        return Branch(0.0, None, (), None)  # dead, as an impossible measurement is
+        return _DEAD
     lines += (("-", "outcome", {"outcome": outcome.value}, None),)
     return Branch(probability, lines, (), outcome)
 
@@ -161,10 +175,8 @@ def build_tree(
     Bob's choice, every measurement and the verification are chance nodes.
     Each has one probability p, its first child's, and its second child has
     1 - p: 0.5 for the choice, reading 0 by `branch_probabilities`, passing
-    by `bell_pass_probability`. A pass chance within `ZERO_ATOL` of 0 or 1
-    is exactly 0 or 1, and a verdict of mass 0, or a bit that `collapse`
-    cannot form, is a dead branch; a measurement records `collapse`'s
-    probability.
+    by `bell_pass_probability`, each put through `_chance`. A measurement
+    records `collapse`'s probability.
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
@@ -188,19 +200,15 @@ def build_tree(
         if not steps:
             return then(state, bits, probability, lines)
         (sender, label), rest = steps[0], steps[1:]
-        p0, _ = branch_probabilities(state, label)
+        p0 = _chance(branch_probabilities(state, label)[0])
         children = []
         for bit, mass in ((0, p0), (1, 1.0 - p0)):
-            try:
-                realized, posterior = collapse(state, label, bit)
-            except ZeroNormError:
-                children.append(Branch(0.0, None, (), None))
+            if mass == 0.0:
+                children.append(_DEAD)
                 continue
+            realized, posterior = collapse(state, label, bit)
             line = (sender, "measurement", {"label": label, "outcome": bit}, realized)
             children.append(measure(posterior, rest, bits + (bit,), mass, (line,), then))
-        if None in (children[0].lines, children[1].lines):
-            # A dead branch has mass 0.0, so its sibling has 1.0.
-            children = [c._replace(probability=float(c.lines is not None)) for c in children]
         return Branch(probability, lines, tuple(children), None)
 
     def announce(state, choice, probability, lines) -> Branch:
@@ -225,11 +233,7 @@ def build_tree(
                 # A cheating Bob holds the verdict, and this family always passes.
                 lines += ((_BOB, "verdict_pass", {"pair": []}, None),)
                 return _leaf(probability, lines, outcome)
-            passed = bell_pass_probability(state, (alice_keep, bob_keep))
-            if passed < ZERO_ATOL:
-                passed = 0.0
-            elif 1.0 - passed < ZERO_ATOL:
-                passed = 1.0
+            passed = _chance(bell_pass_probability(state, (alice_keep, bob_keep)))
             verdicts = (
                 _leaf(passed, ((_BOB, "verdict_pass", checked, passed),), outcome),
                 _leaf(

@@ -15,14 +15,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-# The threshold below which a branch counts as numerically zero.
-ZERO_ATOL = 1e-12
-
-
-class ZeroNormError(Exception):
-    """A measurement branch's probability is numerically zero."""
-
-
 class NotNormalizedError(Exception):
     """Squared weights do not sum to 1 within tolerance."""
 
@@ -91,15 +83,13 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     """Project `label` onto `outcome` and renormalize.
 
     Returns the branch probability and the posterior (same register, the
-    measured qubit left in ``|outcome>``). Raises :class:`ZeroNormError`
-    when the branch probability is below 1e-12.
+    measured qubit left in ``|outcome>``). The branch must have nonzero
+    probability.
     """
     pos = state.register.index(label)
     tensor_amps = state.tensor_view()
     kept = np.take(tensor_amps, outcome, axis=pos)
     branch_norm = float(np.linalg.norm(kept))
-    if branch_norm**2 < ZERO_ATOL:
-        raise ZeroNormError(f"branch {label}={outcome} has probability ~0")
     projected = np.zeros_like(tensor_amps)
     index = [slice(None)] * state.n_qubits
     index[pos] = outcome

@@ -297,7 +297,7 @@ def haar_unitary(dim: int, rng: _DefaultRng) -> np.ndarray:
 
 
 def random_bob_strategy(rng: _DefaultRng) -> BobCheatStrategy:
-    """Random member of Bob's strategy family, for bound sampling.
+    """The `random-bob:<seed>` CLI strategy, drawn from ``_DefaultRng(seed)``.
 
     Draws a Haar-random unitary on his two received qubits plus zero or one
     ancilla qubit, measures the ancilla (when present), and announces per a

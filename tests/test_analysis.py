@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss import analysis, cli, protocol
+from cointoss import analysis, cli, protocol, qstate
 from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
@@ -27,6 +27,7 @@ from cointoss.analysis import (
     scan_chunks,
     scan_csv,
 )
+from cointoss.protocol import ZERO_ATOL
 from cointoss.qstate import A1, A2, B1, B2, make_state
 from cointoss.strategies import (
     AliceCheatStrategy,
@@ -66,14 +67,18 @@ def scan_points(steps):
 class TestFidelityBound:
     """Verification after Bob picks pair 1 and reads 0, in the branch tree.
 
-    Alice's aligned state leaves ``a00|00> + a01|11>`` on the other pair,
-    which passes with ``(a00+a01)^2 / (2*(a00^2+a01^2))``.
+    Bob reads 0 with chance ``(a00^2+a01^2) / (a00^2+a01^2+a10^2+a11^2)``.
+    Alice's aligned state then leaves ``a00|00> + a01|11>`` on the other
+    pair, which passes with ``(a00+a01)^2 / (2*(a00^2+a01^2))``.
     """
 
     @staticmethod
-    def read_zero(*weights):
-        tree = protocol.build_tree(aligned_strategy(weights), 0)
-        return tree.root.children[0].children[0]
+    def coin(*weights):
+        """Bob's reading of B1 after he picks pair 1; its children read 0 and 1."""
+        return protocol.build_tree(aligned_strategy(weights), 0).root.children[0]
+
+    def read_zero(self, *weights):
+        return self.coin(*weights).children[0]
 
     def test_symmetric_case_reaches_one(self):
         passed = self.read_zero(0.5, 0.5, 0.5, 0.5).children[0].probability
@@ -88,9 +93,24 @@ class TestFidelityBound:
         passed = self.read_zero(*AliceCoefficients.optimal()).children[0].probability
         assert passed == pytest.approx(0.9, abs=1e-12)
 
-    def test_degenerate_branch_signaled(self):
-        # Bob cannot read 0, so the branch is dead instead of verified.
-        assert self.read_zero(0.0, 1e-13, 0.6, 0.8) == (0.0, None, (), None)
+    @pytest.mark.parametrize("mass", [ZERO_ATOL / 2, 2 * ZERO_ATOL])
+    def test_degenerate_branch_signaled(self, mass):
+        # A reading of 0 and then a pass, each aimed at chance `mass`: below
+        # ZERO_ATOL the branch is dead and its sibling's chance exactly 1,
+        # and from ZERO_ATOL up the two children keep p and 1 - p.
+        reading = (0.0, math.sqrt(mass), 0.6, 0.8)
+        s = 2 * (math.sqrt(mass - mass**2) - mass) / (1 - 2 * mass)  # (a00+a01) at a00 = 1
+        verdict = (1.0, s - 1.0, 1.0, 1.0)
+        p0, _ = qstate.branch_probabilities(aligned_strategy(reading).initial_state, B1)
+        posterior = qstate.collapse(aligned_strategy(verdict).initial_state, B1, 0)[1]
+        passed = qstate.bell_pass_probability(posterior, (A2, B2))
+        for node, p in ((self.coin(*reading), p0), (self.read_zero(*verdict), passed)):
+            assert p == pytest.approx(mass, rel=1e-6)
+            first, second = node.children
+            if mass < ZERO_ATOL:
+                assert first == (0.0, None, (), None) and second.probability == 1.0
+            else:
+                assert (first.probability, second.probability) == (p, 1.0 - p)
 
 
 class TestOptimizer:

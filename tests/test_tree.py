@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cointoss.analysis import _split_down_tree, leaf_probabilities
 from cointoss.protocol import (
+    ZERO_ATOL,
     ProtocolOutcome,
     build_tree,
     leaves,
@@ -90,15 +91,17 @@ def test_leaf_masses_sum_to_one(tree):
 @SETTINGS
 @given(trees())
 def test_every_chance_node_splits_one_probability(tree):
-    # Children carry p and 1 - p, which sum to 1.0 exactly, and a branch is
-    # dead, with no lines, exactly when it carries 0, so no sampler or walk
-    # can ever reach it.
+    # Children carry p and 1 - p, which sum to 1.0 exactly, p is 0, 1 or at
+    # least ZERO_ATOL from both, and a branch is dead, with no lines,
+    # exactly when it carries 0, so no sampler or walk can ever reach it.
     nodes = [tree.root]
     while nodes:
         node = nodes.pop()
         if node.children:
             first, second = node.children
             assert first.probability + second.probability == 1.0
+            p = first.probability
+            assert p in (0.0, 1.0) or ZERO_ATOL <= p <= 1.0 - ZERO_ATOL
             nodes += node.children
         assert (node.probability == 0.0) == (node.lines is None)
 
