@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .protocol import (
     Branch,
@@ -32,6 +31,7 @@ from .protocol import (
     leaves,
     outcome_operators,
 )
+from .qstate import dot
 from .strategies import (
     AliceCheatStrategy,
     AliceCoefficients,
@@ -59,11 +59,41 @@ class InvariantViolationError(Exception):
     """An internal consistency guarantee failed; results are not trustworthy."""
 
 
-def _aligned_forms() -> tuple[np.ndarray, np.ndarray]:
-    """M and D: `outcome_operators` at target 0 on the aligned kets, so the
-    weights x = (a00, a01, a10, a11) win with x^T M x and abort with x^T D x."""
-    kets = [np.flatnonzero(aligned_strategy(e).initial_state.amplitudes)[0] for e in np.eye(4)]
-    return tuple(form[np.ix_(kets, kets)] for form in outcome_operators(0))
+def _aligned_forms() -> tuple[list[list[float]], list[list[float]]]:
+    """M and D, as rows: `outcome_operators` at target 0 on the aligned kets,
+    so the weights x = (a00, a01, a10, a11) win with x^T M x and abort with x^T D x."""
+    units = [[float(i == k) for i in range(4)] for k in range(4)]
+    kets = [aligned_strategy(e).initial_state.amplitudes.index(1.0) for e in units]
+    return tuple([[form[i][j] for j in kets] for i in kets] for form in outcome_operators(0))
+
+
+def _eigh(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """A small symmetric matrix's eigenvalues, ascending, and eigenvectors, as
+    rows, by cyclic Jacobi rotations: each zeroes one off-diagonal entry, and
+    ten sweeps leave a 4x4 matrix diagonal to rounding. A zero row and column
+    stay exactly zero, since no rotation touches them."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _sweep in range(10):
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p][q] == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                # A <- J^T A J and V <- V J, J the rotation by (c, s) in the (p, q) plane.
+                for rows in (a, v):
+                    for row in rows:
+                        row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p], a[q] = (
+                    [c * x - s * y for x, y in zip(a[p], a[q])],
+                    [s * x + c * y for x, y in zip(a[p], a[q])],
+                )
+    order = sorted(range(n), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [[row[i] for row in v] for i in order]
 
 
 def _objective(a00, a01, a10):
@@ -82,7 +112,7 @@ def _detection(a00, a01, a10, a11):
     return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
 
 
-def leaf_probabilities(tree: ProtocolTree) -> np.ndarray:
+def leaf_probabilities(tree: ProtocolTree) -> list[float]:
     """Exact probabilities of the run's three leaves: heads, tails, abort.
 
     Each is the sum of the masses of the tree's leaves with that outcome;
@@ -92,7 +122,7 @@ def leaf_probabilities(tree: ProtocolTree) -> np.ndarray:
     for mass, leaf in leaves(tree):
         if leaf.outcome is not None:
             sums[leaf.outcome] += mass
-    return np.array(list(sums.values()))
+    return list(sums.values())
 
 
 def exact_win_probability(
@@ -129,74 +159,75 @@ def optimize_alice() -> dict:
     under swapping them).
     """
     objective, detection = _aligned_forms()
-    values, vectors = np.linalg.eigh(objective)
-    x = np.abs(vectors[:, -1])
-    if x[1] < x[2]:
-        x = x[[0, 2, 1, 3]]
-    value = float(values[-1])
-    a00, a01, a10, a11 = x.tolist()
+    values, vectors = _eigh(objective)
+    a00, a01, a10, a11 = map(abs, vectors[-1])
+    if a01 < a10:
+        a01, a10 = a10, a01
+    x, value = [a00, a01, a10, a11], values[-1]
+    error = [dot(row, x) - value * xi for row, xi in zip(objective, x)]
     return {
         "value": value,
         "argmax.a00": a00,
         "argmax.a01": a01,
         "argmax.a10": a10,
         "argmax.a11": a11,
-        "residual": float(np.linalg.norm(objective @ x - value * x)),
-        "spectral_gap": float(values[-1] - values[-2]),
-        "p_detect": float(x @ detection @ x),
+        "residual": math.sqrt(dot(error, error)),
+        "spectral_gap": values[-1] - values[-2],
+        "p_detect": dot(x, [dot(row, x) for row in detection]),
     }
 
 
-def scan_chunks(steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(t, win, detection) arrays along the honest-to-optimal path, by chunk.
+def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
+    """(t, win, detection) rows along the honest-to-optimal path, by chunk.
 
     Linear interpolation from the honest to the optimal weights, renormalized
-    at every step; t runs over ``np.linspace(0, 1, steps)``. Every point is
+    at every step; t runs over ``linspace(0, 1, steps)``. Every point is
     an aligned strategy, whose win and detection probabilities against an
-    honest Bob are the closed forms `_objective` and `_detection`, so each
-    chunk of up to `SCAN_CHUNK` points is one vectorized pass. Takes 2 to
-    10**6 steps. The whole path is checked before this returns, so a point
-    whose probabilities sum past 1 raises here, and the iterator returned
-    evaluates the chunks again as it is read: memory stays O(SCAN_CHUNK).
+    honest Bob are the closed forms `_objective` and `_detection`; a chunk
+    holds up to `SCAN_CHUNK` points. Takes 2 to 10**6 steps. The whole path
+    is checked before this returns, so a point whose probabilities sum past
+    1 raises here, and the iterator returned evaluates the chunks again as
+    it is read: memory stays O(SCAN_CHUNK).
     """
-    # The cap bounds the time: printing 10**6 points takes about 2 s.
+    # The cap bounds the time: printing 10**6 points takes about 4 s.
     if not 2 <= steps <= 10**6:
         raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
-    start_values = AliceCoefficients.honest().as_array()
-    end_values = AliceCoefficients.optimal().as_array()
+    s00, s01, s10, s11 = AliceCoefficients.honest()
+    e00, e01, e10, e11 = AliceCoefficients.optimal()
+    spacing = 1.0 / (steps - 1)
+
+    def point(i: int) -> tuple[float, float, float]:
+        t = 1.0 if i == steps - 1 else i * spacing
+        u = 1.0 - t
+        a00, a01 = u * s00 + t * e00, u * s01 + t * e01
+        a10, a11 = u * s10 + t * e10, u * s11 + t * e11
+        # The squares add left to right, as a row norm of the weights does.
+        norm = math.sqrt(a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11)
+        a00, a01, a10, a11 = a00 / norm, a01 / norm, a10 / norm, a11 / norm
+        return t, _objective(a00, a01, a10), _detection(a00, a01, a10, a11)
 
     def chunks():
         for first in range(0, steps, SCAN_CHUNK):
-            # np.linspace(0, 1, steps)[first:last], element for element.
-            t = np.arange(first, min(first + SCAN_CHUNK, steps)) * (1.0 / (steps - 1))
-            if first + t.size == steps:
-                t[-1] = 1.0
-            raw = (1.0 - t)[:, None] * start_values + t[:, None] * end_values
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            a00, a01, a10, a11 = raw.T
-            yield t, _objective(a00, a01, a10), _detection(a00, a01, a10, a11)
+            yield [point(i) for i in range(first, min(first + SCAN_CHUNK, steps))]
 
-    for t, win, detect in chunks():
-        lose = 1.0 - win - detect
-        bad = np.flatnonzero(lose < -1e-10)
-        if bad.size:
-            first = bad[0]
-            raise InvariantViolationError(
-                f"branch probabilities at t={float(t[first])} sum past 1 "
-                f"({float(lose[first])!r} residual)"
-            )
+    for rows in chunks():
+        for t, win, detect in rows:
+            lose = 1.0 - win - detect
+            if lose < -1e-10:
+                raise InvariantViolationError(
+                    f"branch probabilities at t={t} sum past 1 ({lose!r} residual)"
+                )
     return chunks()
 
 
-def scan_csv(chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Iterator[str]:
+def scan_csv(chunks: Iterable[list[tuple[float, float, float]]]) -> Iterator[str]:
     """The scan's CSV rows, one string per chunk.
 
     Each row reads ``path:t=<t>,<p_win>,<p_detect>`` with `format_value`'s
     12 significant digits; one %-format per chunk keeps printing fast.
     """
-    for t, win, detect in chunks:
-        flat = np.column_stack((t, win, detect)).ravel().tolist()
-        yield ("path:t=%.6f,%.12g,%.12g\n" * t.size) % tuple(flat)
+    for rows in chunks:
+        yield ("path:t=%.6f,%.12g,%.12g\n" * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[str, ProtocolTree]:
@@ -373,7 +404,7 @@ def monte_carlo(
         # A multinomial as conditional binomials over the outcomes with
         # mass: each takes its share of the runs still left, so the last
         # takes them all and an outcome of mass 0 stays at exactly 0 runs.
-        masses = leaf_probabilities(tree).tolist()
+        masses = leaf_probabilities(tree)
         live = [i for i, mass in enumerate(masses) if mass > 0.0]
         counts, left = [0, 0, 0], trials
         for position, i in enumerate(live):

@@ -17,21 +17,17 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-# The largest BLAS call here multiplies an 8x8 unitary by an 8x4 block, so
-# OpenBLAS's thread pool would only spin; a value the user set still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from . import analysis  # noqa: E402
-from .protocol import walk  # noqa: E402
-from .qstate import NotNormalizedError  # noqa: E402
-from .strategies import (  # noqa: E402
+from . import analysis
+from .protocol import walk
+from .qstate import NotNormalizedError
+from .strategies import (
     StrategyRegisterMismatchError,
     UnknownStrategyError,
     parse_strategy_id,
 )
 
-# The ~22k objects numpy and this package make at import live until exit;
-# frozen, they are walked by no later collection, the ones at exit included.
+# The ~12k objects alive after these imports, ~500 of them this package's, live
+# until exit; frozen, they are walked by no later collection, the ones at exit included.
 gc.freeze()
 
 REPORT_SCHEMA = "cointoss.report/2"

@@ -19,8 +19,6 @@ import random
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .qstate import (
     A1,
     A2,
@@ -97,19 +95,27 @@ def verification_labels(choice: int) -> tuple[str, str]:
     return (A2, B2) if choice == 1 else (A1, B1)
 
 
-def outcome_operators(target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's win and abort operators (W, Q) on `ALICE_CORE` against an honest Bob.
+def outcome_operators(target: int) -> tuple[list[list[float]], list[list[float]]]:
+    """Alice's win and abort operators (W, Q) on `ALICE_CORE` against an honest Bob, as rows.
 
     Her state psi there wins with <psi|W|psi> and aborts with <psi|Q|psi>:
     for each choice, at chance 1/2, Bob's coin qubit reads `target` and the
     verification pair passes the check against ``(|00>+|11>)/sqrt(2)``,
-    whose projector is built with entries of exactly 0 and 1/2.
+    whose projector is built with entries of exactly 0 and 1/2, so every
+    entry of W and Q is exact.
     """
-    reading = np.diag([1.0 - target, float(target)])
-    bell = np.array([[1, 0, 0, 1], [0] * 4, [0] * 4, [1, 0, 0, 1]]) / 2.0
-    checks = {c: embed(ALICE_CORE, verification_labels(c), bell) for c in (1, 2)}
-    win = sum(embed(ALICE_CORE, coin_labels(c)[1:], reading) @ checks[c] for c in (1, 2))
-    return win / 2.0, sum(np.eye(16) - check for check in checks.values()) / 2.0
+    reading = [[1.0 - target, 0.0], [0.0, float(target)]]
+    bell = [[0.5, 0.0, 0.0, 0.5], [0.0] * 4, [0.0] * 4, [0.5, 0.0, 0.0, 0.5]]
+    win, abort = [[0.0] * 16 for _ in range(16)], [[0.0] * 16 for _ in range(16)]
+    for c in (1, 2):
+        check = embed(ALICE_CORE, verification_labels(c), bell)
+        # Bob's reading is diagonal, so it scales the check's rows.
+        kept = embed(ALICE_CORE, coin_labels(c)[1:], reading)
+        for i in range(16):
+            for j in range(16):
+                win[i][j] += kept[i][i] * check[i][j] / 2.0
+                abort[i][j] += (float(i == j) - check[i][j]) / 2.0
+    return win, abort
 
 
 # A transcript record before numbering: (sender, kind, payload, probability).
@@ -188,8 +194,7 @@ def build_tree(
         ancillas = tuple(bob_ancilla(i) for i in range(bob.ancilla_count))
         bob_role = PartyRole(bob.name, ("B1", "B2") + ancillas)
         if ancillas:
-            zeros = np.zeros(2 ** len(ancillas))
-            zeros[0] = 1.0
+            zeros = [1.0] + [0.0] * (2 ** len(ancillas) - 1)
             state = tensor(state, make_state(ancillas, zeros))
         if bob.operation is not None:
             state = apply_unitary(state, bob.operation.labels, bob.operation.matrix)

@@ -7,13 +7,20 @@ ancillas. States are immutable: every operation returns a new
 shared freely between threads and cached across protocol runs.
 Qubit ordering convention: the label at register position 0 is the
 leftmost (most significant) bit of a basis ket ``|q0 q1 ... q(n-1)>``.
+
+Amplitudes are a tuple of Python complex numbers, one per basis ket, and
+operations work on basis indices by bit arithmetic: five qubits, 32
+amplitudes, are not worth an array library's import. Sums and norms round
+as the array code that pinned the golden transcripts and sampled counts
+did (`_squares`, `_pairwise`, `_scaled`), and alike on every Python
+release, which the builtin `sum` of floats does not.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
 
 class NotNormalizedError(Exception):
     """Squared weights do not sum to 1 within tolerance."""
@@ -30,53 +37,88 @@ class StateVector(NamedTuple):
     """A normalized pure state over an ordered register of labeled qubits."""
 
     register: tuple[str, ...]
-    amplitudes: np.ndarray
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.register)
-
-    def tensor_view(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per qubit, register order."""
-        return self.amplitudes.reshape((2,) * self.n_qubits)
+    amplitudes: tuple[complex, ...]
 
 
-def _freeze(amplitudes: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+def dot(left: Iterable, right: Iterable) -> float | complex:
+    """``sum(l * r)`` over the pairs, added left to right."""
+    total = 0.0
+    for a, b in zip(left, right):
+        total += a * b
+    return total
 
 
-def make_state(register: Iterable[str], amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
+def _squares(parts: list[float]) -> float:
+    """The sum of squares in BLAS's strided ``ddot`` order: even and odd
+    positions in two running sums, each taking two of every four at once."""
+    even = odd = 0.0
+    whole = len(parts) - len(parts) % 4
+    for i in range(0, whole, 4):
+        even += parts[i] * parts[i] + parts[i + 2] * parts[i + 2]
+        odd += parts[i + 1] * parts[i + 1] + parts[i + 3] * parts[i + 3]
+    for x in parts[whole:]:
+        even += x * x
+    return even + odd
+
+
+def _norm(amplitudes: Sequence[complex]) -> float:
+    """The Euclidean norm: the real parts' squares, then the imaginary parts'."""
+    real, imag = [a.real for a in amplitudes], [a.imag for a in amplitudes]
+    return math.sqrt(_squares(real) + _squares(imag))
+
+
+def _scaled(amplitudes: Iterable[complex], norm: float) -> tuple[complex, ...]:
+    """`amplitudes` divided by `norm`, as products with its reciprocal."""
+    inverse = 1.0 / norm
+    return tuple(complex(a.real * inverse, a.imag * inverse) for a in amplitudes)
+
+
+def _pairwise(values: list[float]) -> float:
+    """The sum of a power of two of `values` in an array reduction's order:
+    below eight left to right, else eight running sums added as a tree."""
+    if len(values) < 8:
+        return dot(values, [1.0] * len(values))
+    sums = values[:8]
+    for i in range(8, len(values), 8):
+        sums = [x + y for x, y in zip(sums, values[i : i + 8])]
+    return ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+
+
+def _mask(register: Sequence[str], label: str) -> int:
+    """The basis-index bit of `label`'s qubit."""
+    return 1 << (len(register) - 1 - register.index(label))
+
+
+def make_state(register: Iterable[str], amplitudes: Iterable[complex]) -> StateVector:
     """Build a state from labels and amplitudes, divided by their exact norm."""
-    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(amps))
-    return StateVector(register=tuple(register), amplitudes=_freeze(amps / norm))
-
-
-BELL_AMPLITUDES = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    amps = [complex(a) for a in amplitudes]
+    norm = _norm(amps)
+    return StateVector(register=tuple(register), amplitudes=_scaled(amps, norm))
 
 
 def bell_state(left: str, right: str) -> StateVector:
     """The two-qubit state ``(|00> + |11>)/sqrt(2)`` on the given pair."""
-    return make_state((left, right), BELL_AMPLITUDES)
+    half = 1.0 / math.sqrt(2.0)
+    return make_state((left, right), (half, 0.0, 0.0, half))
 
 
 def tensor(left: StateVector, right: StateVector) -> StateVector:
     """Tensor product; the combined register is `left` then `right`."""
     return StateVector(
         register=left.register + right.register,
-        amplitudes=_freeze(np.kron(left.amplitudes, right.amplitudes)),
+        amplitudes=tuple(a * b for a in left.amplitudes for b in right.amplitudes),
     )
 
 
 def branch_probabilities(state: StateVector, label: str) -> tuple[float, float]:
     """Exact probabilities of measuring `label` as 0 and 1 (no sampling)."""
-    pos = state.register.index(label)
-    weights = np.abs(state.tensor_view()) ** 2
-    axes = tuple(i for i in range(state.n_qubits) if i != pos)
-    marginal = weights.sum(axis=axes) if axes else weights
-    return float(marginal[0]), float(marginal[1])
+    # Runs of `mask` consecutive basis indices share the label's bit.
+    mask = _mask(state.register, label)
+    weights = [m * m for m in map(abs, state.amplitudes)]
+    marginal = [0.0, 0.0]
+    for start in range(0, len(weights), mask):
+        marginal[start // mask & 1] += _pairwise(weights[start : start + mask])
+    return marginal[0], marginal[1]
 
 
 def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector]:
@@ -86,17 +128,12 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     measured qubit left in ``|outcome>``). The branch must have nonzero
     probability.
     """
-    pos = state.register.index(label)
-    tensor_amps = state.tensor_view()
-    kept = np.take(tensor_amps, outcome, axis=pos)
-    branch_norm = float(np.linalg.norm(kept))
-    projected = np.zeros_like(tensor_amps)
-    index = [slice(None)] * state.n_qubits
-    index[pos] = outcome
+    mask = _mask(state.register, label)
+    kept = [(i & mask != 0) == outcome for i in range(len(state.amplitudes))]
+    branch_norm = _norm([a for a, keep in zip(state.amplitudes, kept) if keep])
     # Renormalize by the exactly computed branch norm, not an accumulated one.
-    projected[tuple(index)] = kept / branch_norm
-    posterior = StateVector(register=state.register, amplitudes=_freeze(projected.reshape(-1)))
-    return branch_norm**2, posterior
+    posterior = [a if keep else 0j for a, keep in zip(state.amplitudes, kept)]
+    return branch_norm**2, StateVector(state.register, _scaled(posterior, branch_norm))
 
 
 def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
@@ -105,33 +142,41 @@ def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
     It is the squared norm of the pair's overlap with that state, an
     amplitude vector over the rest of the register.
     """
-    pos_a = state.register.index(pair[0])
-    pos_b = state.register.index(pair[1])
-    amplitudes = state.tensor_view()
-    index = [slice(None)] * state.n_qubits
-    index[pos_a] = index[pos_b] = 0
-    zeros = amplitudes[tuple(index)]
-    index[pos_a] = index[pos_b] = 1
-    ones = amplitudes[tuple(index)]
-    overlap = (zeros + ones) / np.sqrt(2.0)
-    return float(np.sum(np.abs(overlap) ** 2))
+    both = _mask(state.register, pair[0]) | _mask(state.register, pair[1])
+    amps, half = state.amplitudes, 1.0 / math.sqrt(2.0)
+    overlap = [(amps[i] + amps[i | both]) * half for i in range(len(amps)) if not i & both]
+    return _pairwise([m * m for m in map(abs, overlap)])
 
 
-def _act(register: Sequence[str], labels: Sequence[str], matrix, amplitudes) -> np.ndarray:
-    """`matrix` on the qubits `labels` of `register`, along the first axis of `amplitudes`."""
-    positions = [register.index(l) for l in labels]
-    k = len(positions)
-    moved = np.moveaxis(amplitudes.reshape((2,) * len(register) + (-1,)), positions, range(k))
-    transformed = (matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
-    return np.moveaxis(transformed, range(k), positions).reshape(amplitudes.shape)
+def _act(register: Sequence[str], labels: Sequence[str], matrix, amplitudes) -> list:
+    """`matrix` on the qubits `labels` of `register`, applied to `amplitudes`.
+
+    Each basis index with the labels' bits clear starts one block: the
+    ``2^k`` indices that set those bits as the matrix's rows order them.
+    """
+    masks = [_mask(register, label) for label in labels]
+    offsets = [
+        sum(m for j, m in enumerate(masks) if row >> (len(masks) - 1 - j) & 1)
+        for row in range(len(matrix))
+    ]
+    out = [0j] * len(amplitudes)
+    for base in range(len(amplitudes)):
+        if not base & offsets[-1]:
+            block = [amplitudes[base | offset] for offset in offsets]
+            for row, offset in zip(matrix, offsets):
+                out[base | offset] = dot(row, block)
+    return out
 
 
-def apply_unitary(state: StateVector, labels: Sequence[str], matrix: np.ndarray) -> StateVector:
-    """Apply a ``2^k x 2^k`` unitary to the k qubits named by `labels`."""
+def apply_unitary(state: StateVector, labels: Sequence[str], matrix) -> StateVector:
+    """Apply a ``2^k x 2^k`` unitary, given as rows, to the k qubits named by `labels`."""
     result = _act(state.register, labels, matrix, state.amplitudes)
-    return StateVector(register=state.register, amplitudes=_freeze(result))
+    return StateVector(register=state.register, amplitudes=tuple(result))
 
 
-def embed(register: Sequence[str], labels: Sequence[str], matrix: np.ndarray) -> np.ndarray:
-    """The operator on `register` that is `matrix` on `labels` and the identity elsewhere."""
-    return _act(register, labels, matrix, np.eye(2 ** len(register)))
+def embed(register: Sequence[str], labels: Sequence[str], matrix) -> list[list]:
+    """The operator on `register` that is `matrix` on `labels` and the identity
+    elsewhere, as rows: `matrix` applied to each basis ket gives a column."""
+    size = 2 ** len(register)
+    basis = [[float(i == j) for i in range(size)] for j in range(size)]
+    return [list(row) for row in zip(*(_act(register, labels, matrix, ket) for ket in basis))]

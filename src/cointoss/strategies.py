@@ -16,8 +16,6 @@ import functools
 import math
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
 from .qstate import (
     A1,
     A2,
@@ -26,6 +24,7 @@ from .qstate import (
     NotNormalizedError,
     StateVector,
     bob_ancilla,
+    dot,
     make_state,
 )
 
@@ -48,16 +47,9 @@ class AliceCoefficients(NamedTuple):
     a10: float
     a11: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
     def flipped(self) -> "AliceCoefficients":
         """Coefficients of the globally bit-flipped state (a_ij -> a_{!i!j})."""
         return AliceCoefficients(self.a11, self.a10, self.a01, self.a00)
-
-    @classmethod
-    def from_array(cls, values) -> "AliceCoefficients":
-        return cls(*np.asarray(values, dtype=float).reshape(4).tolist())
 
     @classmethod
     def honest(cls) -> "AliceCoefficients":
@@ -65,14 +57,14 @@ class AliceCoefficients(NamedTuple):
 
     @classmethod
     def optimal(cls) -> "AliceCoefficients":
-        return cls(np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 6.0), np.sqrt(1.0 / 6.0), 0.0)
+        return cls(math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0)
 
 
 class LocalOperation(NamedTuple):
-    """A unitary acting on the named qubits."""
+    """A unitary acting on the named qubits, as its rows of entries."""
 
     labels: tuple[str, ...]
-    matrix: np.ndarray
+    matrix: list[list[complex]]
 
 
 ALICE_CORE = (A1, B1, A2, B2)
@@ -107,11 +99,10 @@ def aligned_strategy(amplitudes, name: str = "aligned") -> AliceCheatStrategy:
     weights allow; with uniform weights this is exactly the honest
     preparation. Accepts complex weights.
     """
-    c = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
-    amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
-    for index, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        amps[i, i, j, j] = c[index]
-    return AliceCheatStrategy(name, make_state(ALICE_CORE, amps.reshape(-1)))
+    amps = [0j] * 16
+    for ket, weight in zip((0b0000, 0b0011, 0b1100, 0b1111), amplitudes, strict=True):
+        amps[ket] = weight
+    return AliceCheatStrategy(name, make_state(ALICE_CORE, amps))
 
 
 def coefficient_strategy(c: AliceCoefficients) -> AliceCheatStrategy:
@@ -120,8 +111,8 @@ def coefficient_strategy(c: AliceCoefficients) -> AliceCheatStrategy:
     The name is ``coefficients:`` and the four weights, each with every
     digit of its repr, so it parses back to the same weights.
     """
-    name = "coefficients:" + ",".join(repr(float(x)) for x in c.as_array())
-    return aligned_strategy(c.as_array(), name=name)
+    name = "coefficients:" + ",".join(repr(float(x)) for x in c)
+    return aligned_strategy(c, name=name)
 
 
 def optimal_alice(target: int) -> AliceCheatStrategy:
@@ -133,12 +124,12 @@ def optimal_alice(target: int) -> AliceCheatStrategy:
     coefficients = AliceCoefficients.optimal()
     if target == 1:
         coefficients = coefficients.flipped()
-    return aligned_strategy(coefficients.as_array(), name=f"optimal-alice:target={target}")
+    return aligned_strategy(coefficients, name=f"optimal-alice:target={target}")
 
 
 def honest_alice() -> AliceCheatStrategy:
     """The honest preparation expressed in the cheating-strategy form."""
-    return aligned_strategy(AliceCoefficients.honest().as_array(), name="honest")
+    return aligned_strategy(AliceCoefficients.honest(), name="honest")
 
 
 def measure_and_pick_bob(target: int) -> BobCheatStrategy:
@@ -166,7 +157,7 @@ def measure_and_pick_bob(target: int) -> BobCheatStrategy:
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-# numpy's normal ziggurat: 256 layers of area V each, the base reaching out
+# NumPy's normal ziggurat: 256 layers of area V each, the base reaching out
 # to R; V = R f(R) + (integral of f from R to infinity), f(x) = exp(-x*x/2).
 _ZIGGURAT_R = 3.6541528853610087963519472518
 _ZIGGURAT_INV_R = 0.27366123732975827203338247596
@@ -175,7 +166,7 @@ _ZIGGURAT_V = 0.004928673233974655
 
 @functools.cache
 def _ziggurat_tables() -> tuple[list[int], list[float], list[float]]:
-    """numpy's ``ki_double``, ``wi_double`` and ``fi_double``, to within 80 ulps."""
+    """NumPy's ``ki_double``, ``wi_double`` and ``fi_double``, to within 80 ulps."""
     scale = 2.0**52
     ki, wi, fi = [0] * 256, [0.0] * 256, [0.0] * 256
     x = last = _ZIGGURAT_R
@@ -190,15 +181,15 @@ def _ziggurat_tables() -> tuple[list[int], list[float], list[float]]:
 
 
 class _DefaultRng:
-    """The draws of ``numpy.random.default_rng(seed)`` that `random_bob_strategy`
+    """The draws of NumPy's ``default_rng(seed)`` that `random_bob_strategy`
     makes, in plain Python.
 
-    So ``random-bob:<seed>`` names the strategy numpy's generator gives that
-    seed, and no command imports ``numpy.random``. Each step is numpy's:
+    So ``random-bob:<seed>`` names the strategy NumPy's generator gives that
+    seed, and no command imports NumPy. Each step is NumPy's:
     ``SeedSequence`` seeding, PCG64's XSL-RR output with the upper half of a
     64-bit draw kept for the next 32-bit one, Lemire's method for
     ``integers`` and the ziggurat for ``normal``. The ziggurat tables are
-    computed here, so a normal agrees with numpy's to about 3e-14, relative.
+    computed here, so a normal agrees with NumPy's to about 3e-14, relative.
     """
 
     def __init__(self, seed: int):
@@ -279,21 +270,32 @@ class _DefaultRng:
             elif (fi[layer - 1] - fi[layer]) * self._uniform() + fi[layer] < math.exp(-0.5 * x * x):
                 return x
 
-    def normal(self, size: tuple[int, ...]) -> np.ndarray:
-        """Standard normals in C order."""
+    def normal(self, size: tuple[int, int]) -> list[list[float]]:
+        """Standard normals, as the rows of a ``size`` table drawn in C order."""
         tables = _ziggurat_tables()
-        return np.array([self._standard_normal(*tables) for _ in range(math.prod(size))]).reshape(size)
+        rows, columns = size
+        return [[self._standard_normal(*tables) for _ in range(columns)] for _ in range(rows)]
 
 
-def haar_unitary(dim: int, rng: _DefaultRng) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+def haar_unitary(dim: int, rng: _DefaultRng) -> list[list[complex]]:
+    """Haar-distributed unitary, as rows: the Q of a complex Gaussian matrix's
+    QR decomposition whose R has a real, positive diagonal.
 
-    `rng` is a `_DefaultRng` or a ``numpy.random.Generator``.
+    That R makes Q unique. Modified Gram-Schmidt, run twice over each column
+    so that Q is orthonormal to rounding, gives it column by column. `rng`
+    is a `_DefaultRng` or a NumPy ``Generator``.
     """
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    real, imag = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim))
+    q = []
+    for j in range(dim):
+        v = [complex(real[i][j], imag[i][j]) for i in range(dim)]
+        for _ in range(2):
+            for u in q:
+                r = dot((x.conjugate() for x in u), v)
+                v = [x - r * y for x, y in zip(v, u)]
+        norm = math.sqrt(dot([x.conjugate() for x in v], v).real)
+        q.append([x / norm for x in v])
+    return [list(row) for row in zip(*q)]
 
 
 def random_bob_strategy(rng: _DefaultRng) -> BobCheatStrategy:
@@ -302,7 +304,7 @@ def random_bob_strategy(rng: _DefaultRng) -> BobCheatStrategy:
     Draws a Haar-random unitary on his two received qubits plus zero or one
     ancilla qubit, measures the ancilla (when present), and announces per a
     random rule on the result. `rng` is a `_DefaultRng` or a
-    ``numpy.random.Generator``.
+    NumPy ``Generator``.
     """
     ancilla_count = int(rng.integers(0, 2))
     labels = (B1, B2) + tuple(bob_ancilla(i) for i in range(ancilla_count))
@@ -348,20 +350,20 @@ def parse_strategy_id(
             if any(not p.isascii() or p != p.strip() or "_" in p or p[:1] == "+" for p in parts):
                 raise ValueError("a weight holds a leading '+', '_', whitespace or non-ASCII text")
             # Adding 0.0 reads -0 as 0.0, so one state has one canonical id.
-            values = np.array([float(p) for p in parts]) + 0.0
+            values = [float(p) + 0.0 for p in parts]
         except ValueError as exc:
             raise UnknownStrategyError(f"bad coefficient in {text!r}: {exc}") from None
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"coefficients must be finite, got {values.tolist()}")
-        if np.any(values < 0):
-            raise ValueError(f"coefficients must be nonnegative, got {values.tolist()}")
-        with np.errstate(over="ignore"):  # a huge weight's square is inf, which the check names
-            total = float(np.sum(values**2))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"coefficients must be finite, got {values}")
+        if any(x < 0 for x in values):
+            raise ValueError(f"coefficients must be nonnegative, got {values}")
+        # A huge weight's x * x is inf, which the check names; x ** 2 would raise.
+        total = dot(values, values)
         if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:
             raise NotNormalizedError(
                 f"squared coefficients sum to {total!r}, expected 1 within 1e-10"
             )
-        return coefficient_strategy(AliceCoefficients.from_array(values))
+        return coefficient_strategy(AliceCoefficients(*values))
     if text.startswith("random-bob:"):
         # Only the canonical decimal form, so one seed has one id.
         seed_text = text.split(":", 1)[1]

@@ -89,7 +89,7 @@ def test_criterion_3_optimizer():
     started = time.perf_counter()
     result = optimize_alice()
     elapsed = time.perf_counter() - started
-    expected = AliceCoefficients.optimal().as_array()
+    expected = np.array(AliceCoefficients.optimal())
     found = np.array([result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11")])
     coords_ok = bool(np.all(np.abs(found - expected) < 1e-15))
     argmax = tuple(round(float(v), 5) for v in found)
@@ -105,7 +105,7 @@ def test_criterion_4_closed_form_equals_simulation():
     worst = 0.0
     for _ in range(100):
         raw = np.abs(rng.normal(size=4))
-        c = AliceCoefficients.from_array(raw / np.linalg.norm(raw))
+        c = AliceCoefficients(*(raw / np.linalg.norm(raw)).tolist())
         simulated = exact_win_probability(coefficient_strategy(c), 0)
         worst = max(worst, abs(simulated["p_win_exact"] - _objective(c.a00, c.a01, c.a10)))
     report(4, worst < 1e-9, f"max |closed form - simulation| = {worst:.2e} over 100 tuples")
@@ -133,7 +133,8 @@ def test_criterion_5_bob_bound():
 
 
 def test_criterion_6_cheat_sensitivity():
-    [(_, win, detect)] = scan_chunks(50)  # one chunk
+    [rows] = scan_chunks(50)  # one chunk
+    _, win, detect = map(np.array, zip(*rows))
     cheating = win > 0.5 + 1e-6
     increases = int(np.sum(np.diff(detect) >= -1e-12))
     report(
@@ -161,8 +162,8 @@ def test_criterion_8_every_alice_state():
     # states among them, wins with <psi|W|psi>: at most W's top eigenvalue.
     tops, attained = [], []
     for target in (0, 1):
-        win = outcome_operators(target)[0]
-        psi = optimal_alice(target).initial_state.amplitudes
+        win = np.array(outcome_operators(target)[0])
+        psi = np.array(optimal_alice(target).initial_state.amplitudes)
         tops.append(float(np.linalg.eigvalsh(win)[-1]))
         attained.append(float(np.vdot(psi, win @ psi).real))
     report(

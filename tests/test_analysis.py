@@ -1,5 +1,6 @@
 """Exact cheating probabilities, optimizer, scans, and Monte Carlo cross-checks."""
 
+import itertools
 import math
 import random
 import time
@@ -45,7 +46,7 @@ from test_closed_forms import HONEST_BOB
 
 unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
     lambda w: math.fsum(x * x for x in w) > 1e-6
-).map(lambda w: AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w)))
+).map(lambda w: AliceCoefficients(*(np.asarray(w) / np.linalg.norm(w)).tolist()))
 
 
 def argmax(result: dict) -> AliceCoefficients:
@@ -61,7 +62,7 @@ def sample(run_kind, strategy_id="honest", target=0, trials=100_000, root_seed=0
 
 def scan_points(steps):
     """The scan's t, win and detection arrays, its chunks joined."""
-    return [np.concatenate(column) for column in zip(*scan_chunks(steps))]
+    return [np.array(column) for column in zip(*itertools.chain.from_iterable(scan_chunks(steps)))]
 
 
 class TestFidelityBound:
@@ -117,8 +118,7 @@ class TestOptimizer:
     def test_reaches_three_quarters(self):
         result = optimize_alice()
         assert result["value"] == pytest.approx(0.75, abs=1e-15)
-        expected = AliceCoefficients.optimal().as_array()
-        np.testing.assert_allclose(argmax(result).as_array(), expected, atol=1e-15)
+        np.testing.assert_allclose(argmax(result), AliceCoefficients.optimal(), atol=1e-15)
 
     def test_canonical_order(self):
         result = optimize_alice()
@@ -131,7 +131,7 @@ class TestOptimizer:
         import sympy
 
         objective, detection = (
-            sympy.Matrix(form.tolist()).applyfunc(sympy.Rational) for form in _aligned_forms()
+            sympy.Matrix(form).applyfunc(sympy.Rational) for form in _aligned_forms()
         )
         third = sympy.Rational(3, 4)
         assert objective.eigenvals() == {third: 1, sympy.Rational(1, 4): 1, 0: 2}
@@ -141,7 +141,7 @@ class TestOptimizer:
         assert sympy.simplify((x.T * detection * x)[0]) == sympy.Rational(1, 6)
 
         result = optimize_alice()
-        np.testing.assert_allclose(argmax(result).as_array(), [float(v) for v in x], atol=1e-15)
+        np.testing.assert_allclose(argmax(result), [float(v) for v in x], atol=1e-15)
         assert abs(result["value"] - 0.75) <= 1e-15
         assert abs(result["spectral_gap"] - 0.5) <= 1e-15
         assert abs(result["p_detect"] - 1 / 6) <= 1e-15
@@ -181,7 +181,7 @@ class TestExactWinProbability:
 
     def test_report_invariant_guard(self, monkeypatch, capsys):
         # A win past 3/4 stops the report, in the library and on the CLI.
-        impossible = np.array([0.76, 0.24, 0.0])
+        impossible = [0.76, 0.24, 0.0]
         monkeypatch.setattr(analysis, "leaf_probabilities", lambda tree: impossible)
         message = "win probability 0.76 escapes [0, bound] for optimal-alice:target=0"
         with pytest.raises(InvariantViolationError) as excinfo:
@@ -212,11 +212,8 @@ class TestSensitivityScan:
 
     def test_probabilities_past_one_name_the_first_bad_point(self, monkeypatch):
         # From the fourth of seven points on, win + detect exceeds 1.
-        monkeypatch.setattr(
-            analysis,
-            "_detection",
-            lambda a00, *_: np.where(np.arange(a00.size) >= 3, 0.6, 0.0),
-        )
+        points = itertools.count()
+        monkeypatch.setattr(analysis, "_detection", lambda *_: 0.6 if next(points) >= 3 else 0.0)
         with pytest.raises(InvariantViolationError, match=r"at t=0\.5 sum past 1"):
             scan_chunks(7)
 
@@ -229,7 +226,7 @@ class TestSensitivityScan:
     def test_closed_form_matches_branch_enumeration(self, c):
         # The tree counts a branch below 1e-12 mass toward no outcome, so
         # the two agree to 1e-11, not to roundoff.
-        report = exact_win_probability(aligned_strategy(c.as_array()), 0)
+        report = exact_win_probability(aligned_strategy(c), 0)
         assert abs(_objective(c.a00, c.a01, c.a10) - report["p_win_exact"]) < 1e-11
         assert abs(_detection(*c) - report["p_abort_exact"]) < 1e-11
 
@@ -238,7 +235,7 @@ class TestSensitivityScan:
         _, win, detect = scan_points(steps)
         rows = "".join(scan_csv(scan_chunks(steps))).splitlines()
         assert len(rows) == steps
-        start, end = AliceCoefficients.honest().as_array(), AliceCoefficients.optimal().as_array()
+        start, end = np.array(AliceCoefficients.honest()), np.array(AliceCoefficients.optimal())
         for i, t in enumerate(np.linspace(0.0, 1.0, steps)):
             raw = (1.0 - t) * start + t * end
             report = exact_win_probability(aligned_strategy(raw / np.linalg.norm(raw)), 0)
@@ -262,7 +259,7 @@ class TestSensitivityScan:
         exact_win_probability(optimal_alice(0), 0)
         assert set(calls) == {"build_tree", "aligned_strategy"}
         calls.clear()
-        assert sum(t.size for t, _, _ in scan_chunks(1000)) == 1000
+        assert sum(len(rows) for rows in scan_chunks(1000)) == 1000
         assert calls == []
 
 

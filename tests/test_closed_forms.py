@@ -27,7 +27,7 @@ from cointoss.protocol import build_tree, coin_labels, outcome_operators
 from cointoss.qstate import B1, B2, bob_ancilla, embed
 from cointoss.strategies import BobCheatStrategy, measure_and_pick_bob, parse_strategy_id
 
-M, D = _aligned_forms()
+M, D = map(np.array, _aligned_forms())
 
 unit_vectors = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
     lambda w: math.fsum(x * x for x in w) > 1e-6
@@ -59,7 +59,7 @@ class TestClosedForms:
 
 def exact(matrix):
     """The float matrix as a sympy matrix of the same (dyadic) rationals."""
-    return sympy.Matrix(matrix.tolist()).applyfunc(sympy.Rational)
+    return sympy.Matrix(np.asarray(matrix).tolist()).applyfunc(sympy.Rational)
 
 
 class TestOutcomeOperators:
@@ -82,13 +82,13 @@ def bob_povm(bob):
     k = bob.ancilla_count
     register = (B1, B2) + tuple(bob_ancilla(i) for i in range(k))
     identity, operation = np.eye(2 ** len(register)), bob.operation
-    unitary = identity if operation is None else embed(register, operation.labels, operation.matrix)
+    unitary = identity if operation is None else np.array(embed(register, operation.labels, operation.matrix))
     isometry = unitary[:, [i << k for i in range(4)]]
     povm = {c: np.zeros((4, 4), complex) for c in (1, 2)}
     for result in itertools.product((0, 1), repeat=len(bob.measured)):
         projector = identity
         for label, bit in zip(bob.measured, result):
-            projector = projector @ embed(register, (label,), np.diag([1.0 - bit, float(bit)]))
+            projector = projector @ np.array(embed(register, (label,), np.diag([1.0 - bit, float(bit)])))
         povm[bob.announce(result)] += isometry.conj().T @ projector @ isometry
     return povm
 
@@ -97,7 +97,7 @@ def bob_readings(target):
     """{c: A_c} on (B1, B2), where an honest Alice leaves I/4: her coin qubit
     of pair c reads `target` exactly when Bob's half of that pair would."""
     reading = np.diag([1.0 - target, float(target)])
-    return {c: embed((B1, B2), coin_labels(c)[1:], reading) / 4.0 for c in (1, 2)}
+    return {c: np.array(embed((B1, B2), coin_labels(c)[1:], reading)) / 4.0 for c in (1, 2)}
 
 
 def povm_win(povm, target):

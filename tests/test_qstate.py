@@ -13,13 +13,13 @@ from cointoss.qstate import (
     A2,
     B1,
     B2,
-    BELL_AMPLITUDES,
     apply_unitary,
     bell_state,
     bob_ancilla,
     bell_pass_probability,
     branch_probabilities,
     collapse,
+    embed,
     make_state,
     tensor,
 )
@@ -45,7 +45,7 @@ def norm(state):
 class TestMakeState:
     def test_bell_constant(self):
         state = make_state((B1, B2), (SQRT_HALF, 0, 0, SQRT_HALF))
-        np.testing.assert_allclose(state.amplitudes, BELL_AMPLITUDES, atol=1e-15)
+        np.testing.assert_allclose(state.amplitudes, [SQRT_HALF, 0, 0, SQRT_HALF], atol=1e-15)
         np.testing.assert_allclose(
             state.amplitudes, bell_state(B1, B2).amplitudes, atol=0
         )
@@ -60,7 +60,7 @@ class TestMakeState:
 
     def test_amplitudes_are_immutable(self):
         state = bell_state(A1, B1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             state.amplitudes[0] = 0.0
 
 
@@ -172,7 +172,7 @@ class TestEngineInvariants:
         for _ in range(100):
             state = random_state(rng, (A1, B1))
             # The two-qubit state's Schmidt coefficients.
-            coeffs = np.linalg.svd(state.amplitudes.reshape(2, 2), compute_uv=False)
+            coeffs = np.linalg.svd(np.reshape(state.amplitudes, (2, 2)), compute_uv=False)
             bound = (coeffs[0] + coeffs[1]) ** 2 / 2.0
             assert bell_pass_probability(state, (A1, B1)) <= bound + 1e-9
 
@@ -215,3 +215,69 @@ def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
     rotated = apply_unitary(state, pair, haar_unitary(4, np.random.default_rng(seed)))
     assert norm(rotated) == pytest.approx(1.0, abs=1e-12)
 
+
+
+REGISTER = (A1, B1, A2, B2, bob_ancilla(0))
+
+
+def as_tensor(state):
+    """The amplitudes as an array with one axis per qubit, register order."""
+    return np.reshape(state.amplitudes, (2,) * len(state.register))
+
+
+@st.composite
+def states_and_qubits(draw):
+    """A state on 2 to 5 qubits, its qubit positions in a drawn order, and a
+    Haar unitary on the first 1 to 3 of them."""
+    n = draw(st.integers(2, 5))
+    values = draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=2 * 2**n, max_size=2 * 2**n)
+        .filter(lambda v: math.fsum(x * x for x in v) > 1e-3)
+    )
+    amplitudes = np.asarray(values[: 2**n]) + 1j * np.asarray(values[2**n :])
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, min(3, n)))
+    unitary = haar_unitary(2**k, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return make_state(REGISTER[:n], amplitudes), amplitudes, order, order[:k], unitary
+
+
+# The array expressions below, numpy's moveaxis and tensordot, are an
+# independent reference for the engine's bit arithmetic on basis indices.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(states_and_qubits())
+def test_every_operation_matches_an_array_reference(case):
+    state, amplitudes, order, positions, unitary = case
+    n = len(state.register)
+    expected = amplitudes / np.linalg.norm(amplitudes)
+    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+    psi = as_tensor(state)
+    for pos, label in enumerate(state.register):
+        marginal = (np.abs(psi) ** 2).sum(axis=tuple(i for i in range(n) if i != pos))
+        np.testing.assert_allclose(branch_probabilities(state, label), marginal, atol=1e-12)
+        for outcome in (0, 1):
+            if marginal[outcome] < 1e-6:
+                continue
+            index = tuple(outcome if i == pos else slice(None) for i in range(n))
+            kept = np.zeros_like(psi)
+            kept[index] = psi[index]
+            probability, posterior = collapse(state, label, outcome)
+            assert abs(probability - marginal[outcome]) < 1e-12
+            expected = kept / np.linalg.norm(kept)
+            np.testing.assert_allclose(as_tensor(posterior), expected, atol=1e-12)
+    a, b = order[:2]
+    overlap = np.tensordot(np.eye(2) / np.sqrt(2.0), psi, axes=([0, 1], [a, b]))
+    passed = bell_pass_probability(state, (state.register[a], state.register[b]))
+    assert abs(passed - np.vdot(overlap, overlap).real) < 1e-12
+    k, labels = len(positions), [state.register[p] for p in positions]
+    gate = np.reshape(unitary, (2,) * (2 * k))
+    rotated = np.moveaxis(
+        np.tensordot(gate, psi, axes=(list(range(k, 2 * k)), list(positions))), range(k), positions
+    )
+    rotated_state = apply_unitary(state, labels, unitary)
+    np.testing.assert_allclose(as_tensor(rotated_state), rotated, atol=1e-12)
+    operator = np.asarray(embed(state.register, labels, unitary))
+    np.testing.assert_allclose(operator @ psi.reshape(-1), rotated.reshape(-1), atol=1e-12)
+    extra = make_state((bob_ancilla(1),), (0.6, 0.8j))
+    np.testing.assert_allclose(
+        tensor(state, extra).amplitudes, np.kron(psi.reshape(-1), [0.6, 0.8j]), atol=1e-12
+    )

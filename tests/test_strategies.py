@@ -35,7 +35,7 @@ from cointoss.strategies import (
 class TestAliceCoefficients:
     def test_named_tuples_normalized(self):
         for c in (AliceCoefficients.honest(), AliceCoefficients.optimal()):
-            assert np.sum(c.as_array() ** 2) == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(np.square(c)) == pytest.approx(1.0, abs=1e-12)
 
     def test_not_normalized_rejected(self):
         # The squared weights may miss 1 by 1e-10: 2.5e-11 passes, 4e-10 does not.
@@ -131,8 +131,19 @@ class TestRandomBob:
     def test_haar_unitary_is_unitary(self):
         rng = np.random.default_rng(51)
         for dim in (2, 4, 8):
-            u = haar_unitary(dim, rng)
+            u = np.array(haar_unitary(dim, rng))
             np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_haar_unitary_is_the_phase_fixed_qr_of_its_draws(self, dim):
+        # numpy's QR, with R's diagonal made real and positive, is the reference.
+        for seed in range(200):
+            rng = _DefaultRng(seed)
+            z = np.array(rng.normal(size=(dim, dim))) + 1j * np.array(rng.normal(size=(dim, dim)))
+            q, r = np.linalg.qr(z)
+            expected = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            ours = haar_unitary(dim, _DefaultRng(seed))
+            np.testing.assert_allclose(ours, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 9, 2**200],
                              ids=["0", "7", "2^32", "2^64+9", "2^200"])
@@ -224,20 +235,43 @@ class TestStrategyIdRoundTrip:
         text = "coefficients:" + ",".join(map(repr, weights))
         strategy = parse_strategy_id(text)
         assert strategy.name == text
-        amplitudes = strategy.initial_state.tensor_view()
-        built = [amplitudes[i, i, j, j] for i in (0, 1) for j in (0, 1)]
+        amplitudes = strategy.initial_state.amplitudes
+        built = [amplitudes[ket] for ket in (0b0000, 0b0011, 0b1100, 0b1111)]
         np.testing.assert_allclose(built, weights, rtol=0, atol=1e-15)
 
     @SETTINGS
     @given(
         st.one_of(
             st.just(AliceCoefficients.optimal()),
-            unit_weights.map(AliceCoefficients.from_array),
+            unit_weights.map(lambda w: AliceCoefficients(*w)),
         )
     )
     def test_coefficients_name_parses_back_to_itself(self, coefficients):
         strategy = coefficient_strategy(coefficients)
         assert parse_strategy_id(strategy.name).name == strategy.name
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from([-0.0, 1e200, 1e-200, 5e-324, math.inf, -math.inf, math.nan]),
+            ).map(repr),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @example(["0.6", "0.8", "0", "0"])
+    @example(["1e200", "0", "0", "0"])
+    def test_coefficient_weights_parse_or_raise_a_configuration_error(self, parts):
+        # main maps each of these to exit 2 or 3 with one line; anything
+        # else, such as an OverflowError from squaring a weight, would end
+        # in a traceback.
+        try:
+            strategy = parse_strategy_id("coefficients:" + ",".join(parts))
+        except (UnknownStrategyError, ValueError, NotNormalizedError):
+            return
+        assert isinstance(strategy, AliceCheatStrategy)
 
     @SETTINGS
     @given(st.integers(0, 2**64))

@@ -50,7 +50,7 @@ core_states = st.lists(
 
 
 def alice_tree(w):
-    c = AliceCoefficients.from_array(np.asarray(w) / np.linalg.norm(w))
+    c = AliceCoefficients(*(np.asarray(w) / np.linalg.norm(w)).tolist())
     return build_tree(coefficient_strategy(c), 0)
 
 
@@ -72,8 +72,8 @@ def trees():
 def test_leaf_masses_are_the_outcome_operators(strategy, target):
     # The operators read the protocol from the same wire labels as the tree,
     # so any state's win and abort masses agree up to the tree's clamps.
-    psi = strategy.initial_state.amplitudes
-    win, abort = outcome_operators(target)
+    psi = np.array(strategy.initial_state.amplitudes)
+    win, abort = map(np.array, outcome_operators(target))
     exact = leaf_probabilities(build_tree(strategy, target))
     assert abs(exact[target] - np.vdot(psi, win @ psi).real) < 1e-12
     assert abs(exact[2] - np.vdot(psi, abort @ psi).real) < 1e-12
@@ -85,7 +85,7 @@ def test_leaf_masses_sum_to_one(tree):
     total = math.fsum(mass for mass, _ in leaves(tree))
     assert abs(total - 1.0) < 1e-12
     # Dead leaves (mass below 1e-12) count toward no outcome.
-    assert leaf_probabilities(tree).sum() == pytest.approx(total, abs=1e-12)
+    assert math.fsum(leaf_probabilities(tree)) == pytest.approx(total, abs=1e-12)
 
 
 @SETTINGS
