@@ -115,14 +115,14 @@ def _detection(a00, a01, a10, a11):
 def leaf_probabilities(tree: ProtocolTree) -> list[float]:
     """Exact probabilities of the run's three leaves: heads, tails, abort.
 
-    Each is the sum of the masses of the tree's leaves with that outcome;
-    a dead branch counts toward none of them.
+    Each is the correctly rounded sum of the masses of the tree's leaves
+    with that outcome; a dead branch counts toward none of them.
     """
-    sums = dict.fromkeys(ProtocolOutcome, 0.0)
+    masses = {outcome: [] for outcome in ProtocolOutcome}
     for mass, leaf in leaves(tree):
         if leaf.outcome is not None:
-            sums[leaf.outcome] += mass
-    return list(sums.values())
+            masses[leaf.outcome].append(mass)
+    return [math.fsum(parts) for parts in masses.values()]
 
 
 def exact_win_probability(
@@ -201,7 +201,7 @@ def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
         u = 1.0 - t
         a00, a01 = u * s00 + t * e00, u * s01 + t * e01
         a10, a11 = u * s10 + t * e10, u * s11 + t * e11
-        # The squares add left to right, as a row norm of the weights does.
+        # The squares add left to right: the scan goldens pin this order.
         norm = math.sqrt(a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11)
         a00, a01, a10, a11 = a00 / norm, a01 / norm, a10 / norm, a11 / norm
         return t, _objective(a00, a01, a10), _detection(a00, a01, a10, a11)
@@ -408,7 +408,7 @@ def monte_carlo(
         live = [i for i, mass in enumerate(masses) if mass > 0.0]
         counts, left = [0, 0, 0], trials
         for position, i in enumerate(live):
-            counts[i] = _binomial(rng, left, masses[i] / sum(masses[j] for j in live[position:]))
+            counts[i] = _binomial(rng, left, masses[i] / math.fsum(masses[j] for j in live[position:]))
             left -= counts[i]
     else:
         counts = _split_down_tree(tree, trials, rng)

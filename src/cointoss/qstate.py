@@ -10,10 +10,7 @@ leftmost (most significant) bit of a basis ket ``|q0 q1 ... q(n-1)>``.
 
 Amplitudes are a tuple of Python complex numbers, one per basis ket, and
 operations work on basis indices by bit arithmetic: five qubits, 32
-amplitudes, are not worth an array library's import. Sums and norms round
-as the array code that pinned the golden transcripts and sampled counts
-did (`_squares`, `_pairwise`, `_scaled`), and alike on every Python
-release, which the builtin `sum` of floats does not.
+amplitudes, are not worth an array library's import.
 """
 
 from __future__ import annotations
@@ -41,47 +38,18 @@ class StateVector(NamedTuple):
 
 
 def dot(left: Iterable, right: Iterable) -> float | complex:
-    """``sum(l * r)`` over the pairs, added left to right."""
-    total = 0.0
-    for a, b in zip(left, right):
-        total += a * b
-    return total
+    """``sum(l * r)`` over the pairs, correctly rounded by `math.fsum`; complex
+    terms sum their real and imaginary parts apart."""
+    terms = [a * b for a, b in zip(left, right)]
+    try:
+        return math.fsum(terms)
+    except TypeError:
+        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
-def _squares(parts: list[float]) -> float:
-    """The sum of squares in BLAS's strided ``ddot`` order: even and odd
-    positions in two running sums, each taking two of every four at once."""
-    even = odd = 0.0
-    whole = len(parts) - len(parts) % 4
-    for i in range(0, whole, 4):
-        even += parts[i] * parts[i] + parts[i + 2] * parts[i + 2]
-        odd += parts[i + 1] * parts[i + 1] + parts[i + 3] * parts[i + 3]
-    for x in parts[whole:]:
-        even += x * x
-    return even + odd
-
-
-def _norm(amplitudes: Sequence[complex]) -> float:
-    """The Euclidean norm: the real parts' squares, then the imaginary parts'."""
-    real, imag = [a.real for a in amplitudes], [a.imag for a in amplitudes]
-    return math.sqrt(_squares(real) + _squares(imag))
-
-
-def _scaled(amplitudes: Iterable[complex], norm: float) -> tuple[complex, ...]:
-    """`amplitudes` divided by `norm`, as products with its reciprocal."""
-    inverse = 1.0 / norm
-    return tuple(complex(a.real * inverse, a.imag * inverse) for a in amplitudes)
-
-
-def _pairwise(values: list[float]) -> float:
-    """The sum of a power of two of `values` in an array reduction's order:
-    below eight left to right, else eight running sums added as a tree."""
-    if len(values) < 8:
-        return dot(values, [1.0] * len(values))
-    sums = values[:8]
-    for i in range(8, len(values), 8):
-        sums = [x + y for x, y in zip(sums, values[i : i + 8])]
-    return ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+def _squared_norm(amplitudes: Iterable[complex]) -> float:
+    """The sum of the squared magnitudes, correctly rounded from the parts' squares."""
+    return math.fsum(x * x for a in amplitudes for x in (a.real, a.imag))
 
 
 def _mask(register: Sequence[str], label: str) -> int:
@@ -92,8 +60,8 @@ def _mask(register: Sequence[str], label: str) -> int:
 def make_state(register: Iterable[str], amplitudes: Iterable[complex]) -> StateVector:
     """Build a state from labels and amplitudes, divided by their exact norm."""
     amps = [complex(a) for a in amplitudes]
-    norm = _norm(amps)
-    return StateVector(register=tuple(register), amplitudes=_scaled(amps, norm))
+    norm = math.sqrt(_squared_norm(amps))
+    return StateVector(register=tuple(register), amplitudes=tuple(a / norm for a in amps))
 
 
 def bell_state(left: str, right: str) -> StateVector:
@@ -112,13 +80,12 @@ def tensor(left: StateVector, right: StateVector) -> StateVector:
 
 def branch_probabilities(state: StateVector, label: str) -> tuple[float, float]:
     """Exact probabilities of measuring `label` as 0 and 1 (no sampling)."""
-    # Runs of `mask` consecutive basis indices share the label's bit.
     mask = _mask(state.register, label)
-    weights = [m * m for m in map(abs, state.amplitudes)]
-    marginal = [0.0, 0.0]
-    for start in range(0, len(weights), mask):
-        marginal[start // mask & 1] += _pairwise(weights[start : start + mask])
-    return marginal[0], marginal[1]
+    amps = state.amplitudes
+    return (
+        _squared_norm(a for i, a in enumerate(amps) if not i & mask),
+        _squared_norm(a for i, a in enumerate(amps) if i & mask),
+    )
 
 
 def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector]:
@@ -130,10 +97,9 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     """
     mask = _mask(state.register, label)
     kept = [(i & mask != 0) == outcome for i in range(len(state.amplitudes))]
-    branch_norm = _norm([a for a, keep in zip(state.amplitudes, kept) if keep])
-    # Renormalize by the exactly computed branch norm, not an accumulated one.
-    posterior = [a if keep else 0j for a, keep in zip(state.amplitudes, kept)]
-    return branch_norm**2, StateVector(state.register, _scaled(posterior, branch_norm))
+    branch_norm = math.sqrt(_squared_norm(a for a, keep in zip(state.amplitudes, kept) if keep))
+    posterior = tuple(a / branch_norm if keep else 0j for a, keep in zip(state.amplitudes, kept))
+    return branch_norm**2, StateVector(state.register, posterior)
 
 
 def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
@@ -145,7 +111,7 @@ def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
     both = _mask(state.register, pair[0]) | _mask(state.register, pair[1])
     amps, half = state.amplitudes, 1.0 / math.sqrt(2.0)
     overlap = [(amps[i] + amps[i | both]) * half for i in range(len(amps)) if not i & both]
-    return _pairwise([m * m for m in map(abs, overlap)])
+    return _squared_norm(overlap)
 
 
 def _act(register: Sequence[str], labels: Sequence[str], matrix, amplitudes) -> list:

@@ -357,8 +357,12 @@ def parse_strategy_id(
             raise ValueError(f"coefficients must be finite, got {values}")
         if any(x < 0 for x in values):
             raise ValueError(f"coefficients must be nonnegative, got {values}")
-        # A huge weight's x * x is inf, which the check names; x ** 2 would raise.
-        total = dot(values, values)
+        # A huge weight's x * x is inf, which the check names; x ** 2 would
+        # raise, and so does fsum when finite squares sum past the largest float.
+        try:
+            total = dot(values, values)
+        except OverflowError:
+            total = math.inf
         if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:
             raise NotNormalizedError(
                 f"squared coefficients sum to {total!r}, expected 1 within 1e-10"

@@ -108,12 +108,14 @@ class TestExitCodes:
             "coefficients must be nonnegative, got [-0.5, 0.5, 0.5, 0.5]\n"
         )
 
-    def test_huge_coefficient_is_one_line_without_a_warning(self, capsys):
+    # A square that overflows, and finite squares whose sum does.
+    @pytest.mark.parametrize("weights", ["1e200,0,0,0", "1e154,1e154,0,0"])
+    def test_huge_coefficient_is_one_line_without_a_warning(self, capsys, weights):
         # The squared sum overflows to inf, which the check names, with no
         # warning or traceback around it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "bias", "--strategy", "coefficients:1e200,0,0,0")
+            code, out, err = run_cli(capsys, "bias", "--strategy", f"coefficients:{weights}")
         assert (code, out) == (EXIT_PARSE, "")
         assert err == (
             "cointoss: invalid configuration: "

@@ -263,6 +263,7 @@ class TestStrategyIdRoundTrip:
     )
     @example(["0.6", "0.8", "0", "0"])
     @example(["1e200", "0", "0", "0"])
+    @example(["1e154", "1e154", "0", "0"])
     def test_coefficient_weights_parse_or_raise_a_configuration_error(self, parts):
         # main maps each of these to exit 2 or 3 with one line; anything
         # else, such as an OverflowError from squaring a weight, would end

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ from cointoss.strategies import (
     measure_and_pick_bob,
     optimal_alice,
     parse_strategy_id,
+)
+from test_golden import REPORTS, TRANSCRIPTS
+
+# Every strategy id that a golden file pins.
+GOLDEN_IDS = sorted(
+    {argv[argv.index("--strategy") + 1] for _, argv in REPORTS + TRANSCRIPTS if "--strategy" in argv}
 )
 
 # Fixed examples, so every run of the suite checks the same cases.
@@ -86,6 +93,30 @@ def test_leaf_masses_sum_to_one(tree):
     assert abs(total - 1.0) < 1e-12
     # Dead leaves (mass below 1e-12) count toward no outcome.
     assert math.fsum(leaf_probabilities(tree)) == pytest.approx(total, abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [0, 1])
+@pytest.mark.parametrize("strategy_id", GOLDEN_IDS)
+def test_each_leaf_sum_is_correctly_rounded(strategy_id, target):
+    tree = build_tree(parse_strategy_id(strategy_id, target), target)
+    exact = dict.fromkeys(ProtocolOutcome, Fraction(0))
+    for mass, leaf in leaves(tree):
+        if leaf.outcome is not None:
+            exact[leaf.outcome] += Fraction(mass)
+    assert leaf_probabilities(tree) == [float(total) for total in exact.values()]
+
+
+def test_optimal_alice_coin_readings_are_the_floats_nearest_one_sixth_and_five_sixths():
+    # Against target 1, whichever pair Bob picks, he reads his coin qubit as
+    # 0 with chance 1/6 and as 1 with chance 5/6. Not every chance is the
+    # float nearest its rational: the weights' square roots and `collapse`'s
+    # square root and division still round.
+    tree = build_tree(optimal_alice(1), 1)
+    for choice in tree.root.children:
+        assert [reading.probability for reading in choice.children] == [
+            float(Fraction(1, 6)),
+            float(Fraction(5, 6)),
+        ]
 
 
 @SETTINGS
