@@ -17,17 +17,17 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from . import analysis
-from .protocol import walk
-from .qstate import NotNormalizedError
-from .strategies import (
+from . import (
+    InvariantViolationError,
+    NotNormalizedError,
     StrategyRegisterMismatchError,
     UnknownStrategyError,
-    parse_strategy_id,
+    analysis,
 )
 
 # The ~12k objects alive after these imports, ~500 of them this package's, live
 # until exit; frozen, they are walked by no later collection, the ones at exit included.
+# `dispatch` freezes again once it has loaded the modules that scan never needs.
 gc.freeze()
 
 REPORT_SCHEMA = "cointoss.report/2"
@@ -247,6 +247,20 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     """
     config = _config_mapping(args)
 
+    if args.command == "scan":
+        chunks = analysis.scan_chunks(args.steps)
+        header = _comment_lines(config, _CONSTANTS) + ["strategy,p_win,p_detect"]
+        return itertools.chain(["\n".join(header) + "\n"], analysis.scan_csv(chunks)), None
+
+    # Every other command builds a strategy or a tree. Their modules load
+    # here, on first use, and their import-time objects are frozen as the
+    # CLI's own are above.
+    first_use = "cointoss.protocol" not in sys.modules
+    from . import protocol, strategies
+
+    if first_use:
+        gc.freeze()
+
     if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
         if (
             args.out is not None
@@ -263,11 +277,13 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         result = analysis.monte_carlo(
             run_kind, tree, args.target, args.trials, args.seed, args.engine
         )
-        transcript = None if args.transcript is None else walk(tree, args.seed)[1].to_jsonl()
+        transcript = (
+            None if args.transcript is None else protocol.walk(tree, args.seed)[1].to_jsonl()
+        )
         return [_render(config, result, args.format)], transcript
 
     if args.command == "bias":
-        strategy = parse_strategy_id(args.strategy, args.target)
+        strategy = strategies.parse_strategy_id(args.strategy, args.target)
         result = analysis.exact_win_probability(strategy, args.target)
         return [_render(config, result, args.format)], None
 
@@ -275,12 +291,7 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         # --grid-resolution is echoed in the config and otherwise unused.
         return [_render(config, analysis.optimize_alice(), args.format)], None
 
-    if args.command == "scan":
-        chunks = analysis.scan_chunks(args.steps)
-        header = _comment_lines(config, _CONSTANTS) + ["strategy,p_win,p_detect"]
-        return itertools.chain(["\n".join(header) + "\n"], analysis.scan_csv(chunks)), None
-
-    raise analysis.InvariantViolationError(f"unhandled command {args.command!r}")
+    raise InvariantViolationError(f"unhandled command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -309,7 +320,7 @@ def main(argv=None) -> int:
     except (ValueError, NotNormalizedError, StrategyRegisterMismatchError) as exc:
         print(f"cointoss: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except analysis.InvariantViolationError as exc:
+    except InvariantViolationError as exc:
         print(f"cointoss: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK

@@ -16,11 +16,10 @@ amplitudes, are not worth an array library's import.
 from __future__ import annotations
 
 import math
+from operator import attrgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
-
-class NotNormalizedError(Exception):
-    """Squared weights do not sum to 1 within tolerance."""
+from . import NotNormalizedError  # noqa: F401  (exported here too)
 
 
 A1, B1, A2, B2 = "A1", "B1", "A2", "B2"
@@ -37,14 +36,23 @@ class StateVector(NamedTuple):
     amplitudes: tuple[complex, ...]
 
 
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
+
 def dot(left: Iterable, right: Iterable) -> float | complex:
     """``sum(l * r)`` over the pairs, correctly rounded by `math.fsum`; complex
-    terms sum their real and imaginary parts apart."""
-    terms = [a * b for a, b in zip(left, right)]
-    try:
-        return math.fsum(terms)
-    except TypeError:
-        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    terms sum their real and imaginary parts apart.
+
+    Terms that start complex skip `fsum`'s attempt on the whole list, which
+    would raise at the first of them.
+    """
+    terms = list(map(mul, left, right))
+    if not terms or type(terms[0]) is not complex:
+        try:
+            return math.fsum(terms)
+        except TypeError:  # a complex term after a real one
+            pass
+    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
 
 
 def _squared_norm(amplitudes: Iterable[complex]) -> float:

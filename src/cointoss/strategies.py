@@ -16,48 +16,11 @@ import functools
 import math
 from typing import Mapping, NamedTuple
 
-from .qstate import (
-    A1,
-    A2,
-    B1,
-    B2,
-    NotNormalizedError,
-    StateVector,
-    bob_ancilla,
-    dot,
-    make_state,
-)
+from . import NotNormalizedError, StrategyRegisterMismatchError, UnknownStrategyError  # noqa: F401
+from .analysis import AliceCoefficients
+from .qstate import A1, A2, B1, B2, StateVector, bob_ancilla, dot, make_state
 
 COEFFICIENT_NORM_ATOL = 1e-10
-
-
-class StrategyRegisterMismatchError(Exception):
-    """A run needs one party's strategy, and the id names the other's."""
-
-
-class UnknownStrategyError(Exception):
-    """A strategy identifier does not name any known strategy."""
-
-
-class AliceCoefficients(NamedTuple):
-    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
-
-    a00: float
-    a01: float
-    a10: float
-    a11: float
-
-    def flipped(self) -> "AliceCoefficients":
-        """Coefficients of the globally bit-flipped state (a_ij -> a_{!i!j})."""
-        return AliceCoefficients(self.a11, self.a10, self.a01, self.a00)
-
-    @classmethod
-    def honest(cls) -> "AliceCoefficients":
-        return cls(0.5, 0.5, 0.5, 0.5)
-
-    @classmethod
-    def optimal(cls) -> "AliceCoefficients":
-        return cls(math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0)
 
 
 class LocalOperation(NamedTuple):

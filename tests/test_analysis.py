@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss import analysis, cli, protocol, qstate
+from cointoss import analysis, cli, protocol, qstate, strategies
 from cointoss.analysis import (
     ANALYTIC_BOUND,
     KITAEV_REFERENCE,
@@ -217,6 +217,15 @@ class TestSensitivityScan:
         with pytest.raises(InvariantViolationError, match=r"at t=0\.5 sum past 1"):
             scan_chunks(7)
 
+    @pytest.mark.parametrize("steps", [7, analysis.SCAN_CHUNK, analysis.SCAN_CHUNK + 1])
+    def test_evaluates_each_point_once_within_the_first_chunk(self, monkeypatch, steps):
+        # The whole-path check keeps the first chunk's rows, and each later
+        # chunk is evaluated again as it is read.
+        calls, objective = itertools.count(), analysis._objective
+        monkeypatch.setattr(analysis, "_objective", lambda *w: (next(calls), objective(*w))[1])
+        assert sum(len(rows) for rows in scan_chunks(steps)) == steps
+        assert next(calls) == max(steps, 2 * steps - analysis.SCAN_CHUNK)
+
     def test_honest_endpoint_is_never_detected(self):
         assert scan_points(7)[2][0] == 0.0
 
@@ -253,8 +262,9 @@ class TestSensitivityScan:
 
             return wrapper
 
-        for name in ("build_tree", "aligned_strategy"):
-            monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
+        # `analysis` imports them where it calls them, from their own modules.
+        for module, name in ((protocol, "build_tree"), (strategies, "aligned_strategy")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         optimize_alice()
         exact_win_probability(optimal_alice(0), 0)
         assert set(calls) == {"build_tree", "aligned_strategy"}

@@ -538,8 +538,34 @@ class TestStartup:
         assert loaded == "[]\n"
 
     def test_cli_freezes_its_import_time_objects(self):
-        code = "import gc, cointoss.cli; print(gc.get_freeze_count() > 0)"
-        assert self.child(code) == "True\n"
+        # A command that loads the tree modules freezes their objects too.
+        code = (
+            "import contextlib, gc, io\n"
+            "from cointoss import cli\n"
+            "imported = gc.get_freeze_count()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['honest', '--trials', '1000'])\n"
+            "print(imported > 0, gc.get_freeze_count() > imported)"
+        )
+        assert self.child(code) == "True True\n"
+
+    def test_only_commands_that_build_a_tree_load_its_modules(self):
+        # The scan is closed forms alone: it, like --help, loads no module
+        # that builds a strategy or a tree; bias loads them when it runs.
+        code = (
+            "import contextlib, io, sys\n"
+            "from cointoss import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'cointoss')\n"
+            "print(loaded())\n"
+            "for argv in (['--help'], ['scan', '--steps', '7'], ['bias']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "        cli.main(argv)\n"
+            "    print(loaded())\n"
+        )
+        cli_only = ["cointoss", "cointoss.analysis", "cointoss.cli"]
+        trees = ["cointoss.protocol", "cointoss.qstate", "cointoss.strategies"]
+        assert self.child(code) == f"{cli_only}\n" * 3 + f"{cli_only + trees}\n"
 
     def test_no_command_loads_numpy(self, tmp_path):
         # The package computes with Python floats and complex numbers, so

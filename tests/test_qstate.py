@@ -19,6 +19,7 @@ from cointoss.qstate import (
     bell_pass_probability,
     branch_probabilities,
     collapse,
+    dot,
     embed,
     make_state,
     tensor,
@@ -281,3 +282,33 @@ def test_every_operation_matches_an_array_reference(case):
     np.testing.assert_allclose(
         tensor(state, extra).amplitudes, np.kron(psi.reshape(-1), [0.6, 0.8j]), atol=1e-12
     )
+
+
+def fsum_dot(left, right):
+    """`dot`'s rounding, written plainly: one `math.fsum` of the products, or,
+    when a product is complex, one of their real parts and one of their
+    imaginary parts."""
+    terms = [a * b for a, b in zip(left, right)]
+    try:
+        return math.fsum(terms)
+    except TypeError:
+        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+
+
+# Magnitudes up to 1e100, so no product or sum overflows.
+reals = st.floats(-1e100, 1e100)
+entries = st.one_of(reals, st.complex_numbers(max_magnitude=1e100, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.lists(st.tuples(reals, reals), max_size=16),
+        st.lists(st.tuples(entries, entries), max_size=16),
+    )
+)
+def test_dot_rounds_as_fsum_of_the_products(pairs):
+    left, right = [a for a, _ in pairs], [b for _, b in pairs]
+    # The same type and bits, a signed zero's sign included.
+    assert repr(dot(left, right)) == repr(fsum_dot(left, right))
+    assert repr(dot(iter(left), iter(right))) == repr(fsum_dot(left, right))
