@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import InvariantViolationError, StrategyRegisterMismatchError
@@ -147,7 +147,7 @@ def exact_win_probability(
     from .strategies import AliceCheatStrategy
 
     exact = leaf_probabilities(build_tree(strategy, target))
-    p_win = float(exact[target])
+    p_win = exact[target]
     if not (-1e-12 <= p_win <= ANALYTIC_BOUND + 1e-9):
         raise InvariantViolationError(
             f"win probability {p_win!r} escapes [0, bound] for {strategy.name}"
@@ -157,7 +157,7 @@ def exact_win_probability(
         "target": target,
         "strategy": strategy.name,
         "p_win_exact": p_win,
-        "p_abort_exact": float(exact[2]),
+        "p_abort_exact": exact[2],
         "epsilon": p_win - 0.5,
     }
 
@@ -195,23 +195,37 @@ def optimize_alice() -> dict:
     }
 
 
+def _form_sum() -> list[list[float]]:
+    """M + D as rows, polarized from q = `_objective` + `_detection` at four
+    unit vectors and six pair sums: q(e_i) on the diagonal, and
+    (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 off it."""
+    units = [[float(i == k) for i in range(4)] for k in range(4)]
+    q = [_objective(*u[:3]) + _detection(*u) for u in units]
+    form = [[q[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+    for i, j in combinations(range(4), 2):
+        x = [a + b for a, b in zip(units[i], units[j])]
+        form[i][j] = form[j][i] = (_objective(*x[:3]) + _detection(*x) - q[i] - q[j]) / 2.0
+    return form
+
+
 def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
     """(t, win, detection) rows along the honest-to-optimal path, by chunk.
 
     Linear interpolation from the honest to the optimal weights, renormalized
     at every step; t runs over ``linspace(0, 1, steps)``. Every point is
     an aligned strategy, whose win and detection probabilities against an
-    honest Bob are the closed forms `_objective` and `_detection`; a chunk
-    holds up to `SCAN_CHUNK` points. Takes 2 to 10**6 steps. The whole path
-    is checked before this returns, so a point whose probabilities sum past
-    1 raises here. The check keeps the first chunk's rows, which the
-    iterator returned yields as they are, and it evaluates each later chunk
-    again as it is read: memory stays O(SCAN_CHUNK), and a scan of up to
-    `SCAN_CHUNK` steps evaluates each point once.
+    honest Bob are the closed forms `_objective` and `_detection`. Each point
+    is evaluated once, as its chunk of up to `SCAN_CHUNK` points is read.
+    Takes 2 to 10**6 steps. One O(1) check before this returns bounds the
+    whole path: the top eigenvalue of M + D (`_form_sum`) must be at most 1,
+    so that win + detection <= 1 at every unit weight vector.
     """
-    # The cap bounds the time: printing 10**6 points takes about 2.5 s.
+    # The cap bounds the time: printing 10**6 points takes about 1.6 s.
     if not 2 <= steps <= 10**6:
         raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
+    top = _eigh(_form_sum())[0][-1]
+    if top > 1.0 + 1e-10:
+        raise InvariantViolationError(f"win + detection reaches {top!r} on a unit weight vector")
     s00, s01, s10, s11 = AliceCoefficients.honest()
     e00, e01, e10, e11 = AliceCoefficients.optimal()
     spacing = 1.0 / (steps - 1)
@@ -229,21 +243,7 @@ def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
     def chunk(first: int) -> list[tuple[float, float, float]]:
         return [point(i) for i in range(first, min(first + SCAN_CHUNK, steps))]
 
-    def chunks(head: list[tuple[float, float, float]]):
-        yield head
-        del head  # so the first chunk is freed once it is printed
-        yield from map(chunk, range(SCAN_CHUNK, steps, SCAN_CHUNK))
-
-    head = chunk(0)
-    # The points after the first chunk are checked one at a time, so no
-    # second chunk is held beside it.
-    for t, win, detect in chain(head, map(point, range(SCAN_CHUNK, steps))):
-        lose = 1.0 - win - detect
-        if lose < -1e-10:
-            raise InvariantViolationError(
-                f"branch probabilities at t={t} sum past 1 ({lose!r} residual)"
-            )
-    return chunks(head)
+    return map(chunk, range(0, steps, SCAN_CHUNK))
 
 
 def scan_csv(chunks: Iterable[list[tuple[float, float, float]]]) -> Iterator[str]:

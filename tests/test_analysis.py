@@ -210,21 +210,25 @@ class TestSensitivityScan:
         with pytest.raises(ValueError):
             scan_chunks(1)
 
-    def test_probabilities_past_one_name_the_first_bad_point(self, monkeypatch):
-        # From the fourth of seven points on, win + detect exceeds 1.
-        points = itertools.count()
-        monkeypatch.setattr(analysis, "_detection", lambda *_: 0.6 if next(points) >= 3 else 0.0)
-        with pytest.raises(InvariantViolationError, match=r"at t=0\.5 sum past 1"):
+    def test_forms_summing_past_one_raise_before_any_chunk(self, monkeypatch):
+        # 1.5 D lifts the top eigenvalue of M + D from 1 to 3/2.
+        detection = analysis._detection
+        monkeypatch.setattr(analysis, "_detection", lambda *w: 1.5 * detection(*w))
+        with pytest.raises(InvariantViolationError, match=r"^win \+ detection reaches 1\.5"):
             scan_chunks(7)
 
-    @pytest.mark.parametrize("steps", [7, analysis.SCAN_CHUNK, analysis.SCAN_CHUNK + 1])
-    def test_evaluates_each_point_once_within_the_first_chunk(self, monkeypatch, steps):
-        # The whole-path check keeps the first chunk's rows, and each later
-        # chunk is evaluated again as it is read.
-        calls, objective = itertools.count(), analysis._objective
-        monkeypatch.setattr(analysis, "_objective", lambda *w: (next(calls), objective(*w))[1])
-        assert sum(len(rows) for rows in scan_chunks(steps)) == steps
-        assert next(calls) == max(steps, 2 * steps - analysis.SCAN_CHUNK)
+    @pytest.mark.parametrize(
+        "steps", [7, analysis.SCAN_CHUNK, analysis.SCAN_CHUNK + 1, 3 * analysis.SCAN_CHUNK + 5]
+    )
+    def test_evaluates_each_point_once(self, monkeypatch, steps):
+        calls, objective = [], analysis._objective
+        monkeypatch.setattr(analysis, "_objective", lambda *w: (calls.append(w), objective(*w))[1])
+        chunks = scan_chunks(steps)
+        # The check's fixed calls, at the four unit vectors and six pair sums.
+        checked = len(calls)
+        assert checked == 10
+        assert sum(len(rows) for rows in chunks) == steps
+        assert len(calls) - checked == steps
 
     def test_honest_endpoint_is_never_detected(self):
         assert scan_points(7)[2][0] == 0.0

@@ -445,27 +445,27 @@ class TestOptimizeAndScan:
         assert out.endswith("\nstrategy,p_win,p_detect\n" + rows)
 
     @pytest.fixture
-    def last_chunk_past_one(self, monkeypatch):
-        # Only the one-point last chunk of a SCAN_CHUNK + 1 scan sums past 1:
-        # the path's last point, t = 1, is the only one with a11 = 0.
+    def forms_past_one(self, monkeypatch):
+        # a00**2 / 2 more detection lifts the top eigenvalue of M + D from 1
+        # to 3/2, at a00 = 1.
         detection = analysis._detection
-        monkeypatch.setattr(
-            analysis,
-            "_detection",
-            lambda *weights: detection(*weights) + (0.6 if weights[3] == 0.0 else 0.0),
-        )
+        monkeypatch.setattr(analysis, "_detection", lambda *w: detection(*w) + w[0] * w[0] / 2.0)
         return str(analysis.SCAN_CHUNK + 1)
 
-    def test_scan_checks_every_chunk_before_printing(self, capsys, last_chunk_past_one):
-        code, out, err = run_cli(capsys, "scan", "--steps", last_chunk_past_one)
+    def test_scan_checks_every_chunk_before_printing(self, capsys, forms_past_one):
+        code, out, err = run_cli(capsys, "scan", "--steps", forms_past_one)
         assert (code, out) == (EXIT_INVARIANT, "")
-        assert err.startswith("cointoss: internal invariant violation: branch probabilities at t=1.0 ")
+        assert re.fullmatch(
+            r"cointoss: internal invariant violation: win \+ detection reaches 1\.5\d* "
+            r"on a unit weight vector\n",
+            err,
+        )
 
     def test_scan_out_is_written_whole_or_not_at_all(
-        self, capsys, monkeypatch, tmp_path, last_chunk_past_one
+        self, capsys, monkeypatch, tmp_path, forms_past_one
     ):
         path = tmp_path / "scan.csv"
-        code, _, _ = run_cli(capsys, "scan", "--steps", last_chunk_past_one, "--out", str(path))
+        code, _, _ = run_cli(capsys, "scan", "--steps", forms_past_one, "--out", str(path))
         assert code == EXIT_INVARIANT
         monkeypatch.undo()
 
@@ -473,7 +473,7 @@ class TestOptimizeAndScan:
             raise OSError(errno.ENOSPC, "No space left on device", str(source))
 
         monkeypatch.setattr(os, "replace", failing_replace)
-        code, out, err = run_cli(capsys, "scan", "--steps", last_chunk_past_one, "--out", str(path))
+        code, out, err = run_cli(capsys, "scan", "--steps", forms_past_one, "--out", str(path))
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"cointoss: cannot write {path}: No space left on device\n"
         assert list(tmp_path.iterdir()) == []

@@ -22,7 +22,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import _aligned_forms, _detection, _objective, leaf_probabilities, optimize_alice
+from cointoss.analysis import (
+    _aligned_forms,
+    _detection,
+    _form_sum,
+    _objective,
+    leaf_probabilities,
+    optimize_alice,
+)
 from cointoss.protocol import build_tree, coin_labels, outcome_operators
 from cointoss.qstate import B1, B2, bob_ancilla, embed
 from cointoss.strategies import BobCheatStrategy, measure_and_pick_bob, parse_strategy_id
@@ -55,6 +62,15 @@ class TestClosedForms:
         assert abs(values[-1] - 0.75) < 1e-15
         np.testing.assert_allclose(top, argmax(optimize_alice()), atol=1e-15)
         assert _detection(*top) == pytest.approx(1 / 6, abs=1e-15)
+
+    def test_scan_check_reads_m_plus_d_which_never_passes_one(self):
+        # The scan's check polarizes the closed forms into M + D. Exactly,
+        # I - (M + D) = (v1 v1^T + v2 v2^T) / 4 is positive semidefinite, so
+        # 1 - win - detect = ((a01 + a11)^2 + (a10 + a11)^2) / 4 >= 0 at
+        # every unit weight vector, with equality at a00 = 1.
+        np.testing.assert_allclose(np.array(_form_sum()), M + D, rtol=0, atol=1e-15)
+        v1, v2 = sympy.Matrix([0, 1, 0, 1]), sympy.Matrix([0, 0, 1, 1])
+        assert sympy.eye(4) - exact(M + D) == (v1 * v1.T + v2 * v2.T) / 4
 
 
 def exact(matrix):
