@@ -1,13 +1,22 @@
 """Entanglement-based strong coin tossing: exact simulation and cheating analysis.
 
-The package root loads nothing else; import the submodules (``analysis``,
-``protocol``, ``qstate``, ``strategies``, ``cli``) directly. It defines the
-errors the CLI maps to exit codes, so that the CLI can catch them without
-loading the modules that raise them; ``qstate``, ``strategies`` and
-``analysis`` export them too.
+The package root loads no other module of the package; import the
+submodules (``analysis``, ``forms``, ``protocol``, ``qstate``,
+``random_bob``, ``strategies``, ``cli``) directly. It defines the errors the
+CLI maps to exit codes, and the two constants every report ends with, so
+that the CLI can catch and print them without loading the modules that
+raise or use them; ``qstate``, ``strategies`` and ``analysis`` export the
+errors too.
 """
 
+import math
+
 __version__ = "0.1.0"
+
+# Both parties are bounded by 3/4; the reference constant is the analytic
+# floor on the bias of any protocol of this kind, shown for comparison only.
+ANALYTIC_BOUND = 0.75
+KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
 
 
 class NotNormalizedError(Exception):

@@ -1,11 +1,11 @@
 """Exact cheating probabilities, the 3/4 bound, and Monte Carlo cross-checks.
 
-Cheating probabilities are computed two ways: quadratic forms for Alice's
-aligned family, restricted from `protocol.outcome_operators` (her win and
-detection probabilities; the optimum is the win form's top eigenvector, and
-the sensitivity scan evaluates both forms along a path), and sums over the
-leaves of the protocol's branch tree (every choice, coin outcome and
-verification branch with its exact probability). Monte Carlo
+Cheating probabilities are sums over the leaves of the protocol's branch
+tree (every choice, coin outcome and verification branch with its exact
+probability). For Alice's aligned family they are also the quadratic forms
+M and D, restricted here from `protocol.outcome_operators`: her optimum is
+the win form's top eigenvector. `forms` holds their closed-form evaluators
+and the sensitivity scan, which needs no tree. Monte Carlo
 sampling adds a statistical check: the protocol engine splits the trials
 down the tree by one binomial draw per chance node, at the first child's
 probability that a transcript's walk compares with, while the kernel engine
@@ -20,107 +20,24 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain, combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from . import InvariantViolationError, StrategyRegisterMismatchError
-
-# `protocol`, `qstate` and `strategies` load inside the functions that build
-# or read a strategy or a tree, so the scan, which needs none of them, and
-# the CLI's start-up pay for none of them.
-if TYPE_CHECKING:
-    from .protocol import Branch, ProtocolTree
-    from .strategies import AliceCheatStrategy, BobCheatStrategy
-
-# Both parties are bounded by 3/4; the reference constant is the analytic
-# floor on the bias of any protocol of this kind, shown for comparison only.
-ANALYTIC_BOUND = 0.75
-KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
+from . import ANALYTIC_BOUND, InvariantViolationError, StrategyRegisterMismatchError
+from .forms import _eigh
+from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaves, outcome_operators
+from .qstate import dot
+from .strategies import AliceCheatStrategy, BobCheatStrategy, aligned_strategy, parse_strategy_id
 
 # The --trials cap, int64's maximum: the documented range, which the
 # 2**63 - 1 tests and CI pin. `_binomial` itself draws larger counts too.
 _MAX_TRIALS = 2**63 - 1
 
-# The sensitivity scan evaluates and prints this many points at a time; a
-# chunk's floats and text take about 15 MB.
-SCAN_CHUNK = 32_768
-
-
-class AliceCoefficients(NamedTuple):
-    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
-
-    a00: float
-    a01: float
-    a10: float
-    a11: float
-
-    def flipped(self) -> "AliceCoefficients":
-        """Coefficients of the globally bit-flipped state (a_ij -> a_{!i!j})."""
-        return AliceCoefficients(self.a11, self.a10, self.a01, self.a00)
-
-    @classmethod
-    def honest(cls) -> "AliceCoefficients":
-        return cls(0.5, 0.5, 0.5, 0.5)
-
-    @classmethod
-    def optimal(cls) -> "AliceCoefficients":
-        return cls(math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0)
-
 
 def _aligned_forms() -> tuple[list[list[float]], list[list[float]]]:
     """M and D, as rows: `outcome_operators` at target 0 on the aligned kets,
     so the weights x = (a00, a01, a10, a11) win with x^T M x and abort with x^T D x."""
-    from .protocol import outcome_operators
-    from .strategies import aligned_strategy
-
     units = [[float(i == k) for i in range(4)] for k in range(4)]
     kets = [aligned_strategy(e).initial_state.amplitudes.index(1.0) for e in units]
     return tuple([[form[i][j] for j in kets] for i in kets] for form in outcome_operators(0))
-
-
-def _eigh(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """A small symmetric matrix's eigenvalues, ascending, and eigenvectors, as
-    rows, by cyclic Jacobi rotations: each zeroes one off-diagonal entry, and
-    ten sweeps leave a 4x4 matrix diagonal to rounding. A zero row and column
-    stay exactly zero, since no rotation touches them."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _sweep in range(10):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p][q] == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J and V <- V J, J the rotation by (c, s) in the (p, q) plane.
-                for rows in (a, v):
-                    for row in rows:
-                        row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-                a[p], a[q] = (
-                    [c * x - s * y for x, y in zip(a[p], a[q])],
-                    [s * x + c * y for x, y in zip(a[p], a[q])],
-                )
-    order = sorted(range(n), key=lambda i: a[i][i])
-    return [a[i][i] for i in order], [[row[i] for row in v] for i in order]
-
-
-def _objective(a00, a01, a10):
-    """x^T M x, Alice's success probability for target 0; accepts scalars or arrays."""
-    return (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
-
-
-def _detection(a00, a01, a10, a11):
-    """x^T D x, Alice's abort probability against an honest Bob; accepts scalars or arrays.
-
-    The abort mass of the coin pair's outcome i is ``(a_i0 - a_i1)^2 / 4``
-    when Bob picks pair 1, and of outcome j ``(a_0j - a_1j)^2 / 4`` when he
-    picks pair 2.
-    """
-    d0, d1, d2, d3 = a00 - a01, a10 - a11, a00 - a10, a01 - a11
-    return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
 
 
 def leaf_probabilities(tree: ProtocolTree) -> list[float]:
@@ -129,8 +46,6 @@ def leaf_probabilities(tree: ProtocolTree) -> list[float]:
     Each is the correctly rounded sum of the masses of the tree's leaves
     with that outcome; a dead branch counts toward none of them.
     """
-    from .protocol import ProtocolOutcome, leaves
-
     masses = {outcome: [] for outcome in ProtocolOutcome}
     for mass, leaf in leaves(tree):
         if leaf.outcome is not None:
@@ -143,9 +58,6 @@ def exact_win_probability(
 ) -> dict:
     """One strategy's exact win and abort mass, summed over its branch tree,
     as the `bias` report's result; epsilon is the win's excess over 1/2."""
-    from .protocol import build_tree
-    from .strategies import AliceCheatStrategy
-
     exact = leaf_probabilities(build_tree(strategy, target))
     p_win = exact[target]
     if not (-1e-12 <= p_win <= ANALYTIC_BOUND + 1e-9):
@@ -174,8 +86,6 @@ def optimize_alice() -> dict:
     argmax is canonicalized to ``a01 >= a10`` (the objective is symmetric
     under swapping them).
     """
-    from .qstate import dot
-
     objective, detection = _aligned_forms()
     values, vectors = _eigh(objective)
     a00, a01, a10, a11 = map(abs, vectors[-1])
@@ -195,67 +105,6 @@ def optimize_alice() -> dict:
     }
 
 
-def _form_sum() -> list[list[float]]:
-    """M + D as rows, polarized from q = `_objective` + `_detection` at four
-    unit vectors and six pair sums: q(e_i) on the diagonal, and
-    (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 off it."""
-    units = [[float(i == k) for i in range(4)] for k in range(4)]
-    q = [_objective(*u[:3]) + _detection(*u) for u in units]
-    form = [[q[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
-    for i, j in combinations(range(4), 2):
-        x = [a + b for a, b in zip(units[i], units[j])]
-        form[i][j] = form[j][i] = (_objective(*x[:3]) + _detection(*x) - q[i] - q[j]) / 2.0
-    return form
-
-
-def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
-    """(t, win, detection) rows along the honest-to-optimal path, by chunk.
-
-    Linear interpolation from the honest to the optimal weights, renormalized
-    at every step; t runs over ``linspace(0, 1, steps)``. Every point is
-    an aligned strategy, whose win and detection probabilities against an
-    honest Bob are the closed forms `_objective` and `_detection`. Each point
-    is evaluated once, as its chunk of up to `SCAN_CHUNK` points is read.
-    Takes 2 to 10**6 steps. One O(1) check before this returns bounds the
-    whole path: the top eigenvalue of M + D (`_form_sum`) must be at most 1,
-    so that win + detection <= 1 at every unit weight vector.
-    """
-    # The cap bounds the time: printing 10**6 points takes about 1.6 s.
-    if not 2 <= steps <= 10**6:
-        raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
-    top = _eigh(_form_sum())[0][-1]
-    if top > 1.0 + 1e-10:
-        raise InvariantViolationError(f"win + detection reaches {top!r} on a unit weight vector")
-    s00, s01, s10, s11 = AliceCoefficients.honest()
-    e00, e01, e10, e11 = AliceCoefficients.optimal()
-    spacing = 1.0 / (steps - 1)
-
-    def point(i: int) -> tuple[float, float, float]:
-        t = 1.0 if i == steps - 1 else i * spacing
-        u = 1.0 - t
-        a00, a01 = u * s00 + t * e00, u * s01 + t * e01
-        a10, a11 = u * s10 + t * e10, u * s11 + t * e11
-        # The squares add left to right: the scan goldens pin this order.
-        norm = math.sqrt(a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11)
-        a00, a01, a10, a11 = a00 / norm, a01 / norm, a10 / norm, a11 / norm
-        return t, _objective(a00, a01, a10), _detection(a00, a01, a10, a11)
-
-    def chunk(first: int) -> list[tuple[float, float, float]]:
-        return [point(i) for i in range(first, min(first + SCAN_CHUNK, steps))]
-
-    return map(chunk, range(0, steps, SCAN_CHUNK))
-
-
-def scan_csv(chunks: Iterable[list[tuple[float, float, float]]]) -> Iterator[str]:
-    """The scan's CSV rows, one string per chunk.
-
-    Each row reads ``path:t=<t>,<p_win>,<p_detect>`` with `format_value`'s
-    12 significant digits; one %-format per chunk keeps printing fast.
-    """
-    for rows in chunks:
-        yield ("path:t=%.6f,%.12g,%.12g\n" * len(rows)) % tuple(chain.from_iterable(rows))
-
-
 def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[str, ProtocolTree]:
     """The run kind and branch tree of the runs `monte_carlo` samples, and
     that a transcript walks.
@@ -264,9 +113,6 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     ``honest`` is an all-honest run, any other id a run against the party
     whose strategy it names.
     """
-    from .protocol import build_tree
-    from .strategies import AliceCheatStrategy, parse_strategy_id
-
     if run_kind == "honest" or (run_kind is None and strategy_id == "honest"):
         return "honest", build_tree(None, None)
     strategy = parse_strategy_id(strategy_id, target)
@@ -392,8 +238,6 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
     since a multinomial over the leaves factorizes into these conditional
     binomials.
     """
-    from .protocol import ProtocolOutcome
-
     counts = dict.fromkeys(ProtocolOutcome, 0)
 
     def split(node: Branch, runs: int) -> None:
@@ -467,28 +311,3 @@ def monte_carlo(
         "win_standard_error": standard_error(win_frequency),
         "abort_standard_error": standard_error(abort_frequency),
     }
-
-
-# ---------------------------------------------------------------------------
-# Report serialization: flat key-value lines, and CSV tables for the scan
-# and optimizer outputs. Probabilities carry 12 significant digits.
-# ---------------------------------------------------------------------------
-
-
-def format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
-    """The table's CSV lines; a field holding a comma, such as a
-    ``coefficients:`` strategy id, is quoted as RFC 4180 says."""
-    import csv  # only tabular reports use it; the CLI starts without it
-    import io
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(format_value, row) for row in rows)
-    return out.getvalue().splitlines()

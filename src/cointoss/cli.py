@@ -15,28 +15,26 @@ import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import (
+    ANALYTIC_BOUND,
+    KITAEV_REFERENCE,
     InvariantViolationError,
     NotNormalizedError,
     StrategyRegisterMismatchError,
     UnknownStrategyError,
-    analysis,
 )
 
-# The ~12k objects alive after these imports, ~500 of them this package's, live
+# The ~12k objects alive after these imports, ~80 of them this package's, live
 # until exit; frozen, they are walked by no later collection, the ones at exit included.
-# `dispatch` freezes again once it has loaded the modules that scan never needs.
+# `dispatch` freezes again once it has loaded the modules that build a tree.
 gc.freeze()
 
 REPORT_SCHEMA = "cointoss.report/2"
 
 # Every report ends with these, and the scan's header lists them.
-_CONSTANTS = {
-    "analytic_bound": analysis.ANALYTIC_BOUND,
-    "kitaev_reference": analysis.KITAEV_REFERENCE,
-}
+_CONSTANTS = {"analytic_bound": ANALYTIC_BOUND, "kitaev_reference": KITAEV_REFERENCE}
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -157,22 +155,42 @@ def _config_mapping(args: argparse.Namespace) -> dict:
     return config
 
 
+def format_value(value) -> str:
+    """A report value: a float with 12 significant digits, anything else by `str`."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """The table's CSV lines; a field holding a comma, such as a
+    ``coefficients:`` strategy id, is quoted as RFC 4180 says."""
+    import csv  # only tabular reports use it; the CLI starts without it
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(format_value, row) for row in rows)
+    return out.getvalue().splitlines()
+
+
 def _render(config: dict, result: dict, output_format: str) -> str:
     result = {**result, **_CONSTANTS}
     if output_format == "structured":
         lines = [f"schema: {REPORT_SCHEMA}"]
-        lines += [f"config.{k}: {analysis.format_value(v)}" for k, v in config.items()]
-        lines += [f"result.{k}: {analysis.format_value(v)}" for k, v in result.items()]
+        lines += [f"config.{k}: {format_value(v)}" for k, v in config.items()]
+        lines += [f"result.{k}: {format_value(v)}" for k, v in result.items()]
         return "\n".join(lines) + "\n"
     lines = _comment_lines(config)
-    lines += analysis.csv_lines(list(result.keys()), [list(result.values())])
+    lines += csv_lines(list(result.keys()), [list(result.values())])
     return "\n".join(lines) + "\n"
 
 
 def _comment_lines(config: dict, constants: dict | None = None) -> list[str]:
     lines = [f"# schema: {REPORT_SCHEMA}"]
-    lines += [f"# config.{k}: {analysis.format_value(v)}" for k, v in config.items()]
-    lines += [f"# {k}: {analysis.format_value(v)}" for k, v in (constants or {}).items()]
+    lines += [f"# config.{k}: {format_value(v)}" for k, v in config.items()]
+    lines += [f"# {k}: {format_value(v)}" for k, v in (constants or {}).items()]
     return lines
 
 
@@ -248,15 +266,17 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     config = _config_mapping(args)
 
     if args.command == "scan":
-        chunks = analysis.scan_chunks(args.steps)
+        from . import forms  # the closed forms alone: no strategy, no tree
+
+        chunks = forms.scan_chunks(args.steps)
         header = _comment_lines(config, _CONSTANTS) + ["strategy,p_win,p_detect"]
-        return itertools.chain(["\n".join(header) + "\n"], analysis.scan_csv(chunks)), None
+        return itertools.chain(["\n".join(header) + "\n"], forms.scan_csv(chunks)), None
 
     # Every other command builds a strategy or a tree. Their modules load
     # here, on first use, and their import-time objects are frozen as the
     # CLI's own are above.
-    first_use = "cointoss.protocol" not in sys.modules
-    from . import protocol, strategies
+    first_use = "cointoss.analysis" not in sys.modules
+    from . import analysis, protocol, strategies
 
     if first_use:
         gc.freeze()

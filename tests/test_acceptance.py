@@ -8,18 +8,11 @@ import time
 
 import numpy as np
 
-from cointoss.analysis import (
-    ANALYTIC_BOUND,
-    _objective,
-    exact_win_probability,
-    monte_carlo,
-    optimize_alice,
-    resolve_run,
-    scan_chunks,
-)
+from cointoss import ANALYTIC_BOUND
+from cointoss.analysis import exact_win_probability, monte_carlo, optimize_alice, resolve_run
+from cointoss.forms import AliceCoefficients, _objective, scan_chunks
 from cointoss.protocol import outcome_operators
 from cointoss.strategies import (
-    AliceCoefficients,
     coefficient_strategy,
     honest_alice,
     measure_and_pick_bob,

@@ -10,29 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss import analysis, cli, protocol, qstate, strategies
+from cointoss import ANALYTIC_BOUND, KITAEV_REFERENCE, analysis, cli, forms, protocol, qstate
 from cointoss.analysis import (
-    ANALYTIC_BOUND,
-    KITAEV_REFERENCE,
     InvariantViolationError,
     _aligned_forms,
     _binomial,
-    _detection,
-    _objective,
-    csv_lines,
     exact_win_probability,
-    format_value,
     monte_carlo,
     optimize_alice,
     resolve_run,
-    scan_chunks,
-    scan_csv,
 )
+from cointoss.cli import csv_lines, format_value
+from cointoss.forms import AliceCoefficients, _detection, _objective, scan_chunks, scan_csv
 from cointoss.protocol import ZERO_ATOL
 from cointoss.qstate import A1, A2, B1, B2, make_state
 from cointoss.strategies import (
     AliceCheatStrategy,
-    AliceCoefficients,
     StrategyRegisterMismatchError,
     UnknownStrategyError,
     aligned_strategy,
@@ -212,17 +205,17 @@ class TestSensitivityScan:
 
     def test_forms_summing_past_one_raise_before_any_chunk(self, monkeypatch):
         # 1.5 D lifts the top eigenvalue of M + D from 1 to 3/2.
-        detection = analysis._detection
-        monkeypatch.setattr(analysis, "_detection", lambda *w: 1.5 * detection(*w))
+        detection = forms._detection
+        monkeypatch.setattr(forms, "_detection", lambda *w: 1.5 * detection(*w))
         with pytest.raises(InvariantViolationError, match=r"^win \+ detection reaches 1\.5"):
             scan_chunks(7)
 
     @pytest.mark.parametrize(
-        "steps", [7, analysis.SCAN_CHUNK, analysis.SCAN_CHUNK + 1, 3 * analysis.SCAN_CHUNK + 5]
+        "steps", [7, forms.SCAN_CHUNK, forms.SCAN_CHUNK + 1, 3 * forms.SCAN_CHUNK + 5]
     )
     def test_evaluates_each_point_once(self, monkeypatch, steps):
-        calls, objective = [], analysis._objective
-        monkeypatch.setattr(analysis, "_objective", lambda *w: (calls.append(w), objective(*w))[1])
+        calls, objective = [], forms._objective
+        monkeypatch.setattr(forms, "_objective", lambda *w: (calls.append(w), objective(*w))[1])
         chunks = scan_chunks(steps)
         # The check's fixed calls, at the four unit vectors and six pair sums.
         checked = len(calls)
@@ -266,9 +259,9 @@ class TestSensitivityScan:
 
             return wrapper
 
-        # `analysis` imports them where it calls them, from their own modules.
-        for module, name in ((protocol, "build_tree"), (strategies, "aligned_strategy")):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        # `analysis` calls them by the names it imports; `forms` imports neither.
+        for name in ("build_tree", "aligned_strategy"):
+            monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
         optimize_alice()
         exact_win_probability(optimal_alice(0), 0)
         assert set(calls) == {"build_tree", "aligned_strategy"}

@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 import cointoss
-from cointoss import analysis
-from cointoss.analysis import format_value
+from cointoss import forms
 from cointoss.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNKNOWN_STRATEGY,
     build_parser,
+    format_value,
     main,
 )
-from cointoss.strategies import AliceCoefficients
+from cointoss.forms import AliceCoefficients
 
 
 SUBCOMMANDS = ("honest", "cheat-alice", "cheat-bob", "bias", "montecarlo", "optimize", "scan")
@@ -429,15 +429,15 @@ class TestOptimizeAndScan:
 
     # The array expressions are the reference the plain loop must match byte
     # for byte: a one-point last chunk, and a path over four chunks.
-    @pytest.mark.parametrize("steps", [analysis.SCAN_CHUNK + 1, 10**5])
+    @pytest.mark.parametrize("steps", [forms.SCAN_CHUNK + 1, 10**5])
     def test_scan_matches_row_by_row_rendering_across_chunks(self, capsys, steps):
         code, out, _ = run_cli(capsys, "scan", "--steps", str(steps))
         assert code == EXIT_OK
         t = np.linspace(0.0, 1.0, steps)
         raw = np.outer(1.0 - t, [0.5, 0.5, 0.5, 0.5]) + np.outer(t, AliceCoefficients.optimal())
         a00, a01, a10, a11 = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).T
-        win = analysis._objective(a00, a01, a10)
-        detect = analysis._detection(a00, a01, a10, a11)
+        win = forms._objective(a00, a01, a10)
+        detect = forms._detection(a00, a01, a10, a11)
         rows = "".join(
             f"path:t={u:.6f},{format_value(w)},{format_value(d)}\n"
             for u, w, d in zip(t.tolist(), win.tolist(), detect.tolist())
@@ -448,9 +448,9 @@ class TestOptimizeAndScan:
     def forms_past_one(self, monkeypatch):
         # a00**2 / 2 more detection lifts the top eigenvalue of M + D from 1
         # to 3/2, at a00 = 1.
-        detection = analysis._detection
-        monkeypatch.setattr(analysis, "_detection", lambda *w: detection(*w) + w[0] * w[0] / 2.0)
-        return str(analysis.SCAN_CHUNK + 1)
+        detection = forms._detection
+        monkeypatch.setattr(forms, "_detection", lambda *w: detection(*w) + w[0] * w[0] / 2.0)
+        return str(forms.SCAN_CHUNK + 1)
 
     def test_scan_checks_every_chunk_before_printing(self, capsys, forms_past_one):
         code, out, err = run_cli(capsys, "scan", "--steps", forms_past_one)
@@ -550,22 +550,31 @@ class TestStartup:
         assert self.child(code) == "True True\n"
 
     def test_only_commands_that_build_a_tree_load_its_modules(self):
-        # The scan is closed forms alone: it, like --help, loads no module
-        # that builds a strategy or a tree; bias loads them when it runs.
+        # Each command in turn, in one child: the scan is closed forms alone,
+        # and only a random-bob id compiles the generator that draws it.
+        runs = [
+            (["--help"], []),
+            (["scan", "--steps", "7"], ["forms"]),
+            (["bias"], ["analysis", "protocol", "qstate", "strategies"]),
+            (["bias", "--strategy", "random-bob:7"], ["random_bob"]),
+        ]
         code = (
             "import contextlib, io, sys\n"
             "from cointoss import cli\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'cointoss')\n"
             "print(loaded())\n"
-            "for argv in (['--help'], ['scan', '--steps', '7'], ['bias']):\n"
+            f"for argv in {[argv for argv, _ in runs]!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
             "        cli.main(argv)\n"
             "    print(loaded())\n"
         )
-        cli_only = ["cointoss", "cointoss.analysis", "cointoss.cli"]
-        trees = ["cointoss.protocol", "cointoss.qstate", "cointoss.strategies"]
-        assert self.child(code) == f"{cli_only}\n" * 3 + f"{cli_only + trees}\n"
+        expected = ["cointoss", "cointoss.cli"]
+        lines = [f"{expected}\n"]
+        for _, added in runs:
+            expected = sorted(expected + [f"cointoss.{m}" for m in added])
+            lines.append(f"{expected}\n")
+        assert self.child(code) == "".join(lines)
 
     def test_no_command_loads_numpy(self, tmp_path):
         # The package computes with Python floats and complex numbers, so

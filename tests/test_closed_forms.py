@@ -2,7 +2,7 @@
 
 `protocol.outcome_operators` gives Alice's win and abort operators on
 (A1, B1, A2, B2); `analysis._aligned_forms` restricts them to the aligned
-kets as M and D, and `analysis._objective` and `analysis._detection` are
+kets as M and D, and `forms._objective` and `forms._detection` are
 the expanded quadratic forms x^T M x and x^T D x. The win operator's
 spectrum bounds every Alice state by 3/4.
 
@@ -22,14 +22,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import (
-    _aligned_forms,
-    _detection,
-    _form_sum,
-    _objective,
-    leaf_probabilities,
-    optimize_alice,
-)
+from cointoss.analysis import _aligned_forms, leaf_probabilities, optimize_alice
+from cointoss.forms import _detection, _form_sum, _objective
 from cointoss.protocol import build_tree, coin_labels, outcome_operators
 from cointoss.qstate import B1, B2, bob_ancilla, embed
 from cointoss.strategies import BobCheatStrategy, measure_and_pick_bob, parse_strategy_id

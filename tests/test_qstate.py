@@ -25,7 +25,8 @@ from cointoss.qstate import (
     tensor,
 )
 from cointoss.protocol import ZERO_ATOL
-from cointoss.strategies import haar_unitary, optimal_alice
+from cointoss.random_bob import haar_unitary
+from cointoss.strategies import optimal_alice
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 

@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from cointoss import analysis, protocol, qstate, strategies
+from cointoss import analysis, forms, protocol, qstate, random_bob, strategies
 
 ALICE = strategies.optimal_alice(0)
 BOB = strategies.parse_strategy_id("random-bob:7")
@@ -13,7 +13,7 @@ TREE = protocol.build_tree(ALICE, 0)
 # (module, record class, a function making one, a field to assign).
 RECORDS = [
     (qstate, "StateVector", lambda: ALICE.initial_state, "amplitudes"),
-    (analysis, "AliceCoefficients", analysis.AliceCoefficients.optimal, "a00"),
+    (forms, "AliceCoefficients", forms.AliceCoefficients.optimal, "a00"),
     (strategies, "LocalOperation", lambda: BOB.operation, "matrix"),
     (strategies, "AliceCheatStrategy", lambda: ALICE, "name"),
     (strategies, "BobCheatStrategy", lambda: BOB, "announce_rule"),
@@ -29,7 +29,7 @@ def test_every_record_is_listed():
     # Every NamedTuple the package defines is a record.
     defined = {
         (module, name)
-        for module in (analysis, protocol, qstate, strategies)
+        for module in (analysis, forms, protocol, qstate, random_bob, strategies)
         for name, value in vars(module).items()
         if inspect.isclass(value)
         and issubclass(value, tuple)

@@ -16,19 +16,17 @@ from cointoss.qstate import (
     bell_state,
     tensor,
 )
+from cointoss.forms import AliceCoefficients
+from cointoss.random_bob import _DefaultRng, haar_unitary, random_bob_strategy
 from cointoss.strategies import (
     AliceCheatStrategy,
-    AliceCoefficients,
     BobCheatStrategy,
     UnknownStrategyError,
-    _DefaultRng,
     coefficient_strategy,
-    haar_unitary,
     honest_alice,
     measure_and_pick_bob,
     optimal_alice,
     parse_strategy_id,
-    random_bob_strategy,
 )
 
 

@@ -19,11 +19,11 @@ from cointoss.protocol import (
     sample_path,
     walk,
 )
+from cointoss.forms import AliceCoefficients
 from cointoss.qstate import make_state
 from cointoss.strategies import (
     ALICE_CORE,
     AliceCheatStrategy,
-    AliceCoefficients,
     aligned_strategy,
     coefficient_strategy,
     measure_and_pick_bob,
