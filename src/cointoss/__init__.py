@@ -6,7 +6,8 @@ submodules (``analysis``, ``forms``, ``protocol``, ``qstate``,
 CLI maps to exit codes, and the two constants every report ends with, so
 that the CLI can catch and print them without loading the modules that
 raise or use them; ``qstate``, ``strategies`` and ``analysis`` export the
-errors too.
+errors too. It also holds Alice's honest and optimal weights, which both
+``forms`` and ``strategies`` read, so that neither module loads the other.
 """
 
 import math
@@ -17,6 +18,11 @@ __version__ = "0.1.0"
 # floor on the bias of any protocol of this kind, shown for comparison only.
 ANALYTIC_BOUND = 0.75
 KITAEV_REFERENCE = 1.0 / math.sqrt(2.0) - 0.5
+
+# Alice's weights (a00, a01, a10, a11) on her four aligned branches: the
+# honest preparation, and the optimum that wins with 3/4.
+HONEST_WEIGHTS = (0.5, 0.5, 0.5, 0.5)
+OPTIMAL_WEIGHTS = (math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0)
 
 
 class NotNormalizedError(Exception):

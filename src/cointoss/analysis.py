@@ -2,16 +2,15 @@
 
 Cheating probabilities are sums over the leaves of the protocol's branch
 tree (every choice, coin outcome and verification branch with its exact
-probability). For Alice's aligned family they are also the quadratic forms
-M and D, restricted here from `protocol.outcome_operators`: her optimum is
-the win form's top eigenvector. `forms` holds their closed-form evaluators
-and the sensitivity scan, which needs no tree. Monte Carlo
-sampling adds a statistical check: the protocol engine splits the trials
-down the tree by one binomial draw per chance node, at the first child's
-probability that a transcript's walk compares with, while the kernel engine
-draws all trials' counts in one multinomial sample from the summed leaf
-probabilities. Neither cost grows with the number of trials, and neither
-counts a run on a dead branch, whose chance `protocol` snapped to exactly 0.
+probability). For Alice's aligned family they are also two quadratic forms
+in her four weights; `forms` holds them, her optimum and the sensitivity
+scan, none of which needs a tree. Monte Carlo sampling adds a statistical
+check: the protocol engine splits the trials down the tree by one binomial
+draw per chance node, at the first child's probability that a transcript's
+walk compares with, while the kernel engine draws all trials' counts in one
+multinomial sample from the summed leaf probabilities. Neither cost grows
+with the number of trials, and neither counts a run on a dead branch, whose
+chance `protocol` snapped to exactly 0.
 Every draw reads `random.Random(seed).random()`, a stream that Python
 keeps the same across releases, through the one sampler `_binomial`.
 """
@@ -22,22 +21,12 @@ import math
 import random
 
 from . import ANALYTIC_BOUND, InvariantViolationError, StrategyRegisterMismatchError
-from .forms import _eigh
-from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaves, outcome_operators
-from .qstate import dot
-from .strategies import AliceCheatStrategy, BobCheatStrategy, aligned_strategy, parse_strategy_id
+from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaves
+from .strategies import AliceCheatStrategy, BobCheatStrategy, parse_strategy_id
 
 # The --trials cap, int64's maximum: the documented range, which the
 # 2**63 - 1 tests and CI pin. `_binomial` itself draws larger counts too.
 _MAX_TRIALS = 2**63 - 1
-
-
-def _aligned_forms() -> tuple[list[list[float]], list[list[float]]]:
-    """M and D, as rows: `outcome_operators` at target 0 on the aligned kets,
-    so the weights x = (a00, a01, a10, a11) win with x^T M x and abort with x^T D x."""
-    units = [[float(i == k) for i in range(4)] for k in range(4)]
-    kets = [aligned_strategy(e).initial_state.amplitudes.index(1.0) for e in units]
-    return tuple([[form[i][j] for j in kets] for i in kets] for form in outcome_operators(0))
 
 
 def leaf_probabilities(tree: ProtocolTree) -> list[float]:
@@ -71,37 +60,6 @@ def exact_win_probability(
         "p_win_exact": p_win,
         "p_abort_exact": exact[2],
         "epsilon": p_win - 0.5,
-    }
-
-
-def optimize_alice() -> dict:
-    """Maximize the win probability over the nonnegative unit sphere, in closed form.
-
-    The objective is ``x^T M x``. M is nonnegative, so by Perron-Frobenius
-    its top eigenvalue is the maximum and its top eigenvector, taken
-    entrywise nonnegative, attains it: 3/4 at (sqrt(2/3), sqrt(1/6),
-    sqrt(1/6), 0). The `optimize` report's result certifies itself with the
-    residual ``||M x - value x||``, the gap to the next eigenvalue (1/2, so
-    the optimum is unique) and the detection probability there (1/6). The
-    argmax is canonicalized to ``a01 >= a10`` (the objective is symmetric
-    under swapping them).
-    """
-    objective, detection = _aligned_forms()
-    values, vectors = _eigh(objective)
-    a00, a01, a10, a11 = map(abs, vectors[-1])
-    if a01 < a10:
-        a01, a10 = a10, a01
-    x, value = [a00, a01, a10, a11], values[-1]
-    error = [dot(row, x) - value * xi for row, xi in zip(objective, x)]
-    return {
-        "value": value,
-        "argmax.a00": a00,
-        "argmax.a01": a01,
-        "argmax.a10": a10,
-        "argmax.a11": a11,
-        "residual": math.sqrt(dot(error, error)),
-        "spectral_gap": values[-1] - values[-2],
-        "p_detect": dot(x, [dot(row, x) for row in detection]),
     }
 
 

@@ -81,8 +81,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"cointoss: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser; a missing --seed parses to None, for `main` to fill in."""
+def _strategy(default: str) -> tuple:
+    return ("--strategy", {"default": default})
+
+
+_TARGET = ("--target", {"type": int, "choices": (0, 1), "default": 0})
+_RUNS = (
+    ("--trials", {"type": int, "default": 100_000}),
+    ("--engine", {"choices": ("kernel", "protocol"), "default": "kernel"}),
+    (
+        "--transcript",
+        {"metavar": "PATH", "help": "also write the JSONL transcript of one run with this seed"},
+    ),
+)
+
+# Each subcommand's help and its own options, in the order --help lists them;
+# every subcommand then takes --seed, --format and --out.
+_COMMANDS = {
+    "honest": ("honest runs", (_TARGET, *_RUNS)),
+    "cheat-alice": ("runs with a cheating Alice", (_strategy("optimal-alice"), _TARGET, *_RUNS)),
+    "cheat-bob": ("runs with a cheating Bob", (_strategy("measure-and-pick"), _TARGET, *_RUNS)),
+    "bias": ("exact win/abort probabilities", (_strategy("optimal-alice"), _TARGET)),
+    "montecarlo": (
+        "sampled frequencies vs exact values",
+        (_strategy("optimal-alice"), _TARGET, *_RUNS),
+    ),
+    "optimize": (
+        "maximize Alice's objective",
+        (("--grid-resolution", {"type": int, "default": 100}),),
+    ),
+    "scan": ("honest-to-optimal sensitivity scan", (("--steps", {"type": int, "default": 50}),)),
+}
+_COMMON = (
+    ("--seed", {"type": _seed}),
+    ("--format", {"choices": ("structured", "tabular"), "default": "structured"}),
+    ("--out", {"metavar": "PATH"}),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; a missing --seed parses to None, for `main` to fill in.
+
+    Given one subcommand's name, only that subcommand's parser is built: it
+    parses that subcommand's argv as the whole parser does. Any other
+    `command` builds all of them, as --help and the errors list them.
+    """
     parser = _Parser(
         prog="cointoss",
         description="Entanglement-based strong coin tossing: simulation and cheating analysis.",
@@ -90,59 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub, strategy_default=None, with_trials=False):
-        if strategy_default is not None:
-            sub.add_argument("--strategy", default=strategy_default)
-        sub.add_argument("--target", type=int, choices=(0, 1), default=0)
-        if with_trials:
-            sub.add_argument("--trials", type=int, default=100_000)
-            sub.add_argument(
-                "--engine", choices=("kernel", "protocol"), default="kernel"
-            )
-            sub.add_argument(
-                "--transcript",
-                metavar="PATH",
-                default=None,
-                help="also write the JSONL transcript of one run with this seed",
-            )
-        sub.add_argument("--seed", type=_seed)
-        sub.add_argument("--format", choices=("structured", "tabular"), default="structured")
-        sub.add_argument("--out", metavar="PATH", default=None)
-
-    add_common(subparsers.add_parser("honest", help="honest runs"), with_trials=True)
-    add_common(
-        subparsers.add_parser("cheat-alice", help="runs with a cheating Alice"),
-        strategy_default="optimal-alice",
-        with_trials=True,
-    )
-    add_common(
-        subparsers.add_parser("cheat-bob", help="runs with a cheating Bob"),
-        strategy_default="measure-and-pick",
-        with_trials=True,
-    )
-    add_common(
-        subparsers.add_parser("bias", help="exact win/abort probabilities"),
-        strategy_default="optimal-alice",
-    )
-    add_common(
-        subparsers.add_parser("montecarlo", help="sampled frequencies vs exact values"),
-        strategy_default="optimal-alice",
-        with_trials=True,
-    )
-
-    optimize = subparsers.add_parser("optimize", help="maximize Alice's objective")
-    optimize.add_argument("--grid-resolution", type=int, default=100)
-    optimize.add_argument("--seed", type=_seed)
-    optimize.add_argument("--format", choices=("structured", "tabular"), default="structured")
-    optimize.add_argument("--out", metavar="PATH", default=None)
-
-    scan = subparsers.add_parser("scan", help="honest-to-optimal sensitivity scan")
-    scan.add_argument("--steps", type=int, default=50)
-    scan.add_argument("--seed", type=_seed)
-    scan.add_argument("--format", choices=("structured", "tabular"), default="structured")
-    scan.add_argument("--out", metavar="PATH", default=None)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, options = _COMMANDS[name]
+        sub = subparsers.add_parser(name, help=help_text)
+        for flag, keywords in options + _COMMON:
+            sub.add_argument(flag, **keywords)
     return parser
 
 
@@ -265,9 +260,12 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     """
     config = _config_mapping(args)
 
-    if args.command == "scan":
+    if args.command in ("optimize", "scan"):
         from . import forms  # the closed forms alone: no strategy, no tree
 
+        if args.command == "optimize":
+            # --grid-resolution is echoed in the config and otherwise unused.
+            return [_render(config, forms.optimize_alice(), args.format)], None
         chunks = forms.scan_chunks(args.steps)
         header = _comment_lines(config, _CONSTANTS) + ["strategy,p_win,p_detect"]
         return itertools.chain(["\n".join(header) + "\n"], forms.scan_csv(chunks)), None
@@ -307,15 +305,12 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         result = analysis.exact_win_probability(strategy, args.target)
         return [_render(config, result, args.format)], None
 
-    if args.command == "optimize":
-        # --grid-resolution is echoed in the config and otherwise unused.
-        return [_render(config, analysis.optimize_alice(), args.format)], None
-
     raise InvariantViolationError(f"unhandled command {args.command!r}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if args.seed is None:
         # An explicit --seed wins, so a bad COINTOSS_SEED cannot stop it.
         try:

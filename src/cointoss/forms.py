@@ -1,46 +1,28 @@
-"""Alice's closed forms, and the sensitivity scan that evaluates them.
+"""Alice's closed forms: her optimum, and the sensitivity scan that evaluates them.
 
 In her four aligned weights x = (a00, a01, a10, a11), Alice wins against an
-honest Bob with ``x^T M x`` and is detected with ``x^T D x``; `analysis`
-restricts M and D from `protocol.outcome_operators`, and `_objective` and
-`_detection` are their expanded evaluators. The scan evaluates both along
-the path from the honest weights to the optimal ones, one chunk at a time,
-behind one O(1) check that M + D never passes 1. It needs no strategy and
-no tree, so this module loads only the package root.
+honest Bob with ``x^T M x`` and is detected with ``x^T D x``. `_objective`
+and `_detection` are those forms expanded, and `_polarize` reads M and D
+back off them; the tests check that both equal, entry for entry, the
+protocol's win and abort operators restricted to the aligned kets. Her
+optimum is M's top eigenvector. The scan evaluates both forms along the
+path from the honest weights to the optimal ones, one chunk at a time,
+behind one O(1) check that M + D never passes 1. Neither needs a strategy
+or a tree, so this module loads only the package root.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple
+from operator import mul
+from typing import Callable, Iterable, Iterator
 
-from . import InvariantViolationError
+from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, InvariantViolationError
 
 # The sensitivity scan evaluates and prints this many points at a time; a
 # chunk's floats and text take about 15 MB.
 SCAN_CHUNK = 32_768
-
-
-class AliceCoefficients(NamedTuple):
-    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
-
-    a00: float
-    a01: float
-    a10: float
-    a11: float
-
-    def flipped(self) -> "AliceCoefficients":
-        """Coefficients of the globally bit-flipped state (a_ij -> a_{!i!j})."""
-        return AliceCoefficients(self.a11, self.a10, self.a01, self.a00)
-
-    @classmethod
-    def honest(cls) -> "AliceCoefficients":
-        return cls(0.5, 0.5, 0.5, 0.5)
-
-    @classmethod
-    def optimal(cls) -> "AliceCoefficients":
-        return cls(math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0)
 
 
 def _eigh(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
@@ -72,8 +54,9 @@ def _eigh(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     return [a[i][i] for i in order], [[row[i] for row in v] for i in order]
 
 
-def _objective(a00, a01, a10):
-    """x^T M x, Alice's success probability for target 0; accepts scalars or arrays."""
+def _objective(a00, a01, a10, a11=0.0):
+    """x^T M x, Alice's success probability for target 0; accepts scalars or
+    arrays. a11 does not enter it."""
     return (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
 
 
@@ -88,17 +71,48 @@ def _detection(a00, a01, a10, a11):
     return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
 
 
-def _form_sum() -> list[list[float]]:
-    """M + D as rows, polarized from q = `_objective` + `_detection` at four
-    unit vectors and six pair sums: q(e_i) on the diagonal, and
-    (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 off it."""
+def _polarize(q: Callable[..., float]) -> list[list[float]]:
+    """The symmetric matrix of the quadratic form `q` on the four weights, as
+    rows, polarized at four unit vectors and six pair sums: q(e_i) on the
+    diagonal, and (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 off it."""
     units = [[float(i == k) for i in range(4)] for k in range(4)]
-    q = [_objective(*u[:3]) + _detection(*u) for u in units]
-    form = [[q[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+    diagonal = [q(*u) for u in units]
+    form = [[diagonal[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
     for i, j in combinations(range(4), 2):
         x = [a + b for a, b in zip(units[i], units[j])]
-        form[i][j] = form[j][i] = (_objective(*x[:3]) + _detection(*x) - q[i] - q[j]) / 2.0
+        form[i][j] = form[j][i] = (q(*x) - diagonal[i] - diagonal[j]) / 2.0
     return form
+
+
+def optimize_alice() -> dict:
+    """Maximize the win probability over the nonnegative unit sphere, in closed form.
+
+    The objective is ``x^T M x``. M is nonnegative, so by Perron-Frobenius
+    its top eigenvalue is the maximum and its top eigenvector, taken
+    entrywise nonnegative, attains it: 3/4 at (sqrt(2/3), sqrt(1/6),
+    sqrt(1/6), 0). The `optimize` report's result certifies itself with the
+    residual ``||M x - value x||``, the gap to the next eigenvalue (1/2, so
+    the optimum is unique) and the detection probability there (1/6). The
+    argmax is canonicalized to ``a01 >= a10`` (the objective is symmetric
+    under swapping them). Every sum of products is correctly rounded.
+    """
+    objective, detection = _polarize(_objective), _polarize(_detection)
+    values, vectors = _eigh(objective)
+    a00, a01, a10, a11 = map(abs, vectors[-1])
+    if a01 < a10:
+        a01, a10 = a10, a01
+    x, value = [a00, a01, a10, a11], values[-1]
+    error = [math.fsum(map(mul, row, x)) - value * xi for row, xi in zip(objective, x)]
+    return {
+        "value": value,
+        "argmax.a00": a00,
+        "argmax.a01": a01,
+        "argmax.a10": a10,
+        "argmax.a11": a11,
+        "residual": math.sqrt(math.fsum(map(mul, error, error))),
+        "spectral_gap": values[-1] - values[-2],
+        "p_detect": math.fsum(map(mul, x, [math.fsum(map(mul, row, x)) for row in detection])),
+    }
 
 
 def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
@@ -110,17 +124,18 @@ def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
     honest Bob are the closed forms `_objective` and `_detection`. Each point
     is evaluated once, as its chunk of up to `SCAN_CHUNK` points is read.
     Takes 2 to 10**6 steps. One O(1) check before this returns bounds the
-    whole path: the top eigenvalue of M + D (`_form_sum`) must be at most 1,
-    so that win + detection <= 1 at every unit weight vector.
+    whole path: the top eigenvalue of M + D, polarized from the sum of the
+    closed forms, must be at most 1, so that win + detection <= 1 at every
+    unit weight vector.
     """
     # The cap bounds the time: printing 10**6 points takes about 1.6 s.
     if not 2 <= steps <= 10**6:
         raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
-    top = _eigh(_form_sum())[0][-1]
+    top = _eigh(_polarize(lambda *x: _objective(*x) + _detection(*x)))[0][-1]
     if top > 1.0 + 1e-10:
         raise InvariantViolationError(f"win + detection reaches {top!r} on a unit weight vector")
-    s00, s01, s10, s11 = AliceCoefficients.honest()
-    e00, e01, e10, e11 = AliceCoefficients.optimal()
+    s00, s01, s10, s11 = HONEST_WEIGHTS
+    e00, e01, e10, e11 = OPTIMAL_WEIGHTS
     spacing = 1.0 / (steps - 1)
 
     def chunk(first: int) -> list[tuple[float, float, float]]:

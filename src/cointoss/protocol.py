@@ -30,7 +30,6 @@ from .qstate import (
     bob_ancilla,
     branch_probabilities,
     collapse,
-    embed,
     make_state,
     tensor,
 )
@@ -93,29 +92,6 @@ def coin_labels(choice: int) -> tuple[str, str]:
 def verification_labels(choice: int) -> tuple[str, str]:
     """(Alice's, Bob's) halves of the pair left over for verification."""
     return (A2, B2) if choice == 1 else (A1, B1)
-
-
-def outcome_operators(target: int) -> tuple[list[list[float]], list[list[float]]]:
-    """Alice's win and abort operators (W, Q) on `ALICE_CORE` against an honest Bob, as rows.
-
-    Her state psi there wins with <psi|W|psi> and aborts with <psi|Q|psi>:
-    for each choice, at chance 1/2, Bob's coin qubit reads `target` and the
-    verification pair passes the check against ``(|00>+|11>)/sqrt(2)``,
-    whose projector is built with entries of exactly 0 and 1/2, so every
-    entry of W and Q is exact.
-    """
-    reading = [[1.0 - target, 0.0], [0.0, float(target)]]
-    bell = [[0.5, 0.0, 0.0, 0.5], [0.0] * 4, [0.0] * 4, [0.5, 0.0, 0.0, 0.5]]
-    win, abort = [[0.0] * 16 for _ in range(16)], [[0.0] * 16 for _ in range(16)]
-    for c in (1, 2):
-        check = embed(ALICE_CORE, verification_labels(c), bell)
-        # Bob's reading is diagonal, so it scales the check's rows.
-        kept = embed(ALICE_CORE, coin_labels(c)[1:], reading)
-        for i in range(16):
-            for j in range(16):
-                win[i][j] += kept[i][i] * check[i][j] / 2.0
-                abort[i][j] += (float(i == j) - check[i][j]) / 2.0
-    return win, abort
 
 
 # A transcript record before numbering: (sender, kind, payload, probability).

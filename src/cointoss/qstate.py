@@ -122,35 +122,22 @@ def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
     return _squared_norm(overlap)
 
 
-def _act(register: Sequence[str], labels: Sequence[str], matrix, amplitudes) -> list:
-    """`matrix` on the qubits `labels` of `register`, applied to `amplitudes`.
+def apply_unitary(state: StateVector, labels: Sequence[str], matrix) -> StateVector:
+    """Apply a ``2^k x 2^k`` unitary, given as rows, to the k qubits named by `labels`.
 
     Each basis index with the labels' bits clear starts one block: the
     ``2^k`` indices that set those bits as the matrix's rows order them.
     """
-    masks = [_mask(register, label) for label in labels]
+    masks = [_mask(state.register, label) for label in labels]
     offsets = [
         sum(m for j, m in enumerate(masks) if row >> (len(masks) - 1 - j) & 1)
         for row in range(len(matrix))
     ]
+    amplitudes = state.amplitudes
     out = [0j] * len(amplitudes)
     for base in range(len(amplitudes)):
         if not base & offsets[-1]:
             block = [amplitudes[base | offset] for offset in offsets]
             for row, offset in zip(matrix, offsets):
                 out[base | offset] = dot(row, block)
-    return out
-
-
-def apply_unitary(state: StateVector, labels: Sequence[str], matrix) -> StateVector:
-    """Apply a ``2^k x 2^k`` unitary, given as rows, to the k qubits named by `labels`."""
-    result = _act(state.register, labels, matrix, state.amplitudes)
-    return StateVector(register=state.register, amplitudes=tuple(result))
-
-
-def embed(register: Sequence[str], labels: Sequence[str], matrix) -> list[list]:
-    """The operator on `register` that is `matrix` on `labels` and the identity
-    elsewhere, as rows: `matrix` applied to each basis ket gives a column."""
-    size = 2 ** len(register)
-    basis = [[float(i == j) for i in range(size)] for j in range(size)]
-    return [list(row) for row in zip(*(_act(register, labels, matrix, ket) for ket in basis))]
+    return StateVector(register=state.register, amplitudes=tuple(out))

@@ -3,7 +3,7 @@
 A cheating Alice is the global state she prepares over ``A1, B1, A2, B2``;
 after Bob's choice she sends her half of the unchosen pair, as the
 protocol's step 4 says. Every Alice strategy an id names is aligned: four
-branch weights on those qubits.
+branch weights on those qubits, an `AliceCoefficients`.
 Bob's cheating strategies are a local operation on ``{B1, B2,
 AncillaB[i]...}``, a set of qubits he measures, and a rule mapping the
 classical result to the pair he announces; his verdict is always "pass",
@@ -16,11 +16,32 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple
 
+from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS
 from . import NotNormalizedError, StrategyRegisterMismatchError, UnknownStrategyError  # noqa: F401
-from .forms import AliceCoefficients
 from .qstate import A1, A2, B1, B2, StateVector, dot, make_state
 
 COEFFICIENT_NORM_ATOL = 1e-10
+
+
+class AliceCoefficients(NamedTuple):
+    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
+
+    a00: float
+    a01: float
+    a10: float
+    a11: float
+
+    def flipped(self) -> "AliceCoefficients":
+        """Coefficients of the globally bit-flipped state (a_ij -> a_{!i!j})."""
+        return AliceCoefficients(self.a11, self.a10, self.a01, self.a00)
+
+    @classmethod
+    def honest(cls) -> "AliceCoefficients":
+        return cls(*HONEST_WEIGHTS)
+
+    @classmethod
+    def optimal(cls) -> "AliceCoefficients":
+        return cls(*OPTIMAL_WEIGHTS)
 
 
 class LocalOperation(NamedTuple):

@@ -9,17 +9,17 @@ import time
 import numpy as np
 
 from cointoss import ANALYTIC_BOUND
-from cointoss.analysis import exact_win_probability, monte_carlo, optimize_alice, resolve_run
-from cointoss.forms import AliceCoefficients, _objective, scan_chunks
-from cointoss.protocol import outcome_operators
+from cointoss.analysis import exact_win_probability, monte_carlo, resolve_run
+from cointoss.forms import _objective, optimize_alice, scan_chunks
 from cointoss.strategies import (
+    AliceCoefficients,
     coefficient_strategy,
     honest_alice,
     measure_and_pick_bob,
     optimal_alice,
 )
 
-from test_closed_forms import BOB_DUALS, bob_povm, bob_readings, povm_win
+from test_closed_forms import BOB_DUALS, bob_povm, bob_readings, outcome_operators, povm_win
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:

@@ -10,22 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss import ANALYTIC_BOUND, KITAEV_REFERENCE, analysis, cli, forms, protocol, qstate
+from cointoss import (
+    ANALYTIC_BOUND,
+    KITAEV_REFERENCE,
+    analysis,
+    cli,
+    forms,
+    protocol,
+    qstate,
+    strategies,
+)
 from cointoss.analysis import (
     InvariantViolationError,
-    _aligned_forms,
     _binomial,
     exact_win_probability,
     monte_carlo,
-    optimize_alice,
     resolve_run,
 )
 from cointoss.cli import csv_lines, format_value
-from cointoss.forms import AliceCoefficients, _detection, _objective, scan_chunks, scan_csv
+from cointoss.forms import _detection, _objective, optimize_alice, scan_chunks, scan_csv
 from cointoss.protocol import ZERO_ATOL
 from cointoss.qstate import A1, A2, B1, B2, make_state
 from cointoss.strategies import (
     AliceCheatStrategy,
+    AliceCoefficients,
     StrategyRegisterMismatchError,
     UnknownStrategyError,
     aligned_strategy,
@@ -34,7 +42,7 @@ from cointoss.strategies import (
     parse_strategy_id,
 )
 
-from test_closed_forms import HONEST_BOB
+from test_closed_forms import HONEST_BOB, _aligned_forms
 
 
 unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
@@ -259,13 +267,14 @@ class TestSensitivityScan:
 
             return wrapper
 
-        # `analysis` calls them by the names it imports; `forms` imports neither.
-        for name in ("build_tree", "aligned_strategy"):
-            monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
-        optimize_alice()
+        # Each is called by the name its module imports or defines; `forms`
+        # imports neither.
+        for module, name in ((analysis, "build_tree"), (strategies, "aligned_strategy")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         exact_win_probability(optimal_alice(0), 0)
         assert set(calls) == {"build_tree", "aligned_strategy"}
         calls.clear()
+        optimize_alice()
         assert sum(len(rows) for rows in scan_chunks(1000)) == 1000
         assert calls == []
 

@@ -23,10 +23,24 @@ from cointoss.cli import (
     format_value,
     main,
 )
-from cointoss.forms import AliceCoefficients
+from cointoss.strategies import AliceCoefficients
 
 
 SUBCOMMANDS = ("honest", "cheat-alice", "cheat-bob", "bias", "montecarlo", "optimize", "scan")
+
+# Each subcommand's own options, each set away from its default; every
+# subcommand also takes `COMMON_OPTIONS`.
+RUN_OPTIONS = "--target 1 --trials 5000 --engine protocol --transcript t"
+OWN_OPTIONS = {
+    "honest": RUN_OPTIONS,
+    "cheat-alice": "--strategy honest " + RUN_OPTIONS,
+    "cheat-bob": "--strategy random-bob:7 " + RUN_OPTIONS,
+    "bias": "--strategy measure-and-pick --target 1",
+    "montecarlo": "--strategy honest " + RUN_OPTIONS,
+    "optimize": "--grid-resolution 5",
+    "scan": "--steps 7",
+}
+COMMON_OPTIONS = "--seed 3 --format tabular --out o"
 
 
 def run_cli(capsys, *argv):
@@ -518,7 +532,8 @@ class TestUnwritableStdout:
 
 
 class TestStartup:
-    """What importing the package and the CLI loads and sets, in a fresh child."""
+    """What importing the package and the CLI loads and sets, mostly in a
+    fresh child, and the parser each command builds."""
 
     @staticmethod
     def child(code: str, **env_vars: str) -> str:
@@ -576,6 +591,27 @@ class TestStartup:
             lines.append(f"{expected}\n")
         assert self.child(code) == "".join(lines)
 
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            (["optimize"], ["forms"]),
+            (["bias"], ["analysis", "protocol", "qstate", "strategies"]),
+        ],
+        ids=["optimize", "bias"],
+    )
+    def test_command_loads_only_its_own_modules(self, argv, added):
+        # Each in a fresh child: optimize is closed forms alone, and a tree
+        # command builds its strategy without the closed forms.
+        code = (
+            "import contextlib, io, sys\n"
+            "from cointoss import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'cointoss'))\n"
+        )
+        loaded = sorted(["cointoss", "cointoss.cli"] + [f"cointoss.{m}" for m in added])
+        assert self.child(code) == f"{EXIT_OK} {loaded}\n"
+
     def test_no_command_loads_numpy(self, tmp_path):
         # The package computes with Python floats and complex numbers, so
         # no command pays numpy's import: about 120 ms and 12 MB of peak RSS.
@@ -605,3 +641,26 @@ class TestStartup:
         probe = "import sys, {}; print(sorted({{'dataclasses', 'json'}} & set(sys.modules)))"
         baseline = self.child(probe.format("argparse"))
         assert self.child(probe.format("cointoss.cli")) == baseline
+
+    # `main` builds only the subcommand that argv names: it parses as the
+    # whole parser does.
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_one_subcommand_parses_as_all_of_them(self, command, sample):
+        argv = [command] + (f"{OWN_OPTIONS[command]} {COMMON_OPTIONS}".split() if sample else [])
+        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_one_subcommand_helps_as_all_of_them(self, capsys, command):
+        texts = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: cointoss {command} [-h]")
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"]])
+    def test_any_other_argv_builds_every_subcommand(self, argv):
+        usage = build_parser(argv[0] if argv else None).format_usage()
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in usage

@@ -1,10 +1,11 @@
 """Exact checks of both parties' 3/4 bounds, and Alice's closed forms.
 
-`protocol.outcome_operators` gives Alice's win and abort operators on
-(A1, B1, A2, B2); `analysis._aligned_forms` restricts them to the aligned
-kets as M and D, and `forms._objective` and `forms._detection` are
-the expanded quadratic forms x^T M x and x^T D x. The win operator's
-spectrum bounds every Alice state by 3/4.
+`outcome_operators` gives Alice's win and abort operators on
+(A1, B1, A2, B2); `_aligned_forms` restricts them to the aligned kets as M
+and D, and `forms._objective` and `forms._detection` are the expanded
+quadratic forms x^T M x and x^T D x. `optimize` and the scan read M and D
+back off those forms alone, so the tree's operators are their certificate.
+The win operator's spectrum bounds every Alice state by 3/4.
 
 Bob faces an honest Alice, so his whole strategy is a two-outcome POVM
 {E_1, E_2} on the qubits (B1, B2) she sends, and he wins with
@@ -22,11 +23,57 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import _aligned_forms, leaf_probabilities, optimize_alice
-from cointoss.forms import _detection, _form_sum, _objective
-from cointoss.protocol import build_tree, coin_labels, outcome_operators
-from cointoss.qstate import B1, B2, bob_ancilla, embed
-from cointoss.strategies import BobCheatStrategy, measure_and_pick_bob, parse_strategy_id
+from cointoss.analysis import leaf_probabilities
+from cointoss.forms import _detection, _objective, _polarize, optimize_alice
+from cointoss.protocol import build_tree, coin_labels, verification_labels
+from cointoss.qstate import B1, B2, bob_ancilla
+from cointoss.strategies import (
+    ALICE_CORE,
+    BobCheatStrategy,
+    aligned_strategy,
+    measure_and_pick_bob,
+    parse_strategy_id,
+)
+
+
+def embed(register, labels, matrix):
+    """The operator on `register` that is `matrix` on the wires `labels` and
+    the identity elsewhere; register position 0 is a ket's leftmost bit."""
+    n, k = len(register), len(labels)
+    positions = [register.index(label) for label in labels]
+    rest = [i for i in range(n) if i not in positions]
+    operator = np.kron(np.asarray(matrix), np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    axes = np.argsort(positions + rest).tolist()
+    return operator.transpose(axes + [n + a for a in axes]).reshape(2**n, 2**n)
+
+
+def outcome_operators(target):
+    """Alice's win and abort operators (W, Q) on `ALICE_CORE` against an honest Bob.
+
+    Her state psi there wins with <psi|W|psi> and aborts with <psi|Q|psi>:
+    for each choice, at chance 1/2, Bob's coin qubit reads `target` and the
+    verification pair passes the check against ``(|00>+|11>)/sqrt(2)``. The
+    wires are the ones the tree reads, and every entry is a multiple of 1/4,
+    exactly.
+    """
+    reading = np.diag([1.0 - target, float(target)])
+    bell = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]) / 2.0
+    win, abort = np.zeros((16, 16)), np.zeros((16, 16))
+    for c in (1, 2):
+        check = embed(ALICE_CORE, verification_labels(c), bell)
+        kept = embed(ALICE_CORE, coin_labels(c)[1:], reading)
+        win += kept @ check / 2.0
+        abort += (np.eye(16) - check) / 2.0
+    return win, abort
+
+
+def _aligned_forms() -> tuple[list[list[float]], list[list[float]]]:
+    """M and D, as rows: `outcome_operators` at target 0 on the aligned kets,
+    so the weights x = (a00, a01, a10, a11) win with x^T M x and abort with x^T D x."""
+    units = [[float(i == k) for i in range(4)] for k in range(4)]
+    kets = [aligned_strategy(e).initial_state.amplitudes.index(1.0) for e in units]
+    return tuple(form[np.ix_(kets, kets)].tolist() for form in outcome_operators(0))
+
 
 M, D = map(np.array, _aligned_forms())
 
@@ -47,6 +94,13 @@ class TestClosedForms:
         assert abs(x @ M @ x - _objective(*x[:3])) < 1e-15
         assert abs(x @ D @ x - _detection(*x)) < 1e-15
 
+    def test_polarized_closed_forms_are_the_tree_operators_exactly(self):
+        # `optimize` reads M and D off the closed forms, not off the tree:
+        # entry for entry, both are the tree's operators.
+        objective, detection = _aligned_forms()
+        assert _polarize(_objective) == objective
+        assert _polarize(_detection) == detection
+
     def test_top_eigenvalue_certifies_three_quarters(self):
         # M is nonnegative, so by Perron-Frobenius its top eigenvalue is the
         # objective's maximum over the nonnegative unit sphere, attained at
@@ -58,11 +112,12 @@ class TestClosedForms:
         assert _detection(*top) == pytest.approx(1 / 6, abs=1e-15)
 
     def test_scan_check_reads_m_plus_d_which_never_passes_one(self):
-        # The scan's check polarizes the closed forms into M + D. Exactly,
-        # I - (M + D) = (v1 v1^T + v2 v2^T) / 4 is positive semidefinite, so
-        # 1 - win - detect = ((a01 + a11)^2 + (a10 + a11)^2) / 4 >= 0 at
-        # every unit weight vector, with equality at a00 = 1.
-        np.testing.assert_allclose(np.array(_form_sum()), M + D, rtol=0, atol=1e-15)
+        # The scan's check polarizes the sum of the closed forms into M + D,
+        # entry for entry. Exactly, I - (M + D) = (v1 v1^T + v2 v2^T) / 4 is
+        # positive semidefinite, so 1 - win - detect = ((a01 + a11)^2 +
+        # (a10 + a11)^2) / 4 >= 0 at every unit weight vector, with equality
+        # at a00 = 1.
+        assert _polarize(lambda *x: _objective(*x) + _detection(*x)) == (M + D).tolist()
         v1, v2 = sympy.Matrix([0, 1, 0, 1]), sympy.Matrix([0, 0, 1, 1])
         assert sympy.eye(4) - exact(M + D) == (v1 * v1.T + v2 * v2.T) / 4
 
@@ -92,13 +147,13 @@ def bob_povm(bob):
     k = bob.ancilla_count
     register = (B1, B2) + tuple(bob_ancilla(i) for i in range(k))
     identity, operation = np.eye(2 ** len(register)), bob.operation
-    unitary = identity if operation is None else np.array(embed(register, operation.labels, operation.matrix))
+    unitary = identity if operation is None else embed(register, operation.labels, operation.matrix)
     isometry = unitary[:, [i << k for i in range(4)]]
     povm = {c: np.zeros((4, 4), complex) for c in (1, 2)}
     for result in itertools.product((0, 1), repeat=len(bob.measured)):
         projector = identity
         for label, bit in zip(bob.measured, result):
-            projector = projector @ np.array(embed(register, (label,), np.diag([1.0 - bit, float(bit)])))
+            projector = projector @ embed(register, (label,), np.diag([1.0 - bit, float(bit)]))
         povm[bob.announce(result)] += isometry.conj().T @ projector @ isometry
     return povm
 
@@ -107,7 +162,7 @@ def bob_readings(target):
     """{c: A_c} on (B1, B2), where an honest Alice leaves I/4: her coin qubit
     of pair c reads `target` exactly when Bob's half of that pair would."""
     reading = np.diag([1.0 - target, float(target)])
-    return {c: np.array(embed((B1, B2), coin_labels(c)[1:], reading)) / 4.0 for c in (1, 2)}
+    return {c: embed((B1, B2), coin_labels(c)[1:], reading) / 4.0 for c in (1, 2)}
 
 
 def povm_win(povm, target):

@@ -20,13 +20,14 @@ from cointoss.qstate import (
     branch_probabilities,
     collapse,
     dot,
-    embed,
     make_state,
     tensor,
 )
 from cointoss.protocol import ZERO_ATOL
 from cointoss.random_bob import haar_unitary
 from cointoss.strategies import optimal_alice
+
+from test_closed_forms import embed
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 

@@ -16,10 +16,10 @@ from cointoss.qstate import (
     bell_state,
     tensor,
 )
-from cointoss.forms import AliceCoefficients
 from cointoss.random_bob import _DefaultRng, haar_unitary, random_bob_strategy
 from cointoss.strategies import (
     AliceCheatStrategy,
+    AliceCoefficients,
     BobCheatStrategy,
     UnknownStrategyError,
     coefficient_strategy,

@@ -15,21 +15,21 @@ from cointoss.protocol import (
     ProtocolOutcome,
     build_tree,
     leaves,
-    outcome_operators,
     sample_path,
     walk,
 )
-from cointoss.forms import AliceCoefficients
 from cointoss.qstate import make_state
 from cointoss.strategies import (
     ALICE_CORE,
     AliceCheatStrategy,
+    AliceCoefficients,
     aligned_strategy,
     coefficient_strategy,
     measure_and_pick_bob,
     optimal_alice,
     parse_strategy_id,
 )
+from test_closed_forms import outcome_operators
 from test_golden import REPORTS, TRANSCRIPTS
 
 # Every strategy id that a golden file pins.
