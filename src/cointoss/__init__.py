@@ -5,9 +5,9 @@ submodules (``analysis``, ``forms``, ``protocol``, ``qstate``,
 ``random_bob``, ``strategies``, ``cli``) directly. It defines the errors the
 CLI maps to exit codes, and the two constants every report ends with, so
 that the CLI can catch and print them without loading the modules that
-raise or use them; ``qstate``, ``strategies`` and ``analysis`` export the
-errors too. It also holds Alice's honest and optimal weights, which both
-``forms`` and ``strategies`` read, so that neither module loads the other.
+raise or use them; a module that raises one imports it from here. It also
+holds Alice's honest and optimal weights, which both ``forms`` and
+``strategies`` read, so that neither module loads the other.
 """
 
 import math

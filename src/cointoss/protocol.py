@@ -24,16 +24,13 @@ from .qstate import (
     A2,
     B1,
     B2,
+    StateVector,
     apply_unitary,
     bell_pass_probability,
-    bell_state,
     bob_ancilla,
-    branch_probabilities,
-    collapse,
-    make_state,
-    tensor,
+    measure,
 )
-from .strategies import ALICE_CORE, AliceCheatStrategy, BobCheatStrategy
+from .strategies import AliceCheatStrategy, BobCheatStrategy, honest_alice
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
 
@@ -81,7 +78,7 @@ class Transcript(NamedTuple):
 
 
 # Two shared pairs ``(|00>+|11>)/sqrt(2)`` on (A1,B1) and (A2,B2).
-_HONEST_PREPARATION = tensor(bell_state(A1, B1), bell_state(A2, B2))
+_HONEST_PREPARATION = honest_alice().initial_state
 
 
 def coin_labels(choice: int) -> tuple[str, str]:
@@ -156,9 +153,9 @@ def build_tree(
     bit, written to the transcript header (None for an all-honest run).
     Bob's choice, every measurement and the verification are chance nodes.
     Each has one probability p, its first child's, and its second child has
-    1 - p: 0.5 for the choice, reading 0 by `branch_probabilities`, passing
-    by `bell_pass_probability`, each put through `_chance`. A measurement
-    records `collapse`'s probability.
+    1 - p: 0.5 for the choice, reading 0 by `measure`, passing by
+    `bell_pass_probability`, each put through `_chance`. A measurement
+    records the probability `measure` gives its outcome.
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
@@ -169,27 +166,30 @@ def build_tree(
     if bob is not None:
         ancillas = tuple(bob_ancilla(i) for i in range(bob.ancilla_count))
         bob_role = PartyRole(bob.name, ("B1", "B2") + ancillas)
-        if ancillas:
-            zeros = [1.0] + [0.0] * (2 ** len(ancillas) - 1)
-            state = tensor(state, make_state(ancillas, zeros))
+        # Bob's ancillas join the register in |0...0>: each amplitude is
+        # followed by the 2^k - 1 zeros of the kets where an ancilla reads 1.
+        pad = (0j,) * (2 ** len(ancillas) - 1)
+        amplitudes = tuple(x for a in state.amplitudes for x in (a, *pad))
+        state = StateVector(state.register + ancillas, amplitudes)
         if bob.operation is not None:
             state = apply_unitary(state, bob.operation.labels, bob.operation.matrix)
 
-    def measure(state, steps, bits, probability, lines, then) -> Branch:
+    def read(state, steps, bits, probability, lines, then) -> Branch:
         # Chance nodes for `steps`, (sender, label) pairs measured in order;
         # then(state, bits, probability, lines) continues each path.
         if not steps:
             return then(state, bits, probability, lines)
         (sender, label), rest = steps[0], steps[1:]
-        p0 = _chance(branch_probabilities(state, label)[0])
+        outcomes = measure(state, label)
+        p0 = _chance(outcomes[0][0])
         children = []
         for bit, mass in ((0, p0), (1, 1.0 - p0)):
             if mass == 0.0:
                 children.append(_DEAD)
                 continue
-            realized, posterior = collapse(state, label, bit)
+            realized, posterior = outcomes[bit]
             line = (sender, "measurement", {"label": label, "outcome": bit}, realized)
-            children.append(measure(posterior, rest, bits + (bit,), mass, (line,), then))
+            children.append(read(posterior, rest, bits + (bit,), mass, (line,), then))
         return Branch(probability, lines, tuple(children), None)
 
     def announce(state, choice, probability, lines) -> Branch:
@@ -225,7 +225,7 @@ def build_tree(
             )
             return Branch(probability, lines, verdicts, None)
 
-        return measure(state, coins, (), probability, lines, verify)
+        return read(state, coins, (), probability, lines, verify)
 
     def choose(state, bits, probability, lines) -> Branch:
         return announce(state, bob.announce(bits), probability, lines)
@@ -237,7 +237,7 @@ def build_tree(
         root = Branch(1.0, lines, choices, None)
     else:
         steps = tuple((_BOB, label) for label in bob.measured)
-        root = measure(state, steps, (), 1.0, lines, choose)
+        root = read(state, steps, (), 1.0, lines, choose)
     return ProtocolTree(alice_role, bob_role, target, root)
 
 

@@ -19,8 +19,6 @@ import math
 from operator import attrgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from . import NotNormalizedError  # noqa: F401  (exported here too)
-
 
 A1, B1, A2, B2 = "A1", "B1", "A2", "B2"
 
@@ -72,42 +70,22 @@ def make_state(register: Iterable[str], amplitudes: Iterable[complex]) -> StateV
     return StateVector(register=tuple(register), amplitudes=tuple(a / norm for a in amps))
 
 
-def bell_state(left: str, right: str) -> StateVector:
-    """The two-qubit state ``(|00> + |11>)/sqrt(2)`` on the given pair."""
-    half = 1.0 / math.sqrt(2.0)
-    return make_state((left, right), (half, 0.0, 0.0, half))
-
-
-def tensor(left: StateVector, right: StateVector) -> StateVector:
-    """Tensor product; the combined register is `left` then `right`."""
-    return StateVector(
-        register=left.register + right.register,
-        amplitudes=tuple(a * b for a in left.amplitudes for b in right.amplitudes),
-    )
-
-
-def branch_probabilities(state: StateVector, label: str) -> tuple[float, float]:
-    """Exact probabilities of measuring `label` as 0 and 1 (no sampling)."""
-    mask = _mask(state.register, label)
-    amps = state.amplitudes
-    return (
-        _squared_norm(a for i, a in enumerate(amps) if not i & mask),
-        _squared_norm(a for i, a in enumerate(amps) if i & mask),
-    )
-
-
-def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector]:
-    """Project `label` onto `outcome` and renormalize.
-
-    Returns the branch probability and the posterior (same register, the
-    measured qubit left in ``|outcome>``). The branch must have nonzero
-    probability.
+def measure(state: StateVector, label: str) -> tuple[tuple[float, StateVector | None], ...]:
+    """Measure `label` in the computational basis: for outcome 0 and then 1,
+    the exact branch probability and the renormalized posterior (the measured
+    qubit left in ``|outcome>``), or None where the probability is 0.
     """
     mask = _mask(state.register, label)
-    kept = [(i & mask != 0) == outcome for i in range(len(state.amplitudes))]
-    branch_norm = math.sqrt(_squared_norm(a for a, keep in zip(state.amplitudes, kept) if keep))
-    posterior = tuple(a / branch_norm if keep else 0j for a, keep in zip(state.amplitudes, kept))
-    return branch_norm**2, StateVector(state.register, posterior)
+    outcomes = []
+    for outcome in (0, 1):
+        kept = [a if (i & mask != 0) == outcome else 0j for i, a in enumerate(state.amplitudes)]
+        probability = _squared_norm(kept)
+        if probability == 0.0:
+            outcomes.append((0.0, None))
+            continue
+        norm = math.sqrt(probability)
+        outcomes.append((probability, StateVector(state.register, tuple(a / norm for a in kept))))
+    return tuple(outcomes)
 
 
 def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:

@@ -2,8 +2,9 @@
 
 A cheating Alice is the global state she prepares over ``A1, B1, A2, B2``;
 after Bob's choice she sends her half of the unchosen pair, as the
-protocol's step 4 says. Every Alice strategy an id names is aligned: four
-branch weights on those qubits, an `AliceCoefficients`.
+protocol's step 4 says. Every Alice strategy an id names is aligned: a
+4-tuple of branch weights (a00, a01, a10, a11) on those qubits, as
+`HONEST_WEIGHTS` and `OPTIMAL_WEIGHTS` are.
 Bob's cheating strategies are a local operation on ``{B1, B2,
 AncillaB[i]...}``, a set of qubits he measures, and a rule mapping the
 classical result to the pair he announces; his verdict is always "pass",
@@ -16,32 +17,10 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple
 
-from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS
-from . import NotNormalizedError, StrategyRegisterMismatchError, UnknownStrategyError  # noqa: F401
+from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, NotNormalizedError, UnknownStrategyError
 from .qstate import A1, A2, B1, B2, StateVector, dot, make_state
 
 COEFFICIENT_NORM_ATOL = 1e-10
-
-
-class AliceCoefficients(NamedTuple):
-    """Nonnegative weights (a00, a01, a10, a11) of the four B1B2 branches."""
-
-    a00: float
-    a01: float
-    a10: float
-    a11: float
-
-    def flipped(self) -> "AliceCoefficients":
-        """Coefficients of the globally bit-flipped state (a_ij -> a_{!i!j})."""
-        return AliceCoefficients(self.a11, self.a10, self.a01, self.a00)
-
-    @classmethod
-    def honest(cls) -> "AliceCoefficients":
-        return cls(*HONEST_WEIGHTS)
-
-    @classmethod
-    def optimal(cls) -> "AliceCoefficients":
-        return cls(*OPTIMAL_WEIGHTS)
 
 
 class LocalOperation(NamedTuple):
@@ -80,8 +59,8 @@ def aligned_strategy(amplitudes, name: str = "aligned") -> AliceCheatStrategy:
 
     Each branch mirrors Alice's kept qubit onto Bob's, so the pair left
     unused by the coin toss is as close to the verification target as the
-    weights allow; with uniform weights this is exactly the honest
-    preparation. Accepts complex weights.
+    weights allow. `HONEST_WEIGHTS` give the honest preparation, the state
+    every all-honest run starts from. Accepts complex weights.
     """
     amps = [0j] * 16
     for ket, weight in zip((0b0000, 0b0011, 0b1100, 0b1111), amplitudes, strict=True):
@@ -89,31 +68,30 @@ def aligned_strategy(amplitudes, name: str = "aligned") -> AliceCheatStrategy:
     return AliceCheatStrategy(name, make_state(ALICE_CORE, amps))
 
 
-def coefficient_strategy(c: AliceCoefficients) -> AliceCheatStrategy:
-    """The aligned cheating state with weights `c`, under its canonical id.
+def coefficient_strategy(weights: tuple[float, float, float, float]) -> AliceCheatStrategy:
+    """The aligned cheating state with `weights`, under its canonical id.
 
     The name is ``coefficients:`` and the four weights, each with every
     digit of its repr, so it parses back to the same weights.
     """
-    name = "coefficients:" + ",".join(repr(float(x)) for x in c)
-    return aligned_strategy(c, name=name)
+    name = "coefficients:" + ",".join(repr(float(x)) for x in weights)
+    return aligned_strategy(weights, name=name)
 
 
 def optimal_alice(target: int) -> AliceCheatStrategy:
     """The four-qubit state achieving the 3/4 cheating bound with equality.
 
     For target 0 the state is sqrt(2/3)|0000> + (|0011> + |1100>)/sqrt(6)
-    on (A1, B1, A2, B2); target 1 uses the global bit-flip.
+    on (A1, B1, A2, B2); target 1 uses the global bit-flip, which reverses
+    the weights (a_ij -> a_{!i!j}).
     """
-    coefficients = AliceCoefficients.optimal()
-    if target == 1:
-        coefficients = coefficients.flipped()
-    return aligned_strategy(coefficients, name=f"optimal-alice:target={target}")
+    weights = OPTIMAL_WEIGHTS[::-1] if target == 1 else OPTIMAL_WEIGHTS
+    return aligned_strategy(weights, name=f"optimal-alice:target={target}")
 
 
 def honest_alice() -> AliceCheatStrategy:
-    """The honest preparation expressed in the cheating-strategy form."""
-    return aligned_strategy(AliceCoefficients.honest(), name="honest")
+    """The honest preparation, two shared pairs, in the cheating-strategy form."""
+    return aligned_strategy(HONEST_WEIGHTS, name="honest")
 
 
 def measure_and_pick_bob(target: int) -> BobCheatStrategy:
@@ -184,7 +162,7 @@ def parse_strategy_id(
             raise NotNormalizedError(
                 f"squared coefficients sum to {total!r}, expected 1 within 1e-10"
             )
-        return coefficient_strategy(AliceCoefficients(*values))
+        return coefficient_strategy(tuple(values))
     if text.startswith("random-bob:"):
         # Only the canonical decimal form, so one seed has one id.
         seed_text = text.split(":", 1)[1]

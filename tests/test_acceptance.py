@@ -8,11 +8,10 @@ import time
 
 import numpy as np
 
-from cointoss import ANALYTIC_BOUND
+from cointoss import ANALYTIC_BOUND, OPTIMAL_WEIGHTS
 from cointoss.analysis import exact_win_probability, monte_carlo, resolve_run
 from cointoss.forms import _objective, optimize_alice, scan_chunks
 from cointoss.strategies import (
-    AliceCoefficients,
     coefficient_strategy,
     honest_alice,
     measure_and_pick_bob,
@@ -82,7 +81,7 @@ def test_criterion_3_optimizer():
     started = time.perf_counter()
     result = optimize_alice()
     elapsed = time.perf_counter() - started
-    expected = np.array(AliceCoefficients.optimal())
+    expected = np.array(OPTIMAL_WEIGHTS)
     found = np.array([result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11")])
     coords_ok = bool(np.all(np.abs(found - expected) < 1e-15))
     argmax = tuple(round(float(v), 5) for v in found)
@@ -98,9 +97,9 @@ def test_criterion_4_closed_form_equals_simulation():
     worst = 0.0
     for _ in range(100):
         raw = np.abs(rng.normal(size=4))
-        c = AliceCoefficients(*(raw / np.linalg.norm(raw)).tolist())
+        c = tuple((raw / np.linalg.norm(raw)).tolist())
         simulated = exact_win_probability(coefficient_strategy(c), 0)
-        worst = max(worst, abs(simulated["p_win_exact"] - _objective(c.a00, c.a01, c.a10)))
+        worst = max(worst, abs(simulated["p_win_exact"] - _objective(*c)))
     report(4, worst < 1e-9, f"max |closed form - simulation| = {worst:.2e} over 100 tuples")
 
 

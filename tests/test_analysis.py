@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 from cointoss import (
     ANALYTIC_BOUND,
+    HONEST_WEIGHTS,
     KITAEV_REFERENCE,
+    OPTIMAL_WEIGHTS,
+    StrategyRegisterMismatchError,
+    UnknownStrategyError,
     analysis,
     cli,
     forms,
@@ -33,9 +37,6 @@ from cointoss.protocol import ZERO_ATOL
 from cointoss.qstate import A1, A2, B1, B2, make_state
 from cointoss.strategies import (
     AliceCheatStrategy,
-    AliceCoefficients,
-    StrategyRegisterMismatchError,
-    UnknownStrategyError,
     aligned_strategy,
     honest_alice,
     optimal_alice,
@@ -47,12 +48,12 @@ from test_closed_forms import HONEST_BOB, _aligned_forms
 
 unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
     lambda w: math.fsum(x * x for x in w) > 1e-6
-).map(lambda w: AliceCoefficients(*(np.asarray(w) / np.linalg.norm(w)).tolist()))
+).map(lambda w: tuple((np.asarray(w) / np.linalg.norm(w)).tolist()))
 
 
-def argmax(result: dict) -> AliceCoefficients:
+def argmax(result: dict) -> tuple[float, float, float, float]:
     """The optimizer's argmax, read back from its report's keys."""
-    return AliceCoefficients(*(result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11")))
+    return tuple(result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11"))
 
 
 def sample(run_kind, strategy_id="honest", target=0, trials=100_000, root_seed=0, engine="kernel"):
@@ -92,7 +93,7 @@ class TestFidelityBound:
         )
 
     def test_optimal_branch_nine_tenths(self):
-        passed = self.read_zero(*AliceCoefficients.optimal()).children[0].probability
+        passed = self.read_zero(*OPTIMAL_WEIGHTS).children[0].probability
         assert passed == pytest.approx(0.9, abs=1e-12)
 
     @pytest.mark.parametrize("mass", [ZERO_ATOL / 2, 2 * ZERO_ATOL])
@@ -103,8 +104,8 @@ class TestFidelityBound:
         reading = (0.0, math.sqrt(mass), 0.6, 0.8)
         s = 2 * (math.sqrt(mass - mass**2) - mass) / (1 - 2 * mass)  # (a00+a01) at a00 = 1
         verdict = (1.0, s - 1.0, 1.0, 1.0)
-        p0, _ = qstate.branch_probabilities(aligned_strategy(reading).initial_state, B1)
-        posterior = qstate.collapse(aligned_strategy(verdict).initial_state, B1, 0)[1]
+        (p0, _), _ = qstate.measure(aligned_strategy(reading).initial_state, B1)
+        posterior = qstate.measure(aligned_strategy(verdict).initial_state, B1)[0][1]
         passed = qstate.bell_pass_probability(posterior, (A2, B2))
         for node, p in ((self.coin(*reading), p0), (self.read_zero(*verdict), passed)):
             assert p == pytest.approx(mass, rel=1e-6)
@@ -119,7 +120,7 @@ class TestOptimizer:
     def test_reaches_three_quarters(self):
         result = optimize_alice()
         assert result["value"] == pytest.approx(0.75, abs=1e-15)
-        np.testing.assert_allclose(argmax(result), AliceCoefficients.optimal(), atol=1e-15)
+        np.testing.assert_allclose(argmax(result), OPTIMAL_WEIGHTS, atol=1e-15)
 
     def test_canonical_order(self):
         result = optimize_alice()
@@ -241,7 +242,7 @@ class TestSensitivityScan:
         # The tree counts a branch below 1e-12 mass toward no outcome, so
         # the two agree to 1e-11, not to roundoff.
         report = exact_win_probability(aligned_strategy(c), 0)
-        assert abs(_objective(c.a00, c.a01, c.a10) - report["p_win_exact"]) < 1e-11
+        assert abs(_objective(*c) - report["p_win_exact"]) < 1e-11
         assert abs(_detection(*c) - report["p_abort_exact"]) < 1e-11
 
     @pytest.mark.parametrize("steps", [2, 7, 30])
@@ -249,7 +250,7 @@ class TestSensitivityScan:
         _, win, detect = scan_points(steps)
         rows = "".join(scan_csv(scan_chunks(steps))).splitlines()
         assert len(rows) == steps
-        start, end = np.array(AliceCoefficients.honest()), np.array(AliceCoefficients.optimal())
+        start, end = np.array(HONEST_WEIGHTS), np.array(OPTIMAL_WEIGHTS)
         for i, t in enumerate(np.linspace(0.0, 1.0, steps)):
             raw = (1.0 - t) * start + t * end
             report = exact_win_probability(aligned_strategy(raw / np.linalg.norm(raw)), 0)
@@ -423,12 +424,12 @@ class TestMonteCarlo:
     def test_protocol_engine_builds_one_tree_per_call(self, monkeypatch):
         calls = []
 
-        def counting_collapse(*args):
+        def counting_measure(*args):
             calls.append(args)
             return original(*args)
 
-        original = protocol.collapse
-        monkeypatch.setattr(protocol, "collapse", counting_collapse)
+        original = protocol.measure
+        monkeypatch.setattr(protocol, "measure", counting_measure)
         counts = []
         for trials in (1000, 3000):
             calls.clear()

@@ -2,7 +2,8 @@
 
 A public top-level name that only the tests reach, or a parameter with a
 default that only the tests pass, is API kept alive for its own tests;
-these checks keep both from growing back.
+these checks keep both from growing back. So is a name a module imports
+from the package and never reads: a re-export that nothing imports.
 """
 
 import ast
@@ -96,6 +97,30 @@ def unpassed_parameters() -> list[str]:
                 if not any(passes(c, name, position) for c in calls.get(function.name, [])):
                     unpassed.append(f"{module}.{function.name}.{name}")
     return sorted(unpassed)
+
+
+def unused_package_imports() -> list[str]:
+    """``module.name`` of each name a module imports from the package and
+    never reads, counting imports inside functions too."""
+    unused = []
+    for module, tree in MODULES.items():
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{module}.{name}" for name in sorted(imported - read)]
+    return unused
+
+
+def test_every_name_imported_from_the_package_is_used():
+    assert unused_package_imports() == [], "never read where imported: delete the imports"
 
 
 def test_every_public_name_is_used_by_the_package():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cointoss
-from cointoss import forms
+from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, forms
 from cointoss.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -23,7 +23,6 @@ from cointoss.cli import (
     format_value,
     main,
 )
-from cointoss.strategies import AliceCoefficients
 
 
 SUBCOMMANDS = ("honest", "cheat-alice", "cheat-bob", "bias", "montecarlo", "optimize", "scan")
@@ -448,7 +447,7 @@ class TestOptimizeAndScan:
         code, out, _ = run_cli(capsys, "scan", "--steps", str(steps))
         assert code == EXIT_OK
         t = np.linspace(0.0, 1.0, steps)
-        raw = np.outer(1.0 - t, [0.5, 0.5, 0.5, 0.5]) + np.outer(t, AliceCoefficients.optimal())
+        raw = np.outer(1.0 - t, HONEST_WEIGHTS) + np.outer(t, OPTIMAL_WEIGHTS)
         a00, a01, a10, a11 = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).T
         win = forms._objective(a00, a01, a10)
         detect = forms._detection(a00, a01, a10, a11)

@@ -8,28 +8,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cointoss import protocol
 from cointoss.qstate import (
     A1,
     A2,
     B1,
     B2,
     apply_unitary,
-    bell_state,
     bob_ancilla,
     bell_pass_probability,
-    branch_probabilities,
-    collapse,
     dot,
     make_state,
-    tensor,
+    measure,
 )
 from cointoss.protocol import ZERO_ATOL
 from cointoss.random_bob import haar_unitary
-from cointoss.strategies import optimal_alice
+from cointoss.strategies import honest_alice, optimal_alice
 
 from test_closed_forms import embed
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# The paper's shared pair (|00> + |11>)/sqrt(2), as a numpy oracle.
+BELL = np.array([SQRT_HALF, 0.0, 0.0, SQRT_HALF])
+
+
+def bell(left, right):
+    return make_state((left, right), BELL)
+
+
+def probabilities(state, label):
+    """`measure`'s probabilities of reading `label` as 0 and as 1."""
+    return tuple(p for p, _ in measure(state, label))
 
 
 def random_state(rng, labels):
@@ -49,9 +59,7 @@ class TestMakeState:
     def test_bell_constant(self):
         state = make_state((B1, B2), (SQRT_HALF, 0, 0, SQRT_HALF))
         np.testing.assert_allclose(state.amplitudes, [SQRT_HALF, 0, 0, SQRT_HALF], atol=1e-15)
-        np.testing.assert_allclose(
-            state.amplitudes, bell_state(B1, B2).amplitudes, atol=0
-        )
+        assert state.register == (B1, B2)
 
     def test_single_qubit_basis(self):
         state = make_state((A1,), (1, 0))
@@ -62,7 +70,7 @@ class TestMakeState:
         assert norm(state) == pytest.approx(1.0, abs=1e-15)
 
     def test_amplitudes_are_immutable(self):
-        state = bell_state(A1, B1)
+        state = bell(A1, B1)
         with pytest.raises(TypeError):
             state.amplitudes[0] = 0.0
 
@@ -76,53 +84,54 @@ class TestLabels:
     def test_position_is_register_order(self):
         # Register position 0 is the most significant bit of a basis ket.
         state = make_state((B2, A1), (0, 0, 1, 0))  # |10>: B2 = 1, A1 = 0
-        assert branch_probabilities(state, B2) == (0.0, 1.0)
-        assert branch_probabilities(state, A1) == (1.0, 0.0)
+        assert probabilities(state, B2) == (0.0, 1.0)
+        assert probabilities(state, A1) == (1.0, 0.0)
 
 
-class TestTensor:
+class TestHonestState:
     def test_two_shared_pairs(self):
-        state = tensor(bell_state(A1, B1), bell_state(A2, B2))
+        # Honest Alice's aligned state is exactly the paper's two EPR pairs on
+        # (A1, B1) and (A2, B2): 1/2 on |0000>, |0011>, |1100> and |1111>.
+        # An all-honest run starts from the same state.
+        state = honest_alice().initial_state
+        assert protocol._HONEST_PREPARATION == state
+        assert state.register == (A1, B1, A2, B2)
         expected = np.zeros(16)
         expected[[0, 3, 12, 15]] = 0.5  # 0000, 0011, 1100, 1111
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-
-    def test_basis_product(self):
-        state = tensor(make_state((A1,), (1, 0)), make_state((A2,), (1, 0)))
-        np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=0)
-        assert state.register == (A1, A2)
+        assert list(state.amplitudes) == expected.tolist()
+        np.testing.assert_allclose(state.amplitudes, np.kron(BELL, BELL), rtol=0, atol=1e-15)
 
 
 class TestBranchProbabilities:
     def test_bell_marginal_uniform(self):
-        p0, p1 = branch_probabilities(bell_state(A1, B1), B1)
+        p0, p1 = probabilities(bell(A1, B1), B1)
         assert p0 == pytest.approx(0.5, abs=1e-12)
         assert p1 == pytest.approx(0.5, abs=1e-12)
 
     def test_optimal_state_marginal(self):
-        p0, p1 = branch_probabilities(eq3_state(), B1)
+        p0, p1 = probabilities(eq3_state(), B1)
         assert p0 == pytest.approx(5 / 6, abs=1e-12)
         assert p1 == pytest.approx(1 / 6, abs=1e-12)
 
     def test_basis_state(self):
-        assert branch_probabilities(make_state((A1,), (1, 0)), A1) == (1.0, 0.0)
+        assert probabilities(make_state((A1,), (1, 0)), A1) == (1.0, 0.0)
 
     def test_invariant_under_disjoint_local_operations(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             state = random_state(rng, (A1, B1, A2, B2))
-            before = branch_probabilities(state, B1)
+            before = probabilities(state, B1)
             rotated = apply_unitary(state, (A1, A2, B2), haar_unitary(8, rng))
-            after = branch_probabilities(rotated, B1)
+            after = probabilities(rotated, B1)
             np.testing.assert_allclose(after, before, atol=1e-10)
 
 
 class TestMeasure:
-    """A measurement's outcomes, as `collapse` forms them."""
+    """A measurement's outcomes, as `measure` forms them."""
 
     def test_bell_perfect_correlation(self):
         for b in (0, 1):
-            probability, posterior = collapse(bell_state(A1, B1), B1, b)
+            probability, posterior = measure(bell(A1, B1), B1)[b]
             assert probability == pytest.approx(0.5, abs=1e-12)
             expected = np.zeros(4)
             expected[b * 3] = 1.0  # |bb>
@@ -130,25 +139,30 @@ class TestMeasure:
 
     def test_recorded_probability_on_optimal_state(self):
         state = eq3_state()
-        assert collapse(state, B1, 0)[0] == pytest.approx(5 / 6, abs=1e-12)
-        assert collapse(state, B1, 1)[0] == pytest.approx(1 / 6, abs=1e-12)
+        (p0, _), (p1, _) = measure(state, B1)
+        assert p0 == pytest.approx(5 / 6, abs=1e-12)
+        assert p1 == pytest.approx(1 / 6, abs=1e-12)
 
     def test_posterior_collapsed_and_normalized(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             state = random_state(rng, (A1, B1, B2))
             for outcome in (0, 1):
-                _, posterior = collapse(state, B2, outcome)
+                _, posterior = measure(state, B2)[outcome]
                 assert norm(posterior) == pytest.approx(1.0, abs=1e-10)
-                p0, p1 = branch_probabilities(posterior, B2)
+                p0, p1 = probabilities(posterior, B2)
                 assert (p0, p1)[outcome] == pytest.approx(1.0, abs=1e-12)
+
+    def test_impossible_outcome_has_no_posterior(self):
+        state = make_state((A1, B1), (0, 0, 0.6, 0.8))  # A1 reads 1
+        assert measure(state, A1) == ((0.0, None), (1.0, state))
 
 
 class TestProjectBell:
     """The Bell-pair verification's pass probability."""
 
     def test_projecting_bell_onto_itself(self):
-        state = bell_state(A1, B1)
+        state = bell(A1, B1)
         assert bell_pass_probability(state, (A1, B1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_half(self):
@@ -164,7 +178,7 @@ class TestProjectBell:
         assert bell_pass_probability(state, (A1, B1)) == 0.0
 
     def test_embedded_pair_in_larger_register(self):
-        state = tensor(bell_state(A1, B1), bell_state(A2, B2))
+        state = honest_alice().initial_state
         assert bell_pass_probability(state, (A2, B2)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -182,9 +196,10 @@ class TestEngineInvariants:
     def test_collapse_probabilities_match_marginals(self):
         rng = np.random.default_rng(43)
         state = random_state(rng, (A1, B1, B2))
-        marginals = branch_probabilities(state, B1)
+        psi = np.reshape(state.amplitudes, (2, 2, 2))
+        marginals = (np.abs(psi) ** 2).sum(axis=(0, 2))
         for b in (0, 1):
-            probability, _ = collapse(state, B1, b)
+            probability, _ = measure(state, B1)[b]
             assert probability == pytest.approx(marginals[b], abs=1e-12)
 
 
@@ -207,12 +222,11 @@ core_states = (
 )
 def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
     for label in CORE:
-        p0, p1 = branch_probabilities(state, label)
-        assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
-        for outcome in (0, 1):
-            if (p0, p1)[outcome] < ZERO_ATOL:
-                continue  # the tree makes no posterior on a branch it snaps to 0
-            _, posterior = collapse(state, label, outcome)
+        outcomes = measure(state, label)
+        assert outcomes[0][0] + outcomes[1][0] == pytest.approx(1.0, abs=1e-12)
+        for probability, posterior in outcomes:
+            if probability < ZERO_ATOL:
+                continue  # the tree reads no posterior on a branch it snaps to 0
             assert norm(posterior) == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= bell_pass_probability(state, pair) <= 1.0 + 1e-12
     rotated = apply_unitary(state, pair, haar_unitary(4, np.random.default_rng(seed)))
@@ -256,14 +270,14 @@ def test_every_operation_matches_an_array_reference(case):
     psi = as_tensor(state)
     for pos, label in enumerate(state.register):
         marginal = (np.abs(psi) ** 2).sum(axis=tuple(i for i in range(n) if i != pos))
-        np.testing.assert_allclose(branch_probabilities(state, label), marginal, atol=1e-12)
+        np.testing.assert_allclose(probabilities(state, label), marginal, atol=1e-12)
         for outcome in (0, 1):
             if marginal[outcome] < 1e-6:
                 continue
             index = tuple(outcome if i == pos else slice(None) for i in range(n))
             kept = np.zeros_like(psi)
             kept[index] = psi[index]
-            probability, posterior = collapse(state, label, outcome)
+            probability, posterior = measure(state, label)[outcome]
             assert abs(probability - marginal[outcome]) < 1e-12
             expected = kept / np.linalg.norm(kept)
             np.testing.assert_allclose(as_tensor(posterior), expected, atol=1e-12)
@@ -280,10 +294,6 @@ def test_every_operation_matches_an_array_reference(case):
     np.testing.assert_allclose(as_tensor(rotated_state), rotated, atol=1e-12)
     operator = np.asarray(embed(state.register, labels, unitary))
     np.testing.assert_allclose(operator @ psi.reshape(-1), rotated.reshape(-1), atol=1e-12)
-    extra = make_state((bob_ancilla(1),), (0.6, 0.8j))
-    np.testing.assert_allclose(
-        tensor(state, extra).amplitudes, np.kron(psi.reshape(-1), [0.6, 0.8j]), atol=1e-12
-    )
 
 
 def fsum_dot(left, right):

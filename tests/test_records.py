@@ -13,7 +13,6 @@ TREE = protocol.build_tree(ALICE, 0)
 # (module, record class, a function making one, a field to assign).
 RECORDS = [
     (qstate, "StateVector", lambda: ALICE.initial_state, "amplitudes"),
-    (strategies, "AliceCoefficients", strategies.AliceCoefficients.optimal, "a00"),
     (strategies, "LocalOperation", lambda: BOB.operation, "matrix"),
     (strategies, "AliceCheatStrategy", lambda: ALICE, "name"),
     (strategies, "BobCheatStrategy", lambda: BOB, "announce_rule"),

@@ -7,21 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cointoss.qstate import (
-    A1,
-    A2,
-    B1,
-    B2,
-    NotNormalizedError,
-    bell_state,
-    tensor,
-)
+from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, NotNormalizedError, UnknownStrategyError
+from cointoss.qstate import A1, A2, B1, B2
 from cointoss.random_bob import _DefaultRng, haar_unitary, random_bob_strategy
 from cointoss.strategies import (
     AliceCheatStrategy,
-    AliceCoefficients,
     BobCheatStrategy,
-    UnknownStrategyError,
     coefficient_strategy,
     honest_alice,
     measure_and_pick_bob,
@@ -30,9 +21,18 @@ from cointoss.strategies import (
 )
 
 
+# The aligned kets |i i j j> on (A1, B1, A2, B2) that carry the weights a_ij.
+ALIGNED_KETS = (0b0000, 0b0011, 0b1100, 0b1111)
+
+
+def weights(strategy):
+    """The aligned weights (a00, a01, a10, a11) an Alice strategy prepares."""
+    return tuple(strategy.initial_state.amplitudes[ket] for ket in ALIGNED_KETS)
+
+
 class TestAliceCoefficients:
     def test_named_tuples_normalized(self):
-        for c in (AliceCoefficients.honest(), AliceCoefficients.optimal()):
+        for c in (HONEST_WEIGHTS, OPTIMAL_WEIGHTS):
             assert np.sum(np.square(c)) == pytest.approx(1.0, abs=1e-12)
 
     def test_not_normalized_rejected(self):
@@ -53,9 +53,11 @@ class TestAliceCoefficients:
             assert parse_strategy_id(strategy.name).name == strategy.name
 
     def test_flipped_reverses_branch_labels(self):
-        flipped = AliceCoefficients.optimal().flipped()
-        assert flipped.a11 == pytest.approx(np.sqrt(2 / 3))
-        assert flipped.a00 == 0.0
+        # Target 1's optimum is target 0's with every bit flipped: a_ij -> a_{!i!j}.
+        a00, a01, a10, a11 = OPTIMAL_WEIGHTS[::-1]
+        assert a11 == pytest.approx(np.sqrt(2 / 3))
+        assert a00 == 0.0
+        assert weights(optimal_alice(1)) == OPTIMAL_WEIGHTS[::-1]
 
 
 class TestOptimalAlice:
@@ -76,11 +78,10 @@ class TestOptimalAlice:
 
 class TestCoefficientStrategy:
     def test_aligned_honest_is_honest_preparation(self):
-        strategy = coefficient_strategy(AliceCoefficients.honest())
+        strategy = coefficient_strategy(HONEST_WEIGHTS)
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
         np.testing.assert_allclose(
-            strategy.initial_state.amplitudes,
-            tensor(bell_state(A1, B1), bell_state(A2, B2)).amplitudes,
-            atol=1e-12,
+            strategy.initial_state.amplitudes, np.kron(bell, bell), atol=1e-12
         )
 
     def test_registers_are_exactly_the_core(self):
@@ -88,7 +89,7 @@ class TestCoefficientStrategy:
         for strategy in (
             optimal_alice(0),
             honest_alice(),
-            coefficient_strategy(AliceCoefficients.optimal()),
+            coefficient_strategy(OPTIMAL_WEIGHTS),
         ):
             assert strategy.initial_state.register == (A1, B1, A2, B2)
             assert np.linalg.norm(strategy.initial_state.amplitudes) == pytest.approx(1.0, abs=1e-10)
@@ -229,19 +230,17 @@ def _not_a(convert):
 class TestStrategyIdRoundTrip:
     @SETTINGS
     @given(unit_weights)
-    def test_coefficients_id_builds_its_weights(self, weights):
-        text = "coefficients:" + ",".join(map(repr, weights))
+    def test_coefficients_id_builds_its_weights(self, coefficients):
+        text = "coefficients:" + ",".join(map(repr, coefficients))
         strategy = parse_strategy_id(text)
         assert strategy.name == text
-        amplitudes = strategy.initial_state.amplitudes
-        built = [amplitudes[ket] for ket in (0b0000, 0b0011, 0b1100, 0b1111)]
-        np.testing.assert_allclose(built, weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights(strategy), coefficients, rtol=0, atol=1e-15)
 
     @SETTINGS
     @given(
         st.one_of(
-            st.just(AliceCoefficients.optimal()),
-            unit_weights.map(lambda w: AliceCoefficients(*w)),
+            st.just(OPTIMAL_WEIGHTS),
+            unit_weights.map(tuple),
         )
     )
     def test_coefficients_name_parses_back_to_itself(self, coefficients):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import _split_down_tree, leaf_probabilities
+from cointoss.analysis import _split_down_tree, exact_win_probability, leaf_probabilities
 from cointoss.protocol import (
     ZERO_ATOL,
     ProtocolOutcome,
@@ -18,11 +18,12 @@ from cointoss.protocol import (
     sample_path,
     walk,
 )
-from cointoss.qstate import make_state
+from cointoss.qstate import B1, B2, bob_ancilla, make_state
 from cointoss.strategies import (
     ALICE_CORE,
     AliceCheatStrategy,
-    AliceCoefficients,
+    BobCheatStrategy,
+    LocalOperation,
     aligned_strategy,
     coefficient_strategy,
     measure_and_pick_bob,
@@ -56,9 +57,13 @@ core_states = st.lists(
 )
 
 
+def unit(w):
+    """The weights `w` scaled to unit norm, as a 4-tuple."""
+    return tuple((np.asarray(w) / np.linalg.norm(w)).tolist())
+
+
 def alice_tree(w):
-    c = AliceCoefficients(*(np.asarray(w) / np.linalg.norm(w)).tolist())
-    return build_tree(coefficient_strategy(c), 0)
+    return build_tree(coefficient_strategy(unit(w)), 0)
 
 
 def bob_tree(seed):
@@ -109,8 +114,8 @@ def test_each_leaf_sum_is_correctly_rounded(strategy_id, target):
 def test_optimal_alice_coin_readings_are_the_floats_nearest_one_sixth_and_five_sixths():
     # Against target 1, whichever pair Bob picks, he reads his coin qubit as
     # 0 with chance 1/6 and as 1 with chance 5/6. Not every chance is the
-    # float nearest its rational: the weights' square roots and `collapse`'s
-    # square root and division still round.
+    # float nearest its rational: the weights' square roots and the
+    # posterior's square root and division still round.
     tree = build_tree(optimal_alice(1), 1)
     for choice in tree.root.children:
         assert [reading.probability for reading in choice.children] == [
@@ -173,6 +178,48 @@ def test_leaf_probabilities_of_the_paper_strategies():
     assert alice == pytest.approx([0.75, 1 / 12, 1 / 6], abs=1e-12)
     assert bob == pytest.approx([0.75, 0.25, 0.0], abs=1e-12)
     assert bob[2] == 0.0
+
+
+def test_honest_run_is_exactly_fair():
+    # Both parties honest start from the two shared pairs with amplitudes of
+    # exactly 1/2, so heads and tails each carry exactly 1/2.
+    assert leaf_probabilities(build_tree(None, None)) == [0.5, 0.5, 0.0]
+
+
+@pytest.mark.parametrize("target", [0, 1])
+def test_measure_and_pick_wins_exactly_three_quarters(target):
+    assert exact_win_probability(measure_and_pick_bob(target), target)["p_win_exact"] == 0.75
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weights)
+def test_bias_is_the_same_for_both_targets(w):
+    # Flipping every bit maps the aligned weights (a00, a01, a10, a11) to
+    # their reverse and swaps heads and tails. A chance node's first child
+    # always reads 0, so the two trees sum in different orders and agree to
+    # roundoff, not bit for bit.
+    w = unit(w)
+    heads, tails, aborts = leaf_probabilities(build_tree(coefficient_strategy(w), 0))
+    flipped = leaf_probabilities(build_tree(coefficient_strategy(w[::-1]), 1))
+    assert np.max(np.abs(np.subtract([tails, heads, aborts], flipped))) <= 1e-15
+
+
+def test_bob_ancillas_join_the_register_in_zero():
+    # An idle ancilla reads 0 with chance exactly 1; one that Bob flips reads
+    # 1; and one entangled with B1 by a CNOT reads B1's fair coin.
+    x = [[0, 1], [1, 0]]
+    cnot = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    ancillas = (bob_ancilla(0), bob_ancilla(1))
+    for labels, matrix, first in (
+        ((ancillas[0],), [[1, 0], [0, 1]], 1.0),
+        ((ancillas[1],), x, 0.0),
+        ((B1, ancillas[1]), cnot, 0.5),
+    ):
+        rule = {(0,): 1, (1,): 2}
+        bob = BobCheatStrategy("ancillas", 2, LocalOperation(labels, matrix), (labels[-1],), rule)
+        tree = build_tree(bob, 0)
+        assert tree.bob.registers == (B1, B2) + ancillas
+        assert [child.probability for child in tree.root.children] == [first, 1.0 - first]
 
 
 def test_draws_per_run():
