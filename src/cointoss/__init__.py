@@ -2,8 +2,9 @@
 
 The package root loads no other module of the package; import the
 submodules (``analysis``, ``forms``, ``protocol``, ``qstate``,
-``random_bob``, ``strategies``, ``cli``) directly. It defines the errors the
-CLI maps to exit codes, and the two constants every report ends with, so
+``random_bob``, ``strategies``, ``cli``) directly. It defines the two
+errors the CLI maps to their own exit codes (a bad configuration is a
+``ValueError``), and the two constants every report ends with, so
 that the CLI can catch and print them without loading the modules that
 raise or use them; a module that raises one imports it from here. It also
 holds Alice's honest and optimal weights, which both ``forms`` and
@@ -25,16 +26,8 @@ HONEST_WEIGHTS = (0.5, 0.5, 0.5, 0.5)
 OPTIMAL_WEIGHTS = (math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0)
 
 
-class NotNormalizedError(Exception):
-    """Squared weights do not sum to 1 within tolerance."""
-
-
 class UnknownStrategyError(Exception):
     """A strategy identifier does not name any known strategy."""
-
-
-class StrategyRegisterMismatchError(Exception):
-    """A run needs one party's strategy, and the id names the other's."""
 
 
 class InvariantViolationError(Exception):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 
-from . import ANALYTIC_BOUND, InvariantViolationError, StrategyRegisterMismatchError
+from . import ANALYTIC_BOUND, InvariantViolationError
 from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaves
 from .strategies import AliceCheatStrategy, BobCheatStrategy, parse_strategy_id
 
@@ -77,7 +77,7 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     kind = "cheat-alice" if isinstance(strategy, AliceCheatStrategy) else "cheat-bob"
     if run_kind not in (None, kind):
         owner, needed = ("an Alice", "Bob's") if kind == "cheat-alice" else ("a Bob", "Alice's")
-        raise StrategyRegisterMismatchError(
+        raise ValueError(
             f"{strategy_id!r} is {owner} strategy; run_kind {run_kind} needs {needed}"
         )
     return kind, build_tree(strategy, target)

@@ -17,14 +17,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import (
-    ANALYTIC_BOUND,
-    KITAEV_REFERENCE,
-    InvariantViolationError,
-    NotNormalizedError,
-    StrategyRegisterMismatchError,
-    UnknownStrategyError,
-)
+from . import ANALYTIC_BOUND, KITAEV_REFERENCE, InvariantViolationError, UnknownStrategyError
 
 # The ~12k objects alive after these imports, ~80 of them this package's, live
 # until exit; frozen, they are walked by no later collection, the ones at exit included.
@@ -332,7 +325,7 @@ def main(argv=None) -> int:
     except UnknownStrategyError as exc:
         print(f"cointoss: unknown strategy: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_STRATEGY
-    except (ValueError, NotNormalizedError, StrategyRegisterMismatchError) as exc:
+    except ValueError as exc:
         print(f"cointoss: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvariantViolationError as exc:

@@ -3,10 +3,11 @@
 `build_tree` writes the four protocol steps out once, for an all-honest
 run or a run with one cheating party. Bob's choice, each
 measurement and the verification are chance nodes; every branch holds its
-exact probability and the transcript records it emits. Three readers share
-the tree: exact probabilities are sums over its leaves, sampled counts
+exact probability once, and the transcript records it emits. Three readers
+share the tree: exact probabilities are sums over its leaves, sampled counts
 split runs down its chance nodes, and a run walks one root-to-leaf path
-with the run's RNG, whose records are the run's transcript. A transcript
+with the run's RNG, whose records are the run's transcript, each chance's
+event carrying the probability the walk took. A transcript
 is framed by a header record (carrying the seed and both parties' roles)
 and an outcome record. Messages always appear in protocol order: state
 transfer, choice announcement, qubit transfer, verdict. Runs are
@@ -62,7 +63,7 @@ class TranscriptRecord(NamedTuple):
     sender: str
     kind: str
     payload: dict
-    probability: float | None = None
+    probability: float | None
 
 
 class Transcript(NamedTuple):
@@ -91,15 +92,17 @@ def verification_labels(choice: int) -> tuple[str, str]:
     return (A2, B2) if choice == 1 else (A1, B1)
 
 
-# A transcript record before numbering: (sender, kind, payload, probability).
-Line = tuple[str, str, dict, "float | None"]
+# A transcript record without the index and probability that `walk` adds.
+Line = tuple[str, str, dict]
 
 
 class Branch(NamedTuple):
     """One node of the protocol tree.
 
     `probability` is the exact chance of this branch given its parent, and
-    `lines` the transcript records a run emits on entering it. A chance node
+    `lines` the transcript records a run emits on entering it; the first is
+    the event of the chance that enters it, and `walk` records this
+    probability on it (the root's lines on none). A chance node
     has two children whose probabilities are p and 1 - p; a run continues
     to ``children[0]`` when ``rng.random() < children[0].probability`` and
     to ``children[1]`` otherwise. A branch that `_chance` gives chance 0
@@ -139,7 +142,7 @@ def _chance(p: float) -> float:
 def _leaf(probability: float, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
     if probability == 0.0:
         return _DEAD
-    lines += (("-", "outcome", {"outcome": outcome.value}, None),)
+    lines += (("-", "outcome", {"outcome": outcome.value}),)
     return Branch(probability, lines, (), outcome)
 
 
@@ -154,8 +157,10 @@ def build_tree(
     Bob's choice, every measurement and the verification are chance nodes.
     Each has one probability p, its first child's, and its second child has
     1 - p: 0.5 for the choice, reading 0 by `measure`, passing by
-    `bell_pass_probability`, each put through `_chance`. A measurement
-    records the probability `measure` gives its outcome.
+    `bell_pass_probability`, each put through `_chance`. Every non-root
+    node is entered through one chance, and its first line is that chance's
+    event: a `choice_announcement` from an honest Bob, a `measurement`, or
+    a verdict. No line carries a probability; `walk` adds the node's.
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
@@ -187,13 +192,12 @@ def build_tree(
             if mass == 0.0:
                 children.append(_DEAD)
                 continue
-            realized, posterior = outcomes[bit]
-            line = (sender, "measurement", {"label": label, "outcome": bit}, realized)
-            children.append(read(posterior, rest, bits + (bit,), mass, (line,), then))
+            line = (sender, "measurement", {"label": label, "outcome": bit})
+            children.append(read(outcomes[bit][1], rest, bits + (bit,), mass, (line,), then))
         return Branch(probability, lines, tuple(children), None)
 
     def announce(state, choice, probability, lines) -> Branch:
-        lines += ((_BOB, "choice_announcement", {"choice": choice}, None),)
+        lines += ((_BOB, "choice_announcement", {"choice": choice}),)
         alice_coin, bob_coin = coin_labels(choice)
         alice_keep, bob_keep = verification_labels(choice)
         if bob is not None:
@@ -203,7 +207,7 @@ def build_tree(
         else:
             coins = ((_BOB, bob_coin),)
         # Step 4: Alice sends her half of the pair Bob did not choose.
-        transfer = (_ALICE, "qubit_transfer", {"label": alice_keep}, None)
+        transfer = (_ALICE, "qubit_transfer", {"label": alice_keep})
         checked = {"pair": [alice_keep, bob_keep]}
 
         def verify(state, bits, probability, lines) -> Branch:
@@ -212,16 +216,12 @@ def build_tree(
             lines += (transfer,)
             if bob is not None:
                 # A cheating Bob holds the verdict, and this family always passes.
-                lines += ((_BOB, "verdict_pass", {"pair": []}, None),)
+                lines += ((_BOB, "verdict_pass", {"pair": []}),)
                 return _leaf(probability, lines, outcome)
             passed = _chance(bell_pass_probability(state, (alice_keep, bob_keep)))
             verdicts = (
-                _leaf(passed, ((_BOB, "verdict_pass", checked, passed),), outcome),
-                _leaf(
-                    1.0 - passed,
-                    ((_BOB, "verdict_abort", checked, 1.0 - passed),),
-                    ProtocolOutcome.ABORT,
-                ),
+                _leaf(passed, ((_BOB, "verdict_pass", checked),), outcome),
+                _leaf(1.0 - passed, ((_BOB, "verdict_abort", checked),), ProtocolOutcome.ABORT),
             )
             return Branch(probability, lines, verdicts, None)
 
@@ -230,7 +230,7 @@ def build_tree(
     def choose(state, bits, probability, lines) -> Branch:
         return announce(state, bob.announce(bits), probability, lines)
 
-    lines = ((_ALICE, "state_transfer", {"labels": ["B1", "B2"]}, None),)
+    lines = ((_ALICE, "state_transfer", {"labels": ["B1", "B2"]}),)
     if bob is None:
         # An honest Bob's step-2 choice is a fair coin.
         choices = tuple(announce(state, choice, 0.5, ()) for choice in (1, 2))
@@ -269,7 +269,12 @@ def leaves(tree: ProtocolTree) -> list[tuple[float, Branch]]:
 
 
 def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
-    """One run: the outcome and transcript of the path this seed draws."""
+    """One run: the outcome and transcript of the path this seed draws.
+
+    The first record of each non-root node on the path, the event of the
+    chance that entered it, carries that node's probability, and every other
+    record None; so the probabilities multiply to the path's mass.
+    """
     header = {
         "schema": TRANSCRIPT_SCHEMA,
         "seed": seed,
@@ -278,9 +283,10 @@ def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
     }
     if tree.target is not None:
         header["target"] = tree.target
-    lines = [("-", "run_header", header, None)]
+    records = [TranscriptRecord(0, "-", "run_header", header, None)]
     path = sample_path(tree, seed)
-    for node in path:
-        lines.extend(node.lines)
-    records = tuple(TranscriptRecord(index, *line) for index, line in enumerate(lines))
-    return path[-1].outcome, Transcript(records)
+    for depth, node in enumerate(path):
+        for position, line in enumerate(node.lines):
+            probability = node.probability if depth and not position else None
+            records.append(TranscriptRecord(len(records), *line, probability))
+    return path[-1].outcome, Transcript(tuple(records))

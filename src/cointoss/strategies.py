@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple
 
-from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, NotNormalizedError, UnknownStrategyError
+from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, UnknownStrategyError
 from .qstate import A1, A2, B1, B2, StateVector, dot, make_state
 
 COEFFICIENT_NORM_ATOL = 1e-10
@@ -159,7 +159,7 @@ def parse_strategy_id(
         except OverflowError:
             total = math.inf
         if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:
-            raise NotNormalizedError(
+            raise ValueError(
                 f"squared coefficients sum to {total!r}, expected 1 within 1e-10"
             )
         return coefficient_strategy(tuple(values))

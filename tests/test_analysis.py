@@ -15,7 +15,6 @@ from cointoss import (
     HONEST_WEIGHTS,
     KITAEV_REFERENCE,
     OPTIMAL_WEIGHTS,
-    StrategyRegisterMismatchError,
     UnknownStrategyError,
     analysis,
     cli,
@@ -453,9 +452,9 @@ class TestMonteCarlo:
             resolve_run("cheat-alice", "telepathy", 0)
 
     def test_party_mismatch_rejected(self):
-        with pytest.raises(StrategyRegisterMismatchError):
+        with pytest.raises(ValueError, match="is a Bob strategy; run_kind cheat-alice needs Alice's"):
             resolve_run("cheat-alice", "measure-and-pick", 0)
-        with pytest.raises(StrategyRegisterMismatchError):
+        with pytest.raises(ValueError, match="is an Alice strategy; run_kind cheat-bob needs Bob's"):
             resolve_run("cheat-bob", "optimal-alice", 0)
 
     @pytest.mark.parametrize(

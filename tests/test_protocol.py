@@ -175,7 +175,7 @@ class TestMessageKinds:
         kinds = set()
 
         def visit(node):
-            kinds.update(kind for _, kind, _, _ in node.lines or ())
+            kinds.update(kind for _, kind, _ in node.lines or ())
             for child in node.children:
                 visit(child)
 

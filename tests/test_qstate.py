@@ -137,7 +137,7 @@ class TestMeasure:
             expected[b * 3] = 1.0  # |bb>
             np.testing.assert_allclose(posterior.amplitudes, expected, atol=1e-12)
 
-    def test_recorded_probability_on_optimal_state(self):
+    def test_outcome_probabilities_on_optimal_state(self):
         state = eq3_state()
         (p0, _), (p1, _) = measure(state, B1)
         assert p0 == pytest.approx(5 / 6, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, NotNormalizedError, UnknownStrategyError
+from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, UnknownStrategyError
 from cointoss.qstate import A1, A2, B1, B2
 from cointoss.random_bob import _DefaultRng, haar_unitary, random_bob_strategy
 from cointoss.strategies import (
@@ -30,7 +30,7 @@ def weights(strategy):
     return tuple(strategy.initial_state.amplitudes[ket] for ket in ALIGNED_KETS)
 
 
-class TestAliceCoefficients:
+class TestAliceWeights:
     def test_named_tuples_normalized(self):
         for c in (HONEST_WEIGHTS, OPTIMAL_WEIGHTS):
             assert np.sum(np.square(c)) == pytest.approx(1.0, abs=1e-12)
@@ -38,7 +38,7 @@ class TestAliceCoefficients:
     def test_not_normalized_rejected(self):
         # The squared weights may miss 1 by 1e-10: 2.5e-11 passes, 4e-10 does not.
         assert parse_strategy_id("coefficients:0.6,0.8,0,0.000005").name.endswith(",5e-06")
-        with pytest.raises(NotNormalizedError, match="expected 1 within 1e-10"):
+        with pytest.raises(ValueError, match="expected 1 within 1e-10"):
             parse_strategy_id("coefficients:0.6,0.8,0,0.00002")
 
     def test_negative_rejected(self):
@@ -202,7 +202,7 @@ class TestParseStrategyId:
             parse_strategy_id("coefficients:a,b,c,d")
 
     def test_non_normalized_coefficients_rejected(self):
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(ValueError, match="squared coefficients sum to 1.01"):
             parse_strategy_id("coefficients:0.6,0.8,0,0.1")
 
 
@@ -267,7 +267,7 @@ class TestStrategyIdRoundTrip:
         # in a traceback.
         try:
             strategy = parse_strategy_id("coefficients:" + ",".join(parts))
-        except (UnknownStrategyError, ValueError, NotNormalizedError):
+        except (UnknownStrategyError, ValueError):
             return
         assert isinstance(strategy, AliceCheatStrategy)
 

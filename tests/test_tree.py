@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cointoss.analysis import _split_down_tree, exact_win_probability, leaf_probabilities
@@ -70,12 +70,17 @@ def bob_tree(seed):
     return build_tree(parse_strategy_id(f"random-bob:{seed}"), 0)
 
 
+def golden_tree(strategy_id, target):
+    return build_tree(parse_strategy_id(strategy_id, target), target)
+
+
 def trees():
     return st.one_of(
         st.builds(alice_tree, weights),
         st.builds(build_tree, core_states, st.just(0)),
         st.builds(bob_tree, st.integers(0, 10**6)),
         st.just(build_tree(None, None)),
+        st.builds(golden_tree, st.sampled_from(GOLDEN_IDS), st.sampled_from([0, 1])),
     )
 
 
@@ -130,6 +135,9 @@ def test_every_chance_node_splits_one_probability(tree):
     # Children carry p and 1 - p, which sum to 1.0 exactly, p is 0, 1 or at
     # least ZERO_ATOL from both, and a branch is dead, with no lines,
     # exactly when it carries 0, so no sampler or walk can ever reach it.
+    # A live child's first line is the event of the chance that enters it,
+    # on which `walk` records the child's probability.
+    events = {"choice_announcement", "measurement", "verdict_pass", "verdict_abort"}
     nodes = [tree.root]
     while nodes:
         node = nodes.pop()
@@ -139,18 +147,21 @@ def test_every_chance_node_splits_one_probability(tree):
             p = first.probability
             assert p in (0.0, 1.0) or ZERO_ATOL <= p <= 1.0 - ZERO_ATOL
             nodes += node.children
+            assert all(c.lines[0][1] in events for c in node.children if c.lines)
         assert (node.probability == 0.0) == (node.lines is None)
 
 
 @SETTINGS
 @given(trees(), st.integers(0, 2**63))
+# Paths that read an outcome of 1, recorded as 1 - p.
+@example(golden_tree("measure-and-pick", 1), 0)
+@example(golden_tree("optimal-alice", 1), 0)
 def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
     path = sample_path(tree, seed)
     outcome, transcript = walk(tree, seed)
+    # Each chance's event records the probability the walk took, once.
     recorded = math.prod(r.probability for r in transcript.records if r.probability is not None)
-    if tree.bob.behavior == "honest":
-        recorded *= 0.5  # an honest Bob's fair choice carries no probability
-    assert recorded == pytest.approx(math.prod(node.probability for node in path), rel=1e-12)
+    assert recorded == math.prod(node.probability for node in path)
     assert outcome is path[-1].outcome
     assert transcript.records[-1].payload == {"outcome": outcome.value}
 
