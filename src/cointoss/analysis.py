@@ -5,14 +5,11 @@ tree (every choice, coin outcome and verification branch with its exact
 probability). For Alice's aligned family they are also two quadratic forms
 in her four weights; `forms` holds them, her optimum and the sensitivity
 scan, none of which needs a tree. Monte Carlo sampling adds a statistical
-check: the protocol engine splits the trials down the tree by one binomial
-draw per chance node, at the first child's probability that a transcript's
-walk compares with, while the kernel engine draws all trials' counts in one
-multinomial sample from the summed leaf probabilities. Neither cost grows
-with the number of trials, and neither counts a run on a dead branch, whose
-chance `protocol` snapped to exactly 0.
-Every draw reads `random.Random(seed).random()`, a stream that Python
-keeps the same across releases, through the one sampler `_binomial`.
+check: one sampler, `_multinomial`, splits the trials at the root over the
+summed leaf probabilities (the kernel engine) or at every chance node over
+its children's (the protocol engine). Every draw reads
+`random.Random(seed).random()`, a stream that Python keeps the same across
+releases.
 """
 
 from __future__ import annotations
@@ -186,15 +183,27 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
+def _multinomial(rng: random.Random, runs: int, masses: list[float]) -> list[int]:
+    """One Multinomial(runs, masses) draw. Each mass above 0 in turn takes a
+    `_binomial` share of the runs left, at its ratio to the `math.fsum` of
+    the live masses from it on, so the last takes the rest without a draw
+    and a mass of exactly 0 takes none."""
+    live = [i for i, mass in enumerate(masses) if mass > 0.0]
+    counts, left = [0] * len(masses), runs
+    for position, i in enumerate(live):
+        counts[i] = _binomial(rng, left, masses[i] / math.fsum(masses[j] for j in live[position:]))
+        left -= counts[i]
+    return counts
+
+
 def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> list[int]:
     """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
 
-    The runs that reach a chance node split between its children by one
-    `_binomial` draw at the first child's probability, depth first, first
-    child first; a dead child's exact 0.0 (`protocol._chance`) sends it none.
-    The counts have the law of `trials` independent `sample_path` walks,
-    since a multinomial over the leaves factorizes into these conditional
-    binomials.
+    The runs that reach a chance node split by one `_multinomial` draw over
+    its children's probabilities p and 1 - p, which is one `_binomial` draw
+    at the p that `sample_path` compares with; depth first, first child
+    first. The counts have the law of `trials` independent walks, since a
+    multinomial over the leaves factorizes into these conditional splits.
     """
     counts = dict.fromkeys(ProtocolOutcome, 0)
 
@@ -202,9 +211,8 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
         if not node.children:
             counts[node.outcome] += runs
             return
-        first, second = node.children
-        taken = _binomial(rng, runs, first.probability)
-        for child, share in ((first, taken), (second, runs - taken)):
+        shares = _multinomial(rng, runs, [child.probability for child in node.children])
+        for child, share in zip(node.children, shares):
             if share:
                 split(child, share)
 
@@ -218,34 +226,23 @@ def monte_carlo(
     """Tally `trials` independent runs of a `resolve_run` run as the sampled
     commands' report result.
 
-    The kernel engine draws the (heads, tails, abort) counts of all trials
-    at once, as one multinomial sample over the run's exact leaf
-    probabilities: O(1) time and memory for any `trials`. ``engine="protocol"``
-    instead samples the counts down the run's branch tree, one binomial
-    split per chance node at its first child's probability (the one
-    `sample_path` walks), so it costs O(tree nodes) for any `trials`. An
-    outcome of exact mass 0, such as an honest run's abort, gets no runs on
-    either engine. Both engines draw from ``random.Random(root_seed)``
-    through `_binomial`, so each is deterministic given `root_seed`; they
-    agree in distribution and take 1000 to 2**63 - 1 trials.
+    One `_multinomial` sampler draws the counts; the engine picks where the
+    runs split. The kernel engine splits them once at the root, over the
+    three exact leaf probabilities; ``engine="protocol"`` splits them at each
+    chance node (`_split_down_tree`). Neither cost grows with `trials`, and
+    an outcome or branch of exact mass 0, such as an honest run's abort or a
+    dead branch `protocol` snapped to 0, gets no runs. Each engine is
+    deterministic given `root_seed`; they agree in distribution and take
+    1000 to 2**63 - 1 trials.
     """
     if not 1000 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")
 
     rng = random.Random(root_seed)
     if engine == "kernel":
-        # A multinomial as conditional binomials over the outcomes with
-        # mass: each takes its share of the runs still left, so the last
-        # takes them all and an outcome of mass 0 stays at exactly 0 runs.
-        masses = leaf_probabilities(tree)
-        live = [i for i, mass in enumerate(masses) if mass > 0.0]
-        counts, left = [0, 0, 0], trials
-        for position, i in enumerate(live):
-            counts[i] = _binomial(rng, left, masses[i] / math.fsum(masses[j] for j in live[position:]))
-            left -= counts[i]
+        heads, tails, aborts = _multinomial(rng, trials, leaf_probabilities(tree))
     else:
-        counts = _split_down_tree(tree, trials, rng)
-    heads, tails, aborts = counts
+        heads, tails, aborts = _split_down_tree(tree, trials, rng)
     win_frequency = (heads if target == 0 else tails) / trials
     abort_frequency = aborts / trials
 

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cointoss import (
@@ -26,7 +26,9 @@ from cointoss import (
 from cointoss.analysis import (
     InvariantViolationError,
     _binomial,
+    _multinomial,
     exact_win_probability,
+    leaf_probabilities,
     monte_carlo,
     resolve_run,
 )
@@ -43,6 +45,7 @@ from cointoss.strategies import (
 )
 
 from test_closed_forms import HONEST_BOB, _aligned_forms
+from test_golden import REPORTS, TRANSCRIPTS
 
 
 unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
@@ -53,6 +56,12 @@ unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
 def argmax(result: dict) -> tuple[float, float, float, float]:
     """The optimizer's argmax, read back from its report's keys."""
     return tuple(result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11"))
+
+
+# Every strategy id that a golden command names.
+GOLDEN_STRATEGY_IDS = sorted(
+    {argv[argv.index("--strategy") + 1] for _, argv in REPORTS + TRANSCRIPTS if "--strategy" in argv}
+)
 
 
 def sample(run_kind, strategy_id="honest", target=0, trials=100_000, root_seed=0, engine="kernel"):
@@ -320,6 +329,33 @@ class TestBinomialSampler:
         assert _binomial(rng, n, 1.0) == n
 
 
+class TestMultinomialSampler:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.integers(0, 2**63 - 1), st.integers(0, 2**64))
+    @example(0.0, 2**63 - 1, 0)
+    @example(5e-324, 2**63 - 1, 0)
+    @example(0.5, 2**63 - 1, 0)
+    @example(1 - 2**-53, 2**63 - 1, 0)
+    @example(1.0, 2**63 - 1, 0)
+    def test_two_masses_are_one_binomial_draw(self, p, n, seed):
+        # p + (1 - p) rounds to exactly 1, so the first share is drawn at p
+        # itself and the second takes the rest without a draw: a chance
+        # node's `_multinomial` split draws what one `_binomial` at its first
+        # child's probability drew.
+        split, single = random.Random(seed), random.Random(seed)
+        k = _binomial(single, n, p)
+        assert _multinomial(split, n, [p, 1.0 - p]) == [k, n - k]
+        assert split.getstate() == single.getstate()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(0.0, exclude_min=True, allow_infinity=False), st.integers(0, 2**63 - 1))
+    def test_one_live_mass_takes_every_run_without_a_draw(self, mass, n):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert _multinomial(rng, n, [0.0, mass, 0.0]) == [0, n, 0]
+        assert rng.getstate() == state
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize(
         "run_kind,strategy_id",
@@ -344,6 +380,14 @@ class TestMonteCarlo:
         assert report["abort_frequency"] == pytest.approx(
             expected_abort, abs=max(abort_tolerance, 1e-9)
         )
+
+    @pytest.mark.parametrize("strategy_id", GOLDEN_STRATEGY_IDS)
+    def test_kernel_engine_is_one_split_at_the_root(self, strategy_id):
+        for target, root_seed, trials in itertools.product((0, 1), range(3), (1000, 2**63 - 1)):
+            run_kind, tree = resolve_run(None, strategy_id, target)
+            report = monte_carlo(run_kind, tree, target, trials, root_seed, "kernel")
+            root_split = _multinomial(random.Random(root_seed), trials, leaf_probabilities(tree))
+            assert [report["heads"], report["tails"], report["aborts"]] == root_split
 
     def test_protocol_engine_agrees_with_exact(self):
         report = sample(
