@@ -5,9 +5,8 @@ tree (every choice, coin outcome and verification branch with its exact
 probability). For Alice's aligned family they are also two quadratic forms
 in her four weights; `forms` holds them, her optimum and the sensitivity
 scan, none of which needs a tree. Monte Carlo sampling adds a statistical
-check: one sampler, `_multinomial`, splits the trials at the root over the
-summed leaf probabilities (the kernel engine) or at every chance node over
-its children's (the protocol engine). Every draw reads
+check: `_split_down_tree` splits the trials at every chance node by one
+`_binomial` draw at its first child's probability. Every draw reads
 `random.Random(seed).random()`, a stream that Python keeps the same across
 releases.
 """
@@ -183,27 +182,15 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _multinomial(rng: random.Random, runs: int, masses: list[float]) -> list[int]:
-    """One Multinomial(runs, masses) draw. Each mass above 0 in turn takes a
-    `_binomial` share of the runs left, at its ratio to the `math.fsum` of
-    the live masses from it on, so the last takes the rest without a draw
-    and a mass of exactly 0 takes none."""
-    live = [i for i, mass in enumerate(masses) if mass > 0.0]
-    counts, left = [0] * len(masses), runs
-    for position, i in enumerate(live):
-        counts[i] = _binomial(rng, left, masses[i] / math.fsum(masses[j] for j in live[position:]))
-        left -= counts[i]
-    return counts
-
-
 def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> list[int]:
     """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
 
-    The runs that reach a chance node split by one `_multinomial` draw over
-    its children's probabilities p and 1 - p, which is one `_binomial` draw
-    at the p that `sample_path` compares with; depth first, first child
-    first. The counts have the law of `trials` independent walks, since a
-    multinomial over the leaves factorizes into these conditional splits.
+    Of the runs that reach a chance node, one `_binomial` draw at the first
+    child's probability p, the p that `sample_path` compares with, sends k
+    down the first child and the other runs down the second; depth first,
+    first child first. A child of chance 0 gets no runs and no draw. The
+    counts have the law of `trials` independent walks, since a multinomial
+    over the leaves factorizes into these conditional splits.
     """
     counts = dict.fromkeys(ProtocolOutcome, 0)
 
@@ -211,8 +198,9 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
         if not node.children:
             counts[node.outcome] += runs
             return
-        shares = _multinomial(rng, runs, [child.probability for child in node.children])
-        for child, share in zip(node.children, shares):
+        first, second = node.children
+        k = _binomial(rng, runs, first.probability)
+        for child, share in ((first, k), (second, runs - k)):
             if share:
                 split(child, share)
 
@@ -221,28 +209,22 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
 
 
 def monte_carlo(
-    run_kind: str, tree: ProtocolTree, target: int, trials: int, root_seed: int, engine: str
+    run_kind: str, tree: ProtocolTree, target: int, trials: int, root_seed: int
 ) -> dict:
     """Tally `trials` independent runs of a `resolve_run` run as the sampled
     commands' report result.
 
-    One `_multinomial` sampler draws the counts; the engine picks where the
-    runs split. The kernel engine splits them once at the root, over the
-    three exact leaf probabilities; ``engine="protocol"`` splits them at each
-    chance node (`_split_down_tree`). Neither cost grows with `trials`, and
-    an outcome or branch of exact mass 0, such as an honest run's abort or a
-    dead branch `protocol` snapped to 0, gets no runs. Each engine is
-    deterministic given `root_seed`; they agree in distribution and take
-    1000 to 2**63 - 1 trials.
+    `_split_down_tree` draws the counts at the tree's own per-node
+    probabilities, so the cost does not grow with `trials`, and a branch of
+    exact mass 0, such as an honest run's abort or a dead branch `protocol`
+    snapped to 0, gets no runs. It takes 1000 to 2**63 - 1 trials and is
+    deterministic given `root_seed`. The report's ``engine`` always reads
+    ``protocol``, the one engine.
     """
     if not 1000 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")
 
-    rng = random.Random(root_seed)
-    if engine == "kernel":
-        heads, tails, aborts = _multinomial(rng, trials, leaf_probabilities(tree))
-    else:
-        heads, tails, aborts = _split_down_tree(tree, trials, rng)
+    heads, tails, aborts = _split_down_tree(tree, trials, random.Random(root_seed))
     win_frequency = (heads if target == 0 else tails) / trials
     abort_frequency = aborts / trials
 
@@ -255,7 +237,7 @@ def monte_carlo(
         "target": target,
         "trials": trials,
         "root_seed": root_seed,
-        "engine": engine,
+        "engine": "protocol",
         "heads": heads,
         "tails": tails,
         "aborts": aborts,

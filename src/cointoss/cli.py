@@ -49,6 +49,7 @@ sizes:
   --trials is between 1000 and 2**63 - 1 (9223372036854775807).
   --steps is between 2 and 1000000.
   optimize is solved in closed form; --grid-resolution is only echoed.
+  --engine takes only protocol; it is kept for scripts that pass it.
 
 The default seed is 0, or the value of COINTOSS_SEED when set;
 an explicit --seed always wins.
@@ -81,7 +82,7 @@ def _strategy(default: str) -> tuple:
 _TARGET = ("--target", {"type": int, "choices": (0, 1), "default": 0})
 _RUNS = (
     ("--trials", {"type": int, "default": 100_000}),
-    ("--engine", {"choices": ("kernel", "protocol"), "default": "kernel"}),
+    ("--engine", {"choices": ("protocol",), "default": "protocol"}),
     (
         "--transcript",
         {"metavar": "PATH", "help": "also write the JSONL transcript of one run with this seed"},
@@ -197,6 +198,18 @@ def _same_regular_file(first: str, second: str) -> bool:
     return not _is_stream(first) and Path(first).resolve() == Path(second).resolve()
 
 
+def _is_stdout_file(path: str) -> bool:
+    """Whether `path` names the regular file that stdout writes to, which
+    replacing it would take from under the report; a stdout without a file
+    descriptor, such as a test's captured one, names none."""
+    try:
+        return not _is_stream(path) and os.path.samestat(
+            os.stat(path), os.fstat(sys.stdout.fileno())
+        )
+    except (OSError, ValueError):
+        return False
+
+
 def _write_atomic(writes: list[tuple[str, Iterable[str]]]) -> None:
     """Write each (path, text chunks) pair whole, or change no file at all.
 
@@ -273,21 +286,18 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         gc.freeze()
 
     if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
-        if (
-            args.out is not None
-            and args.transcript is not None
-            and _same_regular_file(args.out, args.transcript)
-        ):
-            raise ValueError(f"--out and --transcript both name {args.out}")
+        if args.transcript is not None:
+            if args.out is not None and _same_regular_file(args.out, args.transcript):
+                raise ValueError(f"--out and --transcript both name {args.out}")
+            if args.out is None and _is_stdout_file(args.transcript):
+                raise ValueError(f"stdout and --transcript both name {args.transcript}")
         # montecarlo infers the run kind from the strategy.
         run_kind, tree = analysis.resolve_run(
             None if args.command == "montecarlo" else args.command,
             getattr(args, "strategy", "honest"),
             args.target,
         )
-        result = analysis.monte_carlo(
-            run_kind, tree, args.target, args.trials, args.seed, args.engine
-        )
+        result = analysis.monte_carlo(run_kind, tree, args.target, args.trials, args.seed)
         transcript = (
             None if args.transcript is None else protocol.walk(tree, args.seed)[1].to_jsonl()
         )

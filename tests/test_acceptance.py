@@ -40,7 +40,7 @@ def test_criterion_1_honest_protocol():
         and abs(tails_exact["p_win_exact"] - 0.5) < 1e-12
         and abs(heads_exact["p_abort_exact"]) < 1e-12
     )
-    mc = monte_carlo(*resolve_run("honest", "honest", 0), 0, 1_000_000, 101, "kernel")
+    mc = monte_carlo(*resolve_run("honest", "honest", 0), 0, 1_000_000, 101)
     mc_ok = (
         abs(mc["heads"] / mc["trials"] - 0.5) < five_sigma(0.5, mc["trials"])
         and abs(mc["tails"] / mc["trials"] - 0.5) < five_sigma(0.5, mc["trials"])
@@ -65,7 +65,7 @@ def test_criterion_2_optimal_alice():
         exact_ok &= abs(result["p_win_exact"] - 0.75) < 1e-9
         exact_ok &= abs(result["p_abort_exact"] - 1 / 6) < 1e-9
         details.append(f"target {target}: win={result['p_win_exact']:.12f}")
-    mc = monte_carlo(*resolve_run("cheat-alice", "optimal-alice", 0), 0, 1_000_000, 102, "kernel")
+    mc = monte_carlo(*resolve_run("cheat-alice", "optimal-alice", 0), 0, 1_000_000, 102)
     mc_ok = abs(mc["win_frequency"] - 0.75) < five_sigma(0.75, mc["trials"]) and abs(
         mc["abort_frequency"] - 1 / 6
     ) < five_sigma(1 / 6, mc["trials"])

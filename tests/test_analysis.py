@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cointoss import (
@@ -26,9 +26,7 @@ from cointoss import (
 from cointoss.analysis import (
     InvariantViolationError,
     _binomial,
-    _multinomial,
     exact_win_probability,
-    leaf_probabilities,
     monte_carlo,
     resolve_run,
 )
@@ -45,7 +43,6 @@ from cointoss.strategies import (
 )
 
 from test_closed_forms import HONEST_BOB, _aligned_forms
-from test_golden import REPORTS, TRANSCRIPTS
 
 
 unit_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
@@ -58,16 +55,10 @@ def argmax(result: dict) -> tuple[float, float, float, float]:
     return tuple(result[f"argmax.{name}"] for name in ("a00", "a01", "a10", "a11"))
 
 
-# Every strategy id that a golden command names.
-GOLDEN_STRATEGY_IDS = sorted(
-    {argv[argv.index("--strategy") + 1] for _, argv in REPORTS + TRANSCRIPTS if "--strategy" in argv}
-)
-
-
-def sample(run_kind, strategy_id="honest", target=0, trials=100_000, root_seed=0, engine="kernel"):
+def sample(run_kind, strategy_id="honest", target=0, trials=100_000, root_seed=0):
     """`monte_carlo` over the run that `resolve_run` makes of these."""
     run_kind, tree = resolve_run(run_kind, strategy_id, target)
-    return monte_carlo(run_kind, tree, target, trials, root_seed, engine)
+    return monte_carlo(run_kind, tree, target, trials, root_seed)
 
 
 def scan_points(steps):
@@ -329,33 +320,6 @@ class TestBinomialSampler:
         assert _binomial(rng, n, 1.0) == n
 
 
-class TestMultinomialSampler:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.floats(0.0, 1.0), st.integers(0, 2**63 - 1), st.integers(0, 2**64))
-    @example(0.0, 2**63 - 1, 0)
-    @example(5e-324, 2**63 - 1, 0)
-    @example(0.5, 2**63 - 1, 0)
-    @example(1 - 2**-53, 2**63 - 1, 0)
-    @example(1.0, 2**63 - 1, 0)
-    def test_two_masses_are_one_binomial_draw(self, p, n, seed):
-        # p + (1 - p) rounds to exactly 1, so the first share is drawn at p
-        # itself and the second takes the rest without a draw: a chance
-        # node's `_multinomial` split draws what one `_binomial` at its first
-        # child's probability drew.
-        split, single = random.Random(seed), random.Random(seed)
-        k = _binomial(single, n, p)
-        assert _multinomial(split, n, [p, 1.0 - p]) == [k, n - k]
-        assert split.getstate() == single.getstate()
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.floats(0.0, exclude_min=True, allow_infinity=False), st.integers(0, 2**63 - 1))
-    def test_one_live_mass_takes_every_run_without_a_draw(self, mass, n):
-        rng = random.Random(0)
-        state = rng.getstate()
-        assert _multinomial(rng, n, [0.0, mass, 0.0]) == [0, n, 0]
-        assert rng.getstate() == state
-
-
 class TestMonteCarlo:
     @pytest.mark.parametrize(
         "run_kind,strategy_id",
@@ -367,7 +331,7 @@ class TestMonteCarlo:
             ("cheat-bob", "random-bob:12"),
         ],
     )
-    def test_kernel_engine_matches_exact(self, run_kind, strategy_id):
+    def test_sampled_frequencies_match_exact(self, run_kind, strategy_id):
         report = sample(run_kind, strategy_id, target=0, trials=100_000, root_seed=9)
         if run_kind == "honest":
             expected_win, expected_abort = 0.5, 0.0
@@ -381,18 +345,8 @@ class TestMonteCarlo:
             expected_abort, abs=max(abort_tolerance, 1e-9)
         )
 
-    @pytest.mark.parametrize("strategy_id", GOLDEN_STRATEGY_IDS)
-    def test_kernel_engine_is_one_split_at_the_root(self, strategy_id):
-        for target, root_seed, trials in itertools.product((0, 1), range(3), (1000, 2**63 - 1)):
-            run_kind, tree = resolve_run(None, strategy_id, target)
-            report = monte_carlo(run_kind, tree, target, trials, root_seed, "kernel")
-            root_split = _multinomial(random.Random(root_seed), trials, leaf_probabilities(tree))
-            assert [report["heads"], report["tails"], report["aborts"]] == root_split
-
     def test_protocol_engine_agrees_with_exact(self):
-        report = sample(
-            "cheat-alice", "optimal-alice", 0, trials=3000, root_seed=4, engine="protocol"
-        )
+        report = sample("cheat-alice", "optimal-alice", 0, trials=3000, root_seed=4)
         assert report["win_frequency"] == pytest.approx(
             0.75, abs=5 * np.sqrt(0.75 * 0.25 / 3000)
         )
@@ -401,10 +355,9 @@ class TestMonteCarlo:
         )
 
     def test_engines_deterministic(self):
-        for engine in ("kernel", "protocol"):
-            first = sample("honest", trials=2000, root_seed=33, engine=engine)
-            second = sample("honest", trials=2000, root_seed=33, engine=engine)
-            assert first == second
+        first = sample("honest", trials=2000, root_seed=33)
+        second = sample("honest", trials=2000, root_seed=33)
+        assert first == second
 
     @pytest.mark.parametrize("trials", [5000, 10**12])
     @pytest.mark.parametrize(
@@ -434,16 +387,15 @@ class TestMonteCarlo:
         # Honest play never fails verification: an honest preparation passes
         # with probability 1 - 4.4e-16, which is 1. A cheating Bob holds the
         # verdict.
-        for engine in ("kernel", "protocol"):
-            start = time.perf_counter()
-            report = sample(run_kind, strategy_id, 0, 2**63 - 1, 3, engine=engine)
-            assert time.perf_counter() - start < 1.0
-            assert report["aborts"] == 0
+        start = time.perf_counter()
+        report = sample(run_kind, strategy_id, 0, 2**63 - 1, 3)
+        assert time.perf_counter() - start < 1.0
+        assert report["aborts"] == 0
 
     def test_protocol_engine_sends_no_run_down_a_dead_branch(self):
         # The honest tree's dead branches have mass exactly 0: no run of
         # 2**63 - 1 may reach one.
-        report = sample("honest", trials=2**63 - 1, root_seed=1, engine="protocol")
+        report = sample("honest", trials=2**63 - 1, root_seed=1)
         assert report["aborts"] == 0
         assert report["heads"] + report["tails"] == 2**63 - 1
 
@@ -459,7 +411,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(analysis, "sample_path", counting_sample_path, raising=False)
         for strategy_id in ("honest", "optimal-alice", "random-bob:7"):
             run_kind, tree = resolve_run(None, strategy_id, 0)
-            monte_carlo(run_kind, tree, 0, 10**6, 5, "protocol")
+            monte_carlo(run_kind, tree, 0, 10**6, 5)
         assert calls == []
         protocol.walk(tree, 5)
         assert len(calls) == 1
@@ -476,15 +428,14 @@ class TestMonteCarlo:
         counts = []
         for trials in (1000, 3000):
             calls.clear()
-            sample("cheat-alice", "optimal-alice", 0, trials, 5, engine="protocol")
+            sample("cheat-alice", "optimal-alice", 0, trials, 5)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
-    @pytest.mark.parametrize("engine", ["kernel", "protocol"])
-    def test_trials_bounded_by_the_int64_maximum(self, engine):
+    def test_trials_bounded_by_the_int64_maximum(self):
         with pytest.raises(ValueError, match="between 1000 and 9223372036854775807"):
-            sample("honest", trials=2**63, engine=engine)
-        report = sample("cheat-alice", "optimal-alice", 0, 2**63 - 1, 2, engine=engine)
+            sample("honest", trials=2**63)
+        report = sample("cheat-alice", "optimal-alice", 0, 2**63 - 1, 2)
         assert report["heads"] + report["tails"] + report["aborts"] == 2**63 - 1
 
     def test_trial_floor(self):

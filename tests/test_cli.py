@@ -167,7 +167,7 @@ class TestExitCodes:
             ["cheat-bob", "--engine", "protocol", "--trials", str(10**20)],
             ["scan", "--steps", str(10**6 + 1)],
             ["scan", "--steps", str(10**12)],
-            ["montecarlo", "--engine", "kernel", "--trials", str(2**63)],
+            ["montecarlo", "--trials", str(2**63)],
             ["honest", "--trials", str(10**20)],
         ],
     )
@@ -177,23 +177,35 @@ class TestExitCodes:
         assert err.startswith("cointoss: invalid configuration:")
         assert err.count("\n") == 1
 
-    def test_kernel_engine_has_no_trial_bound(self, capsys):
+    def test_default_engine_has_no_trial_bound(self, capsys):
         code, out, _ = run_cli(capsys, "honest", "--trials", "10000001")
         assert code == EXIT_OK
         assert "result.trials: 10000001" in out
 
-    def test_both_engines_run_up_to_the_int64_maximum(self, capsys):
-        for engine in ("kernel", "protocol"):
-            code, out, _ = run_cli(
-                capsys, "cheat-alice", "--engine", engine, "--trials", str(2**63 - 1)
-            )
-            assert code == EXIT_OK
-            assert "result.trials: 9223372036854775807" in out
+    def test_runs_go_up_to_the_int64_maximum(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cheat-alice", "--engine", "protocol", "--trials", str(2**63 - 1)
+        )
+        assert code == EXIT_OK
+        assert "result.trials: 9223372036854775807" in out
+
+    def test_kernel_engine_is_a_parse_error_that_writes_nothing(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["montecarlo", "--engine", "kernel", "--out", str(path)])
+        assert excinfo.value.code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "cointoss: argument --engine: invalid choice: 'kernel' (choose from 'protocol')\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_documents_size_bounds(self):
         text = build_parser().format_help()
         assert "--trials is between 1000 and 2**63 - 1 (9223372036854775807)" in text
         assert "--grid-resolution is only echoed" in text
+        assert "--engine takes only protocol" in text
         assert "--steps is between 2 and 1000000" in text
 
     def test_help_documents_exit_codes(self):
@@ -210,6 +222,15 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("command", ["honest", "cheat-alice", "cheat-bob", "montecarlo"])
+    def test_engine_protocol_is_the_default(self, capsys, command):
+        args = (command, "--trials", "20000", "--seed", "5")
+        _, default, _ = run_cli(capsys, *args)
+        _, protocol, _ = run_cli(capsys, *args, "--engine", "protocol")
+        assert default == protocol
+        assert "config.engine: protocol\n" in default
+        assert "result.engine: protocol\n" in default
 
     def test_seed_changes_counts(self, capsys):
         _, first, _ = run_cli(capsys, "montecarlo", "--trials", "20000", "--seed", "5")
@@ -351,6 +372,29 @@ class TestRunsAndFiles:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"cointoss: invalid configuration: --out and --transcript both name {path}\n"
         assert not path.exists()
+
+    @pytest.mark.parametrize("spelling", ["/dev/stdout", "own path"])
+    def test_transcript_naming_the_stdout_file_is_parse_error(self, tmp_path, spelling):
+        # Replacing stdout's file with the transcript would lose the report
+        # that stdout then writes to the unlinked file.
+        path = tmp_path / "both"
+        transcript = str(path) if spelling == "own path" else spelling
+        with open(path, "w") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "cointoss.cli", "honest", "--trials", "1000",
+                 "--transcript", transcript],
+                env=child_env(),
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert done.returncode == EXIT_PARSE
+        assert done.stderr == (
+            f"cointoss: invalid configuration: stdout and --transcript both name {transcript}\n"
+        )
+        assert path.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["both"]
 
     def test_out_and_transcript_may_share_a_device(self, capsys):
         code, out, err = run_cli(
@@ -615,9 +659,8 @@ class TestStartup:
         # The package computes with Python floats and complex numbers, so
         # no command pays numpy's import: about 120 ms and 12 MB of peak RSS.
         runs = [
-            [command, "--engine", engine, "--trials", "5000"]
+            [command, "--trials", "5000"]
             for command in ("honest", "cheat-alice", "cheat-bob", "montecarlo")
-            for engine in ("kernel", "protocol")
         ]
         runs += [
             ["honest", "--transcript", str(tmp_path / "t.jsonl")],

@@ -61,9 +61,8 @@ _SAMPLED = [
 
 REPORTS = (
     [
-        (f"{stem}-{engine}", argv + ["--trials", "2000", "--seed", "5", "--engine", engine])
+        (f"{stem}-protocol", argv + ["--trials", "2000", "--seed", "5", "--engine", "protocol"])
         for stem, argv in _SAMPLED
-        for engine in ("kernel", "protocol")
     ]
     + [
         (
