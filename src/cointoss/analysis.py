@@ -1,11 +1,12 @@
 """Exact cheating probabilities, the 3/4 bound, and Monte Carlo cross-checks.
 
-Cheating probabilities are sums over the leaves of the protocol's branch
-tree (every choice, coin outcome and verification branch with its exact
-probability). For Alice's aligned family they are also two quadratic forms
-in her four weights; `forms` holds them, her optimum and the sensitivity
-scan, none of which needs a tree. Monte Carlo sampling adds a statistical
-check: `_split_down_tree` splits the trials at every chance node by one
+Cheating probabilities are exact sums over the leaves of the protocol's
+branch tree (every choice, coin outcome and verification branch with its
+exact probability), rounded to floats only where a report prints them.
+For Alice's aligned family they are also two quadratic forms in her four
+weights; `forms` holds them, her optimum and the sensitivity scan, none
+of which needs a tree. Monte Carlo sampling adds a statistical check:
+`_split_down_tree` splits the trials at every chance node by one
 `_binomial` draw at its first child's probability. Every draw reads
 `random.Random(seed).random()`, a stream that Python keeps the same across
 releases.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from . import ANALYTIC_BOUND, InvariantViolationError
 from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaves
@@ -25,37 +27,40 @@ from .strategies import AliceCheatStrategy, BobCheatStrategy, parse_strategy_id
 _MAX_TRIALS = 2**63 - 1
 
 
-def leaf_probabilities(tree: ProtocolTree) -> list[float]:
+def leaf_probabilities(tree: ProtocolTree) -> list[Fraction]:
     """Exact probabilities of the run's three leaves: heads, tails, abort.
 
-    Each is the correctly rounded sum of the masses of the tree's leaves
-    with that outcome; a dead branch counts toward none of them.
+    Each is the sum of the masses of the tree's leaves with that outcome;
+    a dead branch counts toward none of them. The three sum to exactly 1.
     """
-    masses = {outcome: [] for outcome in ProtocolOutcome}
+    totals = dict.fromkeys([*ProtocolOutcome, None], Fraction(0))
     for mass, leaf in leaves(tree):
-        if leaf.outcome is not None:
-            masses[leaf.outcome].append(mass)
-    return [math.fsum(parts) for parts in masses.values()]
+        totals[leaf.outcome] += mass  # a dead leaf's outcome is None, its mass 0
+    return [totals[outcome] for outcome in ProtocolOutcome]
 
 
 def exact_win_probability(
     strategy: AliceCheatStrategy | BobCheatStrategy, target: int
 ) -> dict:
     """One strategy's exact win and abort mass, summed over its branch tree,
-    as the `bias` report's result; epsilon is the win's excess over 1/2."""
+    as the `bias` report's result; epsilon is the win's excess over 1/2.
+    Each is rounded to a float once, from its exact value. The masses are
+    exact for the operation as given, but a float `LocalOperation` is
+    unitary only to rounding, so a win may pass 3/4 by about an ulp: the
+    check keeps its slack of 1e-12 below 0 and 1e-9 above 3/4."""
     exact = leaf_probabilities(build_tree(strategy, target))
     p_win = exact[target]
     if not (-1e-12 <= p_win <= ANALYTIC_BOUND + 1e-9):
         raise InvariantViolationError(
-            f"win probability {p_win!r} escapes [0, bound] for {strategy.name}"
+            f"win probability {float(p_win)!r} escapes [0, bound] for {strategy.name}"
         )
     return {
         "party": "A" if isinstance(strategy, AliceCheatStrategy) else "B",
         "target": target,
         "strategy": strategy.name,
-        "p_win_exact": p_win,
-        "p_abort_exact": exact[2],
-        "epsilon": p_win - 0.5,
+        "p_win_exact": float(p_win),
+        "p_abort_exact": float(exact[2]),
+        "epsilon": float(p_win - Fraction(1, 2)),
     }
 
 
@@ -186,11 +191,12 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
     """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
 
     Of the runs that reach a chance node, one `_binomial` draw at the first
-    child's probability p, the p that `sample_path` compares with, sends k
-    down the first child and the other runs down the second; depth first,
-    first child first. A child of chance 0 gets no runs and no draw. The
-    counts have the law of `trials` independent walks, since a multinomial
-    over the leaves factorizes into these conditional splits.
+    child's probability p, the p that `sample_path` compares with, rounded
+    to the nearest float, sends k down the first child and the other runs
+    down the second; depth first, first child first. A child of chance 0
+    gets no runs and no draw. The counts have the law of `trials`
+    independent walks, since a multinomial over the leaves factorizes into
+    these conditional splits.
     """
     counts = dict.fromkeys(ProtocolOutcome, 0)
 
@@ -199,7 +205,7 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
             counts[node.outcome] += runs
             return
         first, second = node.children
-        k = _binomial(rng, runs, first.probability)
+        k = _binomial(rng, runs, float(first.probability))
         for child, share in ((first, k), (second, runs - k)):
             if share:
                 split(child, share)
@@ -216,10 +222,9 @@ def monte_carlo(
 
     `_split_down_tree` draws the counts at the tree's own per-node
     probabilities, so the cost does not grow with `trials`, and a branch of
-    exact mass 0, such as an honest run's abort or a dead branch `protocol`
-    snapped to 0, gets no runs. It takes 1000 to 2**63 - 1 trials and is
-    deterministic given `root_seed`. The report's ``engine`` always reads
-    ``protocol``, the one engine.
+    exact mass 0, such as an honest run's abort, gets no runs. It takes
+    1000 to 2**63 - 1 trials and is deterministic given `root_seed`. The
+    report's ``engine`` always reads ``protocol``, the one engine.
     """
     if not 1000 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")

@@ -55,32 +55,31 @@ def _eigh(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
 
 
 def _objective(a00, a01, a10, a11=0.0):
-    """x^T M x, Alice's success probability for target 0; accepts scalars or
-    arrays. a11 does not enter it."""
-    return (2.0 * a00 * a00 + 2.0 * a00 * a01 + 2.0 * a00 * a10 + a01 * a01 + a10 * a10) / 4.0
+    """x^T M x, Alice's win for target 0, exact on Fractions; a11 does not enter it."""
+    return (2 * a00 * a00 + 2 * a00 * a01 + 2 * a00 * a10 + a01 * a01 + a10 * a10) / 4
 
 
 def _detection(a00, a01, a10, a11):
-    """x^T D x, Alice's abort probability against an honest Bob; accepts scalars or arrays.
+    """x^T D x, Alice's abort probability against an honest Bob; exact on Fractions.
 
     The abort mass of the coin pair's outcome i is ``(a_i0 - a_i1)^2 / 4``
     when Bob picks pair 1, and of outcome j ``(a_0j - a_1j)^2 / 4`` when he
     picks pair 2.
     """
     d0, d1, d2, d3 = a00 - a01, a10 - a11, a00 - a10, a01 - a11
-    return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4.0
+    return (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3) / 4
 
 
 def _polarize(q: Callable[..., float]) -> list[list[float]]:
     """The symmetric matrix of the quadratic form `q` on the four weights, as
     rows, polarized at four unit vectors and six pair sums: q(e_i) on the
-    diagonal, and (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 off it."""
+    diagonal, and (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 off it; exact if q is."""
     units = [[float(i == k) for i in range(4)] for k in range(4)]
     diagonal = [q(*u) for u in units]
     form = [[diagonal[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
     for i, j in combinations(range(4), 2):
         x = [a + b for a, b in zip(units[i], units[j])]
-        form[i][j] = form[j][i] = (q(*x) - diagonal[i] - diagonal[j]) / 2.0
+        form[i][j] = form[j][i] = (q(*x) - diagonal[i] - diagonal[j]) / 2
     return form
 
 

@@ -1,14 +1,15 @@
 """The coin-tossing protocol as one branch tree per pair of behaviours.
 
 `build_tree` writes the four protocol steps out once, for an all-honest
-run or a run with one cheating party. Bob's choice, each
-measurement and the verification are chance nodes; every branch holds its
-exact probability once, and the transcript records it emits. Three readers
-share the tree: exact probabilities are sums over its leaves, sampled counts
-split runs down its chance nodes, and a run walks one root-to-leaf path
-with the run's RNG, whose records are the run's transcript, each chance's
-event carrying the probability the walk took. A transcript
-is framed by a header record (carrying the seed and both parties' roles)
+run or a run with one cheating party. Bob's choice, each measurement and
+the verification are chance nodes; every branch holds its exact
+probability once, a `Fraction`, and the transcript records it emits; it
+is dead exactly when that probability is 0. Three readers share the tree:
+exact probabilities are sums over its leaves, sampled counts split runs
+down its chance nodes, and a run walks one root-to-leaf path with the
+run's RNG, whose records are the run's transcript, each chance's event
+carrying the float of the probability the walk took. A transcript is
+framed by a header record (carrying the seed and both parties' roles)
 and an outcome record. Messages always appear in protocol order: state
 transfer, choice announcement, qubit transfer, verdict. Runs are
 deterministic per seed.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 from .qstate import (
@@ -34,10 +36,6 @@ from .qstate import (
 from .strategies import AliceCheatStrategy, BobCheatStrategy, honest_alice
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
-
-# A chance within this of 0 or 1 is exactly 0 or 1 (see `_chance`).
-ZERO_ATOL = 1e-12
-
 
 # Transcript senders.
 _ALICE, _BOB = "alice", "bob"
@@ -78,7 +76,7 @@ class Transcript(NamedTuple):
         return "\n".join(json.dumps(record._asdict()) for record in self.records) + "\n"
 
 
-# Two shared pairs ``(|00>+|11>)/sqrt(2)`` on (A1,B1) and (A2,B2).
+# Two shared pairs, each ``|00> + |11>`` normalized, on (A1,B1) and (A2,B2).
 _HONEST_PREPARATION = honest_alice().initial_state
 
 
@@ -102,16 +100,16 @@ class Branch(NamedTuple):
     `probability` is the exact chance of this branch given its parent, and
     `lines` the transcript records a run emits on entering it; the first is
     the event of the chance that enters it, and `walk` records this
-    probability on it (the root's lines on none). A chance node
-    has two children whose probabilities are p and 1 - p; a run continues
-    to ``children[0]`` when ``rng.random() < children[0].probability`` and
-    to ``children[1]`` otherwise. A branch that `_chance` gives chance 0
-    is dead: it is `_DEAD`, whose `lines` are None, so no walk and no
-    sampled run ever enters it. A leaf has no children and, unless it is
+    probability's float on it (the root's lines on none). A chance node has
+    two children whose probabilities are p and 1 - p; a run continues to
+    ``children[0]`` when ``rng.random() < children[0].probability`` and to
+    ``children[1]`` otherwise. A branch of chance exactly 0, and only such
+    a branch, is dead: it is `_DEAD`, whose `lines` are None, so no walk and
+    no sampled run enters it. A leaf has no children and, unless it is
     dead, the run's outcome.
     """
 
-    probability: float
+    probability: Fraction
     lines: tuple[Line, ...] | None
     children: tuple["Branch", ...]
     outcome: ProtocolOutcome | None
@@ -126,21 +124,11 @@ class ProtocolTree(NamedTuple):
     root: Branch
 
 
-_DEAD = Branch(0.0, None, (), None)
+_DEAD = Branch(Fraction(0), None, (), None)
 
 
-def _chance(p: float) -> float:
-    """A chance node's first-child probability: `p`, or exactly 0 or 1 when
-    within `ZERO_ATOL` of it. The tree's one rule for impossible branches."""
-    if p < ZERO_ATOL:
-        return 0.0
-    if 1.0 - p < ZERO_ATOL:
-        return 1.0
-    return p
-
-
-def _leaf(probability: float, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
-    if probability == 0.0:
+def _leaf(probability: Fraction, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
+    if probability == 0:
         return _DEAD
     lines += (("-", "outcome", {"outcome": outcome.value}),)
     return Branch(probability, lines, (), outcome)
@@ -155,12 +143,12 @@ def build_tree(
     honestly; None makes both honest. `target` is the cheater's target
     bit, written to the transcript header (None for an all-honest run).
     Bob's choice, every measurement and the verification are chance nodes.
-    Each has one probability p, its first child's, and its second child has
-    1 - p: 0.5 for the choice, reading 0 by `measure`, passing by
-    `bell_pass_probability`, each put through `_chance`. Every non-root
-    node is entered through one chance, and its first line is that chance's
-    event: a `choice_announcement` from an honest Bob, a `measurement`, or
-    a verdict. No line carries a probability; `walk` adds the node's.
+    Each has one exact probability p, its first child's, and its second
+    child has 1 - p: 1/2 for the choice, reading 0 by `measure`, passing by
+    `bell_pass_probability`. Every non-root node is entered through one
+    chance, and its first line is that chance's event: a
+    `choice_announcement` from an honest Bob, a `measurement`, or a
+    verdict. No line carries a probability; `walk` adds the node's.
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
@@ -173,7 +161,7 @@ def build_tree(
         bob_role = PartyRole(bob.name, ("B1", "B2") + ancillas)
         # Bob's ancillas join the register in |0...0>: each amplitude is
         # followed by the 2^k - 1 zeros of the kets where an ancilla reads 1.
-        pad = (0j,) * (2 ** len(ancillas) - 1)
+        pad = ((0, 0),) * (2 ** len(ancillas) - 1)
         amplitudes = tuple(x for a in state.amplitudes for x in (a, *pad))
         state = StateVector(state.register + ancillas, amplitudes)
         if bob.operation is not None:
@@ -185,15 +173,13 @@ def build_tree(
         if not steps:
             return then(state, bits, probability, lines)
         (sender, label), rest = steps[0], steps[1:]
-        outcomes = measure(state, label)
-        p0 = _chance(outcomes[0][0])
         children = []
-        for bit, mass in ((0, p0), (1, 1.0 - p0)):
-            if mass == 0.0:
+        for bit, (mass, posterior) in enumerate(measure(state, label)):
+            if mass == 0:
                 children.append(_DEAD)
                 continue
             line = (sender, "measurement", {"label": label, "outcome": bit})
-            children.append(read(outcomes[bit][1], rest, bits + (bit,), mass, (line,), then))
+            children.append(read(posterior, rest, bits + (bit,), mass, (line,), then))
         return Branch(probability, lines, tuple(children), None)
 
     def announce(state, choice, probability, lines) -> Branch:
@@ -218,10 +204,10 @@ def build_tree(
                 # A cheating Bob holds the verdict, and this family always passes.
                 lines += ((_BOB, "verdict_pass", {"pair": []}),)
                 return _leaf(probability, lines, outcome)
-            passed = _chance(bell_pass_probability(state, (alice_keep, bob_keep)))
+            passed = bell_pass_probability(state, (alice_keep, bob_keep))
             verdicts = (
                 _leaf(passed, ((_BOB, "verdict_pass", checked),), outcome),
-                _leaf(1.0 - passed, ((_BOB, "verdict_abort", checked),), ProtocolOutcome.ABORT),
+                _leaf(1 - passed, ((_BOB, "verdict_abort", checked),), ProtocolOutcome.ABORT),
             )
             return Branch(probability, lines, verdicts, None)
 
@@ -233,18 +219,18 @@ def build_tree(
     lines = ((_ALICE, "state_transfer", {"labels": ["B1", "B2"]}),)
     if bob is None:
         # An honest Bob's step-2 choice is a fair coin.
-        choices = tuple(announce(state, choice, 0.5, ()) for choice in (1, 2))
-        root = Branch(1.0, lines, choices, None)
+        choices = tuple(announce(state, choice, Fraction(1, 2), ()) for choice in (1, 2))
+        root = Branch(Fraction(1), lines, choices, None)
     else:
         steps = tuple((_BOB, label) for label in bob.measured)
-        root = read(state, steps, (), 1.0, lines, choose)
+        root = read(state, steps, (), Fraction(1), lines, choose)
     return ProtocolTree(alice_role, bob_role, target, root)
 
 
 def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
     """The root-to-leaf path that a run with this seed takes: one uniform
     of ``random.Random(seed).random()`` per chance node, below the first
-    child's probability or not."""
+    child's exact probability or not."""
     rng = random.Random(seed)
     path = [tree.root]
     while path[-1].children:
@@ -253,18 +239,18 @@ def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
     return path
 
 
-def leaves(tree: ProtocolTree) -> list[tuple[float, Branch]]:
+def leaves(tree: ProtocolTree) -> list[tuple[Fraction, Branch]]:
     """Every leaf with its exact mass, first children first."""
     found = []
 
-    def visit(node: Branch, mass: float) -> None:
+    def visit(node: Branch, mass: Fraction) -> None:
         mass *= node.probability
         for child in node.children:
             visit(child, mass)
         if not node.children:
             found.append((mass, node))
 
-    visit(tree.root, 1.0)
+    visit(tree.root, Fraction(1))
     return found
 
 
@@ -272,8 +258,8 @@ def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
     """One run: the outcome and transcript of the path this seed draws.
 
     The first record of each non-root node on the path, the event of the
-    chance that entered it, carries that node's probability, and every other
-    record None; so the probabilities multiply to the path's mass.
+    chance that entered it, carries that node's probability, rounded to the
+    nearest float, and every other record None.
     """
     header = {
         "schema": TRANSCRIPT_SCHEMA,
@@ -287,6 +273,6 @@ def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
     path = sample_path(tree, seed)
     for depth, node in enumerate(path):
         for position, line in enumerate(node.lines):
-            probability = node.probability if depth and not position else None
+            probability = float(node.probability) if depth and not position else None
             records.append(TranscriptRecord(len(records), *line, probability))
     return path[-1].outcome, Transcript(tuple(records))

@@ -8,15 +8,17 @@ shared freely between threads and cached across protocol runs.
 Qubit ordering convention: the label at register position 0 is the
 leftmost (most significant) bit of a basis ket ``|q0 q1 ... q(n-1)>``.
 
-Amplitudes are a tuple of Python complex numbers, one per basis ket, and
-operations work on basis indices by bit arithmetic: five qubits, 32
+The engine is exact. It holds every amplitude and matrix entry, a float
+or an integer and so a dyadic rational, as an ``(re, im)`` pair of
+integers at one power-of-two scale. No state is normalized: each chance
+is a `Fraction` of two squared norms, in which the scale cancels.
+Operations work on basis indices by bit arithmetic: five qubits, 32
 amplitudes, are not worth an array library's import.
 """
 
 from __future__ import annotations
 
-import math
-from operator import attrgetter, mul
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -28,34 +30,24 @@ def bob_ancilla(index: int = 0) -> str:
 
 
 class StateVector(NamedTuple):
-    """A normalized pure state over an ordered register of labeled qubits."""
+    """A pure state over an ordered register of labeled qubits, up to a
+    positive scale: one integer ``(re, im)`` pair per basis ket."""
 
     register: tuple[str, ...]
-    amplitudes: tuple[complex, ...]
+    amplitudes: tuple[tuple[int, int], ...]
 
 
-_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+def _integer_pairs(values: Iterable[complex]) -> list[tuple[int, int]]:
+    """`values` as integer ``(re, im)`` pairs, every part multiplied by one
+    power of two: the largest denominator of a part, each a power of two."""
+    ratios = [x.as_integer_ratio() for c in map(complex, values) for x in (c.real, c.imag)]
+    shift = max(d for _, d in ratios).bit_length()
+    parts = [n << (shift - d.bit_length()) for n, d in ratios]
+    return list(zip(parts[::2], parts[1::2]))
 
 
-def dot(left: Iterable, right: Iterable) -> float | complex:
-    """``sum(l * r)`` over the pairs, correctly rounded by `math.fsum`; complex
-    terms sum their real and imaginary parts apart.
-
-    Terms that start complex skip `fsum`'s attempt on the whole list, which
-    would raise at the first of them.
-    """
-    terms = list(map(mul, left, right))
-    if not terms or type(terms[0]) is not complex:
-        try:
-            return math.fsum(terms)
-        except TypeError:  # a complex term after a real one
-            pass
-    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
-
-
-def _squared_norm(amplitudes: Iterable[complex]) -> float:
-    """The sum of the squared magnitudes, correctly rounded from the parts' squares."""
-    return math.fsum(x * x for a in amplitudes for x in (a.real, a.imag))
+def _squared_norm(amplitudes: Iterable[tuple[int, int]]) -> int:
+    return sum(re * re + im * im for re, im in amplitudes)
 
 
 def _mask(register: Sequence[str], label: str) -> int:
@@ -64,58 +56,69 @@ def _mask(register: Sequence[str], label: str) -> int:
 
 
 def make_state(register: Iterable[str], amplitudes: Iterable[complex]) -> StateVector:
-    """Build a state from labels and amplitudes, divided by their exact norm."""
-    amps = [complex(a) for a in amplitudes]
-    norm = math.sqrt(_squared_norm(amps))
-    return StateVector(register=tuple(register), amplitudes=tuple(a / norm for a in amps))
+    """Build a state from labels and amplitudes, floats or integers, held exactly."""
+    return StateVector(register=tuple(register), amplitudes=tuple(_integer_pairs(amplitudes)))
 
 
-def measure(state: StateVector, label: str) -> tuple[tuple[float, StateVector | None], ...]:
+def measure(state: StateVector, label: str) -> tuple[tuple[Fraction, StateVector | None], ...]:
     """Measure `label` in the computational basis: for outcome 0 and then 1,
-    the exact branch probability and the renormalized posterior (the measured
-    qubit left in ``|outcome>``), or None where the probability is 0.
-    """
+    the exact chance, the kept amplitudes' squared norm over the state's
+    (the two sum to exactly 1), and the posterior, those amplitudes at the
+    state's scale, or None where the chance is 0."""
     mask = _mask(state.register, label)
-    outcomes = []
-    for outcome in (0, 1):
-        kept = [a if (i & mask != 0) == outcome else 0j for i, a in enumerate(state.amplitudes)]
-        probability = _squared_norm(kept)
-        if probability == 0.0:
-            outcomes.append((0.0, None))
-            continue
-        norm = math.sqrt(probability)
-        outcomes.append((probability, StateVector(state.register, tuple(a / norm for a in kept))))
-    return tuple(outcomes)
+    kept = [
+        tuple(a if (i & mask != 0) == outcome else (0, 0) for i, a in enumerate(state.amplitudes))
+        for outcome in (0, 1)
+    ]
+    masses = [_squared_norm(amplitudes) for amplitudes in kept]
+    return tuple(
+        (Fraction(mass, sum(masses)), StateVector(state.register, amplitudes) if mass else None)
+        for mass, amplitudes in zip(masses, kept)
+    )
 
 
-def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> float:
-    """Probability that projecting the pair onto ``(|00>+|11>)/sqrt(2)`` passes.
+def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> Fraction:
+    """The exact chance that projecting the pair onto the shared pair's
+    state, ``|00> + |11>`` normalized, passes.
 
-    It is the squared norm of the pair's overlap with that state, an
-    amplitude vector over the rest of the register.
+    The pair's overlap with ``|00> + |11>`` is an amplitude vector over the
+    rest of the register: ``a_i + a_j`` for each ket i with both of the
+    pair's bits clear, j being i with both set. The chance is its squared
+    norm over twice the state's, the squared norm of ``|00> + |11>``.
     """
     both = _mask(state.register, pair[0]) | _mask(state.register, pair[1])
-    amps, half = state.amplitudes, 1.0 / math.sqrt(2.0)
-    overlap = [(amps[i] + amps[i | both]) * half for i in range(len(amps)) if not i & both]
-    return _squared_norm(overlap)
+    amps = state.amplitudes
+    overlap = (
+        (amps[i][0] + amps[i | both][0], amps[i][1] + amps[i | both][1])
+        for i in range(len(amps))
+        if not i & both
+    )
+    return Fraction(_squared_norm(overlap), 2 * _squared_norm(amps))
 
 
 def apply_unitary(state: StateVector, labels: Sequence[str], matrix) -> StateVector:
     """Apply a ``2^k x 2^k`` unitary, given as rows, to the k qubits named by `labels`.
 
-    Each basis index with the labels' bits clear starts one block: the
-    ``2^k`` indices that set those bits as the matrix's rows order them.
+    The entries are held as the amplitudes are, as integers at one
+    power-of-two scale, so the result is exact, at the product of the two
+    scales. Each basis index with the labels' bits clear starts one block:
+    the ``2^k`` indices that set those bits as the matrix's rows order them.
     """
     masks = [_mask(state.register, label) for label in labels]
     offsets = [
         sum(m for j, m in enumerate(masks) if row >> (len(masks) - 1 - j) & 1)
         for row in range(len(matrix))
     ]
+    entries = _integer_pairs(x for row in matrix for x in row)
+    rows = [entries[r : r + len(offsets)] for r in range(0, len(entries), len(offsets))]
     amplitudes = state.amplitudes
-    out = [0j] * len(amplitudes)
+    out = [(0, 0)] * len(amplitudes)
     for base in range(len(amplitudes)):
         if not base & offsets[-1]:
             block = [amplitudes[base | offset] for offset in offsets]
-            for row, offset in zip(matrix, offsets):
-                out[base | offset] = dot(row, block)
+            for row, offset in zip(rows, offsets):
+                out[base | offset] = (
+                    sum(mr * br - mi * bi for (mr, mi), (br, bi) in zip(row, block)),
+                    sum(mr * bi + mi * br for (mr, mi), (br, bi) in zip(row, block)),
+                )
     return StateVector(register=state.register, amplitudes=tuple(out))

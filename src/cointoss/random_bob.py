@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .qstate import B1, B2, bob_ancilla, dot
+from .qstate import B1, B2, bob_ancilla
 from .strategies import BobCheatStrategy, LocalOperation, _bit_tuples
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -133,6 +133,12 @@ class _DefaultRng:
         tables = _ziggurat_tables()
         rows, columns = size
         return [[self._standard_normal(*tables) for _ in range(columns)] for _ in range(rows)]
+
+
+def dot(left, right) -> complex:
+    """``sum(l * r)``, its real and imaginary parts each correctly rounded by `math.fsum`."""
+    terms = [a * b for a, b in zip(left, right)]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def haar_unitary(dim: int, rng: _DefaultRng) -> list[list[complex]]:

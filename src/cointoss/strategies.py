@@ -18,7 +18,7 @@ import math
 from typing import Mapping, NamedTuple
 
 from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, UnknownStrategyError
-from .qstate import A1, A2, B1, B2, StateVector, dot, make_state
+from .qstate import A1, A2, B1, B2, StateVector, make_state
 
 COEFFICIENT_NORM_ATOL = 1e-10
 
@@ -155,7 +155,7 @@ def parse_strategy_id(
         # A huge weight's x * x is inf, which the check names; x ** 2 would
         # raise, and so does fsum when finite squares sum past the largest float.
         try:
-            total = dot(values, values)
+            total = math.fsum(x * x for x in values)
         except OverflowError:
             total = math.inf
         if abs(total - 1.0) > COEFFICIENT_NORM_ATOL:

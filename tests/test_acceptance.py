@@ -18,7 +18,14 @@ from cointoss.strategies import (
     optimal_alice,
 )
 
-from test_closed_forms import BOB_DUALS, bob_povm, bob_readings, outcome_operators, povm_win
+from test_closed_forms import (
+    BOB_DUALS,
+    bob_povm,
+    bob_readings,
+    normalized,
+    outcome_operators,
+    povm_win,
+)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -155,7 +162,7 @@ def test_criterion_8_every_alice_state():
     tops, attained = [], []
     for target in (0, 1):
         win = np.array(outcome_operators(target)[0])
-        psi = np.array(optimal_alice(target).initial_state.amplitudes)
+        psi = normalized(optimal_alice(target).initial_state)
         tops.append(float(np.linalg.eigvalsh(win)[-1]))
         attained.append(float(np.vdot(psi, win @ psi).real))
     report(

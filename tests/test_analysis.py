@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +33,7 @@ from cointoss.analysis import (
 )
 from cointoss.cli import csv_lines, format_value
 from cointoss.forms import _detection, _objective, optimize_alice, scan_chunks, scan_csv
-from cointoss.protocol import ZERO_ATOL
-from cointoss.qstate import A1, A2, B1, B2, make_state
+from cointoss.qstate import A1, A2, B1, B2
 from cointoss.strategies import (
     AliceCheatStrategy,
     aligned_strategy,
@@ -95,11 +95,12 @@ class TestFidelityBound:
         passed = self.read_zero(*OPTIMAL_WEIGHTS).children[0].probability
         assert passed == pytest.approx(0.9, abs=1e-12)
 
-    @pytest.mark.parametrize("mass", [ZERO_ATOL / 2, 2 * ZERO_ATOL])
+    @pytest.mark.parametrize("mass", [0.0, 1e-13, 5e-13, 2e-12])
     def test_degenerate_branch_signaled(self, mass):
-        # A reading of 0 and then a pass, each aimed at chance `mass`: below
-        # ZERO_ATOL the branch is dead and its sibling's chance exactly 1,
-        # and from ZERO_ATOL up the two children keep p and 1 - p.
+        # A reading of 0 and then a pass, each aimed at chance `mass`: at
+        # exactly 0 the branch is dead and its sibling's chance exactly 1,
+        # and any other chance, however small, stays live with its exact
+        # value, its sibling's 1 - p.
         reading = (0.0, math.sqrt(mass), 0.6, 0.8)
         s = 2 * (math.sqrt(mass - mass**2) - mass) / (1 - 2 * mass)  # (a00+a01) at a00 = 1
         verdict = (1.0, s - 1.0, 1.0, 1.0)
@@ -107,12 +108,13 @@ class TestFidelityBound:
         posterior = qstate.measure(aligned_strategy(verdict).initial_state, B1)[0][1]
         passed = qstate.bell_pass_probability(posterior, (A2, B2))
         for node, p in ((self.coin(*reading), p0), (self.read_zero(*verdict), passed)):
-            assert p == pytest.approx(mass, rel=1e-6)
+            assert p == pytest.approx(mass, rel=1e-6, abs=0)
             first, second = node.children
-            if mass < ZERO_ATOL:
-                assert first == (0.0, None, (), None) and second.probability == 1.0
+            if mass == 0:
+                assert first == (0, None, (), None) and second.probability == 1
             else:
-                assert (first.probability, second.probability) == (p, 1.0 - p)
+                assert (first.probability, second.probability) == (p, 1 - p)
+                assert first.lines is not None
 
 
 class TestOptimizer:
@@ -170,8 +172,8 @@ class TestExactWinProbability:
         # returning the chosen pair's own partner scores far below 3/4. The
         # protocol sends the unchosen pair's partner, so swapping the names
         # of Alice's two qubits in the optimal state plays that reading.
-        amplitudes = optimal_alice(0).initial_state.amplitudes
-        swapped = AliceCheatStrategy("swapped-mapping", make_state((A2, B1, A1, B2), amplitudes))
+        state = optimal_alice(0).initial_state._replace(register=(A2, B1, A1, B2))
+        swapped = AliceCheatStrategy("swapped-mapping", state)
         report = exact_win_probability(swapped, 0)
         assert report["p_win_exact"] == pytest.approx(1 / 3, abs=1e-9)
 
@@ -182,7 +184,7 @@ class TestExactWinProbability:
 
     def test_report_invariant_guard(self, monkeypatch, capsys):
         # A win past 3/4 stops the report, in the library and on the CLI.
-        impossible = [0.76, 0.24, 0.0]
+        impossible = [Fraction(19, 25), Fraction(6, 25), Fraction(0)]
         monkeypatch.setattr(analysis, "leaf_probabilities", lambda tree: impossible)
         message = "win probability 0.76 escapes [0, bound] for optimal-alice:target=0"
         with pytest.raises(InvariantViolationError) as excinfo:

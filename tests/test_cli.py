@@ -608,19 +608,23 @@ class TestStartup:
         assert self.child(code) == "True True\n"
 
     def test_only_commands_that_build_a_tree_load_its_modules(self):
-        # Each command in turn, in one child: the scan is closed forms alone,
-        # and only a random-bob id compiles the generator that draws it.
+        # Each command in turn, in one child: the scan and optimize are closed
+        # forms alone, only a command that builds a tree loads `fractions`,
+        # whose import costs milliseconds, and only a random-bob id compiles
+        # the generator that draws it.
+        tree = [f"cointoss.{m}" for m in ("analysis", "protocol", "qstate", "strategies")]
         runs = [
             (["--help"], []),
-            (["scan", "--steps", "7"], ["forms"]),
-            (["bias"], ["analysis", "protocol", "qstate", "strategies"]),
-            (["bias", "--strategy", "random-bob:7"], ["random_bob"]),
+            (["scan", "--steps", "7"], ["cointoss.forms"]),
+            (["optimize"], []),
+            (["bias"], tree + ["fractions"]),
+            (["bias", "--strategy", "random-bob:7"], ["cointoss.random_bob"]),
         ]
         code = (
             "import contextlib, io, sys\n"
             "from cointoss import cli\n"
             "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'cointoss')\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'cointoss' or m == 'fractions')\n"
             "print(loaded())\n"
             f"for argv in {[argv for argv, _ in runs]!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
@@ -630,7 +634,7 @@ class TestStartup:
         expected = ["cointoss", "cointoss.cli"]
         lines = [f"{expected}\n"]
         for _, added in runs:
-            expected = sorted(expected + [f"cointoss.{m}" for m in added])
+            expected = sorted(expected + added)
             lines.append(f"{expected}\n")
         assert self.child(code) == "".join(lines)
 

@@ -16,6 +16,7 @@ sum_c tr(E_c Y) = tr Y = 3/4 (weak duality of the semidefinite program).
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ from cointoss.strategies import (
     measure_and_pick_bob,
     parse_strategy_id,
 )
+
+
+def normalized(state):
+    """The state's exact integer (re, im) pairs as a unit complex array: how
+    a numpy oracle reads a state. Each part is divided by one power of two
+    first, so no integer is too large for a float."""
+    top = 1 << max(abs(x) for pair in state.amplitudes for x in pair).bit_length()
+    amplitudes = np.array([complex(re / top, im / top) for re, im in state.amplitudes])
+    return amplitudes / np.linalg.norm(amplitudes)
 
 
 def embed(register, labels, matrix):
@@ -71,7 +81,7 @@ def _aligned_forms() -> tuple[list[list[float]], list[list[float]]]:
     """M and D, as rows: `outcome_operators` at target 0 on the aligned kets,
     so the weights x = (a00, a01, a10, a11) win with x^T M x and abort with x^T D x."""
     units = [[float(i == k) for i in range(4)] for k in range(4)]
-    kets = [aligned_strategy(e).initial_state.amplitudes.index(1.0) for e in units]
+    kets = [normalized(aligned_strategy(e).initial_state).tolist().index(1.0) for e in units]
     return tuple(form[np.ix_(kets, kets)].tolist() for form in outcome_operators(0))
 
 
@@ -95,11 +105,24 @@ class TestClosedForms:
         assert abs(x @ D @ x - _detection(*x)) < 1e-15
 
     def test_polarized_closed_forms_are_the_tree_operators_exactly(self):
-        # `optimize` reads M and D off the closed forms, not off the tree:
-        # entry for entry, both are the tree's operators.
-        objective, detection = _aligned_forms()
-        assert _polarize(_objective) == objective
-        assert _polarize(_detection) == detection
+        # `optimize` reads M and D off the closed forms, not off the tree. At
+        # `_polarize`'s ten points x, the exact tree's win and abort masses
+        # times |x|^2 are x^T M x and x^T D x, so polarizing them gives M and
+        # D, entry for entry; so do the closed forms, evaluated in Fractions.
+        def tree_form(outcome):
+            def form(*x):
+                mass = leaf_probabilities(build_tree(aligned_strategy(x), 0))[outcome]
+                return mass * sum(Fraction(w) ** 2 for w in x)
+
+            return form
+
+        def exact_form(form):
+            return lambda *x: form(*map(Fraction, x))
+
+        for outcome, closed_form in ((0, _objective), (2, _detection)):
+            form = _polarize(exact_form(closed_form))
+            assert all(type(entry) is Fraction for row in form for entry in row)
+            assert _polarize(tree_form(outcome)) == form
 
     def test_top_eigenvalue_certifies_three_quarters(self):
         # M is nonnegative, so by Perron-Frobenius its top eigenvalue is the

@@ -46,7 +46,8 @@ _BIAS = [
     ("measure-and-pick", "1"),
     ("random-bob:3", "0"),
     ("random-bob:7", "0"),
-    # Exactly 1/2 up to roundoff: epsilon's sign pins the order of operations.
+    # 1/2 for an exactly unitary operation: epsilon is the exact excess
+    # that rounding the Haar unitary's entries to floats leaves.
     ("random-bob:101", "1"),
 ]
 

@@ -1,6 +1,7 @@
 """State-engine tests: construction, measurement, projection, norms."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -14,18 +15,17 @@ from cointoss.qstate import (
     A2,
     B1,
     B2,
+    _squared_norm,
     apply_unitary,
     bob_ancilla,
     bell_pass_probability,
-    dot,
     make_state,
     measure,
 )
-from cointoss.protocol import ZERO_ATOL
 from cointoss.random_bob import haar_unitary
 from cointoss.strategies import honest_alice, optimal_alice
 
-from test_closed_forms import embed
+from test_closed_forms import embed, normalized
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -38,8 +38,13 @@ def bell(left, right):
 
 
 def probabilities(state, label):
-    """`measure`'s probabilities of reading `label` as 0 and as 1."""
+    """`measure`'s exact probabilities of reading `label` as 0 and as 1."""
     return tuple(p for p, _ in measure(state, label))
+
+
+def floats(state, label):
+    """`probabilities`, rounded, for a numpy comparison."""
+    return [float(p) for p in probabilities(state, label)]
 
 
 def random_state(rng, labels):
@@ -51,23 +56,26 @@ def eq3_state():
     return optimal_alice(0).initial_state
 
 
-def norm(state):
-    return float(np.linalg.norm(state.amplitudes))
-
-
 class TestMakeState:
     def test_bell_constant(self):
         state = make_state((B1, B2), (SQRT_HALF, 0, 0, SQRT_HALF))
-        np.testing.assert_allclose(state.amplitudes, [SQRT_HALF, 0, 0, SQRT_HALF], atol=1e-15)
+        np.testing.assert_allclose(normalized(state), [SQRT_HALF, 0, 0, SQRT_HALF], atol=1e-15)
         assert state.register == (B1, B2)
 
     def test_single_qubit_basis(self):
         state = make_state((A1,), (1, 0))
-        np.testing.assert_allclose(state.amplitudes, [1, 0], atol=0)
+        assert state.amplitudes == ((1, 0), (0, 0))
+
+    def test_every_float_is_held_exactly(self):
+        # One power of two, 2**53 here, makes every part an integer.
+        state = make_state((A1,), (complex(0.5, 2.0**-53), -3))
+        assert state.amplitudes == ((2**52, 1), (-3 * 2**53, 0))
 
     def test_small_norm_slack_renormalized_exactly(self):
-        state = make_state((A1,), (1.0 + 5e-9, 0.0))
-        assert norm(state) == pytest.approx(1.0, abs=1e-15)
+        # A state is held up to scale: a norm that misses 1 cancels from
+        # every chance, which is a ratio of squared norms.
+        assert probabilities(make_state((A1,), (1.0 + 5e-9, 0.0)), A1) == (1, 0)
+        assert probabilities(make_state((A1,), (3, 4)), A1) == (Fraction(9, 25), Fraction(16, 25))
 
     def test_amplitudes_are_immutable(self):
         state = bell(A1, B1)
@@ -96,17 +104,14 @@ class TestHonestState:
         state = honest_alice().initial_state
         assert protocol._HONEST_PREPARATION == state
         assert state.register == (A1, B1, A2, B2)
-        expected = np.zeros(16)
-        expected[[0, 3, 12, 15]] = 0.5  # 0000, 0011, 1100, 1111
-        assert list(state.amplitudes) == expected.tolist()
-        np.testing.assert_allclose(state.amplitudes, np.kron(BELL, BELL), rtol=0, atol=1e-15)
+        aligned = (0, 3, 12, 15)  # 0000, 0011, 1100, 1111
+        assert state.amplitudes == tuple((int(i in aligned), 0) for i in range(16))
+        np.testing.assert_allclose(normalized(state), np.kron(BELL, BELL), rtol=0, atol=1e-15)
 
 
 class TestBranchProbabilities:
     def test_bell_marginal_uniform(self):
-        p0, p1 = probabilities(bell(A1, B1), B1)
-        assert p0 == pytest.approx(0.5, abs=1e-12)
-        assert p1 == pytest.approx(0.5, abs=1e-12)
+        assert probabilities(bell(A1, B1), B1) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_optimal_state_marginal(self):
         p0, p1 = probabilities(eq3_state(), B1)
@@ -120,9 +125,9 @@ class TestBranchProbabilities:
         rng = np.random.default_rng(21)
         for _ in range(25):
             state = random_state(rng, (A1, B1, A2, B2))
-            before = probabilities(state, B1)
+            before = floats(state, B1)
             rotated = apply_unitary(state, (A1, A2, B2), haar_unitary(8, rng))
-            after = probabilities(rotated, B1)
+            after = floats(rotated, B1)
             np.testing.assert_allclose(after, before, atol=1e-10)
 
 
@@ -132,10 +137,10 @@ class TestMeasure:
     def test_bell_perfect_correlation(self):
         for b in (0, 1):
             probability, posterior = measure(bell(A1, B1), B1)[b]
-            assert probability == pytest.approx(0.5, abs=1e-12)
+            assert probability == Fraction(1, 2)
             expected = np.zeros(4)
             expected[b * 3] = 1.0  # |bb>
-            np.testing.assert_allclose(posterior.amplitudes, expected, atol=1e-12)
+            np.testing.assert_allclose(normalized(posterior), expected, atol=1e-12)
 
     def test_outcome_probabilities_on_optimal_state(self):
         state = eq3_state()
@@ -144,14 +149,18 @@ class TestMeasure:
         assert p1 == pytest.approx(1 / 6, abs=1e-12)
 
     def test_posterior_collapsed_and_normalized(self):
+        # The posterior keeps the outcome's amplitudes at the state's scale,
+        # so its squared norm over the state's is the outcome's chance, and
+        # measuring the qubit again reads the outcome with chance exactly 1.
         rng = np.random.default_rng(8)
         for _ in range(10):
             state = random_state(rng, (A1, B1, B2))
             for outcome in (0, 1):
-                _, posterior = measure(state, B2)[outcome]
-                assert norm(posterior) == pytest.approx(1.0, abs=1e-10)
-                p0, p1 = probabilities(posterior, B2)
-                assert (p0, p1)[outcome] == pytest.approx(1.0, abs=1e-12)
+                probability, posterior = measure(state, B2)[outcome]
+                kept = [a if i % 2 == outcome else (0, 0) for i, a in enumerate(state.amplitudes)]
+                assert posterior.amplitudes == tuple(kept)
+                assert Fraction(_squared_norm(kept), _squared_norm(state.amplitudes)) == probability
+                assert probabilities(posterior, B2)[outcome] == 1
 
     def test_impossible_outcome_has_no_posterior(self):
         state = make_state((A1, B1), (0, 0, 0.6, 0.8))  # A1 reads 1
@@ -189,14 +198,14 @@ class TestEngineInvariants:
         for _ in range(100):
             state = random_state(rng, (A1, B1))
             # The two-qubit state's Schmidt coefficients.
-            coeffs = np.linalg.svd(np.reshape(state.amplitudes, (2, 2)), compute_uv=False)
+            coeffs = np.linalg.svd(np.reshape(normalized(state), (2, 2)), compute_uv=False)
             bound = (coeffs[0] + coeffs[1]) ** 2 / 2.0
             assert bell_pass_probability(state, (A1, B1)) <= bound + 1e-9
 
     def test_collapse_probabilities_match_marginals(self):
         rng = np.random.default_rng(43)
         state = random_state(rng, (A1, B1, B2))
-        psi = np.reshape(state.amplitudes, (2, 2, 2))
+        psi = np.reshape(normalized(state), (2, 2, 2))
         marginals = (np.abs(psi) ** 2).sum(axis=(0, 2))
         for b in (0, 1):
             probability, _ = measure(state, B1)[b]
@@ -221,25 +230,30 @@ core_states = (
     st.integers(0, 2**32 - 1),
 )
 def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
+    # A state's norm is a scale that no chance reads: a measurement's two
+    # posteriors split the state's squared norm exactly, so its chances sum
+    # to exactly 1, and the pass chance lies in [0, 1] exactly. A unitary
+    # keeps the normalized state a unit vector, to its float entries' rounding.
     for label in CORE:
         outcomes = measure(state, label)
-        assert outcomes[0][0] + outcomes[1][0] == pytest.approx(1.0, abs=1e-12)
-        for probability, posterior in outcomes:
-            if probability < ZERO_ATOL:
-                continue  # the tree reads no posterior on a branch it snaps to 0
-            assert norm(posterior) == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 <= bell_pass_probability(state, pair) <= 1.0 + 1e-12
-    rotated = apply_unitary(state, pair, haar_unitary(4, np.random.default_rng(seed)))
-    assert norm(rotated) == pytest.approx(1.0, abs=1e-12)
-
+        assert outcomes[0][0] + outcomes[1][0] == 1
+        masses = [0 if p == 0 else _squared_norm(post.amplitudes) for p, post in outcomes]
+        assert sum(masses) == _squared_norm(state.amplitudes)
+        assert [p for p, _ in outcomes] == [Fraction(m, sum(masses)) for m in masses]
+    assert 0 <= bell_pass_probability(state, pair) <= 1
+    unitary = haar_unitary(4, np.random.default_rng(seed))
+    rotated = apply_unitary(state, pair, unitary)
+    operator = np.asarray(embed(state.register, pair, unitary))
+    assert np.linalg.norm(operator @ normalized(state)) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(normalized(rotated), operator @ normalized(state), atol=1e-12)
 
 
 REGISTER = (A1, B1, A2, B2, bob_ancilla(0))
 
 
 def as_tensor(state):
-    """The amplitudes as an array with one axis per qubit, register order."""
-    return np.reshape(state.amplitudes, (2,) * len(state.register))
+    """The normalized amplitudes as an array with one axis per qubit, register order."""
+    return np.reshape(normalized(state), (2,) * len(state.register))
 
 
 @st.composite
@@ -266,11 +280,11 @@ def test_every_operation_matches_an_array_reference(case):
     state, amplitudes, order, positions, unitary = case
     n = len(state.register)
     expected = amplitudes / np.linalg.norm(amplitudes)
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(normalized(state), expected, atol=1e-12)
     psi = as_tensor(state)
     for pos, label in enumerate(state.register):
         marginal = (np.abs(psi) ** 2).sum(axis=tuple(i for i in range(n) if i != pos))
-        np.testing.assert_allclose(probabilities(state, label), marginal, atol=1e-12)
+        np.testing.assert_allclose(floats(state, label), marginal, atol=1e-12)
         for outcome in (0, 1):
             if marginal[outcome] < 1e-6:
                 continue
@@ -294,33 +308,3 @@ def test_every_operation_matches_an_array_reference(case):
     np.testing.assert_allclose(as_tensor(rotated_state), rotated, atol=1e-12)
     operator = np.asarray(embed(state.register, labels, unitary))
     np.testing.assert_allclose(operator @ psi.reshape(-1), rotated.reshape(-1), atol=1e-12)
-
-
-def fsum_dot(left, right):
-    """`dot`'s rounding, written plainly: one `math.fsum` of the products, or,
-    when a product is complex, one of their real parts and one of their
-    imaginary parts."""
-    terms = [a * b for a, b in zip(left, right)]
-    try:
-        return math.fsum(terms)
-    except TypeError:
-        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
-
-
-# Magnitudes up to 1e100, so no product or sum overflows.
-reals = st.floats(-1e100, 1e100)
-entries = st.one_of(reals, st.complex_numbers(max_magnitude=1e100, allow_infinity=False))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.one_of(
-        st.lists(st.tuples(reals, reals), max_size=16),
-        st.lists(st.tuples(entries, entries), max_size=16),
-    )
-)
-def test_dot_rounds_as_fsum_of_the_products(pairs):
-    left, right = [a for a, _ in pairs], [b for _, b in pairs]
-    # The same type and bits, a signed zero's sign included.
-    assert repr(dot(left, right)) == repr(fsum_dot(left, right))
-    assert repr(dot(iter(left), iter(right))) == repr(fsum_dot(left, right))

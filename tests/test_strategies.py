@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, UnknownStrategyError
 from cointoss.qstate import A1, A2, B1, B2
-from cointoss.random_bob import _DefaultRng, haar_unitary, random_bob_strategy
+from cointoss.random_bob import _DefaultRng, dot, haar_unitary, random_bob_strategy
 from cointoss.strategies import (
     AliceCheatStrategy,
     BobCheatStrategy,
@@ -20,13 +20,16 @@ from cointoss.strategies import (
     parse_strategy_id,
 )
 
+from test_closed_forms import normalized
+
 
 # The aligned kets |i i j j> on (A1, B1, A2, B2) that carry the weights a_ij.
 ALIGNED_KETS = (0b0000, 0b0011, 0b1100, 0b1111)
 
 
 def weights(strategy):
-    """The aligned weights (a00, a01, a10, a11) an Alice strategy prepares."""
+    """The aligned weights (a00, a01, a10, a11) an Alice strategy prepares,
+    as exact integer (re, im) pairs at its state's scale."""
     return tuple(strategy.initial_state.amplitudes[ket] for ket in ALIGNED_KETS)
 
 
@@ -57,32 +60,31 @@ class TestAliceWeights:
         a00, a01, a10, a11 = OPTIMAL_WEIGHTS[::-1]
         assert a11 == pytest.approx(np.sqrt(2 / 3))
         assert a00 == 0.0
-        assert weights(optimal_alice(1)) == OPTIMAL_WEIGHTS[::-1]
+        assert weights(optimal_alice(1)) == weights(optimal_alice(0))[::-1]
 
 
 class TestOptimalAlice:
     def test_target_zero_amplitudes(self):
         state = optimal_alice(0).initial_state
         assert state.register == (A1, B1, A2, B2)
-        assert state.amplitudes[0b0000] == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
-        assert state.amplitudes[0b0011] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
-        assert state.amplitudes[0b1100] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
-        assert np.count_nonzero(np.abs(state.amplitudes) > 1e-14) == 3
+        psi = normalized(state)
+        assert psi[0b0000] == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
+        assert psi[0b0011] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+        assert psi[0b1100] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+        assert np.count_nonzero(np.abs(psi) > 1e-14) == 3
 
     def test_target_one_is_global_bit_flip(self):
-        state = optimal_alice(1).initial_state
-        assert state.amplitudes[0b1111] == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
-        assert state.amplitudes[0b1100] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
-        assert state.amplitudes[0b0011] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+        psi = normalized(optimal_alice(1).initial_state)
+        assert psi[0b1111] == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
+        assert psi[0b1100] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+        assert psi[0b0011] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
 
 
 class TestCoefficientStrategy:
     def test_aligned_honest_is_honest_preparation(self):
         strategy = coefficient_strategy(HONEST_WEIGHTS)
         bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-        np.testing.assert_allclose(
-            strategy.initial_state.amplitudes, np.kron(bell, bell), atol=1e-12
-        )
+        np.testing.assert_allclose(normalized(strategy.initial_state), np.kron(bell, bell), atol=1e-12)
 
     def test_registers_are_exactly_the_core(self):
         # The tree names Alice's registers A1, A2 on this ground.
@@ -92,7 +94,7 @@ class TestCoefficientStrategy:
             coefficient_strategy(OPTIMAL_WEIGHTS),
         ):
             assert strategy.initial_state.register == (A1, B1, A2, B2)
-            assert np.linalg.norm(strategy.initial_state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(normalized(strategy.initial_state)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMeasureAndPick:
@@ -234,7 +236,8 @@ class TestStrategyIdRoundTrip:
         text = "coefficients:" + ",".join(map(repr, coefficients))
         strategy = parse_strategy_id(text)
         assert strategy.name == text
-        np.testing.assert_allclose(weights(strategy), coefficients, rtol=0, atol=1e-15)
+        psi = normalized(strategy.initial_state)
+        np.testing.assert_allclose(psi[list(ALIGNED_KETS)], coefficients, rtol=0, atol=1e-15)
 
     @SETTINGS
     @given(
@@ -317,3 +320,20 @@ class TestStrategyIdRoundTrip:
     def test_malformed_ids_are_unknown(self, text):
         with pytest.raises(UnknownStrategyError):
             parse_strategy_id(text)
+
+
+# Magnitudes up to 1e100, so no product or sum overflows.
+entries = st.complex_numbers(max_magnitude=1e100, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(entries, entries), max_size=16))
+def test_dot_rounds_as_fsum_of_the_products(pairs):
+    # `haar_unitary`'s inner products, written plainly: one `math.fsum` of
+    # the products' real parts and one of their imaginary parts.
+    left, right = [a for a, _ in pairs], [b for _, b in pairs]
+    terms = [a * b for a, b in pairs]
+    expected = complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    # The same bits, a signed zero's sign included.
+    assert repr(dot(left, right)) == repr(expected)
+    assert repr(dot(iter(left), iter(right))) == repr(expected)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from cointoss.analysis import _split_down_tree, exact_win_probability, leaf_probabilities
 from cointoss.protocol import (
-    ZERO_ATOL,
     ProtocolOutcome,
     build_tree,
     leaves,
@@ -30,7 +30,7 @@ from cointoss.strategies import (
     optimal_alice,
     parse_strategy_id,
 )
-from test_closed_forms import outcome_operators
+from test_closed_forms import normalized, outcome_operators
 from test_golden import REPORTS, TRANSCRIPTS
 
 # Every strategy id that a golden file pins.
@@ -88,8 +88,8 @@ def trees():
 @given(core_states, st.sampled_from([0, 1]))
 def test_leaf_masses_are_the_outcome_operators(strategy, target):
     # The operators read the protocol from the same wire labels as the tree,
-    # so any state's win and abort masses agree up to the tree's clamps.
-    psi = np.array(strategy.initial_state.amplitudes)
+    # so any state's win and abort masses agree, to the oracle's rounding.
+    psi = normalized(strategy.initial_state)
     win, abort = map(np.array, outcome_operators(target))
     exact = leaf_probabilities(build_tree(strategy, target))
     assert abs(exact[target] - np.vdot(psi, win @ psi).real) < 1e-12
@@ -99,42 +99,50 @@ def test_leaf_masses_are_the_outcome_operators(strategy, target):
 @SETTINGS
 @given(trees())
 def test_leaf_masses_sum_to_one(tree):
-    total = math.fsum(mass for mass, _ in leaves(tree))
-    assert abs(total - 1.0) < 1e-12
-    # Dead leaves (mass below 1e-12) count toward no outcome.
-    assert math.fsum(leaf_probabilities(tree)) == pytest.approx(total, abs=1e-12)
+    # Exactly, for any Alice state and any Bob: each chance node's children
+    # split their parent's mass exactly. Dead leaves, of mass exactly 0,
+    # count toward no outcome.
+    assert sum(mass for mass, _ in leaves(tree)) == 1
+    assert sum(leaf_probabilities(tree)) == 1
 
 
 @pytest.mark.parametrize("target", [0, 1])
 @pytest.mark.parametrize("strategy_id", GOLDEN_IDS)
 def test_each_leaf_sum_is_correctly_rounded(strategy_id, target):
-    tree = build_tree(parse_strategy_id(strategy_id, target), target)
+    # The leaf sums are exact, and the report rounds each once.
+    strategy = parse_strategy_id(strategy_id, target)
+    tree = build_tree(strategy, target)
     exact = dict.fromkeys(ProtocolOutcome, Fraction(0))
     for mass, leaf in leaves(tree):
         if leaf.outcome is not None:
-            exact[leaf.outcome] += Fraction(mass)
-    assert leaf_probabilities(tree) == [float(total) for total in exact.values()]
+            exact[leaf.outcome] += mass
+    sums = leaf_probabilities(tree)
+    assert sums == list(exact.values()) and all(type(p) is Fraction for p in sums)
+    report = exact_win_probability(strategy, target)
+    assert report["p_win_exact"] == float(sums[target])
+    assert report["p_abort_exact"] == float(sums[2])
+    assert report["epsilon"] == float(sums[target] - Fraction(1, 2))
 
 
 def test_optimal_alice_coin_readings_are_the_floats_nearest_one_sixth_and_five_sixths():
     # Against target 1, whichever pair Bob picks, he reads his coin qubit as
-    # 0 with chance 1/6 and as 1 with chance 5/6. Not every chance is the
-    # float nearest its rational: the weights' square roots and the
-    # posterior's square root and division still round.
+    # 0 with chance exactly 1/6 and as 1 with chance exactly 5/6: the
+    # weights' square roots round, but sqrt(2/3) rounds to exactly twice
+    # sqrt(1/6), and nothing else does. A transcript records their floats.
     tree = build_tree(optimal_alice(1), 1)
     for choice in tree.root.children:
         assert [reading.probability for reading in choice.children] == [
-            float(Fraction(1, 6)),
-            float(Fraction(5, 6)),
+            Fraction(1, 6),
+            Fraction(5, 6),
         ]
 
 
 @SETTINGS
 @given(trees())
 def test_every_chance_node_splits_one_probability(tree):
-    # Children carry p and 1 - p, which sum to 1.0 exactly, p is 0, 1 or at
-    # least ZERO_ATOL from both, and a branch is dead, with no lines,
-    # exactly when it carries 0, so no sampler or walk can ever reach it.
+    # Children carry exact chances p and 1 - p, which sum to exactly 1, and
+    # a branch is dead, with no lines, exactly when it carries 0, so no
+    # sampler or walk can ever reach it; any other chance keeps its branch.
     # A live child's first line is the event of the chance that enters it,
     # on which `walk` records the child's probability.
     events = {"choice_announcement", "measurement", "verdict_pass", "verdict_abort"}
@@ -143,12 +151,11 @@ def test_every_chance_node_splits_one_probability(tree):
         node = nodes.pop()
         if node.children:
             first, second = node.children
-            assert first.probability + second.probability == 1.0
-            p = first.probability
-            assert p in (0.0, 1.0) or ZERO_ATOL <= p <= 1.0 - ZERO_ATOL
+            assert type(first.probability) is type(second.probability) is Fraction
+            assert first.probability + second.probability == 1
             nodes += node.children
             assert all(c.lines[0][1] in events for c in node.children if c.lines)
-        assert (node.probability == 0.0) == (node.lines is None)
+        assert (node.probability == 0) == (node.lines is None)
 
 
 @SETTINGS
@@ -159,9 +166,12 @@ def test_every_chance_node_splits_one_probability(tree):
 def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
     path = sample_path(tree, seed)
     outcome, transcript = walk(tree, seed)
-    # Each chance's event records the probability the walk took, once.
-    recorded = math.prod(r.probability for r in transcript.records if r.probability is not None)
-    assert recorded == math.prod(node.probability for node in path)
+    # The exact chances on the path multiply to its leaf's exact mass, and
+    # each chance's event records the float of the chance the walk took, once.
+    mass = next(mass for mass, leaf in leaves(tree) if leaf is path[-1])
+    assert math.prod(node.probability for node in path) == mass
+    recorded = [r.probability for r in transcript.records if r.probability is not None]
+    assert recorded == [float(node.probability) for node in path[1:]]
     assert outcome is path[-1].outcome
     assert transcript.records[-1].payload == {"outcome": outcome.value}
 
@@ -184,17 +194,20 @@ def test_one_tree_serves_many_seeds():
 
 
 def test_leaf_probabilities_of_the_paper_strategies():
-    alice = leaf_probabilities(build_tree(optimal_alice(0), 0))
-    bob = leaf_probabilities(build_tree(measure_and_pick_bob(0), 0))
-    assert alice == pytest.approx([0.75, 1 / 12, 1 / 6], abs=1e-12)
-    assert bob == pytest.approx([0.75, 0.25, 0.0], abs=1e-12)
-    assert bob[2] == 0.0
+    # Exactly, although the optimal weights are rounded square roots.
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    sixth, twelfth = Fraction(1, 6), Fraction(1, 12)
+    assert leaf_probabilities(build_tree(optimal_alice(0), 0)) == [3 * quarter, twelfth, sixth]
+    assert leaf_probabilities(build_tree(optimal_alice(1), 1)) == [twelfth, 3 * quarter, sixth]
+    assert leaf_probabilities(build_tree(measure_and_pick_bob(0), 0)) == [3 * quarter, quarter, 0]
+    assert leaf_probabilities(build_tree(measure_and_pick_bob(1), 1)) == [quarter, 3 * quarter, 0]
+    assert leaf_probabilities(build_tree(None, None)) == [half, half, 0]
 
 
 def test_honest_run_is_exactly_fair():
     # Both parties honest start from the two shared pairs with amplitudes of
     # exactly 1/2, so heads and tails each carry exactly 1/2.
-    assert leaf_probabilities(build_tree(None, None)) == [0.5, 0.5, 0.0]
+    assert leaf_probabilities(build_tree(None, None)) == [Fraction(1, 2), Fraction(1, 2), 0]
 
 
 @pytest.mark.parametrize("target", [0, 1])
@@ -202,17 +215,30 @@ def test_measure_and_pick_wins_exactly_three_quarters(target):
     assert exact_win_probability(measure_and_pick_bob(target), target)["p_win_exact"] == 0.75
 
 
+def leaf_masses(tree, flip=False):
+    """The tree's leaves as a multiset of (exact mass, outcome), with heads
+    and tails swapped when `flip`."""
+    heads, tails = ProtocolOutcome.HEADS, ProtocolOutcome.TAILS
+    swap = {heads: tails, tails: heads} if flip else {}
+    return Counter((mass, swap.get(leaf.outcome, leaf.outcome)) for mass, leaf in leaves(tree))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(weights)
 def test_bias_is_the_same_for_both_targets(w):
     # Flipping every bit maps the aligned weights (a00, a01, a10, a11) to
     # their reverse and swaps heads and tails. A chance node's first child
-    # always reads 0, so the two trees sum in different orders and agree to
-    # roundoff, not bit for bit.
+    # always reads 0, so the two trees list their leaves in different
+    # orders, but each leaf of one has a leaf of exactly its mass in the other.
     w = unit(w)
-    heads, tails, aborts = leaf_probabilities(build_tree(coefficient_strategy(w), 0))
-    flipped = leaf_probabilities(build_tree(coefficient_strategy(w[::-1]), 1))
-    assert np.max(np.abs(np.subtract([tails, heads, aborts], flipped))) <= 1e-15
+    flipped = build_tree(coefficient_strategy(w[::-1]), 1)
+    assert leaf_masses(flipped) == leaf_masses(build_tree(coefficient_strategy(w), 0), flip=True)
+
+
+def test_measure_and_pick_is_the_same_for_both_targets():
+    # Measure-and-pick for target 1 is target 0's rule with every bit flipped.
+    flipped = build_tree(measure_and_pick_bob(1), 1)
+    assert leaf_masses(flipped) == leaf_masses(build_tree(measure_and_pick_bob(0), 0), flip=True)
 
 
 def test_bob_ancillas_join_the_register_in_zero():
@@ -245,7 +271,7 @@ def test_unreachable_verification_aborts_instead_of_crashing():
     # The pair (A1, B1) holds (|00>+|11>)/sqrt(2) and (A2, B2) holds
     # (|00>-|11>)/sqrt(2). After choice 1, Bob's check of (A2, B2) never
     # passes; after choice 2, his check of (A1, B1) always does. Each pass
-    # chance is clamped to exactly 0 or 1.
+    # chance is exactly 0 or 1.
     tree = build_tree(aligned_strategy([0.5, -0.5, 0.5, -0.5]), 0)
     assert leaf_probabilities(tree)[2] == 0.5
     for seed in range(40):
