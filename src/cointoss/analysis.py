@@ -1,67 +1,28 @@
-"""Exact cheating probabilities, the 3/4 bound, and Monte Carlo cross-checks.
+"""The tree's sampled readers: Monte Carlo counts and a run's transcript.
 
-Cheating probabilities are exact sums over the leaves of the protocol's
-branch tree (every choice, coin outcome and verification branch with its
-exact probability), rounded to floats only where a report prints them.
-For Alice's aligned family they are also two quadratic forms in her four
-weights; `forms` holds them, her optimum and the sensitivity scan, none
-of which needs a tree. Monte Carlo sampling adds a statistical check:
-`_split_down_tree` splits the trials at every chance node by one
-`_binomial` draw at its first child's probability. Every draw reads
-`random.Random(seed).random()`, a stream that Python keeps the same across
-releases.
+Only the sampled commands load this module; exact probabilities are
+`protocol`'s. `_split_down_tree` splits the trials at every chance node
+by one `_binomial` draw at its first child's chance, and `walk` follows
+one root-to-leaf path, whose records, framed by a header record (the
+seed and both parties' roles) and an outcome record, are the run's
+transcript. Every draw reads `random.Random(seed).random()`, a stream
+that Python keeps the same across releases, so runs replay per seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
+from typing import NamedTuple
 
-from . import ANALYTIC_BOUND, InvariantViolationError
-from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaves
-from .strategies import AliceCheatStrategy, BobCheatStrategy, parse_strategy_id
+from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree
+from .strategies import AliceCheatStrategy, parse_strategy_id
+
+TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
 
 # The --trials cap, int64's maximum: the documented range, which the
 # 2**63 - 1 tests and CI pin. `_binomial` itself draws larger counts too.
 _MAX_TRIALS = 2**63 - 1
-
-
-def leaf_probabilities(tree: ProtocolTree) -> list[Fraction]:
-    """Exact probabilities of the run's three leaves: heads, tails, abort.
-
-    Each is the sum of the masses of the tree's leaves with that outcome;
-    a dead branch counts toward none of them. The three sum to exactly 1.
-    """
-    totals = dict.fromkeys([*ProtocolOutcome, None], Fraction(0))
-    for mass, leaf in leaves(tree):
-        totals[leaf.outcome] += mass  # a dead leaf's outcome is None, its mass 0
-    return [totals[outcome] for outcome in ProtocolOutcome]
-
-
-def exact_win_probability(
-    strategy: AliceCheatStrategy | BobCheatStrategy, target: int
-) -> dict:
-    """One strategy's exact win and abort mass, summed over its branch tree,
-    as the `bias` report's result; epsilon is the win's excess over 1/2.
-    Each is rounded to a float once, from its exact value. The masses are
-    exact for the operation as given, but a float `LocalOperation` is
-    unitary only to rounding, so a win may pass 3/4 by about an ulp: the
-    check keeps its slack of 1e-12 below 0 and 1e-9 above 3/4."""
-    exact = leaf_probabilities(build_tree(strategy, target))
-    p_win = exact[target]
-    if not (-1e-12 <= p_win <= ANALYTIC_BOUND + 1e-9):
-        raise InvariantViolationError(
-            f"win probability {float(p_win)!r} escapes [0, bound] for {strategy.name}"
-        )
-    return {
-        "party": "A" if isinstance(strategy, AliceCheatStrategy) else "B",
-        "target": target,
-        "strategy": strategy.name,
-        "p_win_exact": float(p_win),
-        "p_abort_exact": float(exact[2]),
-        "epsilon": float(p_win - Fraction(1, 2)),
-    }
 
 
 def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[str, ProtocolTree]:
@@ -78,9 +39,7 @@ def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[st
     kind = "cheat-alice" if isinstance(strategy, AliceCheatStrategy) else "cheat-bob"
     if run_kind not in (None, kind):
         owner, needed = ("an Alice", "Bob's") if kind == "cheat-alice" else ("a Bob", "Alice's")
-        raise ValueError(
-            f"{strategy_id!r} is {owner} strategy; run_kind {run_kind} needs {needed}"
-        )
+        raise ValueError(f"{strategy_id!r} is {owner} strategy; run_kind {run_kind} needs {needed}")
     return kind, build_tree(strategy, target)
 
 
@@ -191,8 +150,8 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
     """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
 
     Of the runs that reach a chance node, one `_binomial` draw at the first
-    child's probability p, the p that `sample_path` compares with, rounded
-    to the nearest float, sends k down the first child and the other runs
+    child's chance p, the p that `sample_path` compares with, rounded to
+    the nearest float, sends k down the first child and the other runs
     down the second; depth first, first child first. A child of chance 0
     gets no runs and no draw. The counts have the law of `trials`
     independent walks, since a multinomial over the leaves factorizes into
@@ -205,7 +164,7 @@ def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> lis
             counts[node.outcome] += runs
             return
         first, second = node.children
-        k = _binomial(rng, runs, float(first.probability))
+        k = _binomial(rng, runs, first.mass / node.mass)
         for child, share in ((first, k), (second, runs - k)):
             if share:
                 split(child, share)
@@ -221,7 +180,7 @@ def monte_carlo(
     commands' report result.
 
     `_split_down_tree` draws the counts at the tree's own per-node
-    probabilities, so the cost does not grow with `trials`, and a branch of
+    chances, so the cost does not grow with `trials`, and a branch of
     exact mass 0, such as an honest run's abort, gets no runs. It takes
     1000 to 2**63 - 1 trials and is deterministic given `root_seed`. The
     report's ``engine`` always reads ``protocol``, the one engine.
@@ -253,3 +212,62 @@ def monte_carlo(
         "win_standard_error": standard_error(win_frequency),
         "abort_standard_error": standard_error(abort_frequency),
     }
+
+
+class TranscriptRecord(NamedTuple):
+    """One transcript line: (index, sender, kind, payload, probability)."""
+
+    index: int
+    sender: str
+    kind: str
+    payload: dict
+    probability: float | None
+
+
+class Transcript(NamedTuple):
+    """A run's records, from its header to its outcome record."""
+
+    records: tuple[TranscriptRecord, ...]
+
+    def to_jsonl(self) -> str:
+        import json  # only transcripts use it; the CLI starts without it
+
+        # A record's fields, in order, are its JSON object's keys.
+        return "\n".join(json.dumps(record._asdict()) for record in self.records) + "\n"
+
+
+def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
+    """The root-to-leaf path that a run with this seed takes: one uniform
+    u = n / d of ``random.Random(seed).random()`` per chance node, below
+    the first child's exact chance or not, compared in integers."""
+    rng = random.Random(seed)
+    path = [tree.root]
+    while path[-1].children:
+        first, second = path[-1].children
+        n, d = rng.random().as_integer_ratio()
+        path.append(first if n * path[-1].mass < first.mass * d else second)
+    return path
+
+
+def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
+    """One run: the outcome and transcript of the path this seed draws.
+
+    The first record of each non-root node on the path, the event of the
+    chance that entered it, carries that chance, the node's mass over its
+    parent's, rounded to the nearest float, and every other record None.
+    """
+    header = {
+        "schema": TRANSCRIPT_SCHEMA,
+        "seed": seed,
+        "alice": {"behavior": tree.alice.behavior, "registers": list(tree.alice.registers)},
+        "bob": {"behavior": tree.bob.behavior, "registers": list(tree.bob.registers)},
+    }
+    if tree.target is not None:
+        header["target"] = tree.target
+    records = [TranscriptRecord(0, "-", "run_header", header, None)]
+    path = sample_path(tree, seed)
+    for parent, node in zip([None] + path, path):
+        for position, line in enumerate(node.lines):
+            probability = node.mass / parent.mass if parent is not None and not position else None
+            records.append(TranscriptRecord(len(records), *line, probability))
+    return path[-1].outcome, Transcript(tuple(records))

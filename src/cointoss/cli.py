@@ -276,39 +276,39 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         header = _comment_lines(config, _CONSTANTS) + ["strategy,p_win,p_detect"]
         return itertools.chain(["\n".join(header) + "\n"], forms.scan_csv(chunks)), None
 
-    # Every other command builds a strategy or a tree. Their modules load
-    # here, on first use, and their import-time objects are frozen as the
-    # CLI's own are above.
-    first_use = "cointoss.analysis" not in sys.modules
-    from . import analysis, protocol, strategies
+    # Every other command builds a tree: `protocol` builds and sums it, and
+    # `analysis`, which only the sampled commands load, draws from it. These
+    # modules load here, on first use, and their import-time objects are
+    # frozen as the CLI's own are above.
+    sampled = args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo")
+    loaded = len(sys.modules)
+    from . import protocol, strategies
 
-    if first_use:
+    if sampled:
+        from . import analysis
+    if len(sys.modules) > loaded:
         gc.freeze()
-
-    if args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo"):
-        if args.transcript is not None:
-            if args.out is not None and _same_regular_file(args.out, args.transcript):
-                raise ValueError(f"--out and --transcript both name {args.out}")
-            if args.out is None and _is_stdout_file(args.transcript):
-                raise ValueError(f"stdout and --transcript both name {args.transcript}")
-        # montecarlo infers the run kind from the strategy.
-        run_kind, tree = analysis.resolve_run(
-            None if args.command == "montecarlo" else args.command,
-            getattr(args, "strategy", "honest"),
-            args.target,
-        )
-        result = analysis.monte_carlo(run_kind, tree, args.target, args.trials, args.seed)
-        transcript = (
-            None if args.transcript is None else protocol.walk(tree, args.seed)[1].to_jsonl()
-        )
-        return [_render(config, result, args.format)], transcript
 
     if args.command == "bias":
         strategy = strategies.parse_strategy_id(args.strategy, args.target)
-        result = analysis.exact_win_probability(strategy, args.target)
+        result = protocol.exact_win_probability(strategy, args.target)
         return [_render(config, result, args.format)], None
-
-    raise InvariantViolationError(f"unhandled command {args.command!r}")
+    if not sampled:
+        raise InvariantViolationError(f"unhandled command {args.command!r}")
+    if args.transcript is not None:
+        if args.out is not None and _same_regular_file(args.out, args.transcript):
+            raise ValueError(f"--out and --transcript both name {args.out}")
+        if args.out is None and _is_stdout_file(args.transcript):
+            raise ValueError(f"stdout and --transcript both name {args.transcript}")
+    # montecarlo infers the run kind from the strategy.
+    run_kind, tree = analysis.resolve_run(
+        None if args.command == "montecarlo" else args.command,
+        getattr(args, "strategy", "honest"),
+        args.target,
+    )
+    result = analysis.monte_carlo(run_kind, tree, args.target, args.trials, args.seed)
+    transcript = None if args.transcript is None else analysis.walk(tree, args.seed)[1].to_jsonl()
+    return [_render(config, result, args.format)], transcript
 
 
 def main(argv=None) -> int:

@@ -1,41 +1,33 @@
 """The coin-tossing protocol as one branch tree per pair of behaviours.
 
 `build_tree` writes the four protocol steps out once, for an all-honest
-run or a run with one cheating party. Bob's choice, each measurement and
-the verification are chance nodes; every branch holds its exact
-probability once, a `Fraction`, and the transcript records it emits; it
-is dead exactly when that probability is 0. Three readers share the tree:
-exact probabilities are sums over its leaves, sampled counts split runs
-down its chance nodes, and a run walks one root-to-leaf path with the
-run's RNG, whose records are the run's transcript, each chance's event
-carrying the float of the probability the walk took. A transcript is
-framed by a header record (carrying the seed and both parties' roles)
-and an outcome record. Messages always appear in protocol order: state
-transfer, choice announcement, qubit transfer, verdict. Runs are
-deterministic per seed.
+run or a run with one cheating party; Bob's choice, each measurement and
+the verification are chance nodes. Every branch holds its mass, an
+integer at the root's scale, so a chance is a ratio of two masses and an
+exact probability an integer sum over leaves: `leaf_probabilities` forms
+them and `exact_win_probability` rounds them once, for `bias`. The
+readers that draw random numbers are in `analysis`, which `bias` never loads.
 """
 
 from __future__ import annotations
 
-import random
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
+from . import ANALYTIC_BOUND, InvariantViolationError
 from .qstate import (
     A1,
     A2,
     B1,
     B2,
-    StateVector,
+    append_qubits,
     apply_unitary,
     bell_pass_probability,
     bob_ancilla,
     measure,
+    squared_norm,
 )
 from .strategies import AliceCheatStrategy, BobCheatStrategy, honest_alice
-
-TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
 
 # Transcript senders.
 _ALICE, _BOB = "alice", "bob"
@@ -54,28 +46,6 @@ class PartyRole(NamedTuple):
     registers: tuple[str, ...]
 
 
-class TranscriptRecord(NamedTuple):
-    """One transcript line: (index, sender, kind, payload, probability)."""
-
-    index: int
-    sender: str
-    kind: str
-    payload: dict
-    probability: float | None
-
-
-class Transcript(NamedTuple):
-    """A run's records, from its header to its outcome record."""
-
-    records: tuple[TranscriptRecord, ...]
-
-    def to_jsonl(self) -> str:
-        import json  # only transcripts use it; the CLI starts without it
-
-        # A record's fields, in order, are its JSON object's keys.
-        return "\n".join(json.dumps(record._asdict()) for record in self.records) + "\n"
-
-
 # Two shared pairs, each ``|00> + |11>`` normalized, on (A1,B1) and (A2,B2).
 _HONEST_PREPARATION = honest_alice().initial_state
 
@@ -90,26 +60,25 @@ def verification_labels(choice: int) -> tuple[str, str]:
     return (A2, B2) if choice == 1 else (A1, B1)
 
 
-# A transcript record without the index and probability that `walk` adds.
+# A transcript record without the index and probability that `analysis.walk` adds.
 Line = tuple[str, str, dict]
 
 
 class Branch(NamedTuple):
     """One node of the protocol tree.
 
-    `probability` is the exact chance of this branch given its parent, and
-    `lines` the transcript records a run emits on entering it; the first is
-    the event of the chance that enters it, and `walk` records this
-    probability's float on it (the root's lines on none). A chance node has
-    two children whose probabilities are p and 1 - p; a run continues to
-    ``children[0]`` when ``rng.random() < children[0].probability`` and to
-    ``children[1]`` otherwise. A branch of chance exactly 0, and only such
-    a branch, is dead: it is `_DEAD`, whose `lines` are None, so no walk and
+    `mass` is the integer mass of the runs through this branch, at the
+    scale where the root's mass is probability 1: its chance given its
+    parent is ``mass / parent.mass``. `lines` are the transcript records a
+    run emits on entering it, the first being the event of that chance (the
+    root's lines are no chance's). A chance node's two children's masses
+    sum to exactly its own. A branch of mass exactly 0, and only such a
+    branch, is dead: it is `_DEAD`, whose `lines` are None, so no walk and
     no sampled run enters it. A leaf has no children and, unless it is
     dead, the run's outcome.
     """
 
-    probability: Fraction
+    mass: int
     lines: tuple[Line, ...] | None
     children: tuple["Branch", ...]
     outcome: ProtocolOutcome | None
@@ -124,14 +93,14 @@ class ProtocolTree(NamedTuple):
     root: Branch
 
 
-_DEAD = Branch(Fraction(0), None, (), None)
+_DEAD = Branch(0, None, (), None)
 
 
-def _leaf(probability: Fraction, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
-    if probability == 0:
+def _leaf(mass: int, lines: tuple[Line, ...], outcome: ProtocolOutcome) -> Branch:
+    if mass == 0:
         return _DEAD
     lines += (("-", "outcome", {"outcome": outcome.value}),)
-    return Branch(probability, lines, (), outcome)
+    return Branch(mass, lines, (), outcome)
 
 
 def build_tree(
@@ -143,12 +112,14 @@ def build_tree(
     honestly; None makes both honest. `target` is the cheater's target
     bit, written to the transcript header (None for an all-honest run).
     Bob's choice, every measurement and the verification are chance nodes.
-    Each has one exact probability p, its first child's, and its second
-    child has 1 - p: 1/2 for the choice, reading 0 by `measure`, passing by
-    `bell_pass_probability`. Every non-root node is entered through one
-    chance, and its first line is that chance's event: a
-    `choice_announcement` from an honest Bob, a `measurement`, or a
-    verdict. No line carries a probability; `walk` adds the node's.
+    The root's mass is 4 |psi|^2 for the state psi a run starts from, so
+    every split is exact in integers: an honest Bob's choice halves it,
+    each node below has mass 2 |state|^2 (4 |state|^2 against a cheating
+    Bob, who makes no choice), and its children take that factor times
+    `measure`'s squared norms, or pass with `bell_pass_probability`'s
+    squared overlap. Every non-root node is entered through one chance,
+    and its first line is that chance's event: a `choice_announcement` from
+    an honest Bob, a `measurement`, or a verdict.
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
@@ -159,30 +130,28 @@ def build_tree(
     if bob is not None:
         ancillas = tuple(bob_ancilla(i) for i in range(bob.ancilla_count))
         bob_role = PartyRole(bob.name, ("B1", "B2") + ancillas)
-        # Bob's ancillas join the register in |0...0>: each amplitude is
-        # followed by the 2^k - 1 zeros of the kets where an ancilla reads 1.
-        pad = ((0, 0),) * (2 ** len(ancillas) - 1)
-        amplitudes = tuple(x for a in state.amplitudes for x in (a, *pad))
-        state = StateVector(state.register + ancillas, amplitudes)
+        state = append_qubits(state, ancillas)
         if bob.operation is not None:
             state = apply_unitary(state, bob.operation.labels, bob.operation.matrix)
 
-    def read(state, steps, bits, probability, lines, then) -> Branch:
+    factor = 2 if bob is None else 4  # a node's mass over its state's squared norm
+
+    def read(state, steps, bits, mass, lines, then) -> Branch:
         # Chance nodes for `steps`, (sender, label) pairs measured in order;
-        # then(state, bits, probability, lines) continues each path.
+        # then(state, bits, mass, lines) continues each path.
         if not steps:
-            return then(state, bits, probability, lines)
+            return then(state, bits, mass, lines)
         (sender, label), rest = steps[0], steps[1:]
         children = []
-        for bit, (mass, posterior) in enumerate(measure(state, label)):
-            if mass == 0:
+        for bit, (kept, posterior) in enumerate(measure(state, label)):
+            if kept == 0:
                 children.append(_DEAD)
                 continue
             line = (sender, "measurement", {"label": label, "outcome": bit})
-            children.append(read(posterior, rest, bits + (bit,), mass, (line,), then))
-        return Branch(probability, lines, tuple(children), None)
+            children.append(read(posterior, rest, bits + (bit,), factor * kept, (line,), then))
+        return Branch(mass, lines, tuple(children), None)
 
-    def announce(state, choice, probability, lines) -> Branch:
+    def announce(state, choice, mass, lines) -> Branch:
         lines += ((_BOB, "choice_announcement", {"choice": choice}),)
         alice_coin, bob_coin = coin_labels(choice)
         alice_keep, bob_keep = verification_labels(choice)
@@ -196,83 +165,86 @@ def build_tree(
         transfer = (_ALICE, "qubit_transfer", {"label": alice_keep})
         checked = {"pair": [alice_keep, bob_keep]}
 
-        def verify(state, bits, probability, lines) -> Branch:
+        def verify(state, bits, mass, lines) -> Branch:
             # The first coin measurement's bit is the protocol outcome.
             outcome = (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)[bits[0]]
             lines += (transfer,)
             if bob is not None:
                 # A cheating Bob holds the verdict, and this family always passes.
                 lines += ((_BOB, "verdict_pass", {"pair": []}),)
-                return _leaf(probability, lines, outcome)
+                return _leaf(mass, lines, outcome)
+            # This node's mass is 2 |state|^2: the squared overlap is the pass mass.
             passed = bell_pass_probability(state, (alice_keep, bob_keep))
             verdicts = (
                 _leaf(passed, ((_BOB, "verdict_pass", checked),), outcome),
-                _leaf(1 - passed, ((_BOB, "verdict_abort", checked),), ProtocolOutcome.ABORT),
+                _leaf(mass - passed, ((_BOB, "verdict_abort", checked),), ProtocolOutcome.ABORT),
             )
-            return Branch(probability, lines, verdicts, None)
+            return Branch(mass, lines, verdicts, None)
 
-        return read(state, coins, (), probability, lines, verify)
+        return read(state, coins, (), mass, lines, verify)
 
-    def choose(state, bits, probability, lines) -> Branch:
-        return announce(state, bob.announce(bits), probability, lines)
+    def choose(state, bits, mass, lines) -> Branch:
+        return announce(state, bob.announce(bits), mass, lines)
 
     lines = ((_ALICE, "state_transfer", {"labels": ["B1", "B2"]}),)
+    total = 4 * squared_norm(state)
     if bob is None:
         # An honest Bob's step-2 choice is a fair coin.
-        choices = tuple(announce(state, choice, Fraction(1, 2), ()) for choice in (1, 2))
-        root = Branch(Fraction(1), lines, choices, None)
+        choices = tuple(announce(state, choice, total // 2, ()) for choice in (1, 2))
+        root = Branch(total, lines, choices, None)
     else:
         steps = tuple((_BOB, label) for label in bob.measured)
-        root = read(state, steps, (), Fraction(1), lines, choose)
+        root = read(state, steps, (), total, lines, choose)
     return ProtocolTree(alice_role, bob_role, target, root)
 
 
-def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
-    """The root-to-leaf path that a run with this seed takes: one uniform
-    of ``random.Random(seed).random()`` per chance node, below the first
-    child's exact probability or not."""
-    rng = random.Random(seed)
-    path = [tree.root]
-    while path[-1].children:
-        first, second = path[-1].children
-        path.append(first if rng.random() < first.probability else second)
-    return path
-
-
-def leaves(tree: ProtocolTree) -> list[tuple[Fraction, Branch]]:
-    """Every leaf with its exact mass, first children first."""
-    found = []
-
-    def visit(node: Branch, mass: Fraction) -> None:
-        mass *= node.probability
-        for child in node.children:
-            visit(child, mass)
+def leaves(tree: ProtocolTree) -> list[Branch]:
+    """Every leaf, first children first."""
+    found, nodes = [], [tree.root]
+    while nodes:
+        node = nodes.pop()
+        nodes += reversed(node.children)
         if not node.children:
-            found.append((mass, node))
-
-    visit(tree.root, Fraction(1))
+            found.append(node)
     return found
 
 
-def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
-    """One run: the outcome and transcript of the path this seed draws.
+def leaf_probabilities(tree: ProtocolTree) -> list[int]:
+    """The masses of the run's three outcomes: heads, tails, abort.
 
-    The first record of each non-root node on the path, the event of the
-    chance that entered it, carries that node's probability, rounded to the
-    nearest float, and every other record None.
+    Each sums the masses of the tree's leaves with that outcome; a dead
+    branch counts toward none of them. The three sum to exactly the root's
+    mass, and each over it is that outcome's exact probability.
     """
-    header = {
-        "schema": TRANSCRIPT_SCHEMA,
-        "seed": seed,
-        "alice": {"behavior": tree.alice.behavior, "registers": list(tree.alice.registers)},
-        "bob": {"behavior": tree.bob.behavior, "registers": list(tree.bob.registers)},
+    totals = dict.fromkeys([*ProtocolOutcome, None], 0)
+    for leaf in leaves(tree):
+        totals[leaf.outcome] += leaf.mass  # a dead leaf's outcome is None, its mass 0
+    return [totals[outcome] for outcome in ProtocolOutcome]
+
+
+def exact_win_probability(
+    strategy: AliceCheatStrategy | BobCheatStrategy, target: int
+) -> dict:
+    """One strategy's exact win and abort probability, summed over its branch
+    tree, as the `bias` report's result; epsilon is the win's excess over 1/2.
+    Each is a ratio of integers, rounded to a float once. The masses are
+    exact for the operation as given, but a float `LocalOperation` is
+    unitary only to rounding, so a win may pass 3/4 by about an ulp: the
+    check, exact in integers, keeps its slack of 1e-12 below 0 and 1e-9
+    above 3/4."""
+    masses = leaf_probabilities(build_tree(strategy, target))
+    win, total = masses[target], sum(masses)
+    low, high = (bound.as_integer_ratio() for bound in (-1e-12, ANALYTIC_BOUND + 1e-9))
+    if not (low[0] * total <= win * low[1] and win * high[1] <= high[0] * total):
+        raise InvariantViolationError(
+            f"win probability {win / total!r} escapes [0, bound] for {strategy.name}"
+        )
+    return {
+        "party": "A" if isinstance(strategy, AliceCheatStrategy) else "B",
+        "target": target,
+        "strategy": strategy.name,
+        "p_win_exact": win / total,
+        "p_abort_exact": masses[2] / total,
+        "epsilon": (2 * win - total) / (2 * total),
     }
-    if tree.target is not None:
-        header["target"] = tree.target
-    records = [TranscriptRecord(0, "-", "run_header", header, None)]
-    path = sample_path(tree, seed)
-    for depth, node in enumerate(path):
-        for position, line in enumerate(node.lines):
-            probability = float(node.probability) if depth and not position else None
-            records.append(TranscriptRecord(len(records), *line, probability))
-    return path[-1].outcome, Transcript(tuple(records))
+

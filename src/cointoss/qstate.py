@@ -10,15 +10,15 @@ leftmost (most significant) bit of a basis ket ``|q0 q1 ... q(n-1)>``.
 
 The engine is exact. It holds every amplitude and matrix entry, a float
 or an integer and so a dyadic rational, as an ``(re, im)`` pair of
-integers at one power-of-two scale. No state is normalized: each chance
-is a `Fraction` of two squared norms, in which the scale cancels.
-Operations work on basis indices by bit arithmetic: five qubits, 32
-amplitudes, are not worth an array library's import.
+integers at one power-of-two scale; this module alone reads that format.
+No state is normalized: `measure` and `bell_pass_probability` return
+integer squared norms, and a chance is a ratio of two, in which the
+scale cancels. Operations work on basis indices by bit arithmetic: five
+qubits, 32 amplitudes, are not worth an array library's import.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -50,6 +50,11 @@ def _squared_norm(amplitudes: Iterable[tuple[int, int]]) -> int:
     return sum(re * re + im * im for re, im in amplitudes)
 
 
+def squared_norm(state: StateVector) -> int:
+    """The state's squared norm, at its scale: the integer every chance divides."""
+    return _squared_norm(state.amplitudes)
+
+
 def _mask(register: Sequence[str], label: str) -> int:
     """The basis-index bit of `label`'s qubit."""
     return 1 << (len(register) - 1 - register.index(label))
@@ -60,11 +65,18 @@ def make_state(register: Iterable[str], amplitudes: Iterable[complex]) -> StateV
     return StateVector(register=tuple(register), amplitudes=tuple(_integer_pairs(amplitudes)))
 
 
-def measure(state: StateVector, label: str) -> tuple[tuple[Fraction, StateVector | None], ...]:
+def append_qubits(state: StateVector, labels: Sequence[str]) -> StateVector:
+    """The state with `labels` appended to its register, each in |0>."""
+    pad = ((0, 0),) * (2 ** len(labels) - 1)
+    amplitudes = tuple(x for a in state.amplitudes for x in (a, *pad))
+    return StateVector(state.register + tuple(labels), amplitudes)
+
+
+def measure(state: StateVector, label: str) -> tuple[tuple[int, StateVector | None], ...]:
     """Measure `label` in the computational basis: for outcome 0 and then 1,
-    the exact chance, the kept amplitudes' squared norm over the state's
-    (the two sum to exactly 1), and the posterior, those amplitudes at the
-    state's scale, or None where the chance is 0."""
+    the kept amplitudes' squared norm, which over the state's is the
+    outcome's exact chance, and the posterior, those amplitudes at the
+    state's scale, or None where the squared norm is 0."""
     mask = _mask(state.register, label)
     kept = [
         tuple(a if (i & mask != 0) == outcome else (0, 0) for i, a in enumerate(state.amplitudes))
@@ -72,19 +84,17 @@ def measure(state: StateVector, label: str) -> tuple[tuple[Fraction, StateVector
     ]
     masses = [_squared_norm(amplitudes) for amplitudes in kept]
     return tuple(
-        (Fraction(mass, sum(masses)), StateVector(state.register, amplitudes) if mass else None)
+        (mass, StateVector(state.register, amplitudes) if mass else None)
         for mass, amplitudes in zip(masses, kept)
     )
 
 
-def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> Fraction:
-    """The exact chance that projecting the pair onto the shared pair's
-    state, ``|00> + |11>`` normalized, passes.
-
-    The pair's overlap with ``|00> + |11>`` is an amplitude vector over the
-    rest of the register: ``a_i + a_j`` for each ket i with both of the
-    pair's bits clear, j being i with both set. The chance is its squared
-    norm over twice the state's, the squared norm of ``|00> + |11>``.
+def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> int:
+    """The pair's squared overlap with the shared pair's ``|00> + |11>``:
+    over twice the state's squared norm, the exact chance that projecting
+    the pair onto the normalized shared pair passes. The overlap is an
+    amplitude vector over the rest of the register, ``a_i + a_j`` for each
+    ket i with both of the pair's bits clear, j being i with both set.
     """
     both = _mask(state.register, pair[0]) | _mask(state.register, pair[1])
     amps = state.amplitudes
@@ -93,7 +103,7 @@ def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> Fraction
         for i in range(len(amps))
         if not i & both
     )
-    return Fraction(_squared_norm(overlap), 2 * _squared_norm(amps))
+    return _squared_norm(overlap)
 
 
 def apply_unitary(state: StateVector, labels: Sequence[str], matrix) -> StateVector:

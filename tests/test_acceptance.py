@@ -9,8 +9,9 @@ import time
 import numpy as np
 
 from cointoss import ANALYTIC_BOUND, OPTIMAL_WEIGHTS
-from cointoss.analysis import exact_win_probability, monte_carlo, resolve_run
+from cointoss.analysis import monte_carlo, resolve_run
 from cointoss.forms import _objective, optimize_alice, scan_chunks
+from cointoss.protocol import exact_win_probability
 from cointoss.strategies import (
     coefficient_strategy,
     honest_alice,

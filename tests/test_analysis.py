@@ -16,6 +16,7 @@ from cointoss import (
     HONEST_WEIGHTS,
     KITAEV_REFERENCE,
     OPTIMAL_WEIGHTS,
+    InvariantViolationError,
     UnknownStrategyError,
     analysis,
     cli,
@@ -24,15 +25,10 @@ from cointoss import (
     qstate,
     strategies,
 )
-from cointoss.analysis import (
-    InvariantViolationError,
-    _binomial,
-    exact_win_probability,
-    monte_carlo,
-    resolve_run,
-)
+from cointoss.analysis import _binomial, monte_carlo, resolve_run
 from cointoss.cli import csv_lines, format_value
 from cointoss.forms import _detection, _objective, optimize_alice, scan_chunks, scan_csv
+from cointoss.protocol import exact_win_probability
 from cointoss.qstate import A1, A2, B1, B2
 from cointoss.strategies import (
     AliceCheatStrategy,
@@ -82,17 +78,22 @@ class TestFidelityBound:
     def read_zero(self, *weights):
         return self.coin(*weights).children[0]
 
+    @staticmethod
+    def chances(node):
+        """The exact chances of the node's two children."""
+        return tuple(Fraction(child.mass, node.mass) for child in node.children)
+
     def test_symmetric_case_reaches_one(self):
-        passed = self.read_zero(0.5, 0.5, 0.5, 0.5).children[0].probability
+        passed, _ = self.chances(self.read_zero(0.5, 0.5, 0.5, 0.5))
         assert passed == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_half(self):
-        assert self.read_zero(1.0, 0.0, 0.0, 0.0).children[0].probability == pytest.approx(
+        assert self.chances(self.read_zero(1.0, 0.0, 0.0, 0.0))[0] == pytest.approx(
             0.5, abs=1e-15
         )
 
     def test_optimal_branch_nine_tenths(self):
-        passed = self.read_zero(*OPTIMAL_WEIGHTS).children[0].probability
+        passed, _ = self.chances(self.read_zero(*OPTIMAL_WEIGHTS))
         assert passed == pytest.approx(0.9, abs=1e-12)
 
     @pytest.mark.parametrize("mass", [0.0, 1e-13, 5e-13, 2e-12])
@@ -104,16 +105,18 @@ class TestFidelityBound:
         reading = (0.0, math.sqrt(mass), 0.6, 0.8)
         s = 2 * (math.sqrt(mass - mass**2) - mass) / (1 - 2 * mass)  # (a00+a01) at a00 = 1
         verdict = (1.0, s - 1.0, 1.0, 1.0)
-        (p0, _), _ = qstate.measure(aligned_strategy(reading).initial_state, B1)
+        (m0, _), (m1, _) = qstate.measure(aligned_strategy(reading).initial_state, B1)
+        read = Fraction(m0, m0 + m1)
         posterior = qstate.measure(aligned_strategy(verdict).initial_state, B1)[0][1]
-        passed = qstate.bell_pass_probability(posterior, (A2, B2))
-        for node, p in ((self.coin(*reading), p0), (self.read_zero(*verdict), passed)):
+        overlap = qstate.bell_pass_probability(posterior, (A2, B2))
+        passed = Fraction(overlap, 2 * qstate.squared_norm(posterior))
+        for node, p in ((self.coin(*reading), read), (self.read_zero(*verdict), passed)):
             assert p == pytest.approx(mass, rel=1e-6, abs=0)
             first, second = node.children
             if mass == 0:
-                assert first == (0, None, (), None) and second.probability == 1
+                assert first == (0, None, (), None) and second.mass == node.mass
             else:
-                assert (first.probability, second.probability) == (p, 1 - p)
+                assert self.chances(node) == (p, 1 - p)
                 assert first.lines is not None
 
 
@@ -184,8 +187,8 @@ class TestExactWinProbability:
 
     def test_report_invariant_guard(self, monkeypatch, capsys):
         # A win past 3/4 stops the report, in the library and on the CLI.
-        impossible = [Fraction(19, 25), Fraction(6, 25), Fraction(0)]
-        monkeypatch.setattr(analysis, "leaf_probabilities", lambda tree: impossible)
+        impossible = [19, 6, 0]
+        monkeypatch.setattr(protocol, "leaf_probabilities", lambda tree: impossible)
         message = "win probability 0.76 escapes [0, bound] for optimal-alice:target=0"
         with pytest.raises(InvariantViolationError) as excinfo:
             exact_win_probability(optimal_alice(0), 0)
@@ -271,7 +274,8 @@ class TestSensitivityScan:
 
         # Each is called by the name its module imports or defines; `forms`
         # imports neither.
-        for module, name in ((analysis, "build_tree"), (strategies, "aligned_strategy")):
+        patched = ((protocol, "build_tree"), (analysis, "build_tree"), (strategies, "aligned_strategy"))
+        for module, name in patched:
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
         exact_win_probability(optimal_alice(0), 0)
         assert set(calls) == {"build_tree", "aligned_strategy"}
@@ -408,14 +412,13 @@ class TestMonteCarlo:
             calls.append(args)
             return original(*args)
 
-        original = protocol.sample_path
-        monkeypatch.setattr(protocol, "sample_path", counting_sample_path)
-        monkeypatch.setattr(analysis, "sample_path", counting_sample_path, raising=False)
+        original = analysis.sample_path
+        monkeypatch.setattr(analysis, "sample_path", counting_sample_path)
         for strategy_id in ("honest", "optimal-alice", "random-bob:7"):
             run_kind, tree = resolve_run(None, strategy_id, 0)
             monte_carlo(run_kind, tree, 0, 10**6, 5)
         assert calls == []
-        protocol.walk(tree, 5)
+        analysis.walk(tree, 5)
         assert len(calls) == 1
 
     def test_protocol_engine_builds_one_tree_per_call(self, monkeypatch):

@@ -609,16 +609,18 @@ class TestStartup:
 
     def test_only_commands_that_build_a_tree_load_its_modules(self):
         # Each command in turn, in one child: the scan and optimize are closed
-        # forms alone, only a command that builds a tree loads `fractions`,
-        # whose import costs milliseconds, and only a random-bob id compiles
-        # the generator that draws it.
-        tree = [f"cointoss.{m}" for m in ("analysis", "protocol", "qstate", "strategies")]
+        # forms alone, `bias` sums the tree in `protocol`, only the sampled
+        # commands load `analysis`, which draws from it, only a random-bob id
+        # compiles the generator that draws it, and no command loads
+        # `fractions`, whose import costs milliseconds.
+        tree = [f"cointoss.{m}" for m in ("protocol", "qstate", "strategies")]
         runs = [
             (["--help"], []),
             (["scan", "--steps", "7"], ["cointoss.forms"]),
             (["optimize"], []),
-            (["bias"], tree + ["fractions"]),
+            (["bias"], tree),
             (["bias", "--strategy", "random-bob:7"], ["cointoss.random_bob"]),
+            (["honest", "--trials", "1000"], ["cointoss.analysis"]),
         ]
         code = (
             "import contextlib, io, sys\n"
@@ -642,22 +644,26 @@ class TestStartup:
         "argv, added",
         [
             (["optimize"], ["forms"]),
-            (["bias"], ["analysis", "protocol", "qstate", "strategies"]),
+            (["bias"], ["protocol", "qstate", "strategies"]),
+            (["honest", "--trials", "1000"], ["analysis", "protocol", "qstate", "strategies"]),
+            (["montecarlo", "--trials", "1000"], ["analysis", "protocol", "qstate", "strategies"]),
         ],
-        ids=["optimize", "bias"],
+        ids=["optimize", "bias", "honest", "montecarlo"],
     )
     def test_command_loads_only_its_own_modules(self, argv, added):
-        # Each in a fresh child: optimize is closed forms alone, and a tree
-        # command builds its strategy without the closed forms.
+        # Each in a fresh child: optimize is closed forms alone, a tree
+        # command builds its strategy without the closed forms, only a
+        # sampled command loads `analysis`, and none loads `fractions`.
         code = (
             "import contextlib, io, sys\n"
             "from cointoss import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cli.main({argv!r})\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'cointoss'))\n"
+            "print(code, 'fractions' in sys.modules,"
+            " sorted(m for m in sys.modules if m.split('.')[0] == 'cointoss'))\n"
         )
         loaded = sorted(["cointoss", "cointoss.cli"] + [f"cointoss.{m}" for m in added])
-        assert self.child(code) == f"{EXIT_OK} {loaded}\n"
+        assert self.child(code) == f"{EXIT_OK} False {loaded}\n"
 
     def test_no_command_loads_numpy(self, tmp_path):
         # The package computes with Python floats and complex numbers, so

@@ -24,9 +24,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import leaf_probabilities
 from cointoss.forms import _detection, _objective, _polarize, optimize_alice
-from cointoss.protocol import build_tree, coin_labels, verification_labels
+from cointoss.protocol import build_tree, coin_labels, leaf_probabilities, verification_labels
 from cointoss.qstate import B1, B2, bob_ancilla
 from cointoss.strategies import (
     ALICE_CORE,
@@ -35,6 +34,11 @@ from cointoss.strategies import (
     measure_and_pick_bob,
     parse_strategy_id,
 )
+
+
+def outcome_chances(tree):
+    """The exact chances of heads, tails and abort: each outcome's mass over the root's."""
+    return [Fraction(mass, tree.root.mass) for mass in leaf_probabilities(tree)]
 
 
 def normalized(state):
@@ -111,8 +115,8 @@ class TestClosedForms:
         # D, entry for entry; so do the closed forms, evaluated in Fractions.
         def tree_form(outcome):
             def form(*x):
-                mass = leaf_probabilities(build_tree(aligned_strategy(x), 0))[outcome]
-                return mass * sum(Fraction(w) ** 2 for w in x)
+                chance = outcome_chances(build_tree(aligned_strategy(x), 0))[outcome]
+                return chance * sum(Fraction(w) ** 2 for w in x)
 
             return form
 
@@ -212,9 +216,9 @@ class TestBobPovm:
         bob = HONEST_BOB if name == "honest-bob" else parse_strategy_id(name, target)
         povm = bob_povm(bob)
         np.testing.assert_allclose(povm[1] + povm[2], np.eye(4), rtol=0, atol=1e-12)
-        masses = leaf_probabilities(build_tree(bob, target))
-        assert abs(masses[target] - povm_win(povm, target)) < 1e-12
-        assert masses[2] == 0.0  # Bob holds the verdict
+        chances = outcome_chances(build_tree(bob, target))
+        assert abs(chances[target] - povm_win(povm, target)) < 1e-12
+        assert chances[2] == 0.0  # Bob holds the verdict
 
     @pytest.mark.parametrize("target", [0, 1])
     def test_dual_certifies_three_quarters(self, target):
@@ -225,5 +229,5 @@ class TestBobPovm:
         for reading in bob_readings(target).values():
             assert (dual - exact(reading)).eigenvals() == {0: 3, quarter: 1}
         assert dual.trace() == 3 * quarter
-        win = leaf_probabilities(build_tree(measure_and_pick_bob(target), target))[target]
+        win = outcome_chances(build_tree(measure_and_pick_bob(target), target))[target]
         assert abs(win - 0.75) < 1e-15

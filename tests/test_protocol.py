@@ -5,12 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from cointoss.protocol import (
-    ProtocolOutcome,
-    TRANSCRIPT_SCHEMA,
-    build_tree,
-    walk,
-)
+from cointoss.analysis import TRANSCRIPT_SCHEMA, walk
+from cointoss.protocol import ProtocolOutcome, build_tree
 from cointoss.strategies import (
     honest_alice,
     measure_and_pick_bob,

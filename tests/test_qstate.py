@@ -16,11 +16,13 @@ from cointoss.qstate import (
     B1,
     B2,
     _squared_norm,
+    append_qubits,
     apply_unitary,
     bob_ancilla,
     bell_pass_probability,
     make_state,
     measure,
+    squared_norm,
 )
 from cointoss.random_bob import haar_unitary
 from cointoss.strategies import honest_alice, optimal_alice
@@ -38,8 +40,14 @@ def bell(left, right):
 
 
 def probabilities(state, label):
-    """`measure`'s exact probabilities of reading `label` as 0 and as 1."""
-    return tuple(p for p, _ in measure(state, label))
+    """The exact probabilities of reading `label` as 0 and as 1: `measure`'s
+    squared norms over the state's."""
+    return tuple(Fraction(mass, squared_norm(state)) for mass, _ in measure(state, label))
+
+
+def pass_probability(state, pair):
+    """The exact chance that the pair passes the shared-pair verification."""
+    return Fraction(bell_pass_probability(state, pair), 2 * squared_norm(state))
 
 
 def floats(state, label):
@@ -136,35 +144,47 @@ class TestMeasure:
 
     def test_bell_perfect_correlation(self):
         for b in (0, 1):
-            probability, posterior = measure(bell(A1, B1), B1)[b]
-            assert probability == Fraction(1, 2)
+            _, posterior = measure(bell(A1, B1), B1)[b]
+            assert probabilities(bell(A1, B1), B1)[b] == Fraction(1, 2)
             expected = np.zeros(4)
             expected[b * 3] = 1.0  # |bb>
             np.testing.assert_allclose(normalized(posterior), expected, atol=1e-12)
 
     def test_outcome_probabilities_on_optimal_state(self):
         state = eq3_state()
-        (p0, _), (p1, _) = measure(state, B1)
+        p0, p1 = probabilities(state, B1)
         assert p0 == pytest.approx(5 / 6, abs=1e-12)
         assert p1 == pytest.approx(1 / 6, abs=1e-12)
 
     def test_posterior_collapsed_and_normalized(self):
         # The posterior keeps the outcome's amplitudes at the state's scale,
-        # so its squared norm over the state's is the outcome's chance, and
-        # measuring the qubit again reads the outcome with chance exactly 1.
+        # so its squared norm is the outcome's mass, and measuring the qubit
+        # again reads the outcome with chance exactly 1.
         rng = np.random.default_rng(8)
         for _ in range(10):
             state = random_state(rng, (A1, B1, B2))
             for outcome in (0, 1):
-                probability, posterior = measure(state, B2)[outcome]
+                mass, posterior = measure(state, B2)[outcome]
                 kept = [a if i % 2 == outcome else (0, 0) for i, a in enumerate(state.amplitudes)]
                 assert posterior.amplitudes == tuple(kept)
-                assert Fraction(_squared_norm(kept), _squared_norm(state.amplitudes)) == probability
+                assert _squared_norm(kept) == squared_norm(posterior) == mass
                 assert probabilities(posterior, B2)[outcome] == 1
 
     def test_impossible_outcome_has_no_posterior(self):
         state = make_state((A1, B1), (0, 0, 0.6, 0.8))  # A1 reads 1
-        assert measure(state, A1) == ((0.0, None), (1.0, state))
+        assert measure(state, A1) == ((0, None), (squared_norm(state), state))
+
+    def test_appended_qubits_read_zero(self):
+        # Each appended qubit reads 0 with chance exactly 1, and the other
+        # qubits read as before: the state's kets gain trailing zeros.
+        state = make_state((A1, B1), (0.6, 0, 0, 0.8))
+        grown = append_qubits(state, (bob_ancilla(0), bob_ancilla(1)))
+        assert grown.register == (A1, B1, bob_ancilla(0), bob_ancilla(1))
+        assert squared_norm(grown) == squared_norm(state)
+        for label in grown.register[2:]:
+            assert probabilities(grown, label) == (1, 0)
+        assert probabilities(grown, B1) == probabilities(state, B1)
+        np.testing.assert_allclose(normalized(grown)[::4], normalized(state), rtol=0, atol=0)
 
 
 class TestProjectBell:
@@ -172,23 +192,23 @@ class TestProjectBell:
 
     def test_projecting_bell_onto_itself(self):
         state = bell(A1, B1)
-        assert bell_pass_probability(state, (A1, B1)) == pytest.approx(1.0, abs=1e-12)
+        assert pass_probability(state, (A1, B1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_half(self):
         state = make_state((A1, B1), (1, 0, 0, 0))
-        assert bell_pass_probability(state, (A1, B1)) == pytest.approx(0.5, abs=1e-12)
+        assert pass_probability(state, (A1, B1)) == pytest.approx(0.5, abs=1e-12)
 
     def test_skewed_pair_nine_tenths(self):
         state = make_state((A1, B1), (np.sqrt(4 / 5), 0, 0, np.sqrt(1 / 5)))
-        assert bell_pass_probability(state, (A1, B1)) == pytest.approx(0.9, abs=1e-12)
+        assert pass_probability(state, (A1, B1)) == pytest.approx(0.9, abs=1e-12)
 
     def test_orthogonal_state_signaled(self):
         state = make_state((A1, B1), (0, 1, 0, 0))
-        assert bell_pass_probability(state, (A1, B1)) == 0.0
+        assert pass_probability(state, (A1, B1)) == 0.0
 
     def test_embedded_pair_in_larger_register(self):
         state = honest_alice().initial_state
-        assert bell_pass_probability(state, (A2, B2)) == pytest.approx(1.0, abs=1e-12)
+        assert pass_probability(state, (A2, B2)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEngineInvariants:
@@ -200,7 +220,7 @@ class TestEngineInvariants:
             # The two-qubit state's Schmidt coefficients.
             coeffs = np.linalg.svd(np.reshape(normalized(state), (2, 2)), compute_uv=False)
             bound = (coeffs[0] + coeffs[1]) ** 2 / 2.0
-            assert bell_pass_probability(state, (A1, B1)) <= bound + 1e-9
+            assert pass_probability(state, (A1, B1)) <= bound + 1e-9
 
     def test_collapse_probabilities_match_marginals(self):
         rng = np.random.default_rng(43)
@@ -208,8 +228,7 @@ class TestEngineInvariants:
         psi = np.reshape(normalized(state), (2, 2, 2))
         marginals = (np.abs(psi) ** 2).sum(axis=(0, 2))
         for b in (0, 1):
-            probability, _ = measure(state, B1)[b]
-            assert probability == pytest.approx(marginals[b], abs=1e-12)
+            assert probabilities(state, B1)[b] == pytest.approx(marginals[b], abs=1e-12)
 
 
 CORE = (A1, B1, A2, B2)
@@ -236,11 +255,11 @@ def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
     # keeps the normalized state a unit vector, to its float entries' rounding.
     for label in CORE:
         outcomes = measure(state, label)
-        assert outcomes[0][0] + outcomes[1][0] == 1
-        masses = [0 if p == 0 else _squared_norm(post.amplitudes) for p, post in outcomes]
-        assert sum(masses) == _squared_norm(state.amplitudes)
-        assert [p for p, _ in outcomes] == [Fraction(m, sum(masses)) for m in masses]
-    assert 0 <= bell_pass_probability(state, pair) <= 1
+        assert sum(probabilities(state, label)) == 1
+        masses = [0 if post is None else squared_norm(post) for _, post in outcomes]
+        assert sum(masses) == squared_norm(state)
+        assert [mass for mass, _ in outcomes] == masses
+    assert 0 <= pass_probability(state, pair) <= 1
     unitary = haar_unitary(4, np.random.default_rng(seed))
     rotated = apply_unitary(state, pair, unitary)
     operator = np.asarray(embed(state.register, pair, unitary))
@@ -291,13 +310,13 @@ def test_every_operation_matches_an_array_reference(case):
             index = tuple(outcome if i == pos else slice(None) for i in range(n))
             kept = np.zeros_like(psi)
             kept[index] = psi[index]
-            probability, posterior = measure(state, label)[outcome]
-            assert abs(probability - marginal[outcome]) < 1e-12
+            posterior = measure(state, label)[outcome][1]
+            assert abs(probabilities(state, label)[outcome] - marginal[outcome]) < 1e-12
             expected = kept / np.linalg.norm(kept)
             np.testing.assert_allclose(as_tensor(posterior), expected, atol=1e-12)
     a, b = order[:2]
     overlap = np.tensordot(np.eye(2) / np.sqrt(2.0), psi, axes=([0, 1], [a, b]))
-    passed = bell_pass_probability(state, (state.register[a], state.register[b]))
+    passed = pass_probability(state, (state.register[a], state.register[b]))
     assert abs(passed - np.vdot(overlap, overlap).real) < 1e-12
     k, labels = len(positions), [state.register[p] for p in positions]
     gate = np.reshape(unitary, (2,) * (2 * k))

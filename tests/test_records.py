@@ -17,8 +17,8 @@ RECORDS = [
     (strategies, "AliceCheatStrategy", lambda: ALICE, "name"),
     (strategies, "BobCheatStrategy", lambda: BOB, "announce_rule"),
     (protocol, "PartyRole", lambda: TREE.alice, "behavior"),
-    (protocol, "TranscriptRecord", lambda: protocol.walk(TREE, 0)[1].records[0], "index"),
-    (protocol, "Transcript", lambda: protocol.walk(TREE, 0)[1], "records"),
+    (analysis, "TranscriptRecord", lambda: analysis.walk(TREE, 0)[1].records[0], "index"),
+    (analysis, "Transcript", lambda: analysis.walk(TREE, 0)[1], "records"),
     (protocol, "ProtocolTree", lambda: TREE, "root"),
     (protocol, "Branch", lambda: TREE.root, "children"),
 ]

@@ -4,19 +4,24 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cointoss.analysis import _split_down_tree, exact_win_probability, leaf_probabilities
+from cointoss import analysis
+from cointoss.analysis import _split_down_tree, sample_path, walk
 from cointoss.protocol import (
+    Branch,
     ProtocolOutcome,
+    ProtocolTree,
     build_tree,
+    exact_win_probability,
+    leaf_probabilities,
     leaves,
-    sample_path,
-    walk,
 )
 from cointoss.qstate import B1, B2, bob_ancilla, make_state
 from cointoss.strategies import (
@@ -30,7 +35,7 @@ from cointoss.strategies import (
     optimal_alice,
     parse_strategy_id,
 )
-from test_closed_forms import normalized, outcome_operators
+from test_closed_forms import normalized, outcome_chances, outcome_operators
 from test_golden import REPORTS, TRANSCRIPTS
 
 # Every strategy id that a golden file pins.
@@ -91,7 +96,7 @@ def test_leaf_masses_are_the_outcome_operators(strategy, target):
     # so any state's win and abort masses agree, to the oracle's rounding.
     psi = normalized(strategy.initial_state)
     win, abort = map(np.array, outcome_operators(target))
-    exact = leaf_probabilities(build_tree(strategy, target))
+    exact = outcome_chances(build_tree(strategy, target))
     assert abs(exact[target] - np.vdot(psi, win @ psi).real) < 1e-12
     assert abs(exact[2] - np.vdot(psi, abort @ psi).real) < 1e-12
 
@@ -100,10 +105,12 @@ def test_leaf_masses_are_the_outcome_operators(strategy, target):
 @given(trees())
 def test_leaf_masses_sum_to_one(tree):
     # Exactly, for any Alice state and any Bob: each chance node's children
-    # split their parent's mass exactly. Dead leaves, of mass exactly 0,
-    # count toward no outcome.
-    assert sum(mass for mass, _ in leaves(tree)) == 1
-    assert sum(leaf_probabilities(tree)) == 1
+    # split their parent's integer mass exactly, so the leaves' masses sum
+    # to the root's, and the outcomes' chances to 1. Dead leaves, of mass
+    # exactly 0, count toward no outcome.
+    assert sum(leaf.mass for leaf in leaves(tree)) == tree.root.mass
+    assert sum(leaf_probabilities(tree)) == tree.root.mass
+    assert sum(outcome_chances(tree)) == 1
 
 
 @pytest.mark.parametrize("target", [0, 1])
@@ -113,11 +120,12 @@ def test_each_leaf_sum_is_correctly_rounded(strategy_id, target):
     strategy = parse_strategy_id(strategy_id, target)
     tree = build_tree(strategy, target)
     exact = dict.fromkeys(ProtocolOutcome, Fraction(0))
-    for mass, leaf in leaves(tree):
+    for leaf in leaves(tree):
         if leaf.outcome is not None:
-            exact[leaf.outcome] += mass
-    sums = leaf_probabilities(tree)
-    assert sums == list(exact.values()) and all(type(p) is Fraction for p in sums)
+            exact[leaf.outcome] += Fraction(leaf.mass, tree.root.mass)
+    assert all(type(mass) is int for mass in leaf_probabilities(tree))
+    sums = outcome_chances(tree)
+    assert sums == list(exact.values())
     report = exact_win_probability(strategy, target)
     assert report["p_win_exact"] == float(sums[target])
     assert report["p_abort_exact"] == float(sums[2])
@@ -131,7 +139,7 @@ def test_optimal_alice_coin_readings_are_the_floats_nearest_one_sixth_and_five_s
     # sqrt(1/6), and nothing else does. A transcript records their floats.
     tree = build_tree(optimal_alice(1), 1)
     for choice in tree.root.children:
-        assert [reading.probability for reading in choice.children] == [
+        assert [Fraction(reading.mass, choice.mass) for reading in choice.children] == [
             Fraction(1, 6),
             Fraction(5, 6),
         ]
@@ -140,22 +148,22 @@ def test_optimal_alice_coin_readings_are_the_floats_nearest_one_sixth_and_five_s
 @SETTINGS
 @given(trees())
 def test_every_chance_node_splits_one_probability(tree):
-    # Children carry exact chances p and 1 - p, which sum to exactly 1, and
-    # a branch is dead, with no lines, exactly when it carries 0, so no
-    # sampler or walk can ever reach it; any other chance keeps its branch.
-    # A live child's first line is the event of the chance that enters it,
-    # on which `walk` records the child's probability.
+    # Children carry integer masses that sum to exactly their parent's, so
+    # their chances are p and 1 - p, and a branch is dead, with no lines,
+    # exactly when its mass is 0, so no sampler or walk can ever reach it;
+    # any other chance keeps its branch. A live child's first line is the
+    # event of the chance that enters it, on which `walk` records it.
     events = {"choice_announcement", "measurement", "verdict_pass", "verdict_abort"}
     nodes = [tree.root]
     while nodes:
         node = nodes.pop()
         if node.children:
             first, second = node.children
-            assert type(first.probability) is type(second.probability) is Fraction
-            assert first.probability + second.probability == 1
+            assert type(first.mass) is type(second.mass) is int
+            assert first.mass + second.mass == node.mass
             nodes += node.children
             assert all(c.lines[0][1] in events for c in node.children if c.lines)
-        assert (node.probability == 0) == (node.lines is None)
+        assert (node.mass == 0) == (node.lines is None)
 
 
 @SETTINGS
@@ -168,10 +176,11 @@ def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
     outcome, transcript = walk(tree, seed)
     # The exact chances on the path multiply to its leaf's exact mass, and
     # each chance's event records the float of the chance the walk took, once.
-    mass = next(mass for mass, leaf in leaves(tree) if leaf is path[-1])
-    assert math.prod(node.probability for node in path) == mass
+    chances = [Fraction(node.mass, parent.mass) for parent, node in zip(path, path[1:])]
+    leaf = next(leaf for leaf in leaves(tree) if leaf is path[-1])
+    assert math.prod(chances) == Fraction(leaf.mass, tree.root.mass)
     recorded = [r.probability for r in transcript.records if r.probability is not None]
-    assert recorded == [float(node.probability) for node in path[1:]]
+    assert recorded == [float(chance) for chance in chances]
     assert outcome is path[-1].outcome
     assert transcript.records[-1].payload == {"outcome": outcome.value}
 
@@ -182,7 +191,7 @@ def test_split_counts_lie_within_five_sigma_of_the_leaf_masses(tree, seed):
     trials = 10**6
     counts = _split_down_tree(tree, trials, random.Random(seed))
     assert sum(counts) == trials
-    for count, p in zip(counts, leaf_probabilities(tree)):
+    for count, p in zip(counts, outcome_chances(tree)):
         assert abs(count - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
 
 
@@ -197,17 +206,17 @@ def test_leaf_probabilities_of_the_paper_strategies():
     # Exactly, although the optimal weights are rounded square roots.
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     sixth, twelfth = Fraction(1, 6), Fraction(1, 12)
-    assert leaf_probabilities(build_tree(optimal_alice(0), 0)) == [3 * quarter, twelfth, sixth]
-    assert leaf_probabilities(build_tree(optimal_alice(1), 1)) == [twelfth, 3 * quarter, sixth]
-    assert leaf_probabilities(build_tree(measure_and_pick_bob(0), 0)) == [3 * quarter, quarter, 0]
-    assert leaf_probabilities(build_tree(measure_and_pick_bob(1), 1)) == [quarter, 3 * quarter, 0]
-    assert leaf_probabilities(build_tree(None, None)) == [half, half, 0]
+    assert outcome_chances(build_tree(optimal_alice(0), 0)) == [3 * quarter, twelfth, sixth]
+    assert outcome_chances(build_tree(optimal_alice(1), 1)) == [twelfth, 3 * quarter, sixth]
+    assert outcome_chances(build_tree(measure_and_pick_bob(0), 0)) == [3 * quarter, quarter, 0]
+    assert outcome_chances(build_tree(measure_and_pick_bob(1), 1)) == [quarter, 3 * quarter, 0]
+    assert outcome_chances(build_tree(None, None)) == [half, half, 0]
 
 
 def test_honest_run_is_exactly_fair():
     # Both parties honest start from the two shared pairs with amplitudes of
     # exactly 1/2, so heads and tails each carry exactly 1/2.
-    assert leaf_probabilities(build_tree(None, None)) == [Fraction(1, 2), Fraction(1, 2), 0]
+    assert outcome_chances(build_tree(None, None)) == [Fraction(1, 2), Fraction(1, 2), 0]
 
 
 @pytest.mark.parametrize("target", [0, 1])
@@ -216,11 +225,14 @@ def test_measure_and_pick_wins_exactly_three_quarters(target):
 
 
 def leaf_masses(tree, flip=False):
-    """The tree's leaves as a multiset of (exact mass, outcome), with heads
+    """The tree's leaves as a multiset of (exact chance, outcome), with heads
     and tails swapped when `flip`."""
     heads, tails = ProtocolOutcome.HEADS, ProtocolOutcome.TAILS
     swap = {heads: tails, tails: heads} if flip else {}
-    return Counter((mass, swap.get(leaf.outcome, leaf.outcome)) for mass, leaf in leaves(tree))
+    return Counter(
+        (Fraction(leaf.mass, tree.root.mass), swap.get(leaf.outcome, leaf.outcome))
+        for leaf in leaves(tree)
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -256,7 +268,8 @@ def test_bob_ancillas_join_the_register_in_zero():
         bob = BobCheatStrategy("ancillas", 2, LocalOperation(labels, matrix), (labels[-1],), rule)
         tree = build_tree(bob, 0)
         assert tree.bob.registers == (B1, B2) + ancillas
-        assert [child.probability for child in tree.root.children] == [first, 1.0 - first]
+        chances = [Fraction(child.mass, tree.root.mass) for child in tree.root.children]
+        assert chances == [first, 1.0 - first]
 
 
 def test_draws_per_run():
@@ -273,7 +286,7 @@ def test_unreachable_verification_aborts_instead_of_crashing():
     # passes; after choice 2, his check of (A1, B1) always does. Each pass
     # chance is exactly 0 or 1.
     tree = build_tree(aligned_strategy([0.5, -0.5, 0.5, -0.5]), 0)
-    assert leaf_probabilities(tree)[2] == 0.5
+    assert outcome_chances(tree)[2] == 0.5
     for seed in range(40):
         outcome, transcript = walk(tree, seed)
         if transcript.records[2].payload == {"choice": 1}:
@@ -283,3 +296,44 @@ def test_unreachable_verification_aborts_instead_of_crashing():
             assert outcome is not ProtocolOutcome.ABORT
             assert transcript.records[-2].kind == "verdict_pass"
         assert transcript.records[-2].probability == 1.0
+
+
+def drawn_path(first, total, uniform):
+    """The path `sample_path` takes through a one-chance tree of root mass
+    `total` whose first child has mass `first`, when its draw is `uniform`."""
+    children = (Branch(first, (), (), ProtocolOutcome.HEADS), Branch(total - first, (), (), None))
+    tree = ProtocolTree(None, None, None, Branch(total, (), children, None))
+    stream = SimpleNamespace(random=lambda: uniform)
+    with mock.patch.object(analysis, "random", SimpleNamespace(Random=lambda seed: stream)):
+        return sample_path(tree, 0)
+
+
+@pytest.mark.parametrize("first, total", [(1, 2), (3, 8), (1, 2**60), (2**53 - 1, 2**53)])
+def test_a_draw_at_the_exact_chance_takes_the_second_child(first, total):
+    # A run takes the first child when its uniform is below the chance: at
+    # the chance itself it takes the second, one ulp below it the first.
+    chance = first / total
+    assert Fraction(chance) == Fraction(first, total)
+    assert drawn_path(first, total, chance)[-1].outcome is None
+    below = math.nextafter(chance, 0.0)
+    assert drawn_path(first, total, below)[-1].outcome is ProtocolOutcome.HEADS
+
+
+# (first, total): a first child's mass and its parent's.
+mass_pairs = st.integers(1, 2**200).flatmap(
+    lambda total: st.tuples(st.integers(0, total), st.just(total))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mass_pairs, st.floats(0.0, 1.0, exclude_max=True))
+@example((1, 6), 1 / 6)
+@example((1, 6), math.nextafter(1 / 6, 1.0))
+@example((0, 5), 0.0)
+@example((5, 5), math.nextafter(1.0, 0.0))
+def test_the_integer_comparison_is_the_exact_one(masses, uniform):
+    # The draw is compared with the exact chance first / total in integers,
+    # as `Fraction` compares them, even where no float equals the chance.
+    first, total = masses
+    took_first = drawn_path(first, total, uniform)[-1].outcome is ProtocolOutcome.HEADS
+    assert took_first == (Fraction(uniform) < Fraction(first, total))
