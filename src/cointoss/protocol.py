@@ -22,7 +22,7 @@ from .qstate import (
     B2,
     append_qubits,
     apply_unitary,
-    bell_pass_probability,
+    bell_overlap,
     bob_ancilla,
     measure,
     squared_norm,
@@ -116,10 +116,10 @@ def build_tree(
     every split is exact in integers: an honest Bob's choice halves it,
     each node below has mass 2 |state|^2 (4 |state|^2 against a cheating
     Bob, who makes no choice), and its children take that factor times
-    `measure`'s squared norms, or pass with `bell_pass_probability`'s
-    squared overlap. Every non-root node is entered through one chance,
-    and its first line is that chance's event: a `choice_announcement` from
-    an honest Bob, a `measurement`, or a verdict.
+    `measure`'s squared norms, or pass with the pair's squared overlap
+    with |00> + |11>, `bell_overlap`. Every non-root node is entered
+    through one chance, and its first line is that chance's event: a
+    `choice_announcement` from an honest Bob, a `measurement`, or a verdict.
     """
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
@@ -173,8 +173,9 @@ def build_tree(
                 # A cheating Bob holds the verdict, and this family always passes.
                 lines += ((_BOB, "verdict_pass", {"pair": []}),)
                 return _leaf(mass, lines, outcome)
-            # This node's mass is 2 |state|^2: the squared overlap is the pass mass.
-            passed = bell_pass_probability(state, (alice_keep, bob_keep))
+            # This node's mass is 2 |state|^2, so the pair's squared overlap
+            # with |00> + |11> is the pass mass: the chance is their ratio.
+            passed = bell_overlap(state, (alice_keep, bob_keep))
             verdicts = (
                 _leaf(passed, ((_BOB, "verdict_pass", checked),), outcome),
                 _leaf(mass - passed, ((_BOB, "verdict_abort", checked),), ProtocolOutcome.ABORT),

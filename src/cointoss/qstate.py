@@ -11,9 +11,9 @@ leftmost (most significant) bit of a basis ket ``|q0 q1 ... q(n-1)>``.
 The engine is exact. It holds every amplitude and matrix entry, a float
 or an integer and so a dyadic rational, as an ``(re, im)`` pair of
 integers at one power-of-two scale; this module alone reads that format.
-No state is normalized: `measure` and `bell_pass_probability` return
-integer squared norms, and a chance is a ratio of two, in which the
-scale cancels. Operations work on basis indices by bit arithmetic: five
+No state is normalized: `measure` and `bell_overlap` return integer
+squared norms, and a chance is a ratio of two, in which the scale
+cancels. Operations work on basis indices by bit arithmetic: five
 qubits, 32 amplitudes, are not worth an array library's import.
 """
 
@@ -89,7 +89,7 @@ def measure(state: StateVector, label: str) -> tuple[tuple[int, StateVector | No
     )
 
 
-def bell_pass_probability(state: StateVector, pair: tuple[str, str]) -> int:
+def bell_overlap(state: StateVector, pair: tuple[str, str]) -> int:
     """The pair's squared overlap with the shared pair's ``|00> + |11>``:
     over twice the state's squared norm, the exact chance that projecting
     the pair onto the normalized shared pair passes. The overlap is an

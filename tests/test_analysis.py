@@ -108,7 +108,7 @@ class TestFidelityBound:
         (m0, _), (m1, _) = qstate.measure(aligned_strategy(reading).initial_state, B1)
         read = Fraction(m0, m0 + m1)
         posterior = qstate.measure(aligned_strategy(verdict).initial_state, B1)[0][1]
-        overlap = qstate.bell_pass_probability(posterior, (A2, B2))
+        overlap = qstate.bell_overlap(posterior, (A2, B2))
         passed = Fraction(overlap, 2 * qstate.squared_norm(posterior))
         for node, p in ((self.coin(*reading), read), (self.read_zero(*verdict), passed)):
             assert p == pytest.approx(mass, rel=1e-6, abs=0)

@@ -1,6 +1,7 @@
 """State-engine tests: construction, measurement, projection, norms."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from cointoss.qstate import (
     append_qubits,
     apply_unitary,
     bob_ancilla,
-    bell_pass_probability,
+    bell_overlap,
     make_state,
     measure,
     squared_norm,
@@ -47,7 +48,7 @@ def probabilities(state, label):
 
 def pass_probability(state, pair):
     """The exact chance that the pair passes the shared-pair verification."""
-    return Fraction(bell_pass_probability(state, pair), 2 * squared_norm(state))
+    return Fraction(bell_overlap(state, pair), 2 * squared_norm(state))
 
 
 def floats(state, label):
@@ -130,11 +131,11 @@ class TestBranchProbabilities:
         assert probabilities(make_state((A1,), (1, 0)), A1) == (1.0, 0.0)
 
     def test_invariant_under_disjoint_local_operations(self):
-        rng = np.random.default_rng(21)
+        rng, unitaries = np.random.default_rng(21), random.Random(21)
         for _ in range(25):
             state = random_state(rng, (A1, B1, A2, B2))
             before = floats(state, B1)
-            rotated = apply_unitary(state, (A1, A2, B2), haar_unitary(8, rng))
+            rotated = apply_unitary(state, (A1, A2, B2), haar_unitary(8, unitaries))
             after = floats(rotated, B1)
             np.testing.assert_allclose(after, before, atol=1e-10)
 
@@ -260,7 +261,7 @@ def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
         assert sum(masses) == squared_norm(state)
         assert [mass for mass, _ in outcomes] == masses
     assert 0 <= pass_probability(state, pair) <= 1
-    unitary = haar_unitary(4, np.random.default_rng(seed))
+    unitary = haar_unitary(4, random.Random(seed))
     rotated = apply_unitary(state, pair, unitary)
     operator = np.asarray(embed(state.register, pair, unitary))
     assert np.linalg.norm(operator @ normalized(state)) == pytest.approx(1.0, abs=1e-12)
@@ -287,7 +288,7 @@ def states_and_qubits(draw):
     amplitudes = np.asarray(values[: 2**n]) + 1j * np.asarray(values[2**n :])
     order = draw(st.permutations(range(n)))
     k = draw(st.integers(1, min(3, n)))
-    unitary = haar_unitary(2**k, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    unitary = haar_unitary(2**k, random.Random(draw(st.integers(0, 2**32 - 1))))
     return make_state(REGISTER[:n], amplitudes), amplitudes, order, order[:k], unitary
 
 
