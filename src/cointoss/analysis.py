@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree
 from .strategies import AliceCheatStrategy, parse_strategy_id
 
-TRANSCRIPT_SCHEMA = "cointoss.transcript/3"
+TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
 
 # The --trials cap, int64's maximum: the documented range, which the
 # 2**63 - 1 tests and CI pin. `_binomial` itself draws larger counts too.

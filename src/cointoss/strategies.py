@@ -8,9 +8,8 @@ protocol's step 4 says. Every Alice strategy an id names is aligned: a
 Bob's cheating strategies are a local operation on ``{B1, B2,
 AncillaB[i]...}``, a set of qubits he measures, and a rule mapping the
 classical result to the pair he announces; his verdict is always "pass",
-so he can never be caught. The Haar-random ``random-bob:<seed>`` family,
-drawn from ``random.Random(seed)``, is in `random_bob`, which
-`parse_strategy_id` loads only for such an id.
+so he can never be caught. The Haar-random ``random-bob:<seed>`` family is
+in `random_bob`, which `parse_strategy_id` loads only for such an id.
 """
 
 from __future__ import annotations
@@ -173,9 +172,7 @@ def parse_strategy_id(
             seed = -1
         if seed < 0 or str(seed) != seed_text:
             raise UnknownStrategyError(f"bad random-bob seed {seed_text!r}")
-        import random
+        from .random_bob import _DefaultRng, random_bob_strategy
 
-        from .random_bob import random_bob_strategy
-
-        return random_bob_strategy(random.Random(seed))._replace(name=text)
+        return random_bob_strategy(_DefaultRng(seed))._replace(name=text)
     raise UnknownStrategyError(f"unknown strategy identifier {text!r}")

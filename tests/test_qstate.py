@@ -1,7 +1,6 @@
 """State-engine tests: construction, measurement, projection, norms."""
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -131,11 +130,11 @@ class TestBranchProbabilities:
         assert probabilities(make_state((A1,), (1, 0)), A1) == (1.0, 0.0)
 
     def test_invariant_under_disjoint_local_operations(self):
-        rng, unitaries = np.random.default_rng(21), random.Random(21)
+        rng = np.random.default_rng(21)
         for _ in range(25):
             state = random_state(rng, (A1, B1, A2, B2))
             before = floats(state, B1)
-            rotated = apply_unitary(state, (A1, A2, B2), haar_unitary(8, unitaries))
+            rotated = apply_unitary(state, (A1, A2, B2), haar_unitary(8, rng))
             after = floats(rotated, B1)
             np.testing.assert_allclose(after, before, atol=1e-10)
 
@@ -261,7 +260,7 @@ def test_every_operation_keeps_the_norm_at_one(state, pair, seed):
         assert sum(masses) == squared_norm(state)
         assert [mass for mass, _ in outcomes] == masses
     assert 0 <= pass_probability(state, pair) <= 1
-    unitary = haar_unitary(4, random.Random(seed))
+    unitary = haar_unitary(4, np.random.default_rng(seed))
     rotated = apply_unitary(state, pair, unitary)
     operator = np.asarray(embed(state.register, pair, unitary))
     assert np.linalg.norm(operator @ normalized(state)) == pytest.approx(1.0, abs=1e-12)
@@ -288,7 +287,7 @@ def states_and_qubits(draw):
     amplitudes = np.asarray(values[: 2**n]) + 1j * np.asarray(values[2**n :])
     order = draw(st.permutations(range(n)))
     k = draw(st.integers(1, min(3, n)))
-    unitary = haar_unitary(2**k, random.Random(draw(st.integers(0, 2**32 - 1))))
+    unitary = haar_unitary(2**k, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     return make_state(REGISTER[:n], amplitudes), amplitudes, order, order[:k], unitary
 
 

@@ -1,8 +1,6 @@
 """Strategy construction, and identifier parsing with its checks."""
 
 import math
-import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 
 from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, UnknownStrategyError
 from cointoss.qstate import A1, A2, B1, B2
-from cointoss.random_bob import dot, haar_unitary, random_bob_strategy
+from cointoss.random_bob import _DefaultRng, dot, haar_unitary, random_bob_strategy
 from cointoss.strategies import (
     AliceCheatStrategy,
     BobCheatStrategy,
@@ -122,7 +120,7 @@ class TestMeasureAndPick:
 
 class TestRandomBob:
     def test_acts_only_on_bob_labels(self):
-        rng = random.Random(50)
+        rng = np.random.default_rng(50)
         for _ in range(20):
             strategy = random_bob_strategy(rng)
             for label in strategy.operation.labels:
@@ -132,45 +130,40 @@ class TestRandomBob:
             assert set(strategy.announce_rule.values()) <= {1, 2}
 
     def test_haar_unitary_is_unitary(self):
-        rng = random.Random(51)
+        rng = np.random.default_rng(51)
         for dim in (2, 4, 8):
             u = np.array(haar_unitary(dim, rng))
             np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-10)
 
     @pytest.mark.parametrize("dim", [4, 8])
     def test_haar_unitary_is_the_phase_fixed_qr_of_its_draws(self, dim):
-        # numpy's QR, with R's diagonal made real and positive, is the reference,
-        # on the same Box-Muller normals: the real parts row by row, then the imaginary.
+        # numpy's QR, with R's diagonal made real and positive, is the reference.
         for seed in range(200):
-            rng = random.Random(seed)
-            u = np.array([rng.random() for _ in range(4 * dim * dim)])
-            normals = np.sqrt(-2 * np.log(1 - u[0::2])) * np.cos(2 * np.pi * u[1::2])
-            real, imag = normals.reshape(2, dim, dim)
-            q, r = np.linalg.qr(real + 1j * imag)
+            rng = _DefaultRng(seed)
+            z = np.array(rng.normal(size=(dim, dim))) + 1j * np.array(rng.normal(size=(dim, dim)))
+            q, r = np.linalg.qr(z)
             expected = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            ours = haar_unitary(dim, random.Random(seed))
+            ours = haar_unitary(dim, _DefaultRng(seed))
             np.testing.assert_allclose(ours, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 7, 101, 2**64 + 9], ids=["0", "7", "101", "2^64+9"])
-    def test_random_bob_ids_read_only_random(self, seed):
-        # Python keeps only `random()`'s stream the same across releases.
-        draws = []
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 9, 2**200],
+                             ids=["0", "7", "2^32", "2^64+9", "2^200"])
+    def test_default_rng_draws_numpys_stream(self, seed):
+        ours, numpys = _DefaultRng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            # Interleaved, so the kept upper half of a 64-bit draw is checked too.
+            assert [ours.integers(0, 2), ours.integers(3, 1000)] == [
+                int(numpys.integers(0, 2)), int(numpys.integers(3, 1000))
+            ]
+            np.testing.assert_allclose(ours.normal(size=(7, 9)), numpys.normal(size=(7, 9)),
+                                       rtol=1e-13, atol=0)
 
-        class OnlyRandom(random.Random):
-            def random(self):
-                draws.append(None)
-                return super().random()
-
-            def _forbidden(self, *args, **kwargs):
-                raise AssertionError("a random-bob draw read a method other than random()")
-
-            gauss = normalvariate = getrandbits = randrange = choice = _forbidden
-
-        with mock.patch("random.Random", OnlyRandom):
-            strategy = parse_strategy_id(f"random-bob:{seed}")
-        dim = 2 ** len(strategy.operation.labels)
-        assert len(draws) == 1 + 4 * dim * dim + len(strategy.announce_rule)
-        assert strategy == random_bob_strategy(random.Random(seed))._replace(name=f"random-bob:{seed}")
+    def test_random_bob_ids_name_numpys_strategies(self):
+        for seed in range(40):
+            ours = parse_strategy_id(f"random-bob:{seed}")
+            numpys = random_bob_strategy(np.random.default_rng(seed))
+            assert (ours.ancilla_count, ours.announce_rule) == (numpys.ancilla_count, numpys.announce_rule)
+            np.testing.assert_allclose(ours.operation.matrix, numpys.operation.matrix, rtol=0, atol=1e-13)
 
     def test_honest_bob_is_identity_constant(self):
         strategy = BobCheatStrategy(
