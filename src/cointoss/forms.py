@@ -5,16 +5,16 @@ honest Bob with ``x^T M x`` and is detected with ``x^T D x``. `_objective`
 and `_detection` are those forms expanded, and `_polarize` reads M and D
 back off them; the tests check that both equal, entry for entry, the
 protocol's win and abort operators restricted to the aligned kets. Her
-optimum is M's top eigenvector. The scan evaluates both forms along the
-path from the honest weights to the optimal ones, one chunk at a time,
-behind one O(1) check that M + D never passes 1. Neither needs a strategy
-or a tree, so this module loads only the package root.
+optimum is M's top eigenvector, read exactly off 4M's integer spectrum. The
+scan evaluates both forms from the honest weights to the optimal ones, one
+chunk at a time, behind one exact check that M + D never passes 1. Neither
+needs a strategy or a tree, so this module loads only the package root.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
@@ -23,35 +23,6 @@ from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, InvariantViolationError
 # The sensitivity scan evaluates and prints this many points at a time; a
 # chunk's floats and text take about 15 MB.
 SCAN_CHUNK = 32_768
-
-
-def _eigh(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """A small symmetric matrix's eigenvalues, ascending, and eigenvectors, as
-    rows, by cyclic Jacobi rotations: each zeroes one off-diagonal entry, and
-    ten sweeps leave a 4x4 matrix diagonal to rounding. A zero row and column
-    stay exactly zero, since no rotation touches them."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _sweep in range(10):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p][q] == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J and V <- V J, J the rotation by (c, s) in the (p, q) plane.
-                for rows in (a, v):
-                    for row in rows:
-                        row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-                a[p], a[q] = (
-                    [c * x - s * y for x, y in zip(a[p], a[q])],
-                    [s * x + c * y for x, y in zip(a[p], a[q])],
-                )
-    order = sorted(range(n), key=lambda i: a[i][i])
-    return [a[i][i] for i in order], [[row[i] for row in v] for i in order]
 
 
 def _objective(a00, a01, a10, a11=0.0):
@@ -83,34 +54,69 @@ def _polarize(q: Callable[..., float]) -> list[list[float]]:
     return form
 
 
+def _quadrupled(q: Callable[..., float]) -> list[list[int]]:
+    """4 times the polarized matrix of `q`, as ints. Every entry of M, D and
+    M + D is a quarter-integer; raises `InvariantViolationError` if one is not."""
+    form = [[4 * x for x in row] for row in _polarize(q)]
+    if any(x != int(x) for row in form for x in row):
+        raise InvariantViolationError(f"4 times a polarized form is not integral: {form}")
+    return [[int(x) for x in row] for row in form]
+
+
+def _product(a: list[list[int]], b: list[list[int]], mu: int = 0) -> list[list[int]]:
+    """The integer matrix product a (b - mu I)."""
+    return [[sum(map(mul, row, col)) - mu * row[j] for j, col in enumerate(zip(*b))] for row in a]
+
+
+def _spectrum(a: list[list[int]]) -> list[int]:
+    """An integer matrix's eigenvalues, descending and with multiplicity; raises
+    `InvariantViolationError` if one is not an integer. Faddeev-LeVerrier gives
+    the characteristic polynomial, each division exact; Horner's scheme divides
+    out each integer within the largest absolute row sum (Gershgorin's bound on
+    every root) as often as it is a root."""
+    n = len(a)
+    polynomial, product = [1], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # a M_k, where M_k = a M_(k-1) + c I and c is the last coefficient.
+        product = _product(a, product, -polynomial[-1])
+        polynomial.append(-sum(product[i][i] for i in range(n)) // k)
+    bound, roots = max(sum(map(abs, row)) for row in a), []
+    for mu in range(bound, -bound - 1, -1):
+        while not (division := list(accumulate(polynomial, lambda acc, c: acc * mu + c)))[-1]:
+            polynomial = division[:-1]
+            roots.append(mu)
+    if len(roots) < n:
+        raise InvariantViolationError(f"{n - len(roots)} eigenvalues of {a} are not integers")
+    return roots
+
+
 def optimize_alice() -> dict:
     """Maximize the win probability over the nonnegative unit sphere, in closed form.
 
     The objective is ``x^T M x``. M is nonnegative, so by Perron-Frobenius
-    its top eigenvalue is the maximum and its top eigenvector, taken
-    entrywise nonnegative, attains it: 3/4 at (sqrt(2/3), sqrt(1/6),
-    sqrt(1/6), 0). The `optimize` report's result certifies itself with the
-    residual ``||M x - value x||``, the gap to the next eigenvalue (1/2, so
-    the optimum is unique) and the detection probability there (1/6). The
-    argmax is canonicalized to ``a01 >= a10`` (the objective is symmetric
-    under swapping them). Every sum of products is correctly rounded.
+    its top eigenvalue, 3/4, is the maximum, attained at its top eigenvector
+    (2, 1, 1, 0) / sqrt(6). Both are read off 4M in integers: the product of
+    4M - mu I over its other roots mu is a positive multiple of the top
+    eigenvector's projector. The result certifies itself with the residual
+    ``||M x - value x||`` (exactly 0), the gap to the next eigenvalue (1/2, so
+    the optimum is unique) and the detection probability there (1/6).
     """
-    objective, detection = _polarize(_objective), _polarize(_detection)
-    values, vectors = _eigh(objective)
-    a00, a01, a10, a11 = map(abs, vectors[-1])
-    if a01 < a10:
-        a01, a10 = a10, a01
-    x, value = [a00, a01, a10, a11], values[-1]
-    error = [math.fsum(map(mul, row, x)) - value * xi for row, xi in zip(objective, x)]
+    objective, detection = _quadrupled(_objective), _quadrupled(_detection)
+    roots = _spectrum(objective)
+    top, projector = roots[0], [[int(i == j) for j in range(4)] for i in range(4)]
+    for mu in set(roots) - {top}:
+        projector = _product(projector, objective, mu)
+    x = next(row for row in projector if any(row))
+    # The forms are symmetric, so the row x times 4M - top I is (4M x - top x)^T.
+    (error,), (dx,) = _product([x], objective, top), _product([x], detection)
+    squared_norm = sum(map(mul, x, x))
+    norm = math.sqrt(squared_norm)
     return {
-        "value": value,
-        "argmax.a00": a00,
-        "argmax.a01": a01,
-        "argmax.a10": a10,
-        "argmax.a11": a11,
-        "residual": math.sqrt(math.fsum(map(mul, error, error))),
-        "spectral_gap": values[-1] - values[-2],
-        "p_detect": math.fsum(map(mul, x, [math.fsum(map(mul, row, x)) for row in detection])),
+        "value": top / 4,
+        **{f"argmax.{name}": xi / norm for name, xi in zip(("a00", "a01", "a10", "a11"), x)},
+        "residual": math.sqrt(sum(map(mul, error, error)) / squared_norm) / 4,
+        "spectral_gap": (top - roots[1]) / 4,
+        "p_detect": sum(map(mul, x, dx)) / (4 * squared_norm),
     }
 
 
@@ -123,16 +129,16 @@ def scan_chunks(steps: int) -> Iterator[list[tuple[float, float, float]]]:
     honest Bob are the closed forms `_objective` and `_detection`. Each point
     is evaluated once, as its chunk of up to `SCAN_CHUNK` points is read.
     Takes 2 to 10**6 steps. One O(1) check before this returns bounds the
-    whole path: the top eigenvalue of M + D, polarized from the sum of the
-    closed forms, must be at most 1, so that win + detection <= 1 at every
-    unit weight vector.
+    whole path: the top root of 4(M + D), polarized from the sum of the
+    closed forms, must be at most 4 in integers, so that win + detection
+    <= 1 at every unit weight vector.
     """
     # The cap bounds the time: printing 10**6 points takes about 1.6 s.
     if not 2 <= steps <= 10**6:
         raise ValueError(f"steps must be between 2 and 1000000, got {steps}")
-    top = _eigh(_polarize(lambda *x: _objective(*x) + _detection(*x)))[0][-1]
-    if top > 1.0 + 1e-10:
-        raise InvariantViolationError(f"win + detection reaches {top!r} on a unit weight vector")
+    top = _spectrum(_quadrupled(lambda *x: _objective(*x) + _detection(*x)))[0]
+    if top > 4:
+        raise InvariantViolationError(f"win + detection reaches {top / 4} on a unit weight vector")
     s00, s01, s10, s11 = HONEST_WEIGHTS
     e00, e01, e10, e11 = OPTIMAL_WEIGHTS
     spacing = 1.0 / (steps - 1)

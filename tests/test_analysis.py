@@ -148,10 +148,10 @@ class TestOptimizer:
 
         result = optimize_alice()
         np.testing.assert_allclose(argmax(result), [float(v) for v in x], atol=1e-15)
-        assert abs(result["value"] - 0.75) <= 1e-15
-        assert abs(result["spectral_gap"] - 0.5) <= 1e-15
-        assert abs(result["p_detect"] - 1 / 6) <= 1e-15
-        assert 0.0 <= result["residual"] <= 1e-15
+        assert result["value"] == 0.75
+        assert result["spectral_gap"] == 0.5
+        assert result["p_detect"] == 1 / 6
+        assert result["residual"] == 0.0
 
 
 class TestExactWinProbability:
@@ -217,11 +217,23 @@ class TestSensitivityScan:
             scan_chunks(1)
 
     def test_forms_summing_past_one_raise_before_any_chunk(self, monkeypatch):
-        # 1.5 D lifts the top eigenvalue of M + D from 1 to 3/2.
+        # a00**2 / 2 more detection lifts the spectrum of M + D from
+        # {1, 1, 3/4, 1/4} to {3/2, 1, 3/4, 1/4}.
         detection = forms._detection
-        monkeypatch.setattr(forms, "_detection", lambda *w: 1.5 * detection(*w))
-        with pytest.raises(InvariantViolationError, match=r"^win \+ detection reaches 1\.5"):
+        monkeypatch.setattr(forms, "_detection", lambda *w: detection(*w) + w[0] * w[0] / 2.0)
+        with pytest.raises(InvariantViolationError, match=r"^win \+ detection reaches 1\.5 "):
             scan_chunks(7)
+
+    def test_forms_off_the_quarter_integers_raise_before_any_chunk(self, monkeypatch):
+        # 1.5 D holds entries -3/8, so 4(M + 1.5 D) is no integer matrix, and
+        # its spectrum, 4 times {3/2, 1, 3/4 +- sqrt(3)/4}, is not all integers.
+        calls, detection = [], forms._detection
+        monkeypatch.setattr(
+            forms, "_detection", lambda *w: (calls.append(w), 1.5 * detection(*w))[1]
+        )
+        with pytest.raises(InvariantViolationError, match=r"^4 times a polarized form"):
+            scan_chunks(7)
+        assert len(calls) == 10
 
     @pytest.mark.parametrize(
         "steps", [7, forms.SCAN_CHUNK, forms.SCAN_CHUNK + 1, 3 * forms.SCAN_CHUNK + 5]

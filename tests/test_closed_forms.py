@@ -5,7 +5,9 @@
 and D, and `forms._objective` and `forms._detection` are the expanded
 quadratic forms x^T M x and x^T D x. `optimize` and the scan read M and D
 back off those forms alone, so the tree's operators are their certificate.
-The win operator's spectrum bounds every Alice state by 3/4.
+They read 4M, 4D and 4(M + D)'s integer spectra with `forms._spectrum`,
+which sympy's eigenvalues check. The win operator's spectrum bounds every
+Alice state by 3/4.
 
 Bob faces an honest Alice, so his whole strategy is a two-outcome POVM
 {E_1, E_2} on the qubits (B1, B2) she sends, and he wins with
@@ -21,10 +23,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cointoss.forms import _detection, _objective, _polarize, optimize_alice
+from cointoss import InvariantViolationError
+from cointoss.forms import (
+    _detection,
+    _objective,
+    _polarize,
+    _quadrupled,
+    _spectrum,
+    optimize_alice,
+)
 from cointoss.protocol import build_tree, coin_labels, leaf_probabilities, verification_labels
 from cointoss.qstate import B1, B2, bob_ancilla
 from cointoss.strategies import (
@@ -152,6 +162,51 @@ class TestClosedForms:
 def exact(matrix):
     """The float matrix as a sympy matrix of the same (dyadic) rationals."""
     return sympy.Matrix(np.asarray(matrix).tolist()).applyfunc(sympy.Rational)
+
+
+# The 4x4 Sylvester Hadamard matrix: H H^T = 4 I, so H diag(d) H^T / 4 has
+# spectrum d, and it is an integer matrix when all d_i agree mod 4.
+HADAMARD = sympy.Matrix([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize(
+        "form, matrix",
+        [(_objective, M), (_detection, D), (lambda *x: _objective(*x) + _detection(*x), M + D)],
+        ids=["M", "D", "M+D"],
+    )
+    def test_quadrupled_forms_match_sympy(self, form, matrix):
+        # 4M, 4D and 4(M + D) are the tree's operators times 4, and their
+        # spectra are sympy's eigenvalues, with multiplicity.
+        quadrupled = _quadrupled(form)
+        assert sympy.Matrix(quadrupled) == 4 * exact(matrix)
+        eigenvalues = sympy.Matrix(quadrupled).eigenvals()
+        assert _spectrum(quadrupled) == sorted(
+            itertools.chain.from_iterable([value] * k for value, k in eigenvalues.items()),
+            reverse=True,
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 3), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    def test_integer_spectra_are_read_exactly(self, residue, multiples):
+        d = [residue + 4 * m for m in multiples]
+        a = (HADAMARD * sympy.diag(*d) * HADAMARD.T / 4).tolist()
+        assert all(x.is_integer for row in a for x in row)
+        assert _spectrum([[int(x) for x in row] for row in a]) == sorted(d, reverse=True)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-3, 3), min_size=10, max_size=10))
+    def test_non_integer_spectra_raise(self, entries):
+        a = [[0] * 4 for _ in range(4)]
+        for (i, j), x in zip(itertools.combinations_with_replacement(range(4), 2), entries):
+            a[i][j] = a[j][i] = x
+        # A monic integer polynomial's rational roots are integers, so the
+        # spectrum is all integers exactly when sympy splits it into linear factors.
+        _, factors = sympy.Matrix(a).charpoly().factor_list()
+        integers = sum(k for factor, k in factors if factor.degree() == 1)
+        assume(integers < 4)
+        with pytest.raises(InvariantViolationError, match=f"^{4 - integers} eigenvalues of "):
+            _spectrum(a)
 
 
 class TestOutcomeOperators:
