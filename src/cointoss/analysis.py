@@ -1,12 +1,12 @@
 """The tree's sampled readers: Monte Carlo counts and a run's transcript.
 
 Only the sampled commands load this module; exact probabilities are
-`protocol`'s. `_split_down_tree` splits the trials at every chance node
-by one `_binomial` draw at its first child's chance, and `walk` follows
-one root-to-leaf path, whose records, framed by a header record (the
-seed and both parties' roles) and an outcome record, are the run's
-transcript. Every draw reads `random.Random(seed).random()`, a stream
-that Python keeps the same across releases, so runs replay per seed.
+`protocol`'s. `monte_carlo` draws heads, tails and aborts as one
+multinomial at `leaf_probabilities`' three masses, and `walk` follows one
+root-to-leaf path, whose records, framed by a header record (the seed and
+both parties' roles) and an outcome record, are the run's transcript.
+Every draw reads `random.Random(seed).random()`, a stream that Python
+keeps the same across releases, so runs replay per seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree
+from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaf_probabilities
 from .strategies import AliceCheatStrategy, parse_strategy_id
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
@@ -146,49 +146,31 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _split_down_tree(tree: ProtocolTree, trials: int, rng: random.Random) -> list[int]:
-    """(heads, tails, aborts) counts of `trials` runs sampled down the tree.
-
-    Of the runs that reach a chance node, one `_binomial` draw at the first
-    child's chance p, the p that `sample_path` compares with, rounded to
-    the nearest float, sends k down the first child and the other runs
-    down the second; depth first, first child first. A child of chance 0
-    gets no runs and no draw. The counts have the law of `trials`
-    independent walks, since a multinomial over the leaves factorizes into
-    these conditional splits.
-    """
-    counts = dict.fromkeys(ProtocolOutcome, 0)
-
-    def split(node: Branch, runs: int) -> None:
-        if not node.children:
-            counts[node.outcome] += runs
-            return
-        first, second = node.children
-        k = _binomial(rng, runs, first.mass / node.mass)
-        for child, share in ((first, k), (second, runs - k)):
-            if share:
-                split(child, share)
-
-    split(tree.root, trials)
-    return list(counts.values())
-
-
 def monte_carlo(
     run_kind: str, tree: ProtocolTree, target: int, trials: int, root_seed: int
 ) -> dict:
     """Tally `trials` independent runs of a `resolve_run` run as the sampled
     commands' report result.
 
-    `_split_down_tree` draws the counts at the tree's own per-node
-    chances, so the cost does not grow with `trials`, and a branch of
-    exact mass 0, such as an honest run's abort, gets no runs. It takes
-    1000 to 2**63 - 1 trials and is deterministic given `root_seed`. The
+    The counts are a multinomial at the three exact outcome masses, drawn
+    as conditional binomials (Devroye 1986): in `ProtocolOutcome` order,
+    each outcome takes a `_binomial` draw of the runs not yet assigned at
+    its mass over the mass not yet drawn. So the last outcome of nonzero
+    mass takes the rest at chance exactly 1, and an outcome of mass 0, such
+    as an honest run's abort, takes no runs, each with no draw. Summing the
+    masses is O(tree nodes) and the draws O(1) in `trials`, which runs from
+    1000 to 2**63 - 1. The counts are deterministic given `root_seed`; the
     report's ``engine`` always reads ``protocol``, the one engine.
     """
     if not 1000 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be between 1000 and {_MAX_TRIALS}, got {trials}")
 
-    heads, tails, aborts = _split_down_tree(tree, trials, random.Random(root_seed))
+    rng, masses, left = random.Random(root_seed), leaf_probabilities(tree), trials
+    rest, counts = sum(masses), []
+    for mass in masses:
+        counts.append(_binomial(rng, left, mass / rest) if mass else 0)
+        left, rest = left - counts[-1], rest - mass
+    heads, tails, aborts = counts
     win_frequency = (heads if target == 0 else tails) / trials
     abort_frequency = aborts / trials
 

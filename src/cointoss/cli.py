@@ -224,12 +224,12 @@ def _write_atomic(writes: list[tuple[str, Iterable[str]]]) -> None:
         # Files first (a stable sort), so a failed file sends no device a byte.
         for path, chunks in sorted(writes, key=lambda write: _is_stream(write[0])):
             if _is_stream(path):
-                with open(path, "w", encoding="utf-8") as handle:
+                with open(path, "w", encoding="utf-8", newline="") as handle:
                     handle.writelines(chunks)
                 continue
             target = Path(path).resolve()  # through a symlink, replace the file it names
             temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-            with open(temp, "x", encoding="utf-8") as handle:
+            with open(temp, "x", encoding="utf-8", newline="") as handle:
                 moves.append((path, temp, target))
                 handle.writelines(chunks)
         for path, temp, target in moves:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cointoss
-from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, forms
+from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, cli, forms
 from cointoss.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -303,6 +303,20 @@ class TestRunsAndFiles:
         assert code == EXIT_OK
         assert out == ""
         assert "result.p_win_exact: 0.75" in path.read_text()
+
+    def test_outputs_are_written_without_newline_translation(self, capsys, monkeypatch, tmp_path):
+        # A file and a device each end their lines in "\n" on every platform.
+        newlines = []
+
+        def recording_open(*args, **kwargs):
+            newlines.append(kwargs.get("newline"))
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        out = str(tmp_path / "report.txt")
+        argv = ["honest", "--trials", "1000", "--out", out, "--transcript", os.devnull]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert newlines == ["", ""]
 
     @pytest.mark.parametrize("flag", ["--out", "--transcript"])
     def test_unwritable_path_is_parse_error(self, capsys, tmp_path, flag):

@@ -1,7 +1,6 @@
 """The protocol's branch tree: leaf masses, sampled paths and transcripts."""
 
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cointoss import analysis
-from cointoss.analysis import _split_down_tree, sample_path, walk
+from cointoss.analysis import monte_carlo, sample_path, walk
 from cointoss.protocol import (
+    _DEAD,
     Branch,
     ProtocolOutcome,
     ProtocolTree,
@@ -189,10 +189,35 @@ def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
 @given(trees(), st.integers(0, 2**63))
 def test_split_counts_lie_within_five_sigma_of_the_leaf_masses(tree, seed):
     trials = 10**6
-    counts = _split_down_tree(tree, trials, random.Random(seed))
+    report = monte_carlo("cheat-alice", tree, 0, trials, seed)
+    counts = [report[key] for key in ("heads", "tails", "aborts")]
     assert sum(counts) == trials
     for count, p in zip(counts, outcome_chances(tree)):
         assert abs(count - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
+
+def branch(mass, children=(), outcome=None):
+    """A live node of this mass, or `_DEAD` at mass 0."""
+    return Branch(mass, (), children, outcome) if mass else _DEAD
+
+
+@SETTINGS
+@given(trees())
+def test_counts_read_the_tree_only_through_its_outcome_masses(tree):
+    # The same three masses in another shape: heads against the rest at the
+    # root, then tails against abort.
+    heads, tails, aborts = leaf_probabilities(tree)
+    heads_leaf = branch(heads, outcome=ProtocolOutcome.HEADS)
+    tails_leaf = branch(tails, outcome=ProtocolOutcome.TAILS)
+    abort_leaf = branch(aborts, outcome=ProtocolOutcome.ABORT)
+    rest = branch(tails + aborts, (tails_leaf, abort_leaf))
+    reshaped = tree._replace(root=branch(heads + tails + aborts, (heads_leaf, rest)))
+    assert leaf_probabilities(reshaped) == [heads, tails, aborts]
+    for seed in (0, 1, 7, 2**63 - 1):
+        for trials in (1000, 10**6, 2**63 - 1):
+            assert monte_carlo("honest", reshaped, 1, trials, seed) == monte_carlo(
+                "honest", tree, 1, trials, seed
+            )
 
 
 def test_one_tree_serves_many_seeds():
