@@ -4,7 +4,8 @@ Only the sampled commands load this module; exact probabilities are
 `protocol`'s. `monte_carlo` draws heads, tails and aborts as one
 multinomial at `leaf_probabilities`' three masses, and `walk` follows one
 root-to-leaf path, whose records, framed by a header record (the seed and
-both parties' roles) and an outcome record, are the run's transcript.
+each party's behavior and registers) and an outcome record, are the run's
+transcript, which `to_jsonl` writes. Both name the run from the tree alone.
 Every draw reads `random.Random(seed).random()`, a stream that Python
 keeps the same across releases, so runs replay per seed.
 """
@@ -13,34 +14,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .protocol import Branch, ProtocolOutcome, ProtocolTree, build_tree, leaf_probabilities
-from .strategies import AliceCheatStrategy, parse_strategy_id
+from .protocol import Branch, ProtocolOutcome, ProtocolTree, leaf_probabilities
+from .qstate import A1, A2, B1, B2, bob_ancilla
 
 TRANSCRIPT_SCHEMA = "cointoss.transcript/2"
 
 # The --trials cap, int64's maximum: the documented range, which the
 # 2**63 - 1 tests and CI pin. `_binomial` itself draws larger counts too.
 _MAX_TRIALS = 2**63 - 1
-
-
-def resolve_run(run_kind: str | None, strategy_id: str, target: int) -> tuple[str, ProtocolTree]:
-    """The run kind and branch tree of the runs `monte_carlo` samples, and
-    that a transcript walks.
-
-    `strategy_id` is parsed once. A `run_kind` of None infers the kind:
-    ``honest`` is an all-honest run, any other id a run against the party
-    whose strategy it names.
-    """
-    if run_kind == "honest" or (run_kind is None and strategy_id == "honest"):
-        return "honest", build_tree(None, None)
-    strategy = parse_strategy_id(strategy_id, target)
-    kind = "cheat-alice" if isinstance(strategy, AliceCheatStrategy) else "cheat-bob"
-    if run_kind not in (None, kind):
-        owner, needed = ("an Alice", "Bob's") if kind == "cheat-alice" else ("a Bob", "Alice's")
-        raise ValueError(f"{strategy_id!r} is {owner} strategy; run_kind {run_kind} needs {needed}")
-    return kind, build_tree(strategy, target)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -146,11 +129,9 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def monte_carlo(
-    run_kind: str, tree: ProtocolTree, target: int, trials: int, root_seed: int
-) -> dict:
-    """Tally `trials` independent runs of a `resolve_run` run as the sampled
-    commands' report result.
+def monte_carlo(tree: ProtocolTree, target: int, trials: int, root_seed: int) -> dict:
+    """Tally `trials` independent runs of `tree` as the sampled commands'
+    report result, whose run kind and strategy name the tree's cheater.
 
     The counts are a multinomial at the three exact outcome masses, drawn
     as conditional binomials (Devroye 1986): in `ProtocolOutcome` order,
@@ -177,9 +158,10 @@ def monte_carlo(
     def standard_error(frequency: float) -> float:
         return math.sqrt(max(frequency * (1.0 - frequency), 0.0) / trials)
 
+    kind, cheater = ("cheat-alice", tree.alice) if tree.bob is None else ("cheat-bob", tree.bob)
     return {
-        "run_kind": run_kind,
-        "strategy": tree.bob.behavior if run_kind == "cheat-bob" else tree.alice.behavior,
+        "run_kind": "honest" if cheater is None else kind,
+        "strategy": "honest" if cheater is None else cheater.name,
         "target": target,
         "trials": trials,
         "root_seed": root_seed,
@@ -206,16 +188,11 @@ class TranscriptRecord(NamedTuple):
     probability: float | None
 
 
-class Transcript(NamedTuple):
-    """A run's records, from its header to its outcome record."""
+def to_jsonl(records: Iterable[TranscriptRecord]) -> str:
+    """A transcript's JSON lines: each record an object keyed by its fields."""
+    import json  # only transcripts use it; the CLI starts without it
 
-    records: tuple[TranscriptRecord, ...]
-
-    def to_jsonl(self) -> str:
-        import json  # only transcripts use it; the CLI starts without it
-
-        # A record's fields, in order, are its JSON object's keys.
-        return "\n".join(json.dumps(record._asdict()) for record in self.records) + "\n"
+    return "\n".join(json.dumps(record._asdict()) for record in records) + "\n"
 
 
 def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
@@ -231,18 +208,22 @@ def sample_path(tree: ProtocolTree, seed: int) -> list[Branch]:
     return path
 
 
-def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
-    """One run: the outcome and transcript of the path this seed draws.
+def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, list[TranscriptRecord]]:
+    """One run: the outcome and transcript records of the path this seed draws.
 
-    The first record of each non-root node on the path, the event of the
-    chance that entered it, carries that chance, the node's mass over its
-    parent's, rounded to the nearest float, and every other record None.
+    The header names each party's behavior, its strategy's name or
+    ``honest``, and its registers. The first record of each non-root node
+    on the path, the event of the chance that entered it, carries that
+    chance, the node's mass over its parent's, rounded to the nearest
+    float, and every other record None.
     """
+    alice, bob = ("honest" if party is None else party.name for party in (tree.alice, tree.bob))
+    ancillas = [bob_ancilla(i) for i in range(0 if tree.bob is None else tree.bob.ancilla_count)]
     header = {
         "schema": TRANSCRIPT_SCHEMA,
         "seed": seed,
-        "alice": {"behavior": tree.alice.behavior, "registers": list(tree.alice.registers)},
-        "bob": {"behavior": tree.bob.behavior, "registers": list(tree.bob.registers)},
+        "alice": {"behavior": alice, "registers": [A1, A2]},
+        "bob": {"behavior": bob, "registers": [B1, B2, *ancillas]},
     }
     if tree.target is not None:
         header["target"] = tree.target
@@ -252,4 +233,4 @@ def walk(tree: ProtocolTree, seed: int) -> tuple[ProtocolOutcome, Transcript]:
         for position, line in enumerate(node.lines):
             probability = node.mass / parent.mass if parent is not None and not position else None
             records.append(TranscriptRecord(len(records), *line, probability))
-    return path[-1].outcome, Transcript(tuple(records))
+    return path[-1].outcome, records

@@ -300,14 +300,19 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
             raise ValueError(f"--out and --transcript both name {args.out}")
         if args.out is None and _is_stdout_file(args.transcript):
             raise ValueError(f"stdout and --transcript both name {args.transcript}")
-    # montecarlo infers the run kind from the strategy.
-    run_kind, tree = analysis.resolve_run(
-        None if args.command == "montecarlo" else args.command,
-        getattr(args, "strategy", "honest"),
-        args.target,
-    )
-    result = analysis.monte_carlo(run_kind, tree, args.target, args.trials, args.seed)
-    transcript = None if args.transcript is None else analysis.walk(tree, args.seed)[1].to_jsonl()
+    # An all-honest run has no target; any other strategy cheats for its party.
+    cheater, target = None, None
+    if args.command.startswith("cheat-") or getattr(args, "strategy", "honest") != "honest":
+        cheater, target = strategies.parse_strategy_id(args.strategy, args.target), args.target
+        alice = isinstance(cheater, strategies.AliceCheatStrategy)
+        if args.command == ("cheat-bob" if alice else "cheat-alice"):
+            party, other = ("an Alice", "Bob's") if alice else ("a Bob", "Alice's")
+            raise ValueError(f"{args.strategy!r} is {party} strategy; {args.command} needs {other}")
+    tree = protocol.build_tree(cheater, target)
+    result = analysis.monte_carlo(tree, args.target, args.trials, args.seed)
+    transcript = None
+    if args.transcript is not None:
+        transcript = analysis.to_jsonl(analysis.walk(tree, args.seed)[1])
     return [_render(config, result, args.format)], transcript
 
 

@@ -1,12 +1,12 @@
 """The coin-tossing protocol as one branch tree per pair of behaviours.
 
 `build_tree` writes the four protocol steps out once, for an all-honest
-run or a run with one cheating party; Bob's choice, each measurement and
-the verification are chance nodes. Every branch holds its mass, an
-integer at the root's scale, so a chance is a ratio of two masses and an
-exact probability an integer sum over leaves: `leaf_probabilities` forms
-them and `exact_win_probability` rounds them once, for `bias`. The
-readers that draw random numbers are in `analysis`, which `bias` never loads.
+run or one cheater's, whose strategy the tree keeps, so that it names its
+run; Bob's choice, each measurement and the verification are chance nodes.
+Every branch holds its mass, an integer at the root's scale, so a chance is
+a ratio of two masses and an exact probability an integer sum over leaves:
+`leaf_probabilities` forms them and `exact_win_probability` rounds them
+once, for `bias`. `analysis`, which `bias` never loads, samples the tree.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ class ProtocolOutcome(Enum):
     HEADS = "heads"
     TAILS = "tails"
     ABORT = "abort"
-
-
-class PartyRole(NamedTuple):
-    """Who a party is in a run: honest, or playing a named strategy."""
-
-    behavior: str
-    registers: tuple[str, ...]
 
 
 # Two shared pairs, each ``|00> + |11>`` normalized, on (A1,B1) and (A2,B2).
@@ -85,10 +78,10 @@ class Branch(NamedTuple):
 
 
 class ProtocolTree(NamedTuple):
-    """Every way one run can go, for a fixed cheater (or none)."""
+    """Every way one run can go; `alice` and `bob` are strategies, None if honest."""
 
-    alice: PartyRole
-    bob: PartyRole
+    alice: AliceCheatStrategy | None
+    bob: BobCheatStrategy | None
     target: int | None
     root: Branch
 
@@ -124,13 +117,9 @@ def build_tree(
     alice = cheater if isinstance(cheater, AliceCheatStrategy) else None
     bob = cheater if isinstance(cheater, BobCheatStrategy) else None
 
-    alice_role = PartyRole("honest" if alice is None else alice.name, ("A1", "A2"))
-    bob_role = PartyRole("honest", ("B1", "B2"))
     state = _HONEST_PREPARATION if alice is None else alice.initial_state
     if bob is not None:
-        ancillas = tuple(bob_ancilla(i) for i in range(bob.ancilla_count))
-        bob_role = PartyRole(bob.name, ("B1", "B2") + ancillas)
-        state = append_qubits(state, ancillas)
+        state = append_qubits(state, tuple(bob_ancilla(i) for i in range(bob.ancilla_count)))
         if bob.operation is not None:
             state = apply_unitary(state, bob.operation.labels, bob.operation.matrix)
 
@@ -196,7 +185,7 @@ def build_tree(
     else:
         steps = tuple((_BOB, label) for label in bob.measured)
         root = read(state, steps, (), total, lines, choose)
-    return ProtocolTree(alice_role, bob_role, target, root)
+    return ProtocolTree(alice, bob, target, root)
 
 
 def leaves(tree: ProtocolTree) -> list[Branch]:

@@ -9,9 +9,9 @@ import time
 import numpy as np
 
 from cointoss import ANALYTIC_BOUND, OPTIMAL_WEIGHTS
-from cointoss.analysis import monte_carlo, resolve_run
+from cointoss.analysis import monte_carlo
 from cointoss.forms import _objective, optimize_alice, scan_chunks
-from cointoss.protocol import exact_win_probability
+from cointoss.protocol import build_tree, exact_win_probability
 from cointoss.strategies import (
     coefficient_strategy,
     honest_alice,
@@ -48,7 +48,7 @@ def test_criterion_1_honest_protocol():
         and abs(tails_exact["p_win_exact"] - 0.5) < 1e-12
         and abs(heads_exact["p_abort_exact"]) < 1e-12
     )
-    mc = monte_carlo(*resolve_run("honest", "honest", 0), 0, 1_000_000, 101)
+    mc = monte_carlo(build_tree(None, None), 0, 1_000_000, 101)
     mc_ok = (
         abs(mc["heads"] / mc["trials"] - 0.5) < five_sigma(0.5, mc["trials"])
         and abs(mc["tails"] / mc["trials"] - 0.5) < five_sigma(0.5, mc["trials"])
@@ -73,7 +73,7 @@ def test_criterion_2_optimal_alice():
         exact_ok &= abs(result["p_win_exact"] - 0.75) < 1e-9
         exact_ok &= abs(result["p_abort_exact"] - 1 / 6) < 1e-9
         details.append(f"target {target}: win={result['p_win_exact']:.12f}")
-    mc = monte_carlo(*resolve_run("cheat-alice", "optimal-alice", 0), 0, 1_000_000, 102)
+    mc = monte_carlo(build_tree(optimal_alice(0), 0), 0, 1_000_000, 102)
     mc_ok = abs(mc["win_frequency"] - 0.75) < five_sigma(0.75, mc["trials"]) and abs(
         mc["abort_frequency"] - 1 / 6
     ) < five_sigma(1 / 6, mc["trials"])

@@ -17,7 +17,6 @@ from cointoss import (
     KITAEV_REFERENCE,
     OPTIMAL_WEIGHTS,
     InvariantViolationError,
-    UnknownStrategyError,
     analysis,
     cli,
     forms,
@@ -25,15 +24,16 @@ from cointoss import (
     qstate,
     strategies,
 )
-from cointoss.analysis import _binomial, monte_carlo, resolve_run
+from cointoss.analysis import _binomial, monte_carlo
 from cointoss.cli import csv_lines, format_value
 from cointoss.forms import _detection, _objective, optimize_alice, scan_chunks, scan_csv
-from cointoss.protocol import exact_win_probability
+from cointoss.protocol import build_tree, exact_win_probability
 from cointoss.qstate import A1, A2, B1, B2
 from cointoss.strategies import (
     AliceCheatStrategy,
     aligned_strategy,
     honest_alice,
+    measure_and_pick_bob,
     optimal_alice,
     parse_strategy_id,
 )
@@ -52,9 +52,13 @@ def argmax(result: dict) -> tuple[float, float, float, float]:
 
 
 def sample(run_kind, strategy_id="honest", target=0, trials=100_000, root_seed=0):
-    """`monte_carlo` over the run that `resolve_run` makes of these."""
-    run_kind, tree = resolve_run(run_kind, strategy_id, target)
-    return monte_carlo(run_kind, tree, target, trials, root_seed)
+    """`monte_carlo` over a run of this kind, as the CLI builds it, whose
+    report names that kind."""
+    cheater = None if run_kind == "honest" else parse_strategy_id(strategy_id, target)
+    tree = build_tree(cheater, None if cheater is None else target)
+    report = monte_carlo(tree, target, trials, root_seed)
+    assert report["run_kind"] == run_kind
+    return report
 
 
 def scan_points(steps):
@@ -284,9 +288,8 @@ class TestSensitivityScan:
 
             return wrapper
 
-        # Each is called by the name its module imports or defines; `forms`
-        # imports neither.
-        patched = ((protocol, "build_tree"), (analysis, "build_tree"), (strategies, "aligned_strategy"))
+        # Each is called by the name its module defines; `forms` imports neither.
+        patched = ((protocol, "build_tree"), (strategies, "aligned_strategy"))
         for module, name in patched:
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
         exact_win_probability(optimal_alice(0), 0)
@@ -336,6 +339,31 @@ class TestBinomialSampler:
         rng = random.Random(0)
         assert _binomial(rng, n, 0.0) == 0
         assert _binomial(rng, n, 1.0) == n
+
+
+# Runs that name themselves: (command, strategy id, the strategy it parses
+# to, target, run kind, strategy label).
+NAMED_RUNS = [
+    ("montecarlo", "honest", None, None, "honest", "honest"),
+    ("cheat-alice", "honest", honest_alice(), 0, "cheat-alice", "honest"),
+    ("montecarlo", "optimal-alice", optimal_alice(1), 1, "cheat-alice", "optimal-alice:target=1"),
+    (
+        "montecarlo",
+        "measure-and-pick",
+        measure_and_pick_bob(0),
+        0,
+        "cheat-bob",
+        "measure-and-pick:target=0",
+    ),
+    (
+        "montecarlo",
+        "random-bob:7",
+        parse_strategy_id("random-bob:7"),
+        1,
+        "cheat-bob",
+        "random-bob:7",
+    ),
+]
 
 
 class TestMonteCarlo:
@@ -426,9 +454,9 @@ class TestMonteCarlo:
 
         original = analysis.sample_path
         monkeypatch.setattr(analysis, "sample_path", counting_sample_path)
-        for strategy_id in ("honest", "optimal-alice", "random-bob:7"):
-            run_kind, tree = resolve_run(None, strategy_id, 0)
-            monte_carlo(run_kind, tree, 0, 10**6, 5)
+        for cheater in (None, optimal_alice(0), parse_strategy_id("random-bob:7")):
+            tree = build_tree(cheater, None if cheater is None else 0)
+            monte_carlo(tree, 0, 10**6, 5)
         assert calls == []
         analysis.walk(tree, 5)
         assert len(calls) == 1
@@ -459,28 +487,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             sample("honest", trials=999)
 
-    def test_unknown_strategy_propagates(self):
-        with pytest.raises(UnknownStrategyError):
-            resolve_run("cheat-alice", "telepathy", 0)
-
-    def test_party_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="is a Bob strategy; run_kind cheat-alice needs Alice's"):
-            resolve_run("cheat-alice", "measure-and-pick", 0)
-        with pytest.raises(ValueError, match="is an Alice strategy; run_kind cheat-bob needs Bob's"):
-            resolve_run("cheat-bob", "optimal-alice", 0)
-
     @pytest.mark.parametrize(
-        "strategy_id,kind,label",
-        [
-            ("honest", "honest", "honest"),
-            ("optimal-alice", "cheat-alice", "optimal-alice:target=1"),
-            ("random-bob:7", "cheat-bob", "random-bob:7"),
-        ],
+        "command,strategy_id,cheater,target,kind,label",
+        NAMED_RUNS,
+        ids=[f"{strategy_id}-{kind}-{label}" for _, strategy_id, _, _, kind, label in NAMED_RUNS],
     )
-    def test_run_kind_inferred_from_strategy(self, strategy_id, kind, label):
-        assert resolve_run(None, strategy_id, 1)[0] == kind
-        report = sample(None, strategy_id, 1, 2000, 0)
+    def test_run_kind_inferred_from_strategy(
+        self, capsys, command, strategy_id, cheater, target, kind, label
+    ):
+        # A tree names its own run: an honest Alice still makes a cheat-alice
+        # run. montecarlo runs the party that its strategy names.
+        report = monte_carlo(build_tree(cheater, target), target or 0, 2000, 0)
         assert (report["run_kind"], report["strategy"]) == (kind, label)
+        argv = [command, "--strategy", strategy_id, "--target", str(target or 0)]
+        assert cli.main(argv + ["--trials", "2000"]) == cli.EXIT_OK
+        assert f"result.run_kind: {kind}\nresult.strategy: {label}\n" in capsys.readouterr().out
 
     def test_mapping_carries_reference_constants(self, capsys):
         # The CLI appends both constants to every report it prints.

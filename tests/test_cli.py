@@ -85,9 +85,40 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "invalid configuration" in err
 
-    def test_party_mismatch_is_parse_error(self, capsys):
-        code, _, _ = run_cli(capsys, "cheat-alice", "--strategy", "measure-and-pick")
-        assert code == EXIT_PARSE
+    def test_party_mismatch_is_parse_error(self, capsys, tmp_path):
+        out = tmp_path / "o.txt"
+        for command, strategy, party, needed in (
+            ("cheat-alice", "measure-and-pick", "a Bob", "Alice's"),
+            ("cheat-bob", "optimal-alice", "an Alice", "Bob's"),
+            ("cheat-bob", "honest", "an Alice", "Bob's"),
+        ):
+            code, stdout, err = run_cli(capsys, command, "--strategy", strategy, "--out", str(out))
+            assert (code, stdout) == (EXIT_PARSE, "")
+            assert err == (
+                f"cointoss: invalid configuration: '{strategy}' is {party} strategy;"
+                f" {command} needs {needed}\n"
+            )
+            assert not out.exists()
+
+    def test_unknown_strategy_propagates(self, capsys, tmp_path):
+        out = tmp_path / "o.txt"
+        code, stdout, err = run_cli(
+            capsys, "cheat-alice", "--strategy", "telepathy", "--out", str(out)
+        )
+        assert (code, stdout) == (EXIT_UNKNOWN_STRATEGY, "")
+        assert err == "cointoss: unknown strategy: unknown strategy identifier 'telepathy'\n"
+        assert not out.exists()
+
+    def test_output_paths_are_checked_before_the_strategy(self, capsys, tmp_path):
+        # Naming one file twice is found before the strategy id is parsed.
+        path = tmp_path / "f"
+        code, stdout, err = run_cli(
+            capsys, "cheat-alice", "--strategy", "telepathy", "--trials", "1000",
+            "--out", str(path), "--transcript", str(path),
+        )
+        assert (code, stdout) == (EXIT_PARSE, "")
+        assert err == f"cointoss: invalid configuration: --out and --transcript both name {path}\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "argv",

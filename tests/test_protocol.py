@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cointoss.analysis import TRANSCRIPT_SCHEMA, walk
+from cointoss.analysis import TRANSCRIPT_SCHEMA, to_jsonl, walk
 from cointoss.protocol import ProtocolOutcome, build_tree
 from cointoss.strategies import (
     honest_alice,
@@ -21,7 +21,7 @@ COIN = (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)
 
 
 def coin_measurements(transcript):
-    return [r for r in transcript.records if r.kind == "measurement"]
+    return [r for r in transcript if r.kind == "measurement"]
 
 
 class TestHonestRuns:
@@ -45,7 +45,7 @@ class TestHonestRuns:
         tree = build_tree(None, None)
         for seed in range(100):
             _, transcript = walk(tree, seed)
-            kinds = [r.kind for r in transcript.records]
+            kinds = [r.kind for r in transcript]
             assert "verdict_pass" in kinds
             assert "verdict_abort" not in kinds
 
@@ -57,7 +57,7 @@ class TestTranscripts:
         bob = build_tree(measure_and_pick_bob(0), 0)
         for seed in range(50):
             for tree in (honest, alice, bob):
-                records = walk(tree, seed)[1].records
+                records = walk(tree, seed)[1]
                 order = [r.kind for r in records if r.kind not in NOT_MESSAGES]
                 assert order[:3] == EXPECTED_ORDER
                 assert order[3] in ("verdict_pass", "verdict_abort")
@@ -73,16 +73,16 @@ class TestTranscripts:
             second_outcome, second = walk(tree, 424242)
             assert first_outcome == second_outcome
             assert first == second
-            assert first.to_jsonl() == second.to_jsonl()
+            assert to_jsonl(first) == to_jsonl(second)
 
     def test_indices_contiguous_from_zero(self):
         _, transcript = walk(build_tree(measure_and_pick_bob(0), 0), 3)
-        assert [r.index for r in transcript.records] == list(range(len(transcript.records)))
+        assert [r.index for r in transcript] == list(range(len(transcript)))
 
     def test_jsonl_round_trip(self):
         outcome, transcript = walk(build_tree(None, None), 17)
-        records = [json.loads(line) for line in transcript.to_jsonl().splitlines()]
-        assert len(records) == len(transcript.records)
+        records = [json.loads(line) for line in to_jsonl(transcript).splitlines()]
+        assert len(records) == len(transcript)
         header = records[0]
         assert header["kind"] == "run_header"
         assert header["payload"]["schema"] == TRANSCRIPT_SCHEMA
@@ -100,7 +100,7 @@ class TestTranscripts:
         tree = build_tree(optimal_alice(0), 0)
         for seed in range(200):
             outcome, transcript = walk(tree, seed)
-            kinds = [r.kind for r in transcript.records]
+            kinds = [r.kind for r in transcript]
             if outcome is ProtocolOutcome.ABORT:
                 seen_abort = True
                 assert "verdict_abort" in kinds
@@ -136,7 +136,7 @@ class TestCheatingAlice:
         expected = {1: ("A2", ["A2", "B2"]), 2: ("A1", ["A1", "B1"])}
         seen = set()
         for seed in range(40):
-            records = {r.kind: r.payload for r in walk(tree, seed)[1].records}
+            records = {r.kind: r.payload for r in walk(tree, seed)[1]}
             choice = records["choice_announcement"]["choice"]
             verdict = records.get("verdict_pass") or records["verdict_abort"]
             assert (records["qubit_transfer"]["label"], verdict["pair"]) == expected[choice]
@@ -150,7 +150,7 @@ class TestCheatingBob:
         for seed in range(500):
             outcome, transcript = walk(tree, seed)
             assert outcome is not ProtocolOutcome.ABORT
-            assert "verdict_abort" not in [r.kind for r in transcript.records]
+            assert "verdict_abort" not in [r.kind for r in transcript]
 
     def test_outcome_is_alices_measurement(self):
         tree = build_tree(measure_and_pick_bob(0), 0)
@@ -158,7 +158,7 @@ class TestCheatingBob:
             outcome, transcript = walk(tree, seed)
             alice_records = [
                 r
-                for r in transcript.records
+                for r in transcript
                 if r.kind == "measurement" and r.sender == "alice"
             ]
             assert len(alice_records) == 1

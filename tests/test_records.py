@@ -16,9 +16,7 @@ RECORDS = [
     (strategies, "LocalOperation", lambda: BOB.operation, "matrix"),
     (strategies, "AliceCheatStrategy", lambda: ALICE, "name"),
     (strategies, "BobCheatStrategy", lambda: BOB, "announce_rule"),
-    (protocol, "PartyRole", lambda: TREE.alice, "behavior"),
-    (analysis, "TranscriptRecord", lambda: analysis.walk(TREE, 0)[1].records[0], "index"),
-    (analysis, "Transcript", lambda: analysis.walk(TREE, 0)[1], "records"),
+    (analysis, "TranscriptRecord", lambda: analysis.walk(TREE, 0)[1][0], "index"),
     (protocol, "ProtocolTree", lambda: TREE, "root"),
     (protocol, "Branch", lambda: TREE.root, "children"),
 ]

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cointoss import analysis
-from cointoss.analysis import monte_carlo, sample_path, walk
+from cointoss.analysis import monte_carlo, sample_path, to_jsonl, walk
 from cointoss.protocol import (
     _DEAD,
     Branch,
@@ -179,17 +179,17 @@ def test_transcript_probabilities_multiply_to_the_leaf_mass(tree, seed):
     chances = [Fraction(node.mass, parent.mass) for parent, node in zip(path, path[1:])]
     leaf = next(leaf for leaf in leaves(tree) if leaf is path[-1])
     assert math.prod(chances) == Fraction(leaf.mass, tree.root.mass)
-    recorded = [r.probability for r in transcript.records if r.probability is not None]
+    recorded = [r.probability for r in transcript if r.probability is not None]
     assert recorded == [float(chance) for chance in chances]
     assert outcome is path[-1].outcome
-    assert transcript.records[-1].payload == {"outcome": outcome.value}
+    assert transcript[-1].payload == {"outcome": outcome.value}
 
 
 @SETTINGS
 @given(trees(), st.integers(0, 2**63))
 def test_split_counts_lie_within_five_sigma_of_the_leaf_masses(tree, seed):
     trials = 10**6
-    report = monte_carlo("cheat-alice", tree, 0, trials, seed)
+    report = monte_carlo(tree, 0, trials, seed)
     counts = [report[key] for key in ("heads", "tails", "aborts")]
     assert sum(counts) == trials
     for count, p in zip(counts, outcome_chances(tree)):
@@ -215,16 +215,14 @@ def test_counts_read_the_tree_only_through_its_outcome_masses(tree):
     assert leaf_probabilities(reshaped) == [heads, tails, aborts]
     for seed in (0, 1, 7, 2**63 - 1):
         for trials in (1000, 10**6, 2**63 - 1):
-            assert monte_carlo("honest", reshaped, 1, trials, seed) == monte_carlo(
-                "honest", tree, 1, trials, seed
-            )
+            assert monte_carlo(reshaped, 1, trials, seed) == monte_carlo(tree, 1, trials, seed)
 
 
 def test_one_tree_serves_many_seeds():
     tree = build_tree(optimal_alice(0), 0)
     for seed in range(20):
         fresh = build_tree(optimal_alice(0), 0)
-        assert walk(tree, seed)[1].to_jsonl() == walk(fresh, seed)[1].to_jsonl()
+        assert to_jsonl(walk(tree, seed)[1]) == to_jsonl(walk(fresh, seed)[1])
 
 
 def test_leaf_probabilities_of_the_paper_strategies():
@@ -292,7 +290,7 @@ def test_bob_ancillas_join_the_register_in_zero():
         rule = {(0,): 1, (1,): 2}
         bob = BobCheatStrategy("ancillas", 2, LocalOperation(labels, matrix), (labels[-1],), rule)
         tree = build_tree(bob, 0)
-        assert tree.bob.registers == (B1, B2) + ancillas
+        assert walk(tree, 0)[1][0].payload["bob"]["registers"] == [B1, B2, *ancillas]
         chances = [Fraction(child.mass, tree.root.mass) for child in tree.root.children]
         assert chances == [first, 1.0 - first]
 
@@ -314,13 +312,13 @@ def test_unreachable_verification_aborts_instead_of_crashing():
     assert outcome_chances(tree)[2] == 0.5
     for seed in range(40):
         outcome, transcript = walk(tree, seed)
-        if transcript.records[2].payload == {"choice": 1}:
+        if transcript[2].payload == {"choice": 1}:
             assert outcome is ProtocolOutcome.ABORT
-            assert transcript.records[-2].kind == "verdict_abort"
+            assert transcript[-2].kind == "verdict_abort"
         else:
             assert outcome is not ProtocolOutcome.ABORT
-            assert transcript.records[-2].kind == "verdict_pass"
-        assert transcript.records[-2].probability == 1.0
+            assert transcript[-2].kind == "verdict_pass"
+        assert transcript[-2].probability == 1.0
 
 
 def drawn_path(first, total, uniform):
