@@ -487,6 +487,23 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             sample("honest", trials=999)
 
+    def test_party_mismatch_rejected(self, monkeypatch):
+        # A cheat-* command whose strategy belongs to the other party is
+        # refused before any tree is sampled.
+        def no_sampling(*args):
+            raise AssertionError("monte_carlo ran on a mismatched run")
+
+        monkeypatch.setattr(analysis, "monte_carlo", no_sampling)
+        for command, strategy_id, message in (
+            ("cheat-alice", "measure-and-pick", "is a Bob strategy; cheat-alice needs Alice's"),
+            ("cheat-bob", "optimal-alice", "is an Alice strategy; cheat-bob needs Bob's"),
+        ):
+            args = cli.build_parser(command).parse_args(
+                [command, "--strategy", strategy_id, "--seed", "0"]
+            )
+            with pytest.raises(ValueError, match=message):
+                cli.dispatch(args)
+
     @pytest.mark.parametrize(
         "command,strategy_id,cheater,target,kind,label",
         NAMED_RUNS,
