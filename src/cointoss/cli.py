@@ -41,9 +41,9 @@ exit codes:
   3  unknown strategy identifier
   4  internal invariant violation
 
-strategies:
-  honest | optimal-alice | coefficients:<a00,a01,a10,a11> |
-  measure-and-pick | random-bob:<seed>
+strategies (bias and montecarlo take either party's):
+  Alice, cheat-alice: honest | optimal-alice | coefficients:<a00,a01,a10,a11>
+  Bob, cheat-bob:     measure-and-pick | random-bob:<seed>
 
 sizes:
   --trials is between 1000 and 2**63 - 1 (9223372036854775807).
@@ -276,11 +276,11 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         header = _comment_lines(config, _CONSTANTS) + ["strategy,p_win,p_detect"]
         return itertools.chain(["\n".join(header) + "\n"], forms.scan_csv(chunks)), None
 
-    # Every other command builds a tree: `protocol` builds and sums it, and
-    # `analysis`, which only the sampled commands load, draws from it. These
-    # modules load here, on first use, and their import-time objects are
-    # frozen as the CLI's own are above.
-    sampled = args.command in ("honest", "cheat-alice", "cheat-bob", "montecarlo")
+    # Every other command builds one tree here: `protocol` builds and sums
+    # it, and `analysis`, which only the sampled commands load, draws from
+    # it. These modules load here, on first use, and their import-time
+    # objects are frozen as the CLI's own are above.
+    sampled = args.command != "bias"
     loaded = len(sys.modules)
     from . import protocol, strategies
 
@@ -289,26 +289,21 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     if len(sys.modules) > loaded:
         gc.freeze()
 
-    if args.command == "bias":
-        strategy = strategies.parse_strategy_id(args.strategy, args.target)
-        result = protocol.exact_win_probability(strategy, args.target)
-        return [_render(config, result, args.format)], None
-    if not sampled:
-        raise InvariantViolationError(f"unhandled command {args.command!r}")
-    if args.transcript is not None:
+    if getattr(args, "transcript", None) is not None:
         if args.out is not None and _same_regular_file(args.out, args.transcript):
             raise ValueError(f"--out and --transcript both name {args.out}")
         if args.out is None and _is_stdout_file(args.transcript):
             raise ValueError(f"stdout and --transcript both name {args.transcript}")
-    # An all-honest run has no target; any other strategy cheats for its party.
+    # Only `honest` and `montecarlo --strategy honest` run all honest, with no target.
     cheater, target = None, None
-    if args.command.startswith("cheat-") or getattr(args, "strategy", "honest") != "honest":
+    if args.command != "honest" and (args.command != "montecarlo" or args.strategy != "honest"):
         cheater, target = strategies.parse_strategy_id(args.strategy, args.target), args.target
-        alice = isinstance(cheater, strategies.AliceCheatStrategy)
-        if args.command == ("cheat-bob" if alice else "cheat-alice"):
-            party, other = ("an Alice", "Bob's") if alice else ("a Bob", "Alice's")
-            raise ValueError(f"{args.strategy!r} is {party} strategy; {args.command} needs {other}")
     tree = protocol.build_tree(cheater, target)
+    if args.command == ("cheat-bob" if tree.bob is None else "cheat-alice"):
+        party, other = ("an Alice", "Bob's") if tree.bob is None else ("a Bob", "Alice's")
+        raise ValueError(f"{args.strategy!r} is {party} strategy; {args.command} needs {other}")
+    if not sampled:
+        return [_render(config, protocol.exact_win_probability(tree), args.format)], None
     result = analysis.monte_carlo(tree, args.target, args.trials, args.seed)
     transcript = None
     if args.transcript is not None:

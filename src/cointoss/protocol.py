@@ -5,8 +5,9 @@ run or one cheater's, whose strategy the tree keeps, so that it names its
 run; Bob's choice, each measurement and the verification are chance nodes.
 Every branch holds its mass, an integer at the root's scale, so a chance is
 a ratio of two masses and an exact probability an integer sum over leaves:
-`leaf_probabilities` forms them and `exact_win_probability` rounds them
-once, for `bias`. `analysis`, which `bias` never loads, samples the tree.
+`leaf_probabilities` forms them, `exact_win_probability(tree)` rounds them
+once for `bias`, and `analysis`, which `bias` never loads, samples the tree
+that `cli.dispatch` builds for every command.
 """
 
 from __future__ import annotations
@@ -212,29 +213,27 @@ def leaf_probabilities(tree: ProtocolTree) -> list[int]:
     return [totals[outcome] for outcome in ProtocolOutcome]
 
 
-def exact_win_probability(
-    strategy: AliceCheatStrategy | BobCheatStrategy, target: int
-) -> dict:
-    """One strategy's exact win and abort probability, summed over its branch
-    tree, as the `bias` report's result; epsilon is the win's excess over 1/2.
-    Each is a ratio of integers, rounded to a float once. The masses are
-    exact for the operation as given, but a float `LocalOperation` is
-    unitary only to rounding, so a win may pass 3/4 by about an ulp: the
-    check, exact in integers, keeps its slack of 1e-12 below 0 and 1e-9
-    above 3/4."""
-    masses = leaf_probabilities(build_tree(strategy, target))
-    win, total = masses[target], sum(masses)
+def exact_win_probability(tree: ProtocolTree) -> dict:
+    """A cheater's tree's exact win and abort probability, summed over its
+    leaves, as the `bias` report's result, whose party is read off the tree;
+    epsilon is the win's excess over 1/2. Each is a ratio of integers,
+    rounded to a float once. The masses are exact for the operation as
+    given, but a float `LocalOperation` is unitary only to rounding, so a win
+    may pass 3/4 by about an ulp: the check, exact in integers, keeps its
+    slack of 1e-12 below 0 and 1e-9 above 3/4."""
+    party, strategy = ("A", tree.alice) if tree.bob is None else ("B", tree.bob)
+    masses = leaf_probabilities(tree)
+    win, total = masses[tree.target], sum(masses)
     low, high = (bound.as_integer_ratio() for bound in (-1e-12, ANALYTIC_BOUND + 1e-9))
     if not (low[0] * total <= win * low[1] and win * high[1] <= high[0] * total):
         raise InvariantViolationError(
             f"win probability {win / total!r} escapes [0, bound] for {strategy.name}"
         )
     return {
-        "party": "A" if isinstance(strategy, AliceCheatStrategy) else "B",
-        "target": target,
+        "party": party,
+        "target": tree.target,
         "strategy": strategy.name,
         "p_win_exact": win / total,
         "p_abort_exact": masses[2] / total,
         "epsilon": (2 * win - total) / (2 * total),
     }
-

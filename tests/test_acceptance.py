@@ -41,8 +41,8 @@ def five_sigma(p: float, trials: int) -> float:
 
 def test_criterion_1_honest_protocol():
     started = time.perf_counter()
-    heads_exact = exact_win_probability(honest_alice(), 0)
-    tails_exact = exact_win_probability(honest_alice(), 1)
+    heads_exact = exact_win_probability(build_tree(honest_alice(), 0))
+    tails_exact = exact_win_probability(build_tree(honest_alice(), 1))
     exact_ok = (
         abs(heads_exact["p_win_exact"] - 0.5) < 1e-12
         and abs(tails_exact["p_win_exact"] - 0.5) < 1e-12
@@ -69,7 +69,7 @@ def test_criterion_2_optimal_alice():
     exact_ok = True
     details = []
     for target in (0, 1):
-        result = exact_win_probability(optimal_alice(target), target)
+        result = exact_win_probability(build_tree(optimal_alice(target), target))
         exact_ok &= abs(result["p_win_exact"] - 0.75) < 1e-9
         exact_ok &= abs(result["p_abort_exact"] - 1 / 6) < 1e-9
         details.append(f"target {target}: win={result['p_win_exact']:.12f}")
@@ -106,7 +106,7 @@ def test_criterion_4_closed_form_equals_simulation():
     for _ in range(100):
         raw = np.abs(rng.normal(size=4))
         c = tuple((raw / np.linalg.norm(raw)).tolist())
-        simulated = exact_win_probability(coefficient_strategy(c), 0)
+        simulated = exact_win_probability(build_tree(coefficient_strategy(c), 0))
         worst = max(worst, abs(simulated["p_win_exact"] - _objective(*c)))
     report(4, worst < 1e-9, f"max |closed form - simulation| = {worst:.2e} over 100 tuples")
 
@@ -118,7 +118,7 @@ def test_criterion_5_bob_bound():
     slack = min(np.linalg.eigvalsh(s)[0] for s in slacks)
     duals = [float(np.trace(BOB_DUALS[t])) for t in (0, 1)]
     bobs = {t: measure_and_pick_bob(t) for t in (0, 1)}
-    exact = [exact_win_probability(bob, t) for t, bob in bobs.items()]
+    exact = [exact_win_probability(build_tree(bob, t)) for t, bob in bobs.items()]
     models = [povm_win(bob_povm(bob), t) for t, bob in bobs.items()]
     wins, aborts = [e["p_win_exact"] for e in exact], [e["p_abort_exact"] for e in exact]
     report(
@@ -149,8 +149,8 @@ def test_criterion_7_balance():
     details = []
     balanced = True
     for build, name in ((optimal_alice, "optimal-alice"), (measure_and_pick_bob, "measure-and-pick")):
-        p0 = exact_win_probability(build(0), 0)
-        p1 = exact_win_probability(build(1), 1)
+        p0 = exact_win_probability(build_tree(build(0), 0))
+        p1 = exact_win_probability(build_tree(build(1), 1))
         balanced &= abs(p0["p_win_exact"] - p1["p_win_exact"]) < 1e-9
         balanced &= abs(p0["epsilon"] - 0.25) < 1e-9
         details.append(f"{name}: eps0={p0['epsilon']:.12f} eps1={p1['epsilon']:.12f}")

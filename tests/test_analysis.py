@@ -161,17 +161,17 @@ class TestOptimizer:
 class TestExactWinProbability:
     def test_optimal_alice_win_and_abort(self):
         for target in (0, 1):
-            report = exact_win_probability(optimal_alice(target), target)
+            report = exact_win_probability(build_tree(optimal_alice(target), target))
             assert report["p_win_exact"] == pytest.approx(0.75, abs=1e-9)
             assert report["p_abort_exact"] == pytest.approx(1 / 6, abs=1e-9)
             assert report["party"] == "A"
 
     def test_honest_strategies_are_fair(self):
-        alice = exact_win_probability(honest_alice(), 0)
+        alice = exact_win_probability(build_tree(honest_alice(), 0))
         assert alice["p_win_exact"] == pytest.approx(0.5, abs=1e-12)
         assert alice["p_abort_exact"] == 0.0
         assert alice["epsilon"] == 0.0
-        bob = exact_win_probability(HONEST_BOB, 0)
+        bob = exact_win_probability(build_tree(HONEST_BOB, 0))
         assert bob["p_win_exact"] == pytest.approx(0.5, abs=1e-12)
 
     def test_swapped_response_mapping_only_reaches_one_third(self):
@@ -181,11 +181,11 @@ class TestExactWinProbability:
         # of Alice's two qubits in the optimal state plays that reading.
         state = optimal_alice(0).initial_state._replace(register=(A2, B1, A1, B2))
         swapped = AliceCheatStrategy("swapped-mapping", state)
-        report = exact_win_probability(swapped, 0)
+        report = exact_win_probability(build_tree(swapped, 0))
         assert report["p_win_exact"] == pytest.approx(1 / 3, abs=1e-9)
 
     def test_epsilon_definition(self):
-        report = exact_win_probability(optimal_alice(0), 0)
+        report = exact_win_probability(build_tree(optimal_alice(0), 0))
         assert report["epsilon"] == pytest.approx(report["p_win_exact"] - 0.5, abs=1e-12)
         assert KITAEV_REFERENCE == pytest.approx(1 / np.sqrt(2) - 0.5, abs=1e-15)
 
@@ -195,7 +195,7 @@ class TestExactWinProbability:
         monkeypatch.setattr(protocol, "leaf_probabilities", lambda tree: impossible)
         message = "win probability 0.76 escapes [0, bound] for optimal-alice:target=0"
         with pytest.raises(InvariantViolationError) as excinfo:
-            exact_win_probability(optimal_alice(0), 0)
+            exact_win_probability(build_tree(optimal_alice(0), 0))
         assert str(excinfo.value) == message
         assert cli.main(["bias"]) == cli.EXIT_INVARIANT
         out, err = capsys.readouterr()
@@ -261,7 +261,7 @@ class TestSensitivityScan:
     def test_closed_form_matches_branch_enumeration(self, c):
         # The tree counts a branch below 1e-12 mass toward no outcome, so
         # the two agree to 1e-11, not to roundoff.
-        report = exact_win_probability(aligned_strategy(c), 0)
+        report = exact_win_probability(build_tree(aligned_strategy(c), 0))
         assert abs(_objective(*c) - report["p_win_exact"]) < 1e-11
         assert abs(_detection(*c) - report["p_abort_exact"]) < 1e-11
 
@@ -273,7 +273,8 @@ class TestSensitivityScan:
         start, end = np.array(HONEST_WEIGHTS), np.array(OPTIMAL_WEIGHTS)
         for i, t in enumerate(np.linspace(0.0, 1.0, steps)):
             raw = (1.0 - t) * start + t * end
-            report = exact_win_probability(aligned_strategy(raw / np.linalg.norm(raw)), 0)
+            strategy = aligned_strategy(raw / np.linalg.norm(raw))
+            report = exact_win_probability(build_tree(strategy, 0))
             assert rows[i].startswith(f"path:t={t:.6f},")
             assert abs(win[i] - report["p_win_exact"]) < 1e-11
             assert abs(detect[i] - report["p_abort_exact"]) < 1e-11
@@ -292,7 +293,7 @@ class TestSensitivityScan:
         patched = ((protocol, "build_tree"), (strategies, "aligned_strategy"))
         for module, name in patched:
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
-        exact_win_probability(optimal_alice(0), 0)
+        exact_win_probability(protocol.build_tree(optimal_alice(0), 0))
         assert set(calls) == {"build_tree", "aligned_strategy"}
         calls.clear()
         optimize_alice()
@@ -382,7 +383,7 @@ class TestMonteCarlo:
         if run_kind == "honest":
             expected_win, expected_abort = 0.5, 0.0
         else:
-            exact = exact_win_probability(parse_strategy_id(strategy_id, 0), 0)
+            exact = exact_win_probability(build_tree(parse_strategy_id(strategy_id, 0), 0))
             expected_win, expected_abort = exact["p_win_exact"], exact["p_abort_exact"]
         tolerance = 5 * np.sqrt(expected_win * (1 - expected_win) / report["trials"]) + 1e-9
         assert report["win_frequency"] == pytest.approx(expected_win, abs=max(tolerance, 5e-4))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cointoss
-from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, cli, forms
+from cointoss import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, cli, forms, protocol, strategies
 from cointoss.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -245,6 +245,46 @@ class TestExitCodes:
             assert needle in text
         assert str(EXIT_INVARIANT) in text
         assert "an unwritable output path or stdout" in text
+        # A cheat-* command given the other party's id exits 2, so each
+        # party's ids are listed on their own line, under their command.
+        lines = text.splitlines()
+        assert "strategies (bias and montecarlo take either party's):" in lines
+        assert (
+            "  Alice, cheat-alice: honest | optimal-alice | coefficients:<a00,a01,a10,a11>"
+            in lines
+        )
+        assert "  Bob, cheat-bob:     measure-and-pick | random-bob:<seed>" in lines
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bias", "--strategy", "random-bob:7"],
+            ["honest", "--trials", "1000"],
+            ["cheat-alice", "--trials", "1000"],
+            ["cheat-bob", "--trials", "1000"],
+            ["montecarlo", "--strategy", "honest", "--trials", "1000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_tree_command_builds_one_tree(self, capsys, monkeypatch, argv):
+        # `dispatch` builds the one tree that `bias` sums and the sampled
+        # commands draw from, parsing the strategy at most once for it.
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in ((protocol, "build_tree"), (strategies, "parse_strategy_id")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out.startswith("schema: cointoss.report/")) == (EXIT_OK, True)
+        assert calls.count("build_tree") == 1
+        assert calls.count("parse_strategy_id") <= 1
 
 
 class TestDeterminism:

@@ -126,7 +126,7 @@ def test_each_leaf_sum_is_correctly_rounded(strategy_id, target):
     assert all(type(mass) is int for mass in leaf_probabilities(tree))
     sums = outcome_chances(tree)
     assert sums == list(exact.values())
-    report = exact_win_probability(strategy, target)
+    report = exact_win_probability(tree)
     assert report["p_win_exact"] == float(sums[target])
     assert report["p_abort_exact"] == float(sums[2])
     assert report["epsilon"] == float(sums[target] - Fraction(1, 2))
@@ -244,7 +244,8 @@ def test_honest_run_is_exactly_fair():
 
 @pytest.mark.parametrize("target", [0, 1])
 def test_measure_and_pick_wins_exactly_three_quarters(target):
-    assert exact_win_probability(measure_and_pick_bob(target), target)["p_win_exact"] == 0.75
+    report = exact_win_probability(build_tree(measure_and_pick_bob(target), target))
+    assert report["p_win_exact"] == 0.75
 
 
 def leaf_masses(tree, flip=False):
