@@ -51,8 +51,7 @@ sizes:
   optimize is solved in closed form; --grid-resolution is only echoed.
   --engine takes only protocol; it is kept for scripts that pass it.
 
-The default seed is 0, or the value of COINTOSS_SEED when set;
-an explicit --seed always wins.
+The default seed is 0.
 """
 
 
@@ -107,14 +106,14 @@ _COMMANDS = {
     "scan": ("honest-to-optimal sensitivity scan", (("--steps", {"type": int, "default": 50}),)),
 }
 _COMMON = (
-    ("--seed", {"type": _seed}),
+    ("--seed", {"type": _seed, "default": 0}),
     ("--format", {"choices": ("structured", "tabular"), "default": "structured"}),
     ("--out", {"metavar": "PATH"}),
 )
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; a missing --seed parses to None, for `main` to fill in.
+    """The parser of the command line, the CLI's only input.
 
     Given one subcommand's name, only that subcommand's parser is built: it
     parses that subcommand's argv as the whole parser does. Any other
@@ -210,59 +209,54 @@ def _is_stdout_file(path: str) -> bool:
         return False
 
 
-def _write_atomic(writes: list[tuple[str, Iterable[str]]]) -> None:
-    """Write each (path, text chunks) pair whole, or change no file at all.
+def _write_atomic(writes: list[tuple[str | None, Iterable[str]]]) -> None:
+    """Write each (path, text chunks) pair whole, or change no file at all;
+    the path None is stdout.
 
     A regular file's text goes to a new file beside it, and only once every
     write has succeeded does `os.replace` move each onto its target. A pipe
-    or a device takes its bytes directly, after the files' text is written.
-    On any `OSError` the temporary files are removed and the error names
-    the path, an empty one as ``''``.
+    or a device takes its bytes directly, after the files' text is written,
+    and stdout takes its bytes last, before the renames. On any `OSError`
+    the temporary files are removed and the error names the path, an empty
+    one as ``''``. A failed stdout's file descriptor is pointed at
+    os.devnull, so the interpreter's own flush at exit cannot fail again.
     """
-    moves, path = [], None
+    moves, path = [], ""
     try:
-        # Files first (a stable sort), so a failed file sends no device a byte.
-        for path, chunks in sorted(writes, key=lambda write: _is_stream(write[0])):
-            if _is_stream(path):
+        # Files, then devices, then stdout (a stable sort), so a failed
+        # write sends no later stream a byte.
+        for path, chunks in sorted(writes, key=lambda w: 2 if w[0] is None else _is_stream(w[0])):
+            if path is None:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+            elif _is_stream(path):
                 with open(path, "w", encoding="utf-8", newline="") as handle:
                     handle.writelines(chunks)
-                continue
-            target = Path(path).resolve()  # through a symlink, replace the file it names
-            temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-            with open(temp, "x", encoding="utf-8", newline="") as handle:
-                moves.append((path, temp, target))
-                handle.writelines(chunks)
+            else:
+                target = Path(path).resolve()  # through a symlink, replace the file it names
+                temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+                with open(temp, "x", encoding="utf-8", newline="") as handle:
+                    moves.append((path, temp, target))
+                    handle.writelines(chunks)
         for path, temp, target in moves:
             os.replace(temp, target)
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path or "''") from None
+        if path is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise OSError(exc.errno, exc.strerror, "stdout" if path is None else path or "''") from None
     finally:
         for _, temp, _ in moves:
             temp.unlink(missing_ok=True)
-
-
-def _write_stdout(chunks: Iterable[str]) -> None:
-    """Write the text `chunks` to stdout and flush it.
-
-    On an `OSError`, such as a closed pipe or a full disk, stdout's file
-    descriptor is pointed at os.devnull, so the interpreter's own flush at
-    exit cannot fail again, and the error names stdout.
-    """
-    try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise OSError(exc.errno, exc.strerror, "stdout") from None
 
 
 def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     """The report body's text chunks, and the transcript when ``--transcript`` is given.
 
     Every check runs here, before `main` writes a byte; `main` then writes
-    ``--out`` and the transcript together, so a failed one writes neither.
+    the report (to ``--out``, or else stdout) and the transcript in one
+    `_write_atomic` call, so a failed write changes no file.
     """
     config = _config_mapping(args)
 
@@ -314,21 +308,12 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    if args.seed is None:
-        # An explicit --seed wins, so a bad COINTOSS_SEED cannot stop it.
-        try:
-            args.seed = _seed(os.environ.get("COINTOSS_SEED", "0"))
-        except argparse.ArgumentTypeError as exc:
-            print(f"cointoss: COINTOSS_SEED {exc}", file=sys.stderr)
-            return EXIT_PARSE
     try:
         body, transcript = dispatch(args)
-        writes = [] if args.out is None else [(args.out, body)]
+        writes = [(args.out, body)]
         if transcript is not None:
             writes.append((args.transcript, [transcript]))
         _write_atomic(writes)
-        if args.out is None:
-            _write_stdout(body)
     except OSError as exc:
         print(f"cointoss: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE

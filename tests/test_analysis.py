@@ -392,21 +392,12 @@ class TestMonteCarlo:
             expected_abort, abs=max(abort_tolerance, 1e-9)
         )
 
-    def test_protocol_engine_agrees_with_exact(self):
-        report = sample("cheat-alice", "optimal-alice", 0, trials=3000, root_seed=4)
-        assert report["win_frequency"] == pytest.approx(
-            0.75, abs=5 * np.sqrt(0.75 * 0.25 / 3000)
-        )
-        assert report["abort_frequency"] == pytest.approx(
-            1 / 6, abs=5 * np.sqrt((1 / 6) * (5 / 6) / 3000)
-        )
-
-    def test_engines_deterministic(self):
+    def test_same_seed_same_counts(self):
         first = sample("honest", trials=2000, root_seed=33)
         second = sample("honest", trials=2000, root_seed=33)
         assert first == second
 
-    @pytest.mark.parametrize("trials", [5000, 10**12])
+    @pytest.mark.parametrize("trials", [5000, 10**12, 2**63 - 1])
     @pytest.mark.parametrize(
         "run_kind,strategy_id",
         [
@@ -439,14 +430,7 @@ class TestMonteCarlo:
         assert time.perf_counter() - start < 1.0
         assert report["aborts"] == 0
 
-    def test_protocol_engine_sends_no_run_down_a_dead_branch(self):
-        # The honest tree's dead branches have mass exactly 0: no run of
-        # 2**63 - 1 may reach one.
-        report = sample("honest", trials=2**63 - 1, root_seed=1)
-        assert report["aborts"] == 0
-        assert report["heads"] + report["tails"] == 2**63 - 1
-
-    def test_protocol_engine_walks_no_path(self, monkeypatch):
+    def test_sampling_walks_no_path(self, monkeypatch):
         calls = []
 
         def counting_sample_path(*args):
@@ -462,7 +446,7 @@ class TestMonteCarlo:
         analysis.walk(tree, 5)
         assert len(calls) == 1
 
-    def test_protocol_engine_builds_one_tree_per_call(self, monkeypatch):
+    def test_sampling_builds_one_tree_per_call(self, monkeypatch):
         calls = []
 
         def counting_measure(*args):

@@ -1,4 +1,4 @@
-"""CLI behavior: output determinism, formats, exit codes, env seeding."""
+"""CLI behavior: output determinism, formats, exit codes, seeding, output files."""
 
 import errno
 import os
@@ -317,30 +317,22 @@ class TestDeterminism:
 
 
 class TestSeeding:
-    def test_env_seed_used_as_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("COINTOSS_SEED", "77")
-        _, out, _ = run_cli(capsys, "montecarlo", "--trials", "2000")
-        assert "config.seed: 77" in out
+    @pytest.mark.parametrize("argv", [[c] for c in SUBCOMMANDS] + [["--help"]], ids=" ".join)
+    def test_the_environment_sets_no_seed(self, capsys, monkeypatch, argv):
+        # The argv is the CLI's only input: COINTOSS_SEED, set to a seed or
+        # to a malformed one, changes no byte and no exit code.
+        def run():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
 
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("COINTOSS_SEED", "77")
-        _, out, _ = run_cli(capsys, "montecarlo", "--trials", "2000", "--seed", "3")
-        assert "config.seed: 3" in out
-
-    def test_explicit_seed_beats_a_malformed_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("COINTOSS_SEED", "x")
-        code, out, err = run_cli(capsys, "bias", "--seed", "3")
-        assert (code, err) == (EXIT_OK, "")
-        assert "config.seed: 3" in out
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--help"])
-        assert excinfo.value.code == EXIT_OK
-
-    def test_invalid_env_seed_is_parse_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("COINTOSS_SEED", "many")
-        code, _, err = run_cli(capsys, "montecarlo", "--trials", "2000")
-        assert code == EXIT_PARSE
-        assert "COINTOSS_SEED" in err
+        unset = run()
+        assert unset[0] == EXIT_OK
+        for value in ("77", "x", "-1"):
+            monkeypatch.setenv("COINTOSS_SEED", value)
+            assert run() == unset
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_negative_seed_rejected_by_parser(self, capsys, command):
@@ -348,14 +340,6 @@ class TestSeeding:
             main([command, "--seed", "-1"])
         assert excinfo.value.code == EXIT_PARSE
         assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", SUBCOMMANDS)
-    def test_negative_env_seed_is_parse_error(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("COINTOSS_SEED", "-1")
-        code, out, err = run_cli(capsys, command)
-        assert code == EXIT_PARSE
-        assert out == ""
-        assert err == "cointoss: COINTOSS_SEED must be a nonnegative integer, got '-1'\n"
 
 
 class TestRunsAndFiles:
@@ -411,9 +395,11 @@ class TestRunsAndFiles:
         def failing_replace(source, target):
             raise OSError(errno.ENOSPC, "No space left on device", str(source))
 
+        # Stdout takes the report before the renames, as --out /dev/stdout does.
+        report = "" if flag == "--out" else run_cli(capsys, "honest", "--trials", "1000")[1]
         monkeypatch.setattr(os, "replace", failing_replace)
         code, out, err = run_cli(capsys, "honest", "--trials", "1000", flag, str(path))
-        assert (code, out) == (EXIT_PARSE, "")
+        assert (code, out) == (EXIT_PARSE, report)
         assert err == f"cointoss: cannot write {path}: No space left on device\n"
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
@@ -657,6 +643,26 @@ class TestUnwritableStdout:
             )
         assert done.returncode == EXIT_PARSE
         assert done.stderr == "cointoss: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_keeps_the_transcript(self, tmp_path):
+        # Stdout takes the report before the transcript replaces its file.
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(b"kept\n")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "cointoss.cli", "honest", "--trials", "1000",
+                 "--transcript", str(transcript)],
+                env=child_env(),
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert done.returncode == EXIT_PARSE
+        assert done.stderr == "cointoss: cannot write stdout: No space left on device\n"
+        assert transcript.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
 
 class TestStartup:

@@ -1,17 +1,19 @@
-"""Protocol state-machine tests: runs, transcripts, ordering, determinism."""
+"""Protocol steps, checked on every path a run can take, and transcripts:
+ordering, determinism, schema."""
 
 import json
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from cointoss.analysis import TRANSCRIPT_SCHEMA, to_jsonl, walk
-from cointoss.protocol import ProtocolOutcome, build_tree
+from cointoss.protocol import ProtocolOutcome, build_tree, leaves
 from cointoss.strategies import (
     honest_alice,
     measure_and_pick_bob,
     optimal_alice,
 )
+from test_closed_forms import outcome_chances
 
 EXPECTED_ORDER = ["state_transfer", "choice_announcement", "qubit_transfer"]
 NOT_MESSAGES = ("run_header", "measurement", "outcome")
@@ -20,45 +22,61 @@ NOT_MESSAGES = ("run_header", "measurement", "outcome")
 COIN = (ProtocolOutcome.HEADS, ProtocolOutcome.TAILS)
 
 
-def coin_measurements(transcript):
-    return [r for r in transcript if r.kind == "measurement"]
+def live_paths(tree):
+    """Each root-to-leaf path a run can take, as its branches and the
+    (sender, kind, payload) lines a walk down it records; no path enters a
+    dead branch, whose lines are None."""
+    paths = [(tree.root,)]
+    while paths:
+        path = paths.pop()
+        if path[-1].children:
+            paths += [path + (child,) for child in path[-1].children if child.lines is not None]
+        else:
+            yield path, [line for node in path for line in node.lines]
+
+
+def kinds(lines):
+    return [kind for _, kind, _ in lines]
+
+
+@pytest.mark.parametrize(
+    "tree, count",
+    [
+        (build_tree(None, None), 4),
+        (build_tree(optimal_alice(0), 0), 8),
+        (build_tree(measure_and_pick_bob(0), 0), 4),
+    ],
+)
+def test_live_paths_end_on_every_live_leaf(tree, count):
+    ends = [path[-1] for path, _ in live_paths(tree)]
+    assert len(ends) == count
+    assert {id(leaf) for leaf in ends} == {id(leaf) for leaf in leaves(tree) if leaf.lines}
 
 
 class TestHonestRuns:
     def test_parties_always_agree_and_never_abort(self):
-        tree = build_tree(None, None)
-        for seed in range(300):
-            outcome, transcript = walk(tree, seed)
-            assert outcome is not ProtocolOutcome.ABORT
-            records = coin_measurements(transcript)
-            assert len(records) == 2
-            assert records[0].payload["outcome"] == records[1].payload["outcome"]
-            assert COIN[records[0].payload["outcome"]] is outcome
-
-    def test_heads_frequency(self):
-        tree = build_tree(None, None)
-        heads = sum(walk(tree, seed)[0] is ProtocolOutcome.HEADS for seed in range(10_000))
-        # 5 sigma at 10^4 trials
-        assert heads / 10_000 == pytest.approx(0.5, abs=0.025)
+        for path, lines in live_paths(build_tree(None, None)):
+            assert path[-1].outcome is not ProtocolOutcome.ABORT
+            readings = [payload["outcome"] for _, kind, payload in lines if kind == "measurement"]
+            assert len(readings) == 2
+            assert readings[0] == readings[1]
+            assert COIN[readings[0]] is path[-1].outcome
 
     def test_verification_always_passes(self):
-        tree = build_tree(None, None)
-        for seed in range(100):
-            _, transcript = walk(tree, seed)
-            kinds = [r.kind for r in transcript]
-            assert "verdict_pass" in kinds
-            assert "verdict_abort" not in kinds
+        for _, lines in live_paths(build_tree(None, None)):
+            assert "verdict_pass" in kinds(lines)
+            assert "verdict_abort" not in kinds(lines)
 
 
 class TestTranscripts:
     def test_message_order_matches_protocol_steps(self):
-        honest = build_tree(None, None)
-        alice = build_tree(optimal_alice(0), 0)
-        bob = build_tree(measure_and_pick_bob(0), 0)
-        for seed in range(50):
-            for tree in (honest, alice, bob):
-                records = walk(tree, seed)[1]
-                order = [r.kind for r in records if r.kind not in NOT_MESSAGES]
+        for tree in (
+            build_tree(None, None),
+            build_tree(optimal_alice(0), 0),
+            build_tree(measure_and_pick_bob(0), 0),
+        ):
+            for _, lines in live_paths(tree):
+                order = [kind for kind in kinds(lines) if kind not in NOT_MESSAGES]
                 assert order[:3] == EXPECTED_ORDER
                 assert order[3] in ("verdict_pass", "verdict_abort")
                 assert len(order) == 4
@@ -96,47 +114,27 @@ class TestTranscripts:
                 assert 0.0 <= record["probability"] <= 1.0
 
     def test_abort_only_after_abort_verdict(self):
-        seen_abort = False
-        tree = build_tree(optimal_alice(0), 0)
-        for seed in range(200):
-            outcome, transcript = walk(tree, seed)
-            kinds = [r.kind for r in transcript]
-            if outcome is ProtocolOutcome.ABORT:
-                seen_abort = True
-                assert "verdict_abort" in kinds
-            else:
-                assert "verdict_abort" not in kinds
-        assert seen_abort  # abort probability is 1/6; 200 seeds must hit it
+        aborts = 0
+        for path, lines in live_paths(build_tree(optimal_alice(0), 0)):
+            aborted = path[-1].outcome is ProtocolOutcome.ABORT
+            assert ("verdict_abort" in kinds(lines)) == aborted
+            aborts += aborted
+        assert aborts > 0
 
 
 class TestCheatingAlice:
-    def test_win_frequency_near_three_quarters(self):
-        wins = 0
-        aborts = 0
-        n = 3000
-        tree = build_tree(optimal_alice(0), 0)
-        for seed in range(n):
-            outcome, _ = walk(tree, seed)
-            wins += outcome is ProtocolOutcome.HEADS
-            aborts += outcome is ProtocolOutcome.ABORT
-        assert wins / n == pytest.approx(0.75, abs=5 * np.sqrt(0.75 * 0.25 / n))
-        assert aborts / n == pytest.approx(1 / 6, abs=5 * np.sqrt((1 / 6) * (5 / 6) / n))
-
     def test_honest_strategy_special_case(self):
-        tree = build_tree(honest_alice(), 0)
-        outcomes = [walk(tree, seed)[0] for seed in range(1500)]
-        assert not any(o is ProtocolOutcome.ABORT for o in outcomes)
-        wins = sum(o is ProtocolOutcome.HEADS for o in outcomes)
-        assert wins / 1500 == pytest.approx(0.5, abs=0.065)
+        half = Fraction(1, 2)
+        for target in (0, 1):
+            assert outcome_chances(build_tree(honest_alice(), target)) == [half, half, 0]
 
     def test_sends_partner_of_unchosen_pair(self):
         # Step 4: after choice 1 Alice returns A2, after choice 2 A1, and
         # Bob checks it with his half of the same pair.
-        tree = build_tree(optimal_alice(0), 0)
         expected = {1: ("A2", ["A2", "B2"]), 2: ("A1", ["A1", "B1"])}
         seen = set()
-        for seed in range(40):
-            records = {r.kind: r.payload for r in walk(tree, seed)[1]}
+        for _, lines in live_paths(build_tree(optimal_alice(0), 0)):
+            records = {kind: payload for _, kind, payload in lines}
             choice = records["choice_announcement"]["choice"]
             verdict = records.get("verdict_pass") or records["verdict_abort"]
             assert (records["qubit_transfer"]["label"], verdict["pair"]) == expected[choice]
@@ -146,23 +144,19 @@ class TestCheatingAlice:
 
 class TestCheatingBob:
     def test_never_aborts(self):
-        tree = build_tree(measure_and_pick_bob(0), 0)
-        for seed in range(500):
-            outcome, transcript = walk(tree, seed)
-            assert outcome is not ProtocolOutcome.ABORT
-            assert "verdict_abort" not in [r.kind for r in transcript]
+        for path, lines in live_paths(build_tree(measure_and_pick_bob(0), 0)):
+            assert path[-1].outcome is not ProtocolOutcome.ABORT
+            assert "verdict_abort" not in kinds(lines)
 
     def test_outcome_is_alices_measurement(self):
-        tree = build_tree(measure_and_pick_bob(0), 0)
-        for seed in range(100):
-            outcome, transcript = walk(tree, seed)
-            alice_records = [
-                r
-                for r in transcript
-                if r.kind == "measurement" and r.sender == "alice"
+        for path, lines in live_paths(build_tree(measure_and_pick_bob(0), 0)):
+            readings = [
+                payload["outcome"]
+                for sender, kind, payload in lines
+                if kind == "measurement" and sender == "alice"
             ]
-            assert len(alice_records) == 1
-            assert COIN[alice_records[0].payload["outcome"]] is outcome
+            assert len(readings) == 1
+            assert COIN[readings[0]] is path[-1].outcome
 
 
 class TestMessageKinds:

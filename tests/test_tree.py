@@ -37,6 +37,7 @@ from cointoss.strategies import (
 )
 from test_closed_forms import normalized, outcome_chances, outcome_operators
 from test_golden import REPORTS, TRANSCRIPTS
+from test_protocol import live_paths
 
 # Every strategy id that a golden file pins.
 GOLDEN_IDS = sorted(
@@ -311,15 +312,18 @@ def test_unreachable_verification_aborts_instead_of_crashing():
     # chance is exactly 0 or 1.
     tree = build_tree(aligned_strategy([0.5, -0.5, 0.5, -0.5]), 0)
     assert outcome_chances(tree)[2] == 0.5
-    for seed in range(40):
-        outcome, transcript = walk(tree, seed)
-        if transcript[2].payload == {"choice": 1}:
-            assert outcome is ProtocolOutcome.ABORT
-            assert transcript[-2].kind == "verdict_abort"
+    choices = set()
+    for path, lines in live_paths(tree):
+        choice = lines[1][2]["choice"]
+        if choice == 1:
+            assert path[-1].outcome is ProtocolOutcome.ABORT
+            assert lines[-2][1] == "verdict_abort"
         else:
-            assert outcome is not ProtocolOutcome.ABORT
-            assert transcript[-2].kind == "verdict_pass"
-        assert transcript[-2].probability == 1.0
+            assert path[-1].outcome is not ProtocolOutcome.ABORT
+            assert lines[-2][1] == "verdict_pass"
+        assert path[-1].mass == path[-2].mass
+        choices.add(choice)
+    assert choices == {1, 2}
 
 
 def drawn_path(first, total, uniform):
