@@ -13,9 +13,9 @@ import argparse
 import gc
 import itertools
 import os
+import stat
 import sys
-from pathlib import Path
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import ANALYTIC_BOUND, KITAEV_REFERENCE, InvariantViolationError, UnknownStrategyError
 
@@ -182,61 +182,54 @@ def _comment_lines(config: dict, constants: dict | None = None) -> list[str]:
     return lines
 
 
-def _is_stream(path: str) -> bool:
-    """Whether `path` names a pipe, a device or any other existing
-    non-regular file, such as /dev/stdout, which takes bytes directly."""
-    target = Path(path)
-    return target.exists() and not target.is_file()
-
-
-def _same_regular_file(first: str, second: str) -> bool:
-    """Whether both paths name one file, which the second write would replace.
-
-    A pipe or a device, such as /dev/stdout, takes both streams in turn.
-    """
-    return not _is_stream(first) and Path(first).resolve() == Path(second).resolve()
-
-
-def _is_stdout_file(path: str) -> bool:
-    """Whether `path` names the regular file that stdout writes to, which
-    replacing it would take from under the report; a stdout without a file
-    descriptor, such as a test's captured one, names none."""
+def _regular_file(path: str | None) -> tuple[int, int] | str | None:
+    """What a write to `path` (None is stdout) would replace: an existing regular
+    file's (device, inode), or the real path where no file exists yet; None for a
+    pipe or a device (such as /dev/stdout), the empty path, or a stdout with no
+    file descriptor. Any other `OSError`, such as a symlink loop, propagates."""
     try:
-        return not _is_stream(path) and os.path.samestat(
-            os.stat(path), os.fstat(sys.stdout.fileno())
-        )
+        info = os.stat(path) if path is not None else os.fstat(sys.stdout.fileno())
+    except FileNotFoundError:
+        return os.path.realpath(path) if path else None
     except (OSError, ValueError):
-        return False
+        if path is not None:
+            raise
+        return None
+    return (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
 
 
 def _write_atomic(writes: list[tuple[str | None, Iterable[str]]]) -> None:
     """Write each (path, text chunks) pair whole, or change no file at all;
     the path None is stdout.
 
-    A regular file's text goes to a new file beside it, and only once every
-    write has succeeded does `os.replace` move each onto its target. A pipe
-    or a device takes its bytes directly, after the files' text is written,
-    and stdout takes its bytes last, before the renames. On any `OSError`
+    `_regular_file` classifies each path in turn. A regular file's text goes
+    to a new file beside its real path, and only once every write has
+    succeeded does `os.replace` move each onto its target. A pipe or a
+    device takes its bytes directly, after the files' text is written, and
+    stdout takes its bytes last, before the renames. On any `OSError`
     the temporary files are removed and the error names the path, an empty
     one as ``''``. A failed stdout's file descriptor is pointed at
     os.devnull, so the interpreter's own flush at exit cannot fail again.
     """
-    moves, path = [], ""
+    moves, streams = [], []
     try:
-        # Files, then devices, then stdout (a stable sort), so a failed
-        # write sends no later stream a byte.
-        for path, chunks in sorted(writes, key=lambda w: 2 if w[0] is None else _is_stream(w[0])):
+        for path, chunks in writes:
+            if path is None or _regular_file(path) is None:
+                streams.append((path, chunks))
+                continue
+            target = os.path.realpath(path)  # through a symlink, replace the file it names
+            head, name = os.path.split(target)
+            temp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8", newline="") as handle:
+                moves.append((path, temp, target))
+                handle.writelines(chunks)
+        # Devices, then stdout (a stable sort): a failed write sends no later stream a byte.
+        for path, chunks in sorted(streams, key=lambda w: w[0] is None):
             if path is None:
                 sys.stdout.writelines(chunks)
                 sys.stdout.flush()
-            elif _is_stream(path):
-                with open(path, "w", encoding="utf-8", newline="") as handle:
-                    handle.writelines(chunks)
             else:
-                target = Path(path).resolve()  # through a symlink, replace the file it names
-                temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-                with open(temp, "x", encoding="utf-8", newline="") as handle:
-                    moves.append((path, temp, target))
+                with open(path, "w", encoding="utf-8", newline="") as handle:
                     handle.writelines(chunks)
         for path, temp, target in moves:
             os.replace(temp, target)
@@ -248,14 +241,18 @@ def _write_atomic(writes: list[tuple[str | None, Iterable[str]]]) -> None:
         raise OSError(exc.errno, exc.strerror, "stdout" if path is None else path or "''") from None
     finally:
         for _, temp, _ in moves:
-            temp.unlink(missing_ok=True)
+            try:
+                os.unlink(temp)
+            except FileNotFoundError:
+                pass
 
 
 def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
     """The report body's text chunks, and the transcript when ``--transcript`` is given.
 
-    Every check runs here, before `main` writes a byte; `main` then writes
-    the report (to ``--out``, or else stdout) and the transcript in one
+    Every check runs here, before `main` writes a byte: the report's target
+    (``--out``, or else stdout) must not be the transcript's file, which the
+    second write would replace. `main` then writes both in one
     `_write_atomic` call, so a failed write changes no file.
     """
     config = _config_mapping(args)
@@ -284,10 +281,10 @@ def dispatch(args: argparse.Namespace) -> tuple[Iterable[str], str | None]:
         gc.freeze()
 
     if getattr(args, "transcript", None) is not None:
-        if args.out is not None and _same_regular_file(args.out, args.transcript):
-            raise ValueError(f"--out and --transcript both name {args.out}")
-        if args.out is None and _is_stdout_file(args.transcript):
-            raise ValueError(f"stdout and --transcript both name {args.transcript}")
+        report = _regular_file(args.out)
+        if report is not None and report == _regular_file(args.transcript):
+            flag, name = ("stdout", args.transcript) if args.out is None else ("--out", args.out)
+            raise ValueError(f"{flag} and --transcript both name {name}")
     # Only `honest` and `montecarlo --strategy honest` run all honest, with no target.
     cheater, target = None, None
     if args.command != "honest" and (args.command != "montecarlo" or args.strategy != "honest"):

@@ -14,9 +14,9 @@ needs a strategy or a tree, so this module loads only the package root.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain, combinations
 from operator import mul
-from typing import Callable, Iterable, Iterator
 
 from . import HONEST_WEIGHTS, OPTIMAL_WEIGHTS, InvariantViolationError
 

@@ -373,12 +373,35 @@ class TestRunsAndFiles:
         assert run_cli(capsys, *argv)[0] == EXIT_OK
         assert newlines == ["", ""]
 
-    @pytest.mark.parametrize("flag", ["--out", "--transcript"])
-    def test_unwritable_path_is_parse_error(self, capsys, tmp_path, flag):
-        path = tmp_path / "missing" / "x.txt"
-        code, _, err = run_cli(capsys, "honest", "--trials", "1000", flag, str(path))
+    @pytest.mark.parametrize(
+        "flag, name, reason, other",
+        [
+            pytest.param(flag, name, reason, None, id=f"{flag}{suffix}")
+            for name, reason, suffix in [
+                ("missing/x.txt", "No such file or directory", ""),
+                ("loop", "Too many levels of symbolic links", "-loop"),
+                ("a" * 300, "File name too long", "-long"),
+            ]
+            for flag in ["--out", "--transcript"]
+        ]
+        + [
+            # A writable --out, so the transcript's loop is met by the
+            # collision check before any write.
+            pytest.param(
+                "--transcript", "loop", "Too many levels of symbolic links", "--out",
+                id="--out-ok--transcript-loop",
+            ),
+        ],
+    )
+    def test_unwritable_path_is_parse_error(self, capsys, tmp_path, flag, name, reason, other):
+        (tmp_path / "loop").symlink_to("loop")
+        before = sorted(os.listdir(tmp_path))
+        path = tmp_path / name
+        others = [other, str(tmp_path / "ok.txt")] if other else []
+        code, _, err = run_cli(capsys, "honest", "--trials", "1000", *others, flag, str(path))
         assert code == EXIT_PARSE
-        assert err == f"cointoss: cannot write {path}: No such file or directory\n"
+        assert err == f"cointoss: cannot write {path}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("flag", ["--out", "--transcript"])
@@ -433,16 +456,26 @@ class TestRunsAndFiles:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "cointoss: cannot write '': No such file or directory\n"
 
-    def test_out_and_transcript_naming_one_file_is_parse_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    def test_out_and_transcript_naming_one_file_is_parse_error(self, capsys, tmp_path, link):
+        # Replacing either name of a hard-linked file would split the link.
         path = tmp_path / "f"
-        (tmp_path / "link").symlink_to(path)
+        if link == "symlink":
+            (tmp_path / "link").symlink_to(path)
+        else:
+            path.write_bytes(b"old bytes\n")
+            os.link(path, tmp_path / "link")
         code, out, err = run_cli(
             capsys, "honest", "--trials", "1000", "--out", str(path),
             "--transcript", str(tmp_path / "link"),
         )
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"cointoss: invalid configuration: --out and --transcript both name {path}\n"
-        assert not path.exists()
+        if link == "symlink":
+            assert not path.exists()
+        else:
+            assert (tmp_path / "link").read_bytes() == path.read_bytes() == b"old bytes\n"
+            assert os.stat(path).st_nlink == 2
 
     @pytest.mark.parametrize("spelling", ["/dev/stdout", "own path"])
     def test_transcript_naming_the_stdout_file_is_parse_error(self, tmp_path, spelling):
@@ -670,9 +703,9 @@ class TestStartup:
     fresh child, and the parser each command builds."""
 
     @staticmethod
-    def child(code: str, **env_vars: str) -> str:
+    def child(code: str, *options: str, **env_vars: str) -> str:
         done = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, *options, "-c", code],
             env=child_env(**env_vars),
             capture_output=True,
             text=True,
@@ -779,11 +812,17 @@ class TestStartup:
         )
         assert self.child(code) == f"{[EXIT_OK] * len(runs)} False\n"
 
-    def test_cli_loads_no_dataclasses_or_json_beyond_argparse(self):
-        # Whatever argparse loads itself is not held against it.
-        probe = "import sys, {}; print(sorted({{'dataclasses', 'json'}} & set(sys.modules)))"
-        baseline = self.child(probe.format("argparse"))
-        assert self.child(probe.format("cointoss.cli")) == baseline
+    @pytest.mark.parametrize("run", ["", "cointoss.cli.main(['optimize']); "], ids=["import", "optimize"])
+    def test_cli_loads_no_dataclasses_or_json_beyond_argparse(self, run):
+        # Whatever argparse loads itself is not held against it. The children
+        # run without `site` (-S), whose .pth files may load any of these first.
+        probe = (
+            "import sys, {}; {}"
+            "print(sorted({{'dataclasses', 'json', 'pathlib', 'typing'}} & set(sys.modules)))"
+        )
+        baseline = self.child(probe.format("argparse", ""), "-S")
+        loaded = self.child(probe.format("cointoss.cli", run), "-S").splitlines()[-1]
+        assert f"{loaded}\n" == baseline
 
     # `main` builds only the subcommand that argv names: it parses as the
     # whole parser does.
